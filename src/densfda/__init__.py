@@ -33,6 +33,7 @@ from .density import (
 from .errors import (
     AllZeroError,
     BadBandwidthError,
+    CsvFormatError,
     DegenerateSigmaError,
     DensfdaError,
     EmptySampleError,
@@ -69,6 +70,7 @@ from .frechet import (
     frechet_mean,
     frechet_variance,
     fve_curve,
+    fve_report,
     represent,
     select_k,
     transformation_modes,

@@ -24,7 +24,7 @@ from .frechet import (
     Metric,
     MethodKind,
     frechet_mean,
-    fve_curve,
+    fve_report,
 )
 from .kde import KdeConfig, Kernel, default_bandwidth, estimate_density
 from .regression import cv_mse, fit_flr, project_scores, score_basis
@@ -201,12 +201,17 @@ def _report_payload(report, fitted):
     }
 
 
-def _cmd_analyze(args):
+def _write_fve_report(args):
+    """Fit the method once, write its FVE report; return the fit and the report."""
     densities, _ = fileio.read_density_csv(args.infile)
-    method = _method(args.method, args.delta)
-    fitted = FittedMethod(densities, method)
-    report = fve_curve(densities, method, _metric(args.metric), args.kmax, args.p)
+    fitted = FittedMethod(densities, _method(args.method, args.delta))
+    report = fve_report(fitted, _metric(args.metric), args.kmax, args.p)
     fileio.write_json(args.out, _report_payload(report, fitted))
+    return fitted, report
+
+
+def _cmd_analyze(args):
+    fitted, report = _write_fve_report(args)
     modes_path = f"{os.path.splitext(args.out)[0]}_modes.csv"
     _write_modes(modes_path, fitted, range(1, min(report.selected_k, 2) + 1), args.modes_alpha)
     _manifest(args, args.out, [args.infile])
@@ -242,11 +247,7 @@ def _cmd_mean(args):
 
 
 def _cmd_fve(args):
-    densities, _ = fileio.read_density_csv(args.infile)
-    method = _method(args.method, args.delta)
-    fitted = FittedMethod(densities, method)
-    report = fve_curve(densities, method, _metric(args.metric), args.kmax, args.p)
-    fileio.write_json(args.out, _report_payload(report, fitted))
+    _write_fve_report(args)
     _manifest(args, args.out, [args.infile])
 
 

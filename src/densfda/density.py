@@ -73,13 +73,18 @@ def unit_grid(m: int = DEFAULT_GRID_SIZE) -> Grid:
 
 def integrate(values: np.ndarray, grid: Grid) -> float:
     """Trapezoidal integral of grid samples."""
+    return float(integrate_rows(values, grid))
+
+
+def integrate_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Trapezoidal integral of each row of an ``(..., m)`` array."""
     v = np.asarray(values, dtype=float)
-    return float((v[0] + v[-1]) * 0.5 * grid.spacing + v[1:-1].sum() * grid.spacing)
+    return (v[..., 0] + v[..., -1]) * 0.5 * grid.spacing + v[..., 1:-1].sum(axis=-1) * grid.spacing
 
 
 def cumulative_integral(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Running trapezoidal integral, starting at 0."""
-    return cumulative_trapezoid(np.asarray(values, dtype=float), dx=grid.spacing, initial=0.0)
+    """Running trapezoidal integral along the last axis, starting at 0."""
+    return cumulative_trapezoid(np.asarray(values, dtype=float), dx=grid.spacing, initial=0.0, axis=-1)
 
 
 def inner_product(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
@@ -220,26 +225,48 @@ def normalize(values, grid: Grid, floor: float = DEFAULT_FLOOR) -> DensityFn:
     raw = np.asarray(values, dtype=float)
     if raw.shape != (grid.m,):
         raise GridMismatchError("raw values must match the grid size")
+    return DensityFn(grid, normalize_rows(raw[None], grid, floor)[0])
+
+
+def normalize_rows(values, grid: Grid, floor: float = DEFAULT_FLOOR) -> np.ndarray:
+    """:func:`normalize` applied to each row of an ``(n, m)`` array.
+
+    Returns the density values as an array, with the checks of
+    :class:`DensityFn` applied to every row.
+    """
+    raw = np.asarray(values, dtype=float)
+    if raw.ndim != 2 or raw.shape[1] != grid.m:
+        raise GridMismatchError("raw values must match the grid size")
     if not np.all(np.isfinite(raw)):
         raise NonFiniteError("raw values contain NaN or infinities")
     if floor < 0:
         raise ValueError("floor must be >= 0")
-    if raw.max() <= 0.0:
+    if raw.size and raw.max(axis=1).min() <= 0.0:
         raise AllZeroError("raw function has no positive mass")
     clamped = np.maximum(raw, floor)
-    mass = integrate(clamped, grid)
-    if abs(mass - 1.0) < 1e-14:
-        return DensityFn(grid, clamped)  # keeps normalize exactly idempotent
-    return DensityFn(grid, clamped / mass)
+    mass = integrate_rows(clamped, grid)
+    # rows already of unit mass are kept as they are, so normalize is idempotent
+    out = clamped / np.where(np.abs(mass - 1.0) < 1e-14, 1.0, mass)[:, None]
+    if out.size and out.min() <= 0.0:
+        raise ValueError(
+            "density values must be strictly positive; "
+            "use normalize() with a positive floor"
+        )
+    return out
 
 
 def to_cdf(f: DensityFn) -> CdfFn:
     """Cumulative trapezoidal integral of a density, pinned to [0, 1]."""
-    cum = cumulative_integral(f.values, f.grid)
-    cum /= cum[-1]
-    cum[0] = 0.0
-    cum[-1] = 1.0
-    return CdfFn(f.grid, cum)
+    return CdfFn(f.grid, cdf_rows(f.values[None], f.grid)[0])
+
+
+def cdf_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """:func:`to_cdf` of each row of an ``(n, m)`` array of density values."""
+    cum = cumulative_integral(values, grid)
+    cum /= cum[:, -1:]
+    cum[:, 0] = 0.0
+    cum[:, -1] = 1.0
+    return cum
 
 
 def to_quantile(F: CdfFn, tgrid: Grid) -> QuantileFn:
@@ -249,18 +276,29 @@ def to_quantile(F: CdfFn, tgrid: Grid) -> QuantileFn:
     endpoint; wider flats cannot be inverted and raise
     ``NotInvertibleError``.
     """
+    q = quantile_rows(F.values[None], F.grid, tgrid)[0]
+    return QuantileFn(tgrid, q, support=(F.grid.lo, F.grid.hi))
+
+
+def quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray:
+    """:func:`to_quantile` of each row of an ``(n, m)`` array of CDF values."""
     if (tgrid.lo, tgrid.hi) != (0.0, 1.0):
         raise ValueError("quantiles are evaluated on a probability grid over [0, 1]")
-    diffs = np.diff(F.values)
-    flat = diffs == 0.0
-    if np.any(flat[:-1] & flat[1:]):
+    flat = np.diff(cdf, axis=1) == 0.0
+    if np.any(flat[:, :-1] & flat[:, 1:]):
         raise NotInvertibleError("CDF has a flat span wider than one grid cell")
-    # keep the first occurrence of each CDF level -> left-endpoint ties
-    levels, first = np.unique(F.values, return_index=True)
-    q = np.interp(tgrid.points, levels, F.grid.points[first])
-    q[0] = F.grid.lo
-    q[-1] = F.grid.hi
-    return QuantileFn(tgrid, q, support=(F.grid.lo, F.grid.hi))
+    t, x = tgrid.points, grid.points
+    q = np.empty((cdf.shape[0], tgrid.m))
+    for i, row in enumerate(cdf):
+        if flat[i].any():
+            # keep the first occurrence of each CDF level -> left-endpoint ties
+            levels, first = np.unique(row, return_index=True)
+            q[i] = np.interp(t, levels, x[first])
+        else:
+            q[i] = np.interp(t, row, x)
+    q[:, 0] = grid.lo
+    q[:, -1] = grid.hi
+    return q
 
 
 def to_quantile_density(f: DensityFn, tgrid: Grid | None = None) -> QuantileDensityFn:

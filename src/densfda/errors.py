@@ -61,5 +61,9 @@ class DegenerateSigmaError(DensfdaError):
     """Scale parameter of a generator distribution is not positive."""
 
 
+class CsvFormatError(DensfdaError):
+    """An input CSV file is empty, has no data rows or has a malformed row."""
+
+
 class RankDeficientWarning(UserWarning):
     """Score matrix was singular; trailing components were dropped."""

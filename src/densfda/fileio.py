@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .density import DensityFn, Grid, normalize
+from .errors import CsvFormatError
 from .transforms import TransformedFn, TransformSpec
 
 ARTIFACT_VERSION = "0.1.0"
@@ -45,9 +46,20 @@ def _write_table(path, first_name: str, points: np.ndarray, columns, ids):
 
 def _read_table(path):
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise CsvFormatError(f"{path}: file is empty")
+    header, body = rows[0], rows[1:]
+    if not body:
+        raise CsvFormatError(f"{path}: header but no data rows")
+    if len(header) < 2:
+        raise CsvFormatError(f"{path}: needs a grid column and at least one function column")
+    for i, row in enumerate(body, start=1):
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{path}: data row {i} has {len(row)} fields, the header has {len(header)}"
+            )
+    data = np.array([[float(v) for v in row] for row in body])
     return header, data[:, 0], data[:, 1:].T
 
 
@@ -81,31 +93,36 @@ def write_quantile_csv(path, tgrid: Grid, columns, ids):
     _write_table(path, "t", tgrid.points, columns, ids)
 
 
+def _id_value_rows(path) -> tuple[list, list]:
+    """Header and (id, value) pairs of a ``subject_id,value`` CSV."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise CsvFormatError(f"{path}: file is empty")
+    pairs = []
+    for line, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) < 2:
+            raise CsvFormatError(f"{path}: line {line} needs 'subject_id,value', got {row!r}")
+        pairs.append((row[0], float(row[1])))
+    return rows[0], pairs
+
+
 def read_samples_csv(path):
     """Two-column ``subject_id,value`` CSV -> ordered {id: samples array}."""
+    header, pairs = _id_value_rows(path)
+    if [h.strip().lower() for h in header[:2]] != ["subject_id", "value"]:
+        raise ValueError("sample CSV must have header 'subject_id,value'")
     groups: dict[str, list[float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip().lower() for h in header[:2]] != ["subject_id", "value"]:
-            raise ValueError("sample CSV must have header 'subject_id,value'")
-        for row in reader:
-            if not row:
-                continue
-            groups.setdefault(row[0], []).append(float(row[1]))
+    for sid, value in pairs:
+        groups.setdefault(sid, []).append(value)
     return {k: np.asarray(v) for k, v in groups.items()}
 
 
 def read_response_csv(path):
     """Two-column ``subject_id,value`` CSV of scalar responses."""
-    out = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if row:
-                out[row[0]] = float(row[1])
-    return out
+    return dict(_id_value_rows(path)[1])
 
 
 def write_json(path, payload: dict):

@@ -1,10 +1,18 @@
-"""Functional PCA on grid functions: mean, covariance, eigensystem, scores.
+"""Functional PCA on grid functions: mean, eigensystem, scores.
 
 All inner products are trapezoidal, so eigenfunctions come out
-orthonormal in L2 of the grid rather than in Euclidean coordinates.  The
-covariance operator is discretized by symmetrizing with the square roots
-of the quadrature weights, which keeps the eigenproblem symmetric and
-the recovered eigenfunctions orthonormal.
+orthonormal in L2 of the grid rather than in Euclidean coordinates.
+:func:`fit` never forms the m x m covariance surface.  With quadrature
+weights w, it takes the thin SVD of the weighted, centered sample
+(X - mean) * sqrt(w) / sqrt(n) = U S V^T.  The squared singular values
+are the eigenvalues of the covariance operator, and the rows of
+V^T / sqrt(w) are its eigenfunctions.  For n < m that costs O(n^2 m)
+instead of O(m^3).  Components at the round-off level come out with
+singular values near 1e-16 of the leading one, so their eigenvalues
+(near 1e-32 of it, rather than near 1e-12 from a covariance eigensolver)
+fall under the drop rule.  :func:`eigendecompose` serves callers that
+already hold a covariance surface; both paths share the ordering, drop
+rule, normalization and sign convention.
 """
 
 from __future__ import annotations
@@ -52,8 +60,8 @@ class EigenSystem:
         return self
 
 
-def _stack(sample, grid: Grid | None = None) -> tuple[np.ndarray, Grid]:
-    """Stack grid functions (or a 2-D array) into an (n, m) matrix."""
+def stack(sample, grid: Grid | None = None) -> tuple[np.ndarray, Grid]:
+    """Stack grid functions (or a 2-D array) into an (n, m) matrix and its grid."""
     if isinstance(sample, np.ndarray) and sample.ndim == 2:
         if grid is None:
             raise ValueError("a grid is required with a plain array sample")
@@ -73,7 +81,7 @@ def _stack(sample, grid: Grid | None = None) -> tuple[np.ndarray, Grid]:
 
 def cross_sectional_mean(sample, grid: Grid | None = None) -> np.ndarray:
     """Pointwise average of the sample functions (n >= 2)."""
-    data, _ = _stack(sample, grid)
+    data, _ = stack(sample, grid)
     if data.shape[0] < 2:
         raise EmptySampleError("mean requires at least two functions")
     return data.mean(axis=0)
@@ -81,7 +89,7 @@ def cross_sectional_mean(sample, grid: Grid | None = None) -> np.ndarray:
 
 def covariance(sample, mean, grid: Grid | None = None) -> np.ndarray:
     """Empirical covariance surface (1/n convention), symmetrized."""
-    data, _ = _stack(sample, grid)
+    data, _ = stack(sample, grid)
     if data.shape[0] < 2:
         raise EmptySampleError("covariance requires at least two functions")
     centered = data - np.asarray(mean, dtype=float)
@@ -90,7 +98,13 @@ def covariance(sample, mean, grid: Grid | None = None) -> np.ndarray:
 
 
 def eigendecompose(cov: np.ndarray, grid: Grid, k: int | None = None):
-    """Eigenvalues and L2-orthonormal eigenfunctions of the covariance operator.
+    """Eigenvalues and L2-orthonormal eigenfunctions of a covariance surface.
+
+    This is the path for callers that pass a covariance surface; a
+    sample is decomposed by :func:`fit` without forming one.  The
+    surface is symmetrized with the square roots of the quadrature
+    weights, which keeps the eigenproblem symmetric and the recovered
+    eigenfunctions orthonormal.
 
     Parameters
     ----------
@@ -118,9 +132,14 @@ def eigendecompose(cov: np.ndarray, grid: Grid, k: int | None = None):
     b = sw[:, None] * cov * sw[None, :]
     b = 0.5 * (b + b.T)
     vals, vecs = np.linalg.eigh(b)
+    return _eigensystem(vals, vecs.T / sw[None, :], w, k)
+
+
+def _eigensystem(vals: np.ndarray, funcs: np.ndarray, w: np.ndarray, k: int | None):
+    """Order, drop, truncate, normalize and sign-fix raw eigenpairs."""
     order = np.argsort(vals)[::-1]
     vals = np.clip(vals[order], 0.0, None)
-    funcs = vecs[:, order].T / sw[None, :]
+    funcs = funcs[order]
     keep = vals > EIGENVALUE_DROP * (vals[0] if vals.size and vals[0] > 0 else 1.0)
     vals, funcs = vals[keep], funcs[keep]
     if k is not None:
@@ -134,18 +153,21 @@ def eigendecompose(cov: np.ndarray, grid: Grid, k: int | None = None):
 
 def scores(sample, mean, eigenfunctions: np.ndarray, grid: Grid | None = None) -> np.ndarray:
     """Projections of centered sample functions onto the eigenfunctions."""
-    data, g = _stack(sample, grid)
+    data, g = stack(sample, grid)
     centered = data - np.asarray(mean, dtype=float)
     return centered @ (eigenfunctions * g.trapezoid_weights()).T
 
 
 def fit(sample, grid: Grid | None = None, k: int | None = None) -> EigenSystem:
-    """Mean, eigendecomposition and scores in one pass."""
-    data, g = _stack(sample, grid)
+    """Mean, eigensystem (by thin SVD of the weighted sample) and scores."""
+    data, g = stack(sample, grid)
     mean = cross_sectional_mean(data, g)
-    vals, funcs = eigendecompose(covariance(data, mean, g), g, k)
-    sc = scores(data, mean, funcs, g)
-    return EigenSystem(g, mean, vals, funcs, sc)
+    w = g.trapezoid_weights()
+    sw = np.sqrt(w)
+    centered = data - mean
+    _, s, vt = np.linalg.svd(centered * (sw / np.sqrt(len(data))), full_matrices=False)
+    vals, funcs = _eigensystem(s**2, vt / sw, w, k)
+    return EigenSystem(g, mean, vals, funcs, centered @ (funcs * w).T)
 
 
 def truncate(system: EigenSystem, k: int) -> np.ndarray:

@@ -24,16 +24,20 @@ from .density import (
     DEFAULT_FLOOR,
     DensityFn,
     Grid,
+    cdf_rows,
     dist_l2,
     dist_wasserstein,
+    integrate_rows,
     normalize,
+    normalize_rows,
+    quantile_rows,
     to_cdf,
     to_quantile,
     unit_grid,
 )
 from .errors import EmptySampleError, SupportMismatchError
 from .sphere import FittedSphere
-from .transforms import LQD, TransformedFn, TransformSpec, forward, inverse, log_hazard_spec
+from .transforms import LQD, TransformSpec, forward_rows, inverse_rows, log_hazard_spec
 
 K_MAX_CAP = 20
 EXPLAINED_TAIL = 1e-8  # eigenvalue mass allowed beyond the default K_max
@@ -45,6 +49,20 @@ class Metric(Enum):
 
     def distance(self, f: DensityFn, g: DensityFn) -> float:
         return dist_l2(f, g) if self is Metric.L2 else dist_wasserstein(f, g)
+
+    def embed_rows(self, values: np.ndarray, grid: Grid) -> tuple[np.ndarray, Grid]:
+        """Rows whose L2 distances are this metric's distances between the
+        ``(n, m)`` density rows: the densities themselves for L2, their
+        quantile functions for Wasserstein."""
+        if self is Metric.L2:
+            return values, grid
+        tgrid = unit_grid(grid.m)
+        return quantile_rows(cdf_rows(values, grid), grid, tgrid), tgrid
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
+    """Squared L2 distances between the rows of ``a`` and ``b``."""
+    return np.maximum(integrate_rows((a - b) ** 2, grid), 0.0)
 
 
 @dataclass(frozen=True)
@@ -191,20 +209,33 @@ def blend_uniform(f: DensityFn, weight: float) -> DensityFn:
     """Mixture (1 - weight) * f + weight * uniform on the same support."""
     if weight == 0.0:
         return f
-    return DensityFn(f.grid, (1.0 - weight) * f.values + weight / f.grid.width)
+    return DensityFn(f.grid, _blend_rows(f.values, f.grid, weight))
 
 
 def unblend_uniform(f: DensityFn, weight: float, floor: float) -> DensityFn:
     """Exact inverse of :func:`blend_uniform`, clipped and renormalized."""
     if weight == 0.0:
         return f
-    raw = (f.values - weight / f.grid.width) / (1.0 - weight)
-    return normalize(np.maximum(raw, 0.0), f.grid, floor)
+    return DensityFn(f.grid, _unblend_rows(f.values[None], f.grid, weight, floor)[0])
+
+
+def _blend_rows(values: np.ndarray, grid: Grid, weight: float) -> np.ndarray:
+    return (1.0 - weight) * values + weight / grid.width
+
+
+def _unblend_rows(values: np.ndarray, grid: Grid, weight: float, floor: float) -> np.ndarray:
+    if weight == 0.0:
+        return values
+    raw = (values - weight / grid.width) / (1.0 - weight)
+    return normalize_rows(np.maximum(raw, 0.0), grid, floor)
 
 
 class FittedMethod:
     """One method fitted to a sample, reusable across truncation levels K.
 
+    The sample is held as one ``(n, m)`` array (``values``) and every
+    step works on it as a whole; ``DensityFn`` objects are built only
+    for the densities that ``reconstruct`` and ``mode`` return.
     ``reconstruct(K)`` silently uses all available components when K
     exceeds them (trailing components carry no variance), which also
     covers the degenerate single-subject sample, where every method
@@ -219,18 +250,17 @@ class FittedMethod:
         self.floor = floor
         self.grid = self.sample[0].grid
         self.support = _check_shared_support(self.sample)
+        self.values, _ = fpca.stack(self.sample)
         self._sphere = None
-        self.system = None
         if method.kind == "hs":
-            self._sphere = FittedSphere(self.sample, floor)
+            self._sphere = FittedSphere(self.values, floor, self.grid)
             self.system = self._sphere.system
         elif method.kind == "transform":
-            blended = [blend_uniform(f, method.blend) for f in self.sample]
-            self._xs = [forward(f, method.transform) for f in blended]
-            self.system = _fit_possibly_singleton(self._xs)
-            self._tgrid = self._xs[0].tgrid
+            blended = _blend_rows(self.values, self.grid, method.blend)
+            self._tgrid, xs = forward_rows(blended, self.grid, method.transform)
+            self.system = _fit_possibly_singleton(xs, self._tgrid)
         elif method.kind == "fpca":
-            self.system = _fit_possibly_singleton(self.sample)
+            self.system = _fit_possibly_singleton(self.values, self.grid)
         else:
             raise ValueError(f"unknown method kind {method.kind!r}")
 
@@ -238,39 +268,39 @@ class FittedMethod:
     def n_components(self) -> int:
         return self.system.n_components
 
-    def reconstruct(self, k: int) -> list[DensityFn]:
+    def reconstruct_values(self, k: int) -> np.ndarray:
+        """``(n, m)`` density values of the k-component representations."""
         if k < 0:
             raise ValueError("k must be >= 0")
         k = min(k, self.n_components)
         if self.method.kind == "hs":
-            return self._sphere.reconstruct(k)
-        rows = fpca.truncate(self.system, k)
-        if self.method.kind == "fpca":
-            return [fpca.project_to_density(r, self.grid, self.floor) for r in rows]
-        return [self._invert(r) for r in rows]
+            return self._sphere.reconstruct_values(k)
+        return self._to_density(fpca.truncate(self.system, k))
+
+    def reconstruct(self, k: int) -> list[DensityFn]:
+        return [DensityFn(self.grid, row) for row in self.reconstruct_values(k)]
 
     def mode(self, k: int, alpha: float) -> DensityFn:
         """Mode of variation along component k (1-based) at parameter alpha."""
         if self.method.kind == "hs":
             return self._sphere.mode(k, alpha)
         values = fpca.mode_of_variation(self.system, k, alpha)
+        return DensityFn(self.grid, self._to_density(values[None])[0])
+
+    def _to_density(self, rows: np.ndarray) -> np.ndarray:
+        """Density values for rows of the space the method's FPCA works in."""
         if self.method.kind == "fpca":
-            return fpca.project_to_density(values, self.grid, self.floor)
-        return self._invert(values)
-
-    def _invert(self, values: np.ndarray) -> DensityFn:
-        x = TransformedFn(self._tgrid, values, self.method.transform, self.support)
-        return unblend_uniform(inverse(x), self.method.blend, self.floor)
+            return normalize_rows(np.maximum(rows, 0.0), self.grid, self.floor)
+        dens = inverse_rows(rows, self._tgrid, self.method.transform, self.support)
+        return _unblend_rows(dens, self.grid, self.method.blend, self.floor)
 
 
-def _fit_possibly_singleton(sample) -> fpca.EigenSystem:
-    if len(sample) >= 2:
-        return fpca.fit(sample)
-    f = sample[0]
-    grid = getattr(f, "grid", None) or getattr(f, "tgrid")
+def _fit_possibly_singleton(rows: np.ndarray, grid: Grid) -> fpca.EigenSystem:
+    if len(rows) >= 2:
+        return fpca.fit(rows, grid)
     return fpca.EigenSystem(
         grid,
-        np.array(f.values, dtype=float),
+        np.array(rows[0], dtype=float),
         np.zeros(0),
         np.zeros((0, grid.m)),
         np.zeros((1, 0)),
@@ -323,23 +353,38 @@ def fve_curve(
 
     V_K = V_inf - mean_i d(f_i, reconstruction_i(K))^2, reported as the
     curve of ratios V_K / V_inf together with the smallest K exceeding
-    the threshold p.
+    the threshold p.  Fits the method and calls :func:`fve_report`.
     """
-    sample = list(sample)
-    fitted = FittedMethod(sample, method, floor)
-    mean = frechet_mean(sample, metric, floor)
-    v_inf = frechet_variance(sample, mean, metric)
+    return fve_report(FittedMethod(sample, method, floor), metric, k_max, p)
+
+
+def fve_report(
+    fitted: FittedMethod,
+    metric: Metric,
+    k_max: int | None = None,
+    p: float = 0.9,
+) -> FrechetReport:
+    """:func:`fve_curve` of a method already fitted to its sample.
+
+    The sample, its Fréchet mean and every reconstruction are embedded
+    once as rows (:meth:`Metric.embed_rows`), so each metric distance is
+    an L2 distance between two rows.
+    """
+    sample = fitted.sample
+    mean = frechet_mean(sample, metric, fitted.floor)
+    target, egrid = metric.embed_rows(fitted.values, fitted.grid)
+    center, _ = metric.embed_rows(mean.values[None], mean.grid)
+    v_inf = float(np.mean(_sq_dists(target, center, egrid)))
     if k_max is None:
         k_max = default_k_max(fitted.system.eigenvalues, len(sample))
     k_max = max(1, k_max)
     v_k = np.empty(k_max)
     for k in range(1, k_max + 1):
-        recon = fitted.reconstruct(k)
-        err = float(np.mean([metric.distance(f, r) ** 2 for f, r in zip(sample, recon)]))
-        v_k[k - 1] = v_inf - err
+        recon, _ = metric.embed_rows(fitted.reconstruct_values(k), fitted.grid)
+        v_k[k - 1] = v_inf - float(np.mean(_sq_dists(target, recon, egrid)))
     fve = v_k / v_inf if v_inf > 0 else np.ones(k_max)
     selected, reached = _select(fve, p)
-    return FrechetReport(metric, v_inf, v_k, fve, selected, reached, p, method)
+    return FrechetReport(metric, v_inf, v_k, fve, selected, reached, p, fitted.method)
 
 
 def _select(fve: np.ndarray, p: float) -> KSelection:

@@ -4,7 +4,8 @@ A scalar response is regressed on the leading principal-component scores
 of the densities, either taken directly in density space or after the
 log-quantile-density transform.  Cross-validated prediction error
 recomputes the score basis on every training fold, so held-out subjects
-never influence the basis they are projected onto.
+never influence the basis they are projected onto; the transform maps
+each density on its own, so it is applied once per subject.
 """
 
 from __future__ import annotations
@@ -93,17 +94,26 @@ class ScoreBasis:
 
 def score_basis(densities, method: str, k: int) -> ScoreBasis:
     """Fit the score basis (mean + leading eigenfunctions) on a sample."""
-    if method not in SCORE_METHODS:
-        raise ValueError(f"method must be one of {SCORE_METHODS}, got {method!r}")
-    sample = densities if method == "fpca" else [lqd_forward(f) for f in densities]
-    system = fpca.fit(sample, k=k)
-    return ScoreBasis(method, system.grid, system.mean, system.eigenfunctions[:k])
+    return _fit_basis(*_score_rows(densities, method), method, k)
 
 
 def project_scores(densities, basis: ScoreBasis) -> np.ndarray:
     """Scores of (possibly unseen) densities in a previously fitted basis."""
-    sample = densities if basis.method == "fpca" else [lqd_forward(f) for f in densities]
-    return fpca.scores(sample, basis.mean, basis.eigenfunctions, basis.grid)
+    rows, _ = _score_rows(densities, basis.method)
+    return fpca.scores(rows, basis.mean, basis.eigenfunctions, basis.grid)
+
+
+def _score_rows(densities, method: str) -> tuple[np.ndarray, Grid]:
+    """The densities, or each one's LQD transform, as an ``(n, m)`` array."""
+    if method not in SCORE_METHODS:
+        raise ValueError(f"method must be one of {SCORE_METHODS}, got {method!r}")
+    sample = densities if method == "fpca" else [lqd_forward(f) for f in densities]
+    return fpca.stack(sample)
+
+
+def _fit_basis(rows: np.ndarray, grid: Grid, method: str, k: int) -> ScoreBasis:
+    system = fpca.fit(rows, grid, k=k)
+    return ScoreBasis(method, grid, system.mean, system.eigenfunctions[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +152,8 @@ def cv_mse(
         raise ValueError("folds must be >= 2")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    # each density is transformed on its own, once; folds index the rows
+    rows, grid = _score_rows(densities, method)
     children = np.random.SeedSequence(seed).spawn(repeats)
     total_sse = 0.0
     records = []
@@ -150,13 +162,13 @@ def cv_mse(
         perm = rng.permutation(n)
         for j, test_idx in enumerate(np.array_split(perm, folds)):
             train_idx = np.setdiff1d(perm, test_idx)
-            basis = score_basis([densities[i] for i in train_idx], method, k)
+            basis = _fit_basis(rows[train_idx], grid, method, k)
             model = fit_flr(
-                project_scores([densities[i] for i in train_idx], basis),
+                fpca.scores(rows[train_idx], basis.mean, basis.eigenfunctions, grid),
                 y[train_idx],
                 basis,
             )
-            pred = predict(model, project_scores([densities[i] for i in test_idx], basis))
+            pred = predict(model, fpca.scores(rows[test_idx], basis.mean, basis.eigenfunctions, grid))
             total_sse += float(((y[test_idx] - pred) ** 2).sum())
             if return_details:
                 records.append((r, j, test_idx.copy(), basis.digest()))

@@ -19,9 +19,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
-from .density import DensityFn, Grid, dist_wasserstein, normalize, to_cdf
+from .density import DensityFn, Grid, cdf_rows, dist_wasserstein, normalize_rows
 from .errors import DegenerateSigmaError, EmptySampleError
 from .frechet import Metric, MethodKind, frechet_mean, fve_curve
 from .kde import KdeConfig, Kernel, estimate_density
@@ -85,14 +85,21 @@ def truncated_normal_density(
 ) -> DensityFn:
     """Normal(mu, sigma^2) truncated to the grid support, floored and
     renormalized to the grid quadrature."""
-    if sigma <= 0:
-        raise DegenerateSigmaError(f"sigma must be positive, got {sigma}")
-    x = grid.points
-    z = (x - mu) / sigma
-    mass = norm.cdf((grid.hi - mu) / sigma) - norm.cdf((grid.lo - mu) / sigma)
-    if mass <= 0:
+    return DensityFn(grid, _truncated_normal_rows(np.array([mu]), np.array([sigma]), grid, floor)[0])
+
+
+def _truncated_normal_rows(mus: np.ndarray, sigmas: np.ndarray, grid: Grid, floor: float) -> np.ndarray:
+    """Values of :func:`truncated_normal_density` for each (mu, sigma) pair, one row each."""
+    bad = ~(sigmas > 0)
+    if bad.any():
+        raise DegenerateSigmaError(f"sigma must be positive, got {sigmas[bad][0]}")
+    mus, sigmas = mus[:, None], sigmas[:, None]
+    z = (grid.points - mus) / sigmas
+    mass = ndtr((grid.hi - mus) / sigmas) - ndtr((grid.lo - mus) / sigmas)
+    if np.any(mass <= 0):
         raise DegenerateSigmaError("no normal mass falls inside the support")
-    return normalize(norm.pdf(z) / (sigma * mass), grid, floor)
+    pdf = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    return normalize_rows(pdf / (sigmas * mass), grid, floor)
 
 
 @dataclass
@@ -120,12 +127,11 @@ def _draw_parameters(spec: SettingSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     return mus, sigmas
 
 
-def _inverse_cdf_sample(mu, sigma, grid: Grid, n_obs: int, rng) -> np.ndarray:
-    """Draw from the truncated normal via its CDF tabulated on a fine grid."""
+def _inverse_cdf_samples(mus, sigmas, grid: Grid, n_obs: int, rng) -> list:
+    """Draw n_obs points from each truncated normal via its CDF tabulated on a fine grid."""
     fine = Grid(grid.lo, grid.hi, _FINE_M)
-    f = truncated_normal_density(mu, sigma, fine, floor=1e-300)
-    cdf = to_cdf(f)
-    return np.interp(rng.random(n_obs), cdf.values, fine.points)
+    cdfs = cdf_rows(_truncated_normal_rows(mus, sigmas, fine, 1e-300), fine)
+    return [np.interp(rng.random(n_obs), cdf, fine.points) for cdf in cdfs]
 
 
 def gen_setting(spec: SettingSpec, rng=None) -> GeneratedSetting:
@@ -135,16 +141,13 @@ def gen_setting(spec: SettingSpec, rng=None) -> GeneratedSetting:
     mus, sigmas = _draw_parameters(spec, rng)
     grid = spec.grid
     true = [
-        truncated_normal_density(mu, s, grid, spec.floor)
-        for mu, s in zip(mus, sigmas)
+        DensityFn(grid, row)
+        for row in _truncated_normal_rows(mus, sigmas, grid, spec.floor)
     ]
     if spec.observed == "full":
         return GeneratedSetting(spec, true, true, None, mus, sigmas)
     cfg = KdeConfig(spec.unit_bandwidth, Kernel.GAUSSIAN, grid, spec.floor)
-    samples = [
-        _inverse_cdf_sample(mu, s, grid, spec.n_obs, rng)
-        for mu, s in zip(mus, sigmas)
-    ]
+    samples = _inverse_cdf_samples(mus, sigmas, grid, spec.n_obs, rng)
     estimated = [estimate_density(w, cfg) for w in samples]
     return GeneratedSetting(spec, estimated, true, samples, mus, sigmas)
 

@@ -15,8 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fpca
-from .density import DEFAULT_FLOOR, DensityFn, Grid, inner_product, normalize
-from .errors import EmptySampleError, GridMismatchError, NoConvergenceError
+from .density import (
+    DEFAULT_FLOOR,
+    DensityFn,
+    Grid,
+    inner_product,
+    integrate_rows,
+    normalize,
+    normalize_rows,
+)
+from .errors import GridMismatchError, NoConvergenceError
 
 KARCHER_TOL = 1e-9
 KARCHER_MAX_ITER = 200
@@ -83,74 +91,107 @@ def karcher_mean(
     sample,
     tol: float = KARCHER_TOL,
     max_iter: int = KARCHER_MAX_ITER,
+    grid: Grid | None = None,
 ) -> SpherePoint:
     """Intrinsic mean by iterated tangent averaging with unit steps.
 
-    Stops when the mean of the log-mapped sample has L2 norm <= tol.
+    ``sample`` is a sequence of sphere points or, with ``grid``, an
+    ``(n, m)`` array of unit-norm rows.  Each iteration log-maps the
+    whole sample at once (:func:`_log_rows`) and stops when the mean
+    tangent has L2 norm <= tol.
     """
-    points = list(sample)
-    if not points:
-        raise EmptySampleError("karcher_mean of an empty sample")
-    grid = points[0].grid
-    data = np.stack([p.values for p in points])
+    data, grid = fpca.stack(sample, grid)
     init = data.mean(axis=0)
     init /= np.sqrt(inner_product(init, init, grid))
     mu = SpherePoint(grid, init)
     for _ in range(max_iter):
-        tangents = np.stack([log_map(mu, p) for p in points])
-        v = tangents.mean(axis=0)
+        v = _log_rows(mu, data).mean(axis=0)
         if np.sqrt(max(inner_product(v, v, grid), 0.0)) <= tol:
             return mu
         mu = exp_map(mu, v)
     raise NoConvergenceError(f"karcher_mean did not converge in {max_iter} iterations")
 
 
-def pga(sample, k: int | None = None) -> tuple[SpherePoint, fpca.EigenSystem]:
+def pga(sample, k: int | None = None, grid: Grid | None = None) -> tuple[SpherePoint, fpca.EigenSystem]:
     """Tangent-space PCA at the Karcher mean.
 
-    Returns the mean point and an eigensystem of the log-mapped sample
-    (mean function, eigenvalues, tangent eigenfunctions, scores).
+    Takes the sample as :func:`karcher_mean` does.  Returns the mean
+    point and an eigensystem of the log-mapped sample (mean function,
+    eigenvalues, tangent eigenfunctions, scores).
     """
-    points = list(sample)
-    mu = karcher_mean(points)
-    tangents = np.stack([log_map(mu, p) for p in points])
-    return mu, fpca.fit(tangents, mu.grid, k)
+    data, grid = fpca.stack(sample, grid)
+    mu = karcher_mean(data, grid=grid)
+    return mu, fpca.fit(_log_rows(mu, data), grid, k)
+
+
+def _embed_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """:func:`sqrt_embed` of each row of an ``(n, m)`` array of densities."""
+    v = np.sqrt(values)
+    return v / np.sqrt(integrate_rows(v * v, grid))[:, None]
+
+
+def _log_rows(base: SpherePoint, data: np.ndarray) -> np.ndarray:
+    """:func:`log_map` from ``base`` to every row of ``data``."""
+    c = np.clip(integrate_rows(data * base.values, base.grid), -1.0, 1.0)
+    theta = np.arccos(c)
+    far = theta >= 1e-15
+    scale = np.zeros_like(theta)
+    scale[far] = theta[far] / np.sin(theta[far])
+    return scale[:, None] * (data - np.cos(theta)[:, None] * base.values)
+
+
+def _exp_rows(base: SpherePoint, v: np.ndarray) -> np.ndarray:
+    """Values of :func:`exp_map` from ``base`` along every row of ``v``."""
+    grid = base.grid
+    norm = np.sqrt(np.maximum(integrate_rows(v * v, grid), 0.0))
+    far = norm >= 1e-15
+    safe = np.where(far, norm, 1.0)
+    out = np.cos(norm)[:, None] * base.values + (np.sin(norm) / safe)[:, None] * v
+    out /= np.sqrt(integrate_rows(out * out, grid))[:, None]
+    out[~far] = base.values
+    return out
 
 
 class FittedSphere:
     """Karcher mean + tangent eigensystem, reusable across truncation levels."""
 
-    def __init__(self, densities, floor: float = DEFAULT_FLOOR):
-        densities = list(densities)
+    def __init__(self, densities, floor: float = DEFAULT_FLOOR, grid: Grid | None = None):
+        """``densities`` is a sequence of densities or, with ``grid``, an
+        ``(n, m)`` array of density values on it."""
+        densities, grid = fpca.stack(densities, grid)
         self.floor = floor
-        points = [sqrt_embed(f) for f in densities]
-        self.grid = points[0].grid
+        self.grid = grid
+        points = _embed_rows(densities, grid)
         if len(points) == 1:
-            self.mean = points[0]
+            self.mean = SpherePoint(grid, points[0])
             self.system = fpca.EigenSystem(
-                self.grid,
-                np.zeros(self.grid.m),
+                grid,
+                np.zeros(grid.m),
                 np.zeros(0),
-                np.zeros((0, self.grid.m)),
+                np.zeros((0, grid.m)),
                 np.zeros((1, 0)),
             )
         else:
-            self.mean, self.system = pga(points)
+            self.mean, self.system = pga(points, grid=grid)
 
     @property
     def n_components(self) -> int:
         return self.system.n_components
 
-    def reconstruct(self, k: int) -> list[DensityFn]:
+    def reconstruct_values(self, k: int) -> np.ndarray:
+        """``(n, m)`` density values of the k-component representations."""
         k = min(k, self.n_components)
-        tangents = fpca.truncate(self.system, k)
-        return [
-            square_back(exp_map(self.mean, v), self.floor) for v in tangents
-        ]
+        return self._square_back(fpca.truncate(self.system, k))
+
+    def reconstruct(self, k: int) -> list[DensityFn]:
+        return [DensityFn(self.grid, row) for row in self.reconstruct_values(k)]
 
     def mode(self, k: int, alpha: float) -> DensityFn:
         v = alpha * np.sqrt(self.system.eigenvalues[k - 1]) * self.system.eigenfunctions[k - 1]
-        return square_back(exp_map(self.mean, v), self.floor)
+        return DensityFn(self.grid, self._square_back(v[None])[0])
+
+    def _square_back(self, tangents: np.ndarray) -> np.ndarray:
+        return normalize_rows(_exp_rows(self.mean, tangents) ** 2, self.grid, self.floor)
 
 
 def hs_represent(densities, k: int, floor: float = DEFAULT_FLOOR) -> list[DensityFn]:
@@ -165,4 +206,5 @@ def hs_mode(densities, k: int, alpha: float, floor: float = DEFAULT_FLOOR) -> De
 
 def fisher_rao_mean(densities, floor: float = DEFAULT_FLOOR) -> DensityFn:
     """Fréchet mean under the geodesic metric, squared back to a density."""
-    return square_back(karcher_mean([sqrt_embed(f) for f in densities]), floor)
+    values, grid = fpca.stack(densities)
+    return square_back(karcher_mean(_embed_rows(values, grid), grid=grid), floor)

@@ -20,12 +20,14 @@ from scipy.interpolate import CubicSpline
 from .density import (
     DensityFn,
     Grid,
-    from_unit_support,
-    integrate,
+    cdf_rows,
     cumulative_integral,
+    from_unit_support,
+    integrate_rows,
     normalize,
+    normalize_rows,
+    quantile_rows,
     to_cdf,
-    to_quantile,
     to_unit_support,
     unit_grid,
 )
@@ -95,35 +97,61 @@ class TransformedFn:
 
 def lqd_forward(f: DensityFn) -> TransformedFn:
     """X(t) = -log f(Q(t)) on the probability grid."""
-    f01 = to_unit_support(f)
-    tgrid = unit_grid(f01.grid.m)
-    q = to_quantile(to_cdf(f01), tgrid)
-    f_at_q = np.interp(q.values, f01.grid.points, f01.values)
-    return TransformedFn(tgrid, -np.log(f_at_q), LQD, f.support)
+    x = lqd_forward_rows(f.values[None] * f.grid.width)[0]
+    return TransformedFn(unit_grid(f.grid.m), x, LQD, f.support)
 
 
 def lqd_inverse(x: TransformedFn) -> DensityFn:
     """Map X back to a density supported exactly on the native interval.
+
+    See :func:`lqd_inverse_rows` for the construction.
+    """
+    if x.spec.kind is not TransformKind.LOG_QUANTILE_DENSITY:
+        raise ValueError("lqd_inverse expects a log-quantile-density function")
+    lo, hi = x.support
+    values01 = lqd_inverse_rows(x.values[None])[0]
+    return DensityFn(Grid(lo, hi, x.tgrid.m), values01 / (hi - lo))
+
+
+def lqd_forward_rows(values01: np.ndarray) -> np.ndarray:
+    """LQD transform of each row of an ``(n, m)`` array of densities on [0, 1].
+
+    Row i holds a density on the unit grid of m points; row i of the
+    result is its X on the probability grid of m points.  Each row is
+    transformed on its own.
+    """
+    grid = unit_grid(values01.shape[1])
+    q = quantile_rows(cdf_rows(values01, grid), grid, grid)
+    return -np.log(_interp_uniform_rows(q, grid, values01))
+
+
+def lqd_inverse_rows(x: np.ndarray) -> np.ndarray:
+    """Densities on [0, 1] for each row of an ``(n, m)`` array of LQD values.
 
     The quantile function is rebuilt as the running integral of exp(X)
     scaled by its total, which pins Q(1) = 1; the density follows as
     (scaled) exp(-X(F)) and is renormalized once to absorb quadrature
     drift.
     """
-    if x.spec.kind is not TransformKind.LOG_QUANTILE_DENSITY:
-        raise ValueError("lqd_inverse expects a log-quantile-density function")
-    _guard_exp(x.values)
-    tgrid = x.tgrid
-    ex = np.exp(x.values)
-    theta = integrate(ex, tgrid)
-    q = cumulative_integral(ex, tgrid) / theta
-    q[-1] = 1.0
-    xs = tgrid.points  # shared resolution for t and x
-    F = np.interp(xs, q, tgrid.points)
-    x_at_f = np.interp(F, tgrid.points, x.values)
-    values01 = theta * np.exp(-x_at_f)
-    d01 = normalize(values01, unit_grid(tgrid.m), floor=0.0)
-    return from_unit_support(d01, *x.support)
+    _guard_exp(x)
+    grid = unit_grid(x.shape[1])
+    t = grid.points  # shared resolution for t and x
+    ex = np.exp(x)
+    theta = integrate_rows(ex, grid)
+    q = cumulative_integral(ex, grid) / theta[:, None]
+    q[:, -1] = 1.0
+    F = np.stack([np.interp(t, qi, t) for qi in q])
+    values01 = theta[:, None] * np.exp(-_interp_uniform_rows(F, grid, x))
+    return normalize_rows(values01, grid, floor=0.0)
+
+
+def _interp_uniform_rows(xq: np.ndarray, grid: Grid, fp: np.ndarray) -> np.ndarray:
+    """Row-wise linear interpolation of ``fp`` (values on ``grid``) at ``xq``."""
+    pos = np.clip((xq - grid.lo) / grid.spacing, 0.0, grid.m - 1)
+    j = np.minimum(pos.astype(np.intp), grid.m - 2)
+    f0 = np.take_along_axis(fp, j, axis=1)
+    f1 = np.take_along_axis(fp, j + 1, axis=1)
+    return f0 + (pos - j) * (f1 - f0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +221,30 @@ def inverse(x: TransformedFn) -> DensityFn:
     return log_hazard_inverse(x)
 
 
+def forward_rows(values: np.ndarray, grid: Grid, spec: TransformSpec) -> tuple[Grid, np.ndarray]:
+    """Transform each row of an ``(n, m)`` array of densities on ``grid``.
+
+    Returns the transform grid and the ``(n, m)`` transformed values.
+    """
+    if spec.kind is TransformKind.LOG_QUANTILE_DENSITY:
+        return unit_grid(grid.m), lqd_forward_rows(values * grid.width)
+    xs = [log_hazard_forward(DensityFn(grid, row), spec) for row in values]
+    return xs[0].tgrid, np.stack([x.values for x in xs])
+
+
+def inverse_rows(x: np.ndarray, tgrid: Grid, spec: TransformSpec, support) -> np.ndarray:
+    """Density values on the native ``support`` for each row of transformed values."""
+    lo, hi = support
+    if spec.kind is TransformKind.LOG_QUANTILE_DENSITY:
+        return lqd_inverse_rows(x) / (hi - lo)
+    return np.stack(
+        [log_hazard_inverse(TransformedFn(tgrid, row, spec, support)).values for row in x]
+    )
+
+
 def _guard_exp(values: np.ndarray):
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError("transformed values must be finite")
     if values.max() > _EXP_GUARD:
         raise TransformOverflowError(
             f"max transformed value {values.max():.3g} exceeds the exp guard"

@@ -101,6 +101,24 @@ class TestAnalyze:
         assert report["threshold_reached"] is True
         assert (tmp_path / "report_modes.csv").exists()
 
+    @pytest.mark.parametrize("command", ["fve", "analyze"])
+    def test_fits_the_method_once(self, tmp_path, density_csv, monkeypatch, command):
+        from densfda import cli
+
+        fits = []
+
+        class CountingFit(cli.FittedMethod):
+            def __init__(self, *args, **kwargs):
+                fits.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "FittedMethod", CountingFit)
+        path, _ = density_csv
+        out = tmp_path / "r.json"
+        assert main([command, "--kmax", "3", "--in", str(path), "--out", str(out)]) == 0
+        assert len(fits) == 1
+        assert len(json.loads(out.read_text())["fve"]) == 3
+
     def test_modes_and_mean_and_fve(self, tmp_path, density_csv):
         path, _ = density_csv
         modes_out = tmp_path / "modes.csv"
@@ -180,6 +198,32 @@ class TestErrorPaths:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and "message" in err
+
+    def _assert_csv_error(self, code, capsys):
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CsvFormatError"
+
+    def test_estimate_one_field_row_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("subject_id,value\nA,0.5\nA\nA,0.25\n")
+        code = main(["estimate", "--in", str(path), "--out", str(tmp_path / "d.csv"),
+                     "--support", "0,1"])
+        self._assert_csv_error(code, capsys)
+
+    @pytest.mark.parametrize("command", ["fve", "analyze"])
+    def test_header_without_rows_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "d.csv"
+        path.write_text("x,subject_1,subject_2\n")
+        code = main([command, "--in", str(path), "--out", str(tmp_path / "r.json")])
+        self._assert_csv_error(code, capsys)
+
+    @pytest.mark.parametrize("command", ["fve", "analyze"])
+    def test_empty_file_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "d.csv"
+        path.write_text("")
+        code = main([command, "--in", str(path), "--out", str(tmp_path / "r.json")])
+        self._assert_csv_error(code, capsys)
 
     def test_console_script_runs(self, tmp_path):
         out = subprocess.run(

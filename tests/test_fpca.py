@@ -248,3 +248,47 @@ class TestIdentities:
         system = fit(sample)
         avg_sq = np.mean([integrate((f.values - system.mean) ** 2, unit512) for f in sample])
         assert system.eigenvalues.sum() == pytest.approx(avg_sq, rel=1e-6)
+
+
+def _separated_sample(rng, grid, n, variances):
+    """Mean plus components of the given variances along orthonormal directions."""
+    w = grid.trapezoid_weights()
+    u = (grid.points - grid.lo) / grid.width
+    basis = []
+    for j in range(len(variances)):
+        phi = np.cos(np.pi * (j + 1) * u) + 0.1 * rng.normal(size=grid.m)
+        for prev in basis:
+            phi = phi - (phi * prev * w).sum() * prev
+        basis.append(phi / np.sqrt((phi * phi * w).sum()))
+    coeffs = rng.normal(size=(n, len(variances))) * np.sqrt(variances)
+    return 1.0 + u + coeffs @ np.stack(basis)
+
+
+class TestThinSvdAgainstSurface:
+    """fit (thin SVD of the weighted sample) against eigendecompose of the
+    covariance surface, the reference path."""
+
+    @pytest.mark.parametrize(
+        "n, m, variances",
+        [(40, 512, [4.0, 1.0, 0.25]), (2, 512, [1.0]), (6, 3, [4.0, 1.0, 0.25])],
+        ids=["n40-m512", "n2", "m3"],
+    )
+    def test_matches_eigendecompose(self, rng, n, m, variances):
+        grid = Grid(-1.0, 2.0, m)
+        sample = _separated_sample(rng, grid, n, variances)
+        system = fit(sample, grid)
+        vals, funcs = eigendecompose(covariance(sample, sample.mean(0), grid), grid)
+        assert system.n_components == len(vals)
+        np.testing.assert_allclose(system.eigenvalues, vals, rtol=1e-10, atol=0.0)
+        for phi, ref in zip(system.eigenfunctions, funcs):
+            sign = 1.0 if (phi * ref).sum() >= 0 else -1.0
+            np.testing.assert_allclose(sign * phi, ref, rtol=0.0, atol=1e-8)
+
+    def test_round_off_components_dropped(self, rng):
+        # rank n - 1 after centering: nothing at the round-off level survives
+        grid = Grid(0.0, 1.0, M)
+        sample = _separated_sample(rng, grid, 5, [4.0, 2.0, 1.0, 0.5, 0.25, 0.1])
+        system = fit(sample, grid)
+        assert system.n_components == 4
+        np.testing.assert_allclose(system.eigenvalues.sum(), np.mean(
+            [integrate((row - system.mean) ** 2, grid) for row in sample]), rtol=1e-12)

@@ -8,6 +8,7 @@ from densfda import (
     cv_mse,
     fit_flr,
     gen_setting,
+    lqd_forward,
     predict,
     project_scores,
     score_basis,
@@ -141,3 +142,50 @@ class TestCvMse:
             cv_mse(densities, mus, "lqd", 1, folds=1)
         with pytest.raises(ValueError):
             cv_mse(densities, mus[:-1], "lqd", 1)
+
+    def test_lqd_no_leakage_training_basis_bit_identical(self, shift_family):
+        densities, mus = shift_family
+        details = cv_mse(densities, mus, "lqd", 2, folds=5, repeats=1, seed=11,
+                         return_details=True)
+        _, _, test_idx, digest = details.fold_records[0]
+        corrupted = list(densities)
+        for i in test_idx:
+            corrupted[i] = truncated_normal_density(0.0, 3.0, densities[0].grid, 1e-3)
+        again = cv_mse(corrupted, mus, "lqd", 2, folds=5, repeats=1, seed=11,
+                       return_details=True)
+        assert again.fold_records[0][3] == digest
+
+    def test_transforms_each_density_once(self, shift_family, monkeypatch):
+        from densfda import regression
+
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return lqd_forward(f)
+
+        monkeypatch.setattr(regression, "lqd_forward", counting)
+        densities, mus = shift_family
+        cv_mse(densities, mus, "lqd", 2, folds=5, repeats=3, seed=2)
+        assert len(calls) == len(densities)
+
+    @pytest.mark.parametrize("method", ["lqd", "fpca"])
+    def test_matches_refit_per_fold(self, shift_family, method):
+        """Reference: every fold transforms and refits its subjects from scratch."""
+        densities, mus = shift_family
+        y = mus + 0.3 * np.random.default_rng(5).normal(size=len(mus))
+        sse = 0.0
+        for child in np.random.SeedSequence(4).spawn(2):
+            perm = np.random.default_rng(child).permutation(len(densities))
+            for test_idx in np.array_split(perm, 5):
+                train_idx = np.setdiff1d(perm, test_idx)
+                basis = score_basis([densities[i] for i in train_idx], method, 2)
+                model = fit_flr(
+                    project_scores([densities[i] for i in train_idx], basis), y[train_idx]
+                )
+                pred = predict(model, project_scores([densities[i] for i in test_idx], basis))
+                sse += float(((y[test_idx] - pred) ** 2).sum())
+        ref = sse / (len(densities) * 2)
+        assert cv_mse(densities, y, method, 2, folds=5, repeats=2, seed=4) == pytest.approx(
+            ref, rel=1e-12
+        )

@@ -17,8 +17,10 @@ from densfda import (
     pga,
     sqrt_embed,
     square_back,
+    truncate,
 )
 from densfda.density import inner_product, integrate
+from densfda.sphere import FittedSphere
 
 from conftest import smooth_density
 
@@ -191,3 +193,48 @@ class TestRepresentations:
         densities = [smooth_density(rng, unit512) for _ in range(6)]
         mean = fisher_rao_mean(densities)
         assert integrate(mean.values, unit512) == pytest.approx(1.0, abs=1e-10)
+
+
+def _karcher_loop(points, tol=1e-9, max_iter=200):
+    """Reference: one log_map per point and iteration."""
+    grid = points[0].grid
+    init = np.mean([p.values for p in points], axis=0)
+    init /= np.sqrt(inner_product(init, init, grid))
+    mu = SpherePoint(grid, init)
+    for _ in range(max_iter):
+        v = np.mean([log_map(mu, p) for p in points], axis=0)
+        if np.sqrt(max(inner_product(v, v, grid), 0.0)) <= tol:
+            return mu
+        mu = exp_map(mu, v)
+    raise AssertionError("reference iteration did not converge")
+
+
+class TestBatchedAgainstLoop:
+    @pytest.mark.parametrize("n, m", [(50, 512), (2, 512), (6, 3)], ids=["n50", "n2", "m3"])
+    def test_karcher_mean(self, rng, n, m):
+        grid = Grid(-2.0, 3.0, m)
+        points = [sqrt_embed(smooth_density(rng, grid, amplitude=1.0)) for _ in range(n)]
+        ref = _karcher_loop(points)
+        np.testing.assert_allclose(karcher_mean(points).values, ref.values, rtol=0.0, atol=1e-12)
+        array = np.stack([p.values for p in points])
+        np.testing.assert_allclose(
+            karcher_mean(array, grid=grid).values, ref.values, rtol=0.0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n, m", [(20, 512), (2, 512), (6, 3)], ids=["n20", "n2", "m3"])
+    def test_reconstructions_and_modes(self, rng, n, m):
+        grid = Grid(-2.0, 3.0, m)
+        densities = [smooth_density(rng, grid, amplitude=1.0) for _ in range(n)]
+        fitted = FittedSphere(densities)
+        for k in (0, 1, fitted.n_components):
+            tangents = truncate(fitted.system, k)
+            ref = [square_back(exp_map(fitted.mean, v)) for v in tangents]
+            for r, f in zip(fitted.reconstruct(k), ref):
+                np.testing.assert_allclose(r.values, f.values, rtol=1e-12, atol=1e-12)
+        v = 2.0 * np.sqrt(fitted.system.eigenvalues[0]) * fitted.system.eigenfunctions[0]
+        ref = square_back(exp_map(fitted.mean, v))
+        np.testing.assert_allclose(fitted.mode(1, 2.0).values, ref.values, rtol=1e-12, atol=1e-12)
+
+    def test_array_input_needs_grid(self, rng, unit512):
+        with pytest.raises(ValueError):
+            karcher_mean(np.ones((2, M)))

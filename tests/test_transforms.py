@@ -22,6 +22,8 @@ from densfda import (
     unit_grid,
 )
 from densfda.density import integrate
+from densfda.transforms import lqd_forward_rows, lqd_inverse_rows
+from scipy.integrate import cumulative_trapezoid
 
 from conftest import smooth_density
 
@@ -251,3 +253,60 @@ class TestTransformedFnValidation:
         vals[3] = np.inf
         with pytest.raises(Exception):
             TransformedFn(unit_grid(M), vals, LQD)
+
+
+def _cdf_loop(values, grid):
+    cum = cumulative_trapezoid(values, dx=grid.spacing, initial=0.0)
+    cum /= cum[-1]
+    cum[0], cum[-1] = 0.0, 1.0
+    return cum
+
+
+def _lqd_forward_loop(f):
+    """Reference: the per-density LQD forward map."""
+    grid01 = unit_grid(f.grid.m)
+    v01 = f.values * f.grid.width
+    levels, first = np.unique(_cdf_loop(v01, grid01), return_index=True)
+    q = np.interp(grid01.points, levels, grid01.points[first])
+    q[0], q[-1] = 0.0, 1.0
+    return -np.log(np.interp(q, grid01.points, v01))
+
+
+def _lqd_inverse_loop(x, support):
+    """Reference: the per-function LQD inverse map onto ``support``."""
+    tgrid = unit_grid(len(x))
+    t = tgrid.points
+    ex = np.exp(x)
+    theta = integrate(ex, tgrid)
+    q = cumulative_trapezoid(ex, dx=tgrid.spacing, initial=0.0) / theta
+    q[-1] = 1.0
+    values01 = theta * np.exp(-np.interp(np.interp(t, q, t), t, x))
+    values01 /= integrate(values01, tgrid)
+    return values01 / (support[1] - support[0])
+
+
+class TestBatchedLqdAgainstLoop:
+    @pytest.mark.parametrize(
+        "n, grid",
+        [(30, Grid(0.0, 1.0, M)), (30, Grid(-5.0, 5.0, M)), (2, Grid(2.0, 7.0, M)),
+         (5, Grid(0.0, 1.0, 3)), (5, Grid(-5.0, 5.0, 3))],
+        ids=["unit", "offset", "n2", "m3-unit", "m3-offset"],
+    )
+    def test_forward_and_inverse(self, rng, n, grid):
+        densities = [smooth_density(rng, grid, amplitude=1.0) for _ in range(n - 1)]
+        mid = 0.5 * (grid.lo + grid.hi)
+        densities.append(truncated_normal_density(mid, 0.1 * grid.width, grid, 1e-3))
+        ref_x = np.stack([_lqd_forward_loop(f) for f in densities])
+        x = lqd_forward_rows(np.stack([f.values for f in densities]) * grid.width)
+        np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=1e-12)
+        for f, row in zip(densities, ref_x):
+            np.testing.assert_allclose(lqd_forward(f).values, row, rtol=0.0, atol=1e-12)
+
+        support = (grid.lo, grid.hi)
+        ref_f = np.stack([_lqd_inverse_loop(row, support) for row in ref_x])
+        back = lqd_inverse_rows(ref_x) / grid.width
+        np.testing.assert_allclose(back, ref_f, rtol=1e-12, atol=1e-12)
+        for row, want in zip(ref_x, ref_f):
+            f = lqd_inverse(TransformedFn(unit_grid(grid.m), row, LQD, support))
+            assert f.grid == grid
+            np.testing.assert_allclose(f.values, want, rtol=1e-12, atol=1e-12)
