@@ -290,12 +290,9 @@ def quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray:
     t, x = tgrid.points, grid.points
     q = np.empty((cdf.shape[0], tgrid.m))
     for i, row in enumerate(cdf):
-        if flat[i].any():
-            # keep the first occurrence of each CDF level -> left-endpoint ties
-            levels, first = np.unique(row, return_index=True)
-            q[i] = np.interp(t, levels, x[first])
-        else:
-            q[i] = np.interp(t, row, x)
+        # keep the first occurrence of each CDF level -> left-endpoint ties
+        levels, first = np.unique(row, return_index=True)
+        q[i] = np.interp(t, levels, x[first])
     q[:, 0] = grid.lo
     q[:, -1] = grid.hi
     return q
@@ -340,7 +337,12 @@ def dist_l2(f, g) -> float:
     grid_g, vg = _grid_and_values(g)
     if grid_f != grid_g:
         raise GridMismatchError("L2 distance requires identical grids")
-    return float(np.sqrt(max(integrate((vf - vg) ** 2, grid_f), 0.0)))
+    return float(np.sqrt(sq_dist_rows(vf, vg, grid_f)))
+
+
+def sq_dist_rows(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
+    """Squared L2 distances between the rows of ``a`` and ``b``."""
+    return np.maximum(integrate_rows((a - b) ** 2, grid), 0.0)
 
 
 def dist_sup(f, g) -> float:
@@ -364,9 +366,9 @@ def dist_wasserstein(f: DensityFn, g: DensityFn) -> float:
             f"supports differ: {f.support} vs {g.support}"
         )
     tgrid = unit_grid(max(f.grid.m, g.grid.m))
-    qf = to_quantile(to_cdf(f), tgrid)
-    qg = to_quantile(to_cdf(g), tgrid)
-    return float(np.sqrt(max(integrate((qf.values - qg.values) ** 2, tgrid), 0.0)))
+    qf = quantile_rows(cdf_rows(f.values[None], f.grid), f.grid, tgrid)
+    qg = quantile_rows(cdf_rows(g.values[None], g.grid), g.grid, tgrid)
+    return float(np.sqrt(sq_dist_rows(qf, qg, tgrid)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DEFAULT_FLOOR, DensityFn, Grid, normalize
+from .density import DEFAULT_FLOOR, DensityFn, Grid, normalize_rows
 from .errors import (
     EmptySampleError,
     GridMismatchError,
@@ -194,4 +194,12 @@ def project_to_density(values, grid: Grid, floor: float = DEFAULT_FLOOR) -> Dens
 
     Raises ``AllZeroError`` when the positive part carries no mass.
     """
-    return normalize(np.maximum(np.asarray(values, dtype=float), 0.0), grid, floor)
+    raw = np.asarray(values, dtype=float)
+    if raw.shape != (grid.m,):
+        raise GridMismatchError("raw values must match the grid size")
+    return DensityFn(grid, project_rows(raw[None], grid, floor)[0])
+
+
+def project_rows(values: np.ndarray, grid: Grid, floor: float = DEFAULT_FLOOR) -> np.ndarray:
+    """:func:`project_to_density` of each row of an ``(n, m)`` array."""
+    return normalize_rows(np.maximum(values, 0.0), grid, floor)

@@ -27,15 +27,14 @@ from .density import (
     cdf_rows,
     dist_l2,
     dist_wasserstein,
-    integrate_rows,
     normalize,
-    normalize_rows,
     quantile_rows,
+    sq_dist_rows,
     to_cdf,
     to_quantile,
     unit_grid,
 )
-from .errors import EmptySampleError, SupportMismatchError
+from .errors import EmptySampleError, GridMismatchError, SupportMismatchError
 from .sphere import FittedSphere
 from .transforms import LQD, TransformSpec, forward_rows, inverse_rows, log_hazard_spec
 
@@ -50,19 +49,15 @@ class Metric(Enum):
     def distance(self, f: DensityFn, g: DensityFn) -> float:
         return dist_l2(f, g) if self is Metric.L2 else dist_wasserstein(f, g)
 
-    def embed_rows(self, values: np.ndarray, grid: Grid) -> tuple[np.ndarray, Grid]:
+    def embed_rows(self, values: np.ndarray, grid: Grid, m: int | None = None) -> tuple[np.ndarray, Grid]:
         """Rows whose L2 distances are this metric's distances between the
-        ``(n, m)`` density rows: the densities themselves for L2, their
-        quantile functions for Wasserstein."""
+        density rows of ``values``: the densities themselves for L2, their
+        quantile functions for Wasserstein, on a probability grid of ``m``
+        points (default ``grid.m``), as in :func:`dist_wasserstein`."""
         if self is Metric.L2:
             return values, grid
-        tgrid = unit_grid(grid.m)
+        tgrid = unit_grid(m or grid.m)
         return quantile_rows(cdf_rows(values, grid), grid, tgrid), tgrid
-
-
-def _sq_dists(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
-    """Squared L2 distances between the rows of ``a`` and ``b``."""
-    return np.maximum(integrate_rows((a - b) ** 2, grid), 0.0)
 
 
 @dataclass(frozen=True)
@@ -193,11 +188,24 @@ def frechet_mean(sample, metric: Metric, floor: float = DEFAULT_FLOOR) -> Densit
 
 
 def frechet_variance(sample, mean: DensityFn, metric: Metric) -> float:
-    """Average squared metric distance to the given mean."""
+    """Average squared metric distance to the given mean.
+
+    The sample shares one grid.  Under the Wasserstein metric the mean
+    may have another resolution on the same support; the finer grid sets
+    the probability grid.
+    """
     sample = list(sample)
     if not sample:
         raise EmptySampleError("variance of an empty sample")
-    return float(np.mean([metric.distance(f, mean) ** 2 for f in sample]))
+    values, grid = fpca.stack(sample)
+    if metric is Metric.L2 and mean.grid != grid:
+        raise GridMismatchError("L2 distance requires identical grids")
+    if mean.support != (grid.lo, grid.hi):
+        raise SupportMismatchError(f"supports differ: {(grid.lo, grid.hi)} vs {mean.support}")
+    m = max(grid.m, mean.grid.m)
+    target, egrid = metric.embed_rows(values, grid, m)
+    center, _ = metric.embed_rows(mean.values[None], mean.grid, m)
+    return float(np.mean(sq_dist_rows(target, center, egrid)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +235,7 @@ def _unblend_rows(values: np.ndarray, grid: Grid, weight: float, floor: float) -
     if weight == 0.0:
         return values
     raw = (values - weight / grid.width) / (1.0 - weight)
-    return normalize_rows(np.maximum(raw, 0.0), grid, floor)
+    return fpca.project_rows(raw, grid, floor)
 
 
 class FittedMethod:
@@ -253,7 +261,7 @@ class FittedMethod:
         self.values, _ = fpca.stack(self.sample)
         self._sphere = None
         if method.kind == "hs":
-            self._sphere = FittedSphere(self.values, floor, self.grid)
+            self._sphere = FittedSphere(self.sample, floor)
             self.system = self._sphere.system
         elif method.kind == "transform":
             blended = _blend_rows(self.values, self.grid, method.blend)
@@ -290,7 +298,7 @@ class FittedMethod:
     def _to_density(self, rows: np.ndarray) -> np.ndarray:
         """Density values for rows of the space the method's FPCA works in."""
         if self.method.kind == "fpca":
-            return normalize_rows(np.maximum(rows, 0.0), self.grid, self.floor)
+            return fpca.project_rows(rows, self.grid, self.floor)
         dens = inverse_rows(rows, self._tgrid, self.method.transform, self.support)
         return _unblend_rows(dens, self.grid, self.method.blend, self.floor)
 
@@ -366,22 +374,21 @@ def fve_report(
 ) -> FrechetReport:
     """:func:`fve_curve` of a method already fitted to its sample.
 
-    The sample, its Fréchet mean and every reconstruction are embedded
-    once as rows (:meth:`Metric.embed_rows`), so each metric distance is
-    an L2 distance between two rows.
+    The sample and every reconstruction are embedded once as rows
+    (:meth:`Metric.embed_rows`), so each metric distance is an L2
+    distance between two rows.
     """
     sample = fitted.sample
     mean = frechet_mean(sample, metric, fitted.floor)
+    v_inf = frechet_variance(sample, mean, metric)
     target, egrid = metric.embed_rows(fitted.values, fitted.grid)
-    center, _ = metric.embed_rows(mean.values[None], mean.grid)
-    v_inf = float(np.mean(_sq_dists(target, center, egrid)))
     if k_max is None:
         k_max = default_k_max(fitted.system.eigenvalues, len(sample))
     k_max = max(1, k_max)
     v_k = np.empty(k_max)
     for k in range(1, k_max + 1):
         recon, _ = metric.embed_rows(fitted.reconstruct_values(k), fitted.grid)
-        v_k[k - 1] = v_inf - float(np.mean(_sq_dists(target, recon, egrid)))
+        v_k[k - 1] = v_inf - float(np.mean(sq_dist_rows(target, recon, egrid)))
     fve = v_k / v_inf if v_inf > 0 else np.ones(k_max)
     selected, reached = _select(fve, p)
     return FrechetReport(metric, v_inf, v_k, fve, selected, reached, p, fitted.method)

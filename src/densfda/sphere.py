@@ -21,7 +21,6 @@ from .density import (
     Grid,
     inner_product,
     integrate_rows,
-    normalize,
     normalize_rows,
 )
 from .errors import GridMismatchError, NoConvergenceError
@@ -52,13 +51,11 @@ class SpherePoint:
 
 
 def sqrt_embed(f: DensityFn) -> SpherePoint:
-    v = np.sqrt(f.values)
-    v /= np.sqrt(inner_product(v, v, f.grid))
-    return SpherePoint(f.grid, v)
+    return SpherePoint(f.grid, _embed_rows(f.values[None], f.grid)[0])
 
 
 def square_back(p: SpherePoint, floor: float = DEFAULT_FLOOR) -> DensityFn:
-    return normalize(p.values**2, p.grid, floor)
+    return DensityFn(p.grid, _square_rows(p.values[None], p.grid, floor)[0])
 
 
 def geodesic_distance(p: SpherePoint, q: SpherePoint) -> float:
@@ -71,36 +68,27 @@ def geodesic_distance(p: SpherePoint, q: SpherePoint) -> float:
 
 def log_map(base: SpherePoint, p: SpherePoint) -> np.ndarray:
     """Tangent vector at `base` pointing to `p` with norm = geodesic distance."""
-    theta = geodesic_distance(base, p)
-    if theta < 1e-15:
-        return np.zeros(base.grid.m)
-    return (theta / np.sin(theta)) * (p.values - np.cos(theta) * base.values)
+    if p.grid != base.grid:
+        raise GridMismatchError("sphere points live on different grids")
+    return _log_rows(base, p.values[None])[0]
 
 
 def exp_map(base: SpherePoint, v: np.ndarray) -> SpherePoint:
     """Geodesic from `base` with initial velocity v, evaluated at time 1."""
-    norm = np.sqrt(max(inner_product(v, v, base.grid), 0.0))
-    if norm < 1e-15:
-        return base
-    out = np.cos(norm) * base.values + np.sin(norm) * v / norm
-    out /= np.sqrt(inner_product(out, out, base.grid))
-    return SpherePoint(base.grid, out)
+    return SpherePoint(base.grid, _exp_rows(base, np.asarray(v, dtype=float)[None])[0])
 
 
 def karcher_mean(
     sample,
     tol: float = KARCHER_TOL,
     max_iter: int = KARCHER_MAX_ITER,
-    grid: Grid | None = None,
 ) -> SpherePoint:
     """Intrinsic mean by iterated tangent averaging with unit steps.
 
-    ``sample`` is a sequence of sphere points or, with ``grid``, an
-    ``(n, m)`` array of unit-norm rows.  Each iteration log-maps the
-    whole sample at once (:func:`_log_rows`) and stops when the mean
-    tangent has L2 norm <= tol.
+    Each iteration log-maps the whole sample at once (:func:`_log_rows`)
+    and stops when the mean tangent has L2 norm <= tol.
     """
-    data, grid = fpca.stack(sample, grid)
+    data, grid = fpca.stack(sample)
     init = data.mean(axis=0)
     init /= np.sqrt(inner_product(init, init, grid))
     mu = SpherePoint(grid, init)
@@ -112,26 +100,31 @@ def karcher_mean(
     raise NoConvergenceError(f"karcher_mean did not converge in {max_iter} iterations")
 
 
-def pga(sample, k: int | None = None, grid: Grid | None = None) -> tuple[SpherePoint, fpca.EigenSystem]:
+def pga(sample, k: int | None = None) -> tuple[SpherePoint, fpca.EigenSystem]:
     """Tangent-space PCA at the Karcher mean.
 
-    Takes the sample as :func:`karcher_mean` does.  Returns the mean
-    point and an eigensystem of the log-mapped sample (mean function,
-    eigenvalues, tangent eigenfunctions, scores).
+    Returns the mean point and an eigensystem of the log-mapped sample
+    (mean function, eigenvalues, tangent eigenfunctions, scores).
     """
-    data, grid = fpca.stack(sample, grid)
-    mu = karcher_mean(data, grid=grid)
-    return mu, fpca.fit(_log_rows(mu, data), grid, k)
+    points = list(sample)
+    mu = karcher_mean(points)
+    data, _ = fpca.stack(points)
+    return mu, fpca.fit(_log_rows(mu, data), mu.grid, k)
 
 
 def _embed_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """:func:`sqrt_embed` of each row of an ``(n, m)`` array of densities."""
+    """Unit-norm square roots of each row of an ``(n, m)`` array of densities."""
     v = np.sqrt(values)
     return v / np.sqrt(integrate_rows(v * v, grid))[:, None]
 
 
+def _square_rows(points: np.ndarray, grid: Grid, floor: float) -> np.ndarray:
+    """Densities (squared, floored, renormalized) of rows of sphere points."""
+    return normalize_rows(points**2, grid, floor)
+
+
 def _log_rows(base: SpherePoint, data: np.ndarray) -> np.ndarray:
-    """:func:`log_map` from ``base`` to every row of ``data``."""
+    """Tangent vectors at ``base`` pointing to every row of ``data``."""
     c = np.clip(integrate_rows(data * base.values, base.grid), -1.0, 1.0)
     theta = np.arccos(c)
     far = theta >= 1e-15
@@ -141,7 +134,7 @@ def _log_rows(base: SpherePoint, data: np.ndarray) -> np.ndarray:
 
 
 def _exp_rows(base: SpherePoint, v: np.ndarray) -> np.ndarray:
-    """Values of :func:`exp_map` from ``base`` along every row of ``v``."""
+    """Geodesics from ``base`` along every row of ``v``, at time 1."""
     grid = base.grid
     norm = np.sqrt(np.maximum(integrate_rows(v * v, grid), 0.0))
     far = norm >= 1e-15
@@ -155,15 +148,13 @@ def _exp_rows(base: SpherePoint, v: np.ndarray) -> np.ndarray:
 class FittedSphere:
     """Karcher mean + tangent eigensystem, reusable across truncation levels."""
 
-    def __init__(self, densities, floor: float = DEFAULT_FLOOR, grid: Grid | None = None):
-        """``densities`` is a sequence of densities or, with ``grid``, an
-        ``(n, m)`` array of density values on it."""
-        densities, grid = fpca.stack(densities, grid)
+    def __init__(self, densities, floor: float = DEFAULT_FLOOR):
+        values, grid = fpca.stack(densities)
         self.floor = floor
         self.grid = grid
-        points = _embed_rows(densities, grid)
+        points = [SpherePoint(grid, row) for row in _embed_rows(values, grid)]
         if len(points) == 1:
-            self.mean = SpherePoint(grid, points[0])
+            self.mean = points[0]
             self.system = fpca.EigenSystem(
                 grid,
                 np.zeros(grid.m),
@@ -172,7 +163,7 @@ class FittedSphere:
                 np.zeros((1, 0)),
             )
         else:
-            self.mean, self.system = pga(points, grid=grid)
+            self.mean, self.system = pga(points)
 
     @property
     def n_components(self) -> int:
@@ -191,7 +182,7 @@ class FittedSphere:
         return DensityFn(self.grid, self._square_back(v[None])[0])
 
     def _square_back(self, tangents: np.ndarray) -> np.ndarray:
-        return normalize_rows(_exp_rows(self.mean, tangents) ** 2, self.grid, self.floor)
+        return _square_rows(_exp_rows(self.mean, tangents), self.grid, self.floor)
 
 
 def hs_represent(densities, k: int, floor: float = DEFAULT_FLOOR) -> list[DensityFn]:
@@ -206,5 +197,4 @@ def hs_mode(densities, k: int, alpha: float, floor: float = DEFAULT_FLOOR) -> De
 
 def fisher_rao_mean(densities, floor: float = DEFAULT_FLOOR) -> DensityFn:
     """Fréchet mean under the geodesic metric, squared back to a density."""
-    values, grid = fpca.stack(densities)
-    return square_back(karcher_mean(_embed_rows(values, grid), grid=grid), floor)
+    return square_back(karcher_mean([sqrt_embed(f) for f in densities]), floor)

@@ -5,6 +5,7 @@ from densfda import (
     FittedMethod,
     FrechetReport,
     Grid,
+    GridMismatchError,
     LQD,
     Metric,
     MethodKind,
@@ -110,6 +111,23 @@ class TestFrechetVariance:
         got = frechet_variance([f, g], mean, Metric.WASSERSTEIN)
         expect = 0.5 * (dist_wasserstein(f, mean) ** 2 + dist_wasserstein(g, mean) ** 2)
         assert got == pytest.approx(expect, abs=1e-9)
+
+    def test_matches_pairwise_distances(self, rng, unit512):
+        sample = [smooth_density(rng, unit512) for _ in range(5)]
+        for metric in Metric:
+            mean = frechet_mean(sample, metric)
+            expect = np.mean([metric.distance(f, mean) ** 2 for f in sample])
+            assert frechet_variance(sample, mean, metric) == pytest.approx(expect, rel=1e-12)
+
+    def test_wasserstein_mean_on_finer_grid(self, rng):
+        grid = Grid(0.0, 1.0, 128)
+        sample = [smooth_density(rng, grid) for _ in range(4)]
+        mean = smooth_density(rng, Grid(0.0, 1.0, 256))
+        expect = np.mean([dist_wasserstein(f, mean) ** 2 for f in sample])
+        got = frechet_variance(sample, mean, Metric.WASSERSTEIN)
+        assert got == pytest.approx(expect, rel=1e-12)
+        with pytest.raises(GridMismatchError):
+            frechet_variance(sample, mean, Metric.L2)
 
     def test_permutation_invariant(self, rng, unit512):
         sample = [smooth_density(rng, unit512) for _ in range(6)]
