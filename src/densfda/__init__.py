@@ -15,8 +15,6 @@ from .density import (
     CdfFn,
     DensityFn,
     Grid,
-    HazardFn,
-    QuantileDensityFn,
     QuantileFn,
     dist_l2,
     dist_sup,
@@ -24,9 +22,7 @@ from .density import (
     from_unit_support,
     normalize,
     to_cdf,
-    to_hazard,
     to_quantile,
-    to_quantile_density,
     to_unit_support,
     unit_grid,
 )
@@ -38,6 +34,7 @@ from .errors import (
     DensfdaError,
     EmptySampleError,
     GridMismatchError,
+    InvalidDensityError,
     KTooLargeError,
     NoConvergenceError,
     NonFiniteError,
@@ -71,9 +68,7 @@ from .frechet import (
     frechet_variance,
     fve_curve,
     fve_report,
-    represent,
     select_k,
-    transformation_modes,
     unblend_uniform,
     wasserstein_frechet_mean,
 )
@@ -95,8 +90,6 @@ from .sphere import (
     exp_map,
     fisher_rao_mean,
     geodesic_distance,
-    hs_mode,
-    hs_represent,
     karcher_mean,
     log_map,
     pga,

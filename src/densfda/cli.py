@@ -62,11 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("DENSFDA_THREADS", "1")),
-    )
     common.add_argument("--grid-points", type=int, default=512)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -213,15 +208,14 @@ def _write_fve_report(args):
 def _cmd_analyze(args):
     fitted, report = _write_fve_report(args)
     modes_path = f"{os.path.splitext(args.out)[0]}_modes.csv"
-    _write_modes(modes_path, fitted, range(1, min(report.selected_k, 2) + 1), args.modes_alpha)
+    ks = range(1, min(report.selected_k, 2, fitted.n_components) + 1)
+    _write_modes(modes_path, fitted, ks, args.modes_alpha)
     _manifest(args, args.out, [args.infile])
 
 
 def _write_modes(path, fitted, ks, alphas):
     columns, ids = [], []
     for k in ks:
-        if k > max(fitted.n_components, 0):
-            break
         for alpha in alphas:
             columns.append(fitted.mode(k, alpha).values)
             ids.append(f"mode{k}_alpha{alpha:g}")
@@ -263,7 +257,7 @@ def _cmd_simulate(args):
     )
     k = args.K if args.K is not None else (2 if args.setting == 3 else 1)
     methods = default_methods(args.blend)
-    result = run_comparison(spec, methods, k, _metric(args.metric), args.reps, args.threads)
+    result = run_comparison(spec, methods, k, _metric(args.metric), args.reps)
     fileio.write_json(args.out, result.summary())
     if args.boxplot_csv:
         with open(args.boxplot_csv, "w") as fh:

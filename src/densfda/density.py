@@ -3,10 +3,10 @@
 A density sample lives on a uniform grid over a compact support [lo, hi].
 All integrals use the trapezoidal rule on that grid, so every quantity in
 the package is reproducible from the grid alone.  Densities convert
-losslessly (up to quadrature) to CDFs, quantile functions, quantile
-densities and hazards; three metrics are provided: L2 (`dist_l2`),
-uniform (`dist_sup`) and the quantile-based Wasserstein distance
-(`dist_wasserstein`).
+losslessly (up to quadrature) to CDFs and quantile functions; the
+log quantile density and log hazard transforms live in `transforms`.
+Three metrics are provided: L2 (`dist_l2`), uniform (`dist_sup`) and
+the quantile-based Wasserstein distance (`dist_wasserstein`).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from scipy.integrate import cumulative_trapezoid
 from .errors import (
     AllZeroError,
     GridMismatchError,
+    InvalidDensityError,
     NonFiniteError,
     NotInvertibleError,
     SupportMismatchError,
@@ -113,17 +114,19 @@ class DensityFn:
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
         if self.values.shape != (self.grid.m,):
-            raise ValueError("values must match the grid size")
+            raise InvalidDensityError("values must match the grid size")
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteError("density values must be finite")
         if self.values.min() <= 0.0:
-            raise ValueError(
+            raise InvalidDensityError(
                 "density values must be strictly positive; "
                 "use normalize() with a positive floor"
             )
         mass = integrate(self.values, self.grid)
         if abs(mass - 1.0) > _UNIT_MASS_TOL:
-            raise ValueError(f"density integral is {mass!r}, not 1 within {_UNIT_MASS_TOL}")
+            raise InvalidDensityError(
+                f"density integral is {mass!r}, not 1 within {_UNIT_MASS_TOL}"
+            )
 
     @property
     def support(self) -> tuple[float, float]:
@@ -166,32 +169,6 @@ class QuantileFn:
         lo, hi = self.support
         if self.values[0] < lo - 1e-12 or self.values[-1] > hi + 1e-12:
             raise ValueError("quantile values must stay inside the support")
-
-
-@dataclass(frozen=True)
-class QuantileDensityFn:
-    """Derivative of the quantile function, q(t) = 1 / f(Q(t))."""
-
-    tgrid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.min() <= 0.0:
-            raise ValueError("quantile density must be strictly positive")
-
-
-@dataclass(frozen=True)
-class HazardFn:
-    """Hazard h = f / (1 - F) on the truncated domain where F < 1."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.min() <= 0.0:
-            raise ValueError("hazard must be strictly positive")
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +225,7 @@ def normalize_rows(values, grid: Grid, floor: float = DEFAULT_FLOOR) -> np.ndarr
     # rows already of unit mass are kept as they are, so normalize is idempotent
     out = clamped / np.where(np.abs(mass - 1.0) < 1e-14, 1.0, mass)[:, None]
     if out.size and out.min() <= 0.0:
-        raise ValueError(
+        raise InvalidDensityError(
             "density values must be strictly positive; "
             "use normalize() with a positive floor"
         )
@@ -296,27 +273,6 @@ def quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray:
     q[:, 0] = grid.lo
     q[:, -1] = grid.hi
     return q
-
-
-def to_quantile_density(f: DensityFn, tgrid: Grid | None = None) -> QuantileDensityFn:
-    """q(t) = 1 / f(Q(t)); integrates to the support width."""
-    if tgrid is None:
-        tgrid = unit_grid(f.grid.m)
-    Q = to_quantile(to_cdf(f), tgrid)
-    f_at_q = np.interp(Q.values, f.grid.points, f.values)
-    return QuantileDensityFn(tgrid, 1.0 / f_at_q)
-
-
-def to_hazard(f: DensityFn, upper: float) -> HazardFn:
-    """Hazard f/(1-F) on [lo, upper] with upper strictly below hi."""
-    if not (f.grid.lo < upper < f.grid.hi):
-        raise ValueError("hazard domain must end strictly inside the support")
-    hgrid = Grid(f.grid.lo, upper, f.grid.m)
-    F = to_cdf(f)
-    x = hgrid.points
-    fx = np.interp(x, f.grid.points, f.values)
-    Fx = np.interp(x, f.grid.points, F.values)
-    return HazardFn(hgrid, fx / (1.0 - Fx))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,11 @@ class DegenerateSigmaError(DensfdaError):
     """Scale parameter of a generator distribution is not positive."""
 
 
+class InvalidDensityError(DensfdaError, ValueError):
+    """Density values have the wrong shape, are not strictly positive or
+    do not integrate to one."""
+
+
 class CsvFormatError(DensfdaError):
     """An input CSV file is empty, has no data rows or has a malformed row."""
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .density import DensityFn, Grid, normalize
+from .density import Grid, normalize
 from .errors import CsvFormatError
 from .transforms import TransformedFn, TransformSpec
 
@@ -89,10 +89,6 @@ def read_transformed_csv(path, spec: TransformSpec, support=(0.0, 1.0)):
     return [TransformedFn(grid, col, spec, tuple(support)) for col in columns], header[1:]
 
 
-def write_quantile_csv(path, tgrid: Grid, columns, ids):
-    _write_table(path, "t", tgrid.points, columns, ids)
-
-
 def _id_value_rows(path) -> tuple[list, list]:
     """Header and (id, value) pairs of a ``subject_id,value`` CSV."""
     with open(path, newline="") as fh:
@@ -154,11 +150,3 @@ class RunManifest:
         self.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         write_json(f"{out_path}.manifest.json", asdict(self))
 
-
-def density_to_dict(f: DensityFn) -> dict:
-    return {
-        "lo": f.grid.lo,
-        "hi": f.grid.hi,
-        "m": f.grid.m,
-        "values": [float(v) for v in f.values],
-    }

@@ -159,9 +159,15 @@ def scores(sample, mean, eigenfunctions: np.ndarray, grid: Grid | None = None) -
 
 
 def fit(sample, grid: Grid | None = None, k: int | None = None) -> EigenSystem:
-    """Mean, eigensystem (by thin SVD of the weighted sample) and scores."""
+    """Mean, eigensystem (by thin SVD of the weighted sample) and scores.
+
+    A single function gives its own mean, no components and scores of
+    shape (1, 0).
+    """
     data, g = stack(sample, grid)
-    mean = cross_sectional_mean(data, g)
+    if len(data) == 0:
+        raise EmptySampleError("cannot fit an empty sample")
+    mean = data.mean(axis=0)
     w = g.trapezoid_weights()
     sw = np.sqrt(w)
     centered = data - mean

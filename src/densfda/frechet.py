@@ -3,16 +3,20 @@
 Total variation of a density sample is measured by the Fréchet variance
 under a chosen metric (L2 or Wasserstein), and the quality of a
 K-component representation by the fraction of that variance it explains
-(FVE).  Three representation methods are supported: ordinary FPCA on the
-densities followed by projection back onto density space, FPCA of an
-unconstrained transform mapped back through its inverse, and the
-Hilbert-sphere method.  Transformation representations and modes are
-valid densities for every truncation level and mode parameter.
+(FVE).  The three representation methods are three maps into L2, each
+with its way back, behind one :class:`FittedMethod` that runs FPCA in
+between: ordinary FPCA takes the densities as they are and projects
+back onto density space; a transform method (log quantile density or
+log hazard) maps each density through the transform and back through
+its inverse; the Hilbert-sphere method log-maps the square-root
+densities at their Karcher mean and maps back by the exp map and
+squaring.  Representations and modes are valid densities for every
+truncation level and mode parameter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -35,7 +39,7 @@ from .density import (
     unit_grid,
 )
 from .errors import EmptySampleError, GridMismatchError, SupportMismatchError
-from .sphere import FittedSphere
+from .sphere import SpherePoint, _embed_rows, _exp_rows, _square_rows, pga
 from .transforms import LQD, TransformSpec, forward_rows, inverse_rows, log_hazard_spec
 
 K_MAX_CAP = 20
@@ -241,12 +245,15 @@ def _unblend_rows(values: np.ndarray, grid: Grid, weight: float, floor: float) -
 class FittedMethod:
     """One method fitted to a sample, reusable across truncation levels K.
 
-    The sample is held as one ``(n, m)`` array (``values``) and every
-    step works on it as a whole; ``DensityFn`` objects are built only
-    for the densities that ``reconstruct`` and ``mode`` return.
-    ``reconstruct(K)`` silently uses all available components when K
-    exceeds them (trailing components carry no variance), which also
-    covers the degenerate single-subject sample, where every method
+    Every method maps the sample into L2, runs FPCA there and maps the
+    FPCA output back to densities (:meth:`_to_density`); only those two
+    maps depend on the method.  The sample is held as one ``(n, m)``
+    array (``values``) and every step works on it as a whole;
+    ``DensityFn`` objects are built only for the densities that
+    ``reconstruct`` and ``mode`` return.  ``reconstruct(K)`` silently
+    uses all available components when K exceeds them (trailing
+    components carry no variance), which also covers the degenerate
+    single-subject sample: it has no components, and every method
     returns its mean.
     """
 
@@ -259,16 +266,17 @@ class FittedMethod:
         self.grid = self.sample[0].grid
         self.support = _check_shared_support(self.sample)
         self.values, _ = fpca.stack(self.sample)
-        self._sphere = None
+        self.sphere_mean = None
         if method.kind == "hs":
-            self._sphere = FittedSphere(self.sample, floor)
-            self.system = self._sphere.system
+            # tangent space at the Karcher mean of the square-root densities
+            points = [SpherePoint(self.grid, row) for row in _embed_rows(self.values, self.grid)]
+            self.sphere_mean, self.system = pga(points)
         elif method.kind == "transform":
             blended = _blend_rows(self.values, self.grid, method.blend)
             self._tgrid, xs = forward_rows(blended, self.grid, method.transform)
-            self.system = _fit_possibly_singleton(xs, self._tgrid)
+            self.system = fpca.fit(xs, self._tgrid)
         elif method.kind == "fpca":
-            self.system = _fit_possibly_singleton(self.values, self.grid)
+            self.system = fpca.fit(self.values, self.grid)
         else:
             raise ValueError(f"unknown method kind {method.kind!r}")
 
@@ -280,18 +288,13 @@ class FittedMethod:
         """``(n, m)`` density values of the k-component representations."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        k = min(k, self.n_components)
-        if self.method.kind == "hs":
-            return self._sphere.reconstruct_values(k)
-        return self._to_density(fpca.truncate(self.system, k))
+        return self._to_density(fpca.truncate(self.system, min(k, self.n_components)))
 
     def reconstruct(self, k: int) -> list[DensityFn]:
         return [DensityFn(self.grid, row) for row in self.reconstruct_values(k)]
 
     def mode(self, k: int, alpha: float) -> DensityFn:
         """Mode of variation along component k (1-based) at parameter alpha."""
-        if self.method.kind == "hs":
-            return self._sphere.mode(k, alpha)
         values = fpca.mode_of_variation(self.system, k, alpha)
         return DensityFn(self.grid, self._to_density(values[None])[0])
 
@@ -299,41 +302,10 @@ class FittedMethod:
         """Density values for rows of the space the method's FPCA works in."""
         if self.method.kind == "fpca":
             return fpca.project_rows(rows, self.grid, self.floor)
+        if self.method.kind == "hs":
+            return _square_rows(_exp_rows(self.sphere_mean, rows), self.grid, self.floor)
         dens = inverse_rows(rows, self._tgrid, self.method.transform, self.support)
         return _unblend_rows(dens, self.grid, self.method.blend, self.floor)
-
-
-def _fit_possibly_singleton(rows: np.ndarray, grid: Grid) -> fpca.EigenSystem:
-    if len(rows) >= 2:
-        return fpca.fit(rows, grid)
-    return fpca.EigenSystem(
-        grid,
-        np.array(rows[0], dtype=float),
-        np.zeros(0),
-        np.zeros((0, grid.m)),
-        np.zeros((1, 0)),
-    )
-
-
-def transformation_modes(
-    sample,
-    spec: TransformSpec,
-    k: int,
-    alpha: float,
-    floor: float = DEFAULT_FLOOR,
-    blend: float = 0.0,
-) -> DensityFn:
-    """Density-valued mode: the inverse transform of mean + alpha*sd along
-    the k-th component of the transformed sample."""
-    fitted = FittedMethod(sample, MethodKind("transform", spec, blend), floor)
-    return fitted.mode(k, alpha)
-
-
-def represent(sample, method: MethodKind, k: int, floor: float = DEFAULT_FLOOR) -> list[DensityFn]:
-    """K-component density representations of every sample member."""
-    if k < 1:
-        raise ValueError("representations need k >= 1")
-    return FittedMethod(sample, method, floor).reconstruct(k)
 
 
 def default_k_max(eigenvalues: np.ndarray, n: int) -> int:
@@ -376,7 +348,8 @@ def fve_report(
 
     The sample and every reconstruction are embedded once as rows
     (:meth:`Metric.embed_rows`), so each metric distance is an L2
-    distance between two rows.
+    distance between two rows.  Raises ``ValueError`` unless
+    0 < p < 1, as :func:`select_k` does.
     """
     sample = fitted.sample
     mean = frechet_mean(sample, metric, fitted.floor)
@@ -395,6 +368,8 @@ def fve_report(
 
 
 def _select(fve: np.ndarray, p: float) -> KSelection:
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must be in (0, 1)")
     hit = np.nonzero(fve > p)[0]
     if hit.size:
         return KSelection(int(hit[0]) + 1, True)
@@ -404,12 +379,4 @@ def _select(fve: np.ndarray, p: float) -> KSelection:
 def select_k(report: FrechetReport, p: float) -> KSelection:
     """Smallest K whose FVE exceeds p; falls back to K_max with
     ``reached=False`` when the threshold is never met."""
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must be in (0, 1)")
     return _select(report.fve, p)
-
-
-def with_threshold(report: FrechetReport, p: float) -> FrechetReport:
-    """Copy of a report re-thresholded at a different p."""
-    sel = select_k(report, p)
-    return replace(report, selected_k=sel.k, threshold_reached=sel.reached, p=p)

@@ -9,13 +9,11 @@ the L2, Wasserstein and sphere-geodesic metrics, aggregated across
 replications by another Fréchet mean under the same metric.
 
 Replications draw their randomness from child streams spawned off the
-spec seed (one child per replication), so serial and threaded runs give
-identical results.
+spec seed (one child per replication).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,7 +266,6 @@ def run_comparison(
     k: int,
     metric: Metric = Metric.L2,
     reps: int = 50,
-    threads: int = 1,
 ) -> SimulationResult:
     """Run seeded replications of one setting and collect FVE and means.
 
@@ -282,21 +279,12 @@ def run_comparison(
     fve_curves = {m.label: [None] * reps for m in methods}
     mean_densities = {name: [None] * reps for name in MEAN_METRICS}
     failures = []
-
-    def work(r):
-        return _run_one(spec, children[r], methods, k, metric, spec.floor)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda r: _safe(work, r), range(reps)))
-    else:
-        outcomes = [_safe(work, r) for r in range(reps)]
-
-    for r, outcome in enumerate(outcomes):
-        if isinstance(outcome, Exception):
-            failures.append((r, repr(outcome)))
+    for r, child in enumerate(children):
+        try:
+            fve, means = _run_one(spec, child, methods, k, metric, spec.floor)
+        except Exception as exc:  # noqa: BLE001 - recorded, not dropped
+            failures.append((r, repr(exc)))
             continue
-        fve, means = outcome
         for label, curve in fve.items():
             fve_curves[label][r] = curve
         for name, dens in means.items():
@@ -307,9 +295,3 @@ def run_comparison(
         spec, methods, k, metric, reps, fve_curves, mean_densities, target, failures
     )
 
-
-def _safe(fn, r):
-    try:
-        return fn(r)
-    except Exception as exc:  # noqa: BLE001 - recorded, not dropped
-        return exc

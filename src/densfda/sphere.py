@@ -6,6 +6,11 @@ means found by tangent-space averaging, and PCA happens in the tangent
 space at the mean (linearized principal geodesic analysis).  Strictly
 positive densities share an orthant, so all pairwise angles stay below
 pi/2 and the iteration is well behaved.
+
+:func:`pga` is the map into L2 of the Hilbert-sphere method: the fitted
+method (``frechet.FittedMethod``) runs it on the embedded sample and
+maps FPCA output back by the exp map at the Karcher mean followed by
+squaring.
 """
 
 from __future__ import annotations
@@ -143,56 +148,6 @@ def _exp_rows(base: SpherePoint, v: np.ndarray) -> np.ndarray:
     out /= np.sqrt(integrate_rows(out * out, grid))[:, None]
     out[~far] = base.values
     return out
-
-
-class FittedSphere:
-    """Karcher mean + tangent eigensystem, reusable across truncation levels."""
-
-    def __init__(self, densities, floor: float = DEFAULT_FLOOR):
-        values, grid = fpca.stack(densities)
-        self.floor = floor
-        self.grid = grid
-        points = [SpherePoint(grid, row) for row in _embed_rows(values, grid)]
-        if len(points) == 1:
-            self.mean = points[0]
-            self.system = fpca.EigenSystem(
-                grid,
-                np.zeros(grid.m),
-                np.zeros(0),
-                np.zeros((0, grid.m)),
-                np.zeros((1, 0)),
-            )
-        else:
-            self.mean, self.system = pga(points)
-
-    @property
-    def n_components(self) -> int:
-        return self.system.n_components
-
-    def reconstruct_values(self, k: int) -> np.ndarray:
-        """``(n, m)`` density values of the k-component representations."""
-        k = min(k, self.n_components)
-        return self._square_back(fpca.truncate(self.system, k))
-
-    def reconstruct(self, k: int) -> list[DensityFn]:
-        return [DensityFn(self.grid, row) for row in self.reconstruct_values(k)]
-
-    def mode(self, k: int, alpha: float) -> DensityFn:
-        v = alpha * np.sqrt(self.system.eigenvalues[k - 1]) * self.system.eigenfunctions[k - 1]
-        return DensityFn(self.grid, self._square_back(v[None])[0])
-
-    def _square_back(self, tangents: np.ndarray) -> np.ndarray:
-        return _square_rows(_exp_rows(self.mean, tangents), self.grid, self.floor)
-
-
-def hs_represent(densities, k: int, floor: float = DEFAULT_FLOOR) -> list[DensityFn]:
-    """Truncated sphere representations of a density sample."""
-    return FittedSphere(densities, floor).reconstruct(k)
-
-
-def hs_mode(densities, k: int, alpha: float, floor: float = DEFAULT_FLOOR) -> DensityFn:
-    """Mode of variation along tangent component k (1-based)."""
-    return FittedSphere(densities, floor).mode(k, alpha)
 
 
 def fisher_rao_mean(densities, floor: float = DEFAULT_FLOOR) -> DensityFn:

@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from densfda import (
+    FittedMethod,
     Grid,
     KdeConfig,
     Kernel,
@@ -37,7 +38,6 @@ from densfda import (
     run_comparison,
     score_basis,
     sqrt_embed,
-    transformation_modes,
     truncated_normal_density,
     cv_mse,
 )
@@ -230,14 +230,13 @@ def test_criterion_7_property_suites(rng):
     mass_dev, min_val = 0.0, np.inf
     for method in default_methods():
         rep = fve_curve(gen.densities, method, Metric.L2, k_max=2, floor=1e-3)
-        from densfda import FittedMethod
-
         fitted = FittedMethod(gen.densities, method, floor=1e-3)
         for r in fitted.reconstruct(2):
             mass_dev = max(mass_dev, abs(integrate(r.values, r.grid) - 1.0))
             min_val = min(min_val, r.values.min())
+    lqd = FittedMethod(gen.densities, MethodKind.lqd(0.5), floor=1e-3)
     for alpha in (-2.0, 0.0, 2.0):
-        mode = transformation_modes(gen.densities, LQD, 1, alpha, floor=1e-3, blend=0.5)
+        mode = lqd.mode(1, alpha)
         mass_dev = max(mass_dev, abs(integrate(mode.values, mode.grid) - 1.0))
         min_val = min(min_val, mode.values.min())
     checks["unit-mass<=1e-10"] = mass_dev <= 1e-10

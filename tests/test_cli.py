@@ -119,6 +119,30 @@ class TestAnalyze:
         assert len(fits) == 1
         assert len(json.loads(out.read_text())["fve"]) == 3
 
+    @pytest.mark.parametrize("command, p", [("analyze", "1.5"), ("fve", "0")])
+    def test_p_outside_unit_interval_exits_1(self, tmp_path, capsys, density_csv, command, p):
+        path, _ = density_csv
+        out = tmp_path / "r.json"
+        assert main([command, "--p", p, "--in", str(path), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert not out.exists()
+
+    def test_modes_beyond_components_exit_1(self, tmp_path, rng, capsys):
+        grid = Grid(0.0, 1.0, 101)
+        path = tmp_path / "d.csv"
+        write_density_csv(path, [smooth_density(rng, grid) for _ in range(8)])
+        out = tmp_path / "modes.csv"
+        assert main(["modes", "--k", "50", "--in", str(path), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "KTooLargeError"
+        assert not out.exists()
+
+    def test_one_density_gets_grid_only_modes(self, tmp_path, rng):
+        grid = Grid(0.0, 1.0, 101)
+        path = tmp_path / "d.csv"
+        write_density_csv(path, [smooth_density(rng, grid)])
+        assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 0
+        assert (tmp_path / "r_modes.csv").read_text().splitlines()[0] == "x"
+
     def test_modes_and_mean_and_fve(self, tmp_path, density_csv):
         path, _ = density_csv
         modes_out = tmp_path / "modes.csv"

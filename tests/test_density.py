@@ -4,6 +4,7 @@ import pytest
 from densfda import (
     AllZeroError,
     CdfFn,
+    DensfdaError,
     DensityFn,
     Grid,
     GridMismatchError,
@@ -16,9 +17,7 @@ from densfda import (
     from_unit_support,
     normalize,
     to_cdf,
-    to_hazard,
     to_quantile,
-    to_quantile_density,
     to_unit_support,
     unit_grid,
 )
@@ -77,6 +76,19 @@ class TestNormalize:
         vals[0] = 0.0
         with pytest.raises(ValueError, match="strictly positive"):
             DensityFn(unit512, vals / integrate(vals, unit512))
+
+    @pytest.mark.parametrize("case", ["shape", "positivity", "mass", "floor-zero"])
+    def test_invalid_density_is_a_library_error(self, unit512, case):
+        with_zero = np.r_[0.0, np.ones(511)]
+        with pytest.raises(DensfdaError):
+            if case == "shape":
+                DensityFn(unit512, np.ones(511))
+            elif case == "positivity":
+                DensityFn(unit512, with_zero / integrate(with_zero, unit512))
+            elif case == "mass":
+                DensityFn(unit512, np.full(512, 2.0))
+            else:
+                normalize(with_zero, unit512, floor=0.0)
 
     def test_values_frozen(self, unit512):
         f = normalize(np.ones(512), unit512)
@@ -141,18 +153,6 @@ class TestConversions:
             truth = np.interp(q.values, g.points, f.values)
             errors.append(np.abs(recon[5:-5] - truth[5:-5]).max())
         assert errors[1] < 0.65 * errors[0]
-
-    def test_quantile_density_integrates_to_width(self, rng):
-        g = Grid(-3.0, 3.0, 512)
-        f = smooth_density(rng, g)
-        qd = to_quantile_density(f)
-        assert integrate(qd.values, qd.tgrid) == pytest.approx(6.0, rel=1e-3)
-
-    def test_hazard_positive_and_matches_uniform(self, unit512):
-        f = normalize(np.ones(512), unit512, floor=0.0)
-        h = to_hazard(f, 0.9)
-        expect = 1.0 / (1.0 - h.grid.points)
-        np.testing.assert_allclose(h.values, expect, rtol=1e-6)
 
 
 class TestMetrics:

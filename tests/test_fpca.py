@@ -292,3 +292,16 @@ class TestThinSvdAgainstSurface:
         assert system.n_components == 4
         np.testing.assert_allclose(system.eigenvalues.sum(), np.mean(
             [integrate((row - system.mean) ** 2, grid) for row in sample]), rtol=1e-12)
+
+
+class TestFitSingleton:
+    def test_one_row_has_no_components(self, rng, unit512):
+        row = smooth_density(rng, unit512).values
+        system = fit(row[None], unit512)
+        assert system.n_components == 0
+        np.testing.assert_array_equal(system.mean, row)
+        assert system.scores.shape == (1, 0)
+
+    def test_empty_array_rejected(self, unit512):
+        with pytest.raises(EmptySampleError):
+            fit(np.empty((0, M)), unit512)

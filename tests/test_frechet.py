@@ -23,11 +23,9 @@ from densfda import (
     gen_setting,
     lqd_inverse,
     normalize,
-    represent,
     select_k,
     to_cdf,
     to_quantile,
-    transformation_modes,
     truncated_normal_density,
     unblend_uniform,
     unit_grid,
@@ -140,7 +138,7 @@ class TestFrechetVariance:
 class TestTransformationModes:
     def test_alpha_zero_is_valid_density(self, rng, unit512):
         sample = [smooth_density(rng, unit512) for _ in range(10)]
-        mode = transformation_modes(sample, LQD, 1, 0.0)
+        mode = FittedMethod(sample, MethodKind.lqd()).mode(1, 0.0)
         assert integrate(mode.values, unit512) == pytest.approx(1.0, abs=1e-10)
 
     def test_rank_one_family_reproduced_at_score_alpha(self, rng):
@@ -154,9 +152,9 @@ class TestTransformationModes:
             assert dist_l2(mode, sample[i]) <= 1e-3
 
     def test_any_alpha_valid_density(self, rng, unit512):
-        sample = [smooth_density(rng, unit512) for _ in range(8)]
+        fitted = FittedMethod([smooth_density(rng, unit512) for _ in range(8)], MethodKind.lqd())
         for alpha in np.linspace(-3, 3, 7):
-            mode = transformation_modes(sample, LQD, 1, alpha)
+            mode = fitted.mode(1, alpha)
             assert integrate(mode.values, unit512) == pytest.approx(1.0, abs=1e-10)
             assert mode.values.min() > 0.0
 
@@ -165,7 +163,7 @@ class TestRepresent:
     def test_full_rank_transform_recovery(self, rng):
         cs = np.column_stack([rng.uniform(-0.5, 0.5, 15), rng.uniform(-0.2, 0.2, 15)])
         sample, _ = lqd_family(cs)
-        recon = represent(sample, MethodKind.lqd(), 10)
+        recon = FittedMethod(sample, MethodKind.lqd()).reconstruct(10)
         for f, r in zip(sample, recon):
             assert dist_l2(f, r) <= 1e-3
 
@@ -177,19 +175,29 @@ class TestRepresent:
 
     def test_singleton_returns_the_density(self, rng, unit512):
         f = smooth_density(rng, unit512)
-        for method in (MethodKind.lqd(), MethodKind.ordinary_fpca(), MethodKind.hilbert_sphere()):
-            (r,) = represent([f], method, 1)
-            assert dist_l2(r, f) <= 1e-3
+        cases = (
+            (MethodKind.lqd(), 1.0),
+            # the log hazard keeps [0, 1 - delta]; its inverse spreads the rest uniformly
+            (MethodKind.log_hazard(0.1), 0.9),
+            (MethodKind.ordinary_fpca(), 1.0),
+            (MethodKind.hilbert_sphere(), 1.0),
+        )
+        for method, upper in cases:
+            fitted = FittedMethod([f], method)
+            assert fitted.n_components == 0
+            (r,) = fitted.reconstruct(1)
+            keep = unit512.points <= upper
+            assert np.abs(r.values - f.values)[keep].max() <= 1e-3
 
     def test_k_below_one_rejected(self, rng, unit512):
         sample = [smooth_density(rng, unit512) for _ in range(4)]
         with pytest.raises(ValueError):
-            represent(sample, MethodKind.lqd(), 0)
+            FittedMethod(sample, MethodKind.lqd()).reconstruct(-1)
 
     def test_outputs_always_valid(self, rng, unit512):
         sample = [smooth_density(rng, unit512) for _ in range(8)]
         for method in (MethodKind.lqd(), MethodKind.ordinary_fpca(), MethodKind.hilbert_sphere()):
-            for r in represent(sample, method, 2):
+            for r in FittedMethod(sample, method).reconstruct(2):
                 assert r.values.min() > 0.0
                 assert integrate(r.values, unit512) == pytest.approx(1.0, abs=1e-10)
 

@@ -104,14 +104,6 @@ class TestRunComparison:
                 np.stack(small_run.fve_curves[label]), np.stack(again.fve_curves[label])
             )
 
-    def test_threads_match_serial(self, small_run):
-        spec = SettingSpec(setting=2, n=20, seed=123, m=256)
-        threaded = run_comparison(spec, default_methods(), 2, Metric.L2, reps=4, threads=3)
-        for label in ("LQD", "FPCA", "HS"):
-            np.testing.assert_array_equal(
-                np.stack(small_run.fve_curves[label]), np.stack(threaded.fve_curves[label])
-            )
-
     def test_lqd_fve_nested_in_k(self, small_run):
         for curve in small_run.fve_curves["LQD"]:
             assert curve[1] >= curve[0] - 1e-9

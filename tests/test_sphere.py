@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from densfda import (
+    FittedMethod,
     Grid,
     GridMismatchError,
+    MethodKind,
     SpherePoint,
     dist_l2,
     exp_map,
     fisher_rao_mean,
     geodesic_distance,
-    hs_mode,
-    hs_represent,
     karcher_mean,
     log_map,
     normalize,
@@ -20,11 +20,11 @@ from densfda import (
     truncate,
 )
 from densfda.density import inner_product, integrate
-from densfda.sphere import FittedSphere
 
 from conftest import smooth_density
 
 M = 512
+HS = MethodKind.hilbert_sphere()
 
 
 class TestEmbedding:
@@ -170,22 +170,22 @@ class TestRepresentations:
         v = log_map(mu, sqrt_embed(smooth_density(rng, unit512)))
         v /= np.sqrt(inner_product(v, v, unit512))
         densities = [square_back(exp_map(mu, c * v)) for c in rng.uniform(-0.5, 0.5, 15)]
-        recon = hs_represent(densities, 5)
+        recon = FittedMethod(densities, HS).reconstruct(5)
         for f, r in zip(densities, recon):
             assert dist_l2(f, r) <= 1e-3
 
     def test_mode_alpha_zero_is_karcher_mean(self, rng, unit512):
         densities = [smooth_density(rng, unit512) for _ in range(8)]
-        mode0 = hs_mode(densities, 1, 0.0)
+        mode0 = FittedMethod(densities, HS).mode(1, 0.0)
         mean = square_back(karcher_mean([sqrt_embed(f) for f in densities]))
         assert dist_l2(mode0, mean) <= 1e-9
 
     def test_outputs_unit_mass(self, rng, unit512):
-        densities = [smooth_density(rng, unit512) for _ in range(8)]
+        fitted = FittedMethod([smooth_density(rng, unit512) for _ in range(8)], HS)
         for alpha in (-2.0, 1.0, 3.0):
-            mode = hs_mode(densities, 1, alpha)
+            mode = fitted.mode(1, alpha)
             assert integrate(mode.values, unit512) == pytest.approx(1.0, abs=1e-10)
-        for r in hs_represent(densities, 2):
+        for r in fitted.reconstruct(2):
             assert integrate(r.values, unit512) == pytest.approx(1.0, abs=1e-10)
             assert r.values.min() > 0
 
@@ -264,14 +264,15 @@ class TestBatchedAgainstLoop:
     def test_reconstructions_and_modes(self, rng, n, m):
         grid = Grid(-2.0, 3.0, m)
         densities = [smooth_density(rng, grid, amplitude=1.0) for _ in range(n)]
-        fitted = FittedSphere(densities)
-        mu = fitted.mean.values
+        fitted = FittedMethod(densities, HS)
+        system = fitted.system
+        mu = fitted.sphere_mean.values
         for k in (0, 1, fitted.n_components):
-            tangents = truncate(fitted.system, k)
+            tangents = truncate(system, k)
             ref = [_square_back_loop(_exp_loop(mu, v, grid), grid) for v in tangents]
             for r, f in zip(fitted.reconstruct(k), ref):
                 np.testing.assert_allclose(r.values, f, rtol=1e-12, atol=1e-12)
-        v = 2.0 * np.sqrt(fitted.system.eigenvalues[0]) * fitted.system.eigenfunctions[0]
+        v = system.mean + 2.0 * np.sqrt(system.eigenvalues[0]) * system.eigenfunctions[0]
         ref = _square_back_loop(_exp_loop(mu, v, grid), grid)
         np.testing.assert_allclose(fitted.mode(1, 2.0).values, ref, rtol=1e-12, atol=1e-12)
 
