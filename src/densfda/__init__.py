@@ -58,6 +58,7 @@ from .fpca import (
     truncate,
 )
 from .frechet import (
+    DensitySample,
     FittedMethod,
     FrechetReport,
     KSelection,

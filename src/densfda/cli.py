@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .density import DEFAULT_FLOOR, Grid, dist_l2, dist_sup, dist_wasserstein
+from .density import DEFAULT_FLOOR, Grid
 from .errors import DensfdaError
 from .frechet import (
     FittedMethod,

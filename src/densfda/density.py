@@ -261,18 +261,103 @@ def quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray:
     """:func:`to_quantile` of each row of an ``(n, m)`` array of CDF values."""
     if (tgrid.lo, tgrid.hi) != (0.0, 1.0):
         raise ValueError("quantiles are evaluated on a probability grid over [0, 1]")
-    flat = np.diff(cdf, axis=1) == 0.0
+    step = np.diff(cdf, axis=1)
+    if np.any(step < 0):
+        raise ValueError("CDF values must be nondecreasing")
+    flat = step == 0.0
     if np.any(flat[:, :-1] & flat[:, 1:]):
         raise NotInvertibleError("CDF has a flat span wider than one grid cell")
+    # the first knot of each level: a repeated level resolves to its left end
+    first = np.ones(cdf.shape, dtype=bool)
+    first[:, 1:] = ~flat
     t, x = tgrid.points, grid.points
     q = np.empty((cdf.shape[0], tgrid.m))
     for i, row in enumerate(cdf):
-        # keep the first occurrence of each CDF level -> left-endpoint ties
-        levels, first = np.unique(row, return_index=True)
-        q[i] = np.interp(t, levels, x[first])
+        q[i] = np.interp(t, row[first[i]], x[first[i]])
     q[:, 0] = grid.lo
     q[:, -1] = grid.hi
     return q
+
+
+def pchip_rows(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Monotone cubic interpolant of each row, evaluated at shared points.
+
+    Row ``i`` interpolates the points ``(x[i], y[i])``; ``y`` may also be
+    one row shared by all.  Each row of ``x`` must be strictly increasing
+    and ``t`` nondecreasing; points beyond a row's knots take the end
+    cubics.  The knot derivatives are those of Fritsch & Carlson (SIAM
+    J. Numer. Anal. 17(2), 1980) as SciPy's ``PchipInterpolator`` sets
+    them: the weighted harmonic mean of the two neighbouring slopes, or 0
+    where those slopes differ in sign or one is 0; at each end the
+    one-sided three-point estimate, 0 if its sign differs from the end
+    slope's, and clamped to 3 times the end slope when the two end slopes
+    differ in sign.  Returns an ``(n, len(t))`` array.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
+    t = np.asarray(t, dtype=float)
+    n, m = x.shape
+    if m < 3:
+        raise ValueError(f"monotone cubic interpolation needs >= 3 knots, got {m}")
+    if not np.all(np.diff(x, axis=1) > 0):
+        raise ValueError("knots must be strictly increasing in every row")
+    if np.any(np.diff(t) < 0):
+        raise ValueError("evaluation points must be nondecreasing")
+    c0, c1, c2, c3 = _pchip_coefficients(x, y)
+    rows = np.arange(n)[:, None]
+    j = _count_at_or_below(x, t)
+    j -= 1
+    np.clip(j, 0, m - 2, out=j)
+    # summed in SciPy's order of operations
+    s = t - x[rows, j]
+    s2 = s * s
+    return c0[rows, j] + c1[rows, j] * s + c2[rows, j] * s2 + c3[rows, j] * (s2 * s)
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Coefficients of each interval's cubic in powers of (t - x[j]), as
+    SciPy's ``CubicHermiteSpline`` builds them from the knot derivatives."""
+    h = np.diff(x, axis=1)
+    slope = np.diff(y, axis=1) / h
+    d = _pchip_derivatives(h, slope)
+    c = (d[:, :-1] + d[:, 1:] - 2 * slope) / h
+    return y[:, :-1], d[:, :-1], (slope - d[:, :-1]) / h - c, c / h
+
+
+def _pchip_derivatives(h: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Knot derivatives of :func:`pchip_rows` from the interval widths and slopes."""
+    m0, m1 = slope[:, :-1], slope[:, 1:]
+    extremum = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
+    w1 = 2 * h[:, 1:] + h[:, :-1]
+    w2 = h[:, 1:] + 2 * h[:, :-1]
+    d = np.empty((h.shape[0], h.shape[1] + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[:, 1:-1] = np.where(extremum, 0.0, 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+    d[:, 0] = _pchip_end(h[:, 0], h[:, 1], slope[:, 0], slope[:, 1])
+    d[:, -1] = _pchip_end(h[:, -1], h[:, -2], slope[:, -1], slope[:, -2])
+    return d
+
+
+def _pchip_end(h0, h1, m0, m1) -> np.ndarray:
+    """One-sided three-point derivative at an end knot, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    wrong_sign = np.sign(d) != np.sign(m0)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(wrong_sign, 0.0, np.where(overshoot, 3.0 * m0, d))
+
+
+def _count_at_or_below(knots: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``out[i, k]``: how many of ``knots[i]`` are <= ``t[k]``, for nondecreasing ``t``.
+
+    One ``searchsorted`` places every knot of every row among the shared
+    points, and a running count per row turns the places into counts.
+    The comparisons are exact, so a point equal to a knot counts it.
+    """
+    n, p = knots.shape[0], len(t)
+    first_at_or_above = np.searchsorted(t, knots, side="left")
+    first_at_or_above += (p + 1) * np.arange(n)[:, None]
+    hits = np.bincount(first_at_or_above.ravel(), minlength=n * (p + 1)).reshape(n, p + 1)
+    return np.cumsum(hits[:, :p], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,14 @@ its inverse; the Hilbert-sphere method log-maps the square-root
 densities at their Karcher mean and maps back by the exp map and
 squaring.  Representations and modes are valid densities for every
 truncation level and mode parameter.
+
+A sample is held as one :class:`DensitySample`: the densities stacked
+once on their shared grid, with the Fréchet mean, the Fréchet variance
+V_inf and the metric embedding computed once per metric and shared by
+every method fitted to it and every mean taken of it.  The Wasserstein
+mean inverts all sample CDFs, and then their averaged quantile
+function, through one batched monotone cubic kernel
+(:func:`density.pchip_rows`).
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import fpca
 from .density import (
@@ -32,10 +39,9 @@ from .density import (
     dist_l2,
     dist_wasserstein,
     normalize,
+    pchip_rows,
     quantile_rows,
     sq_dist_rows,
-    to_cdf,
-    to_quantile,
     unit_grid,
 )
 from .errors import EmptySampleError, GridMismatchError, SupportMismatchError
@@ -136,40 +142,99 @@ def _check_shared_support(sample) -> tuple[float, float]:
     return supports.pop()
 
 
-def _quantile_samples(f: DensityFn, tgrid: Grid) -> np.ndarray:
-    """Quantile values by monotone cubic CDF inversion.
+class DensitySample:
+    """A sample of densities on one grid, with its Fréchet statistics.
+
+    The densities are checked for a shared support and grid and stacked
+    once into the read-only ``(n, m)`` array ``values``.  The Fréchet
+    mean and variance under each metric, and the sample's metric
+    embedding (:meth:`Metric.embed_rows`), are computed on first use and
+    kept, so every method fitted to the sample and every mean taken of
+    it share them.  Iterating yields the densities.
+    """
+
+    def __init__(self, densities):
+        self.densities = tuple(densities)
+        if not self.densities:
+            raise EmptySampleError("empty sample")
+        self.support = _check_shared_support(self.densities)
+        self.values, self.grid = fpca.stack(self.densities)
+        self.values.flags.writeable = False
+        self._cache = {}
+
+    @classmethod
+    def of(cls, sample) -> "DensitySample":
+        """The sample itself, or a new one holding the given densities."""
+        return sample if isinstance(sample, cls) else cls(sample)
+
+    def __len__(self) -> int:
+        return len(self.densities)
+
+    def __iter__(self):
+        return iter(self.densities)
+
+    def _cached(self, key, compute):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
+    def mean(self, metric: Metric, floor: float = DEFAULT_FLOOR) -> DensityFn:
+        """:func:`frechet_mean` of the sample."""
+        return self._cached(("mean", metric, floor), lambda: self._mean(metric, floor))
+
+    def _mean(self, metric: Metric, floor: float) -> DensityFn:
+        if len(self) == 1:
+            return self.densities[0]
+        if metric is Metric.WASSERSTEIN:
+            return wasserstein_frechet_mean(self, floor)
+        return DensityFn(self.grid, self.values.mean(axis=0))
+
+    def variance(self, metric: Metric, floor: float = DEFAULT_FLOOR) -> float:
+        """:func:`frechet_variance` of the sample about its own mean."""
+        return self._cached(
+            ("variance", metric, floor),
+            lambda: frechet_variance(self, self.mean(metric, floor), metric),
+        )
+
+    def embedding(self, metric: Metric) -> tuple[np.ndarray, Grid]:
+        """:meth:`Metric.embed_rows` of the sample on its own grid size."""
+        return self._cached(("embedding", metric), lambda: metric.embed_rows(self.values, self.grid))
+
+
+def _pchip_quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray:
+    """Quantile rows by monotone cubic CDF inversion (:func:`pchip_rows`).
 
     Differentiation downstream amplifies interpolation scallops by one
     power of the spacing, so the piecewise-linear inversion used by the
-    metric code is not accurate enough here.
+    metric code is not accurate enough here.  A row with a flat CDF step
+    has no cubic inverse and keeps that linear inversion.
     """
-    cdf = to_cdf(f)
-    if np.any(np.diff(cdf.values) <= 0):
-        return to_quantile(cdf, tgrid).values
-    q = PchipInterpolator(cdf.values, f.grid.points)(tgrid.points)
-    q[0], q[-1] = f.grid.lo, f.grid.hi
+    steep = np.all(np.diff(cdf, axis=1) > 0, axis=1)
+    q = np.empty((cdf.shape[0], tgrid.m))
+    q[steep] = pchip_rows(cdf[steep], grid.points, tgrid.points)
+    q[~steep] = quantile_rows(cdf[~steep], grid, tgrid)
+    q[:, 0], q[:, -1] = grid.lo, grid.hi
     return q
 
 
 def wasserstein_frechet_mean(sample, floor: float = DEFAULT_FLOOR) -> DensityFn:
     """Fréchet mean under the Wasserstein metric (quantile synchronization).
 
-    The sample quantile functions are averaged pointwise on a shared
-    probability grid; the average is inverted back to a CDF (monotone
-    cubic interpolation) and differentiated by central differences with
-    one-sided stencils at the endpoints, then floored and renormalized.
+    The sample quantile functions are averaged pointwise on a probability
+    grid of the sample's size; the average is inverted back to a CDF and
+    differentiated by central differences with one-sided stencils at the
+    endpoints, then floored and renormalized.  Both inversions are
+    monotone cubic and run through one batched kernel,
+    :func:`pchip_rows`: all sample CDFs at once, then the one average.
+    ``sample`` is a :class:`DensitySample` or the densities of one.
     """
-    sample = list(sample)
-    if not sample:
-        raise EmptySampleError("mean of an empty sample")
-    _check_shared_support(sample)
+    sample = DensitySample.of(sample)
     if len(sample) == 1:
-        return sample[0]
-    m = max(f.grid.m for f in sample)
-    tgrid = unit_grid(m)
-    qbar = np.mean([_quantile_samples(f, tgrid) for f in sample], axis=0)
-    grid = Grid(*sample[0].support, m)
-    cdf = PchipInterpolator(qbar, tgrid.points)(grid.points)
+        return sample.densities[0]
+    grid = sample.grid
+    tgrid = unit_grid(grid.m)
+    qbar = _pchip_quantile_rows(cdf_rows(sample.values, grid), grid, tgrid).mean(axis=0)
+    cdf = pchip_rows(qbar, tgrid.points, grid.points)[0]
     return normalize(np.gradient(cdf, grid.spacing, edge_order=2), grid, floor)
 
 
@@ -178,17 +243,9 @@ def frechet_mean(sample, metric: Metric, floor: float = DEFAULT_FLOOR) -> Densit
 
     L2 gives the cross-sectional mean (densities are convex, so no
     projection is needed); Wasserstein gives the quantile-synchronized
-    mean.
+    mean.  A :class:`DensitySample` computes it once and keeps it.
     """
-    sample = list(sample)
-    if not sample:
-        raise EmptySampleError("mean of an empty sample")
-    if len(sample) == 1:
-        return sample[0]
-    if metric is Metric.WASSERSTEIN:
-        return wasserstein_frechet_mean(sample, floor)
-    values = fpca.cross_sectional_mean(sample)
-    return DensityFn(sample[0].grid, values)
+    return DensitySample.of(sample).mean(metric, floor)
 
 
 def frechet_variance(sample, mean: DensityFn, metric: Metric) -> float:
@@ -198,16 +255,17 @@ def frechet_variance(sample, mean: DensityFn, metric: Metric) -> float:
     may have another resolution on the same support; the finer grid sets
     the probability grid.
     """
-    sample = list(sample)
-    if not sample:
-        raise EmptySampleError("variance of an empty sample")
-    values, grid = fpca.stack(sample)
+    sample = DensitySample.of(sample)
+    grid = sample.grid
     if metric is Metric.L2 and mean.grid != grid:
         raise GridMismatchError("L2 distance requires identical grids")
-    if mean.support != (grid.lo, grid.hi):
-        raise SupportMismatchError(f"supports differ: {(grid.lo, grid.hi)} vs {mean.support}")
+    if mean.support != sample.support:
+        raise SupportMismatchError(f"supports differ: {sample.support} vs {mean.support}")
     m = max(grid.m, mean.grid.m)
-    target, egrid = metric.embed_rows(values, grid, m)
+    if m == grid.m:
+        target, egrid = sample.embedding(metric)
+    else:
+        target, egrid = metric.embed_rows(sample.values, grid, m)
     center, _ = metric.embed_rows(mean.values[None], mean.grid, m)
     return float(np.mean(sq_dist_rows(target, center, egrid)))
 
@@ -247,8 +305,9 @@ class FittedMethod:
 
     Every method maps the sample into L2, runs FPCA there and maps the
     FPCA output back to densities (:meth:`_to_density`); only those two
-    maps depend on the method.  The sample is held as one ``(n, m)``
-    array (``values``) and every step works on it as a whole;
+    maps depend on the method.  The sample is held as a
+    :class:`DensitySample` (a list of densities is wrapped in one), whose
+    ``(n, m)`` array ``values`` every step works on as a whole;
     ``DensityFn`` objects are built only for the densities that
     ``reconstruct`` and ``mode`` return.  ``reconstruct(K)`` silently
     uses all available components when K exceeds them (trailing
@@ -258,14 +317,10 @@ class FittedMethod:
     """
 
     def __init__(self, sample, method: MethodKind, floor: float = DEFAULT_FLOOR):
-        self.sample = list(sample)
-        if not self.sample:
-            raise EmptySampleError("cannot fit a method to an empty sample")
+        self.sample = DensitySample.of(sample)
         self.method = method
         self.floor = floor
-        self.grid = self.sample[0].grid
-        self.support = _check_shared_support(self.sample)
-        self.values, _ = fpca.stack(self.sample)
+        self.grid, self.support, self.values = self.sample.grid, self.sample.support, self.sample.values
         self.sphere_mean = None
         if method.kind == "hs":
             # tangent space at the Karcher mean of the square-root densities
@@ -346,15 +401,16 @@ def fve_report(
 ) -> FrechetReport:
     """:func:`fve_curve` of a method already fitted to its sample.
 
-    The sample and every reconstruction are embedded once as rows
-    (:meth:`Metric.embed_rows`), so each metric distance is an L2
+    The sample's Fréchet mean, V_inf and embedding come from its
+    :class:`DensitySample`, which computes them once per metric for all
+    the methods fitted to it.  Every reconstruction is embedded once as
+    rows (:meth:`Metric.embed_rows`), so each metric distance is an L2
     distance between two rows.  Raises ``ValueError`` unless
     0 < p < 1, as :func:`select_k` does.
     """
     sample = fitted.sample
-    mean = frechet_mean(sample, metric, fitted.floor)
-    v_inf = frechet_variance(sample, mean, metric)
-    target, egrid = metric.embed_rows(fitted.values, fitted.grid)
+    v_inf = sample.variance(metric, fitted.floor)
+    target, egrid = sample.embedding(metric)
     if k_max is None:
         k_max = default_k_max(fitted.system.eigenvalues, len(sample))
     k_max = max(1, k_max)

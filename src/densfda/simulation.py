@@ -21,7 +21,7 @@ from scipy.special import ndtr
 
 from .density import DensityFn, Grid, cdf_rows, dist_wasserstein, normalize_rows
 from .errors import DegenerateSigmaError, EmptySampleError
-from .frechet import Metric, MethodKind, frechet_mean, fve_curve
+from .frechet import DensitySample, Metric, MethodKind, frechet_mean, fve_curve
 from .kde import KdeConfig, Kernel, estimate_density
 from .sphere import fisher_rao_mean
 
@@ -234,7 +234,7 @@ class SimulationResult:
                 "per_replication_median": float(np.median(ok)) if ok.size else np.nan,
                 "aggregated": float(
                     dist_wasserstein(self.aggregated_mean(name), self.target)
-                ),
+                ) if ok.size else np.nan,
             }
         wass = self.distances_to_target("wasserstein")
         cross = self.distances_to_target("l2")
@@ -247,15 +247,16 @@ class SimulationResult:
 
 def _run_one(spec: SettingSpec, child_seed, methods, k, metric, floor):
     rng = np.random.default_rng(child_seed)
-    gen = gen_setting(spec, rng)
+    # the methods and the means share one stacked sample and its statistics
+    sample = DensitySample(gen_setting(spec, rng).densities)
     fve = {}
     for method in methods:
-        report = fve_curve(gen.densities, method, metric, k_max=k, floor=floor)
+        report = fve_curve(sample, method, metric, k_max=k, floor=floor)
         fve[method.label] = report.fve
     means = {
-        "l2": frechet_mean(gen.densities, Metric.L2, floor),
-        "wasserstein": frechet_mean(gen.densities, Metric.WASSERSTEIN, floor),
-        "fisher_rao": fisher_rao_mean(gen.densities, floor),
+        "l2": frechet_mean(sample, Metric.L2, floor),
+        "wasserstein": frechet_mean(sample, Metric.WASSERSTEIN, floor),
+        "fisher_rao": fisher_rao_mean(sample, floor),
     }
     return fve, means
 

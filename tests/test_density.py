@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from densfda import (
     AllZeroError,
@@ -21,7 +22,8 @@ from densfda import (
     to_unit_support,
     unit_grid,
 )
-from densfda.density import integrate
+from densfda.density import cdf_rows, integrate, normalize_rows, pchip_rows, quantile_rows
+from densfda.frechet import _pchip_quantile_rows
 
 from conftest import smooth_density
 
@@ -228,3 +230,132 @@ class TestSupportMapping:
         f = smooth_density(rng, g)
         back = from_unit_support(to_unit_support(f), -5.0, 5.0)
         np.testing.assert_allclose(back.values, f.values, rtol=1e-12)
+
+
+def _scipy_pchip_loop(x, y, t):
+    """Per-row reference for pchip_rows: one SciPy interpolant per row."""
+    y = np.broadcast_to(y, x.shape)
+    return np.array([PchipInterpolator(xi, yi)(t) for xi, yi in zip(x, y)])
+
+
+def _interp_quantile_loop(cdf, grid, tgrid):
+    """Per-row reference for quantile_rows: np.interp over each row's distinct
+    levels, keeping the first grid point of a repeated level."""
+    q = np.empty((cdf.shape[0], tgrid.m))
+    for i, row in enumerate(cdf):
+        levels, first = np.unique(row, return_index=True)
+        q[i] = np.interp(tgrid.points, levels, grid.points[first])
+    q[:, 0], q[:, -1] = grid.lo, grid.hi
+    return q
+
+
+class TestQuantileRows:
+    def test_matches_per_row_interp(self, rng):
+        for m, mt in ((512, 512), (256, 1024), (3, 7), (97, 3)):
+            grid = Grid(-2.0, 3.0, m)
+            cdf = cdf_rows(normalize_rows(np.exp(2 * rng.normal(size=(6, m))), grid), grid)
+            got = quantile_rows(cdf, grid, unit_grid(mt))
+            np.testing.assert_allclose(got, _interp_quantile_loop(cdf, grid, unit_grid(mt)), rtol=0, atol=1e-15)
+
+    def test_one_cell_ties_take_the_left_endpoint(self):
+        grid = Grid(0.0, 1.0, 11)
+        cdf = np.tile(np.linspace(0.0, 1.0, 11), (3, 1))
+        cdf[0, 5] = cdf[0, 4]  # tie inside
+        cdf[1, 1] = cdf[1, 0]  # tie at the bottom
+        cdf[2, 9] = cdf[2, 10]  # tie at the top
+        tgrid = unit_grid(41)
+        got = quantile_rows(cdf, grid, tgrid)
+        np.testing.assert_allclose(got, _interp_quantile_loop(cdf, grid, tgrid), rtol=0, atol=1e-15)
+        assert got[0, np.searchsorted(tgrid.points, cdf[0, 4])] == grid.points[4]
+
+    def test_rejects_decreasing_cdf(self):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            quantile_rows(np.array([[0.0, 0.5, 0.4, 0.8, 1.0]]), Grid(0.0, 1.0, 5), unit_grid(5))
+
+
+class TestPchipRows:
+    X = np.arange(7.0)
+
+    def test_interior_sign_change_and_zero_slope(self):
+        y = np.array([
+            [0.0, 1.0, 0.0, 2.0, 2.0, 2.0, 3.0],  # extrema and a flat run
+            [0.0, 1.0, 3.0, 3.0, 1.0, -1.0, -4.0],
+        ])
+        t = np.linspace(-0.5, 6.5, 57)
+        x = np.tile(self.X, (2, 1))
+        np.testing.assert_allclose(pchip_rows(x, y, t), _scipy_pchip_loop(x, y, t), rtol=1e-15, atol=1e-15)
+        # knot derivatives are 0 at the extrema and on the flat run, so the
+        # interpolant neither overshoots the peak nor leaves the run
+        near_peak = pchip_rows(x[:1], y[:1], np.array([0.9, 1.0, 1.1]))[0]
+        assert near_peak.max() == 1.0
+        np.testing.assert_array_equal(pchip_rows(x[:1], y[:1], np.linspace(3.0, 5.0, 9)), 2.0)
+
+    def test_end_rule_branches(self):
+        x = np.tile(np.array([0.0, 1.0, 2.0, 3.0]), (3, 1))
+        y = np.array([
+            [0.0, 0.1, 1.1, 2.0],  # three-point estimate of the wrong sign -> 0
+            [0.0, 1.0, -9.0, -9.5],  # end slopes differ in sign -> clamped to 3 * m0
+            [0.0, 1.0, 2.5, 4.5],  # plain three-point estimate
+        ])
+        left = [PchipInterpolator(xi, yi).derivative()(0.0) for xi, yi in zip(x, y)]
+        assert left[0] == 0.0 and left[1] == pytest.approx(3.0) and left[2] == pytest.approx(0.75)
+        t = np.linspace(-1.0, 4.0, 51)
+        np.testing.assert_allclose(pchip_rows(x, y, t), _scipy_pchip_loop(x, y, t), rtol=1e-15, atol=1e-15)
+        # the right end takes the same rule, mirrored
+        np.testing.assert_allclose(
+            pchip_rows(x, -y[:, ::-1], t), _scipy_pchip_loop(x, -y[:, ::-1], t), rtol=1e-15, atol=1e-15
+        )
+
+    def test_points_on_knots_and_ends(self, rng):
+        x = np.cumsum(rng.uniform(0.1, 1.0, size=(3, 9)), axis=1)
+        y = np.cumsum(rng.uniform(0.0, 1.0, size=(3, 9)), axis=1)
+        t = np.sort(np.concatenate([x[0], [x.min(), x.max()]]))
+        got = pchip_rows(x, y, t)
+        np.testing.assert_array_equal(got[0, 1:-1], y[0])
+        np.testing.assert_allclose(got, _scipy_pchip_loop(x, y, t), rtol=1e-15, atol=1e-15)
+
+    def test_shared_values_row_and_validation(self, rng):
+        x = np.cumsum(rng.uniform(0.1, 1.0, size=(4, 20)), axis=1)
+        y = np.sin(np.arange(20.0))
+        t = np.linspace(0.0, 12.0, 33)
+        np.testing.assert_allclose(pchip_rows(x, y, t), _scipy_pchip_loop(x, y, t), rtol=1e-15, atol=1e-15)
+        with pytest.raises(ValueError):
+            pchip_rows(np.array([[0.0, 1.0, 1.0, 2.0]]), np.arange(4.0), t)
+        with pytest.raises(ValueError):
+            pchip_rows(x, y, t[::-1])
+
+    def test_mixed_batch_takes_linear_fallback(self, rng):
+        grid = Grid(-1.0, 2.0, 64)
+        cdf = cdf_rows(normalize_rows(np.exp(rng.normal(size=(4, 64))), grid), grid)
+        cdf[2, 31] = cdf[2, 30]  # one flat step: no cubic inverse
+        tgrid = unit_grid(80)
+        expect = np.empty((4, tgrid.m))
+        for i, row in enumerate(cdf):
+            if np.all(np.diff(row) > 0):
+                expect[i] = PchipInterpolator(row, grid.points)(tgrid.points)
+            else:
+                levels, first = np.unique(row, return_index=True)
+                expect[i] = np.interp(tgrid.points, levels, grid.points[first])
+        expect[:, 0], expect[:, -1] = grid.lo, grid.hi
+        got = _pchip_quantile_rows(cdf, grid, tgrid)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
+
+    def test_matches_scipy_on_random_rows(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            st.integers(1, 5), st.integers(3, 512), st.integers(0, 2**32 - 1), st.booleans()
+        )
+        def check(n, m, seed, monotone):
+            gen = np.random.default_rng(seed)
+            x = np.cumsum(gen.uniform(1e-3, 1.0, size=(n, m)), axis=1) - gen.normal()
+            step = gen.normal(size=(n, m))
+            y = np.cumsum(np.abs(step), axis=1) if monotone else np.round(step)
+            t = np.sort(gen.uniform(x.min() - 1.0, x.max() + 1.0, size=int(gen.integers(1, 300))))
+            ref = _scipy_pchip_loop(x, y, t)
+            scale = max(1.0, np.abs(ref).max())
+            np.testing.assert_allclose(pchip_rows(x, y, t), ref, rtol=1e-14, atol=1e-14 * scale)
+
+        check()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from densfda import (
+    DensitySample,
+    EmptySampleError,
     FittedMethod,
     FrechetReport,
     Grid,
@@ -81,6 +84,60 @@ class TestWassersteinMean:
         g = smooth_density(rng, Grid(0.0, 2.0, M))
         with pytest.raises(SupportMismatchError):
             wasserstein_frechet_mean([f, g])
+
+    def test_matches_per_density_pchip_reference(self, rng):
+        grid = Grid(-1.0, 2.0, 128)
+        sample = [smooth_density(rng, grid) for _ in range(5)]
+        raw = np.exp(np.cos(grid.points))
+        raw[60:62] = 1e-300  # one flat CDF step: that density inverts linearly
+        sample.append(normalize(raw, grid, floor=1e-300))
+        tgrid = unit_grid(grid.m)
+        quantiles = []
+        for f in sample:
+            cdf = to_cdf(f).values
+            if np.all(np.diff(cdf) > 0):
+                q = PchipInterpolator(cdf, grid.points)(tgrid.points)
+                q[0], q[-1] = grid.lo, grid.hi
+            else:
+                q = to_quantile(to_cdf(f), tgrid).values
+            quantiles.append(q)
+        cdf = PchipInterpolator(np.mean(quantiles, axis=0), tgrid.points)(grid.points)
+        expect = normalize(np.gradient(cdf, grid.spacing, edge_order=2), grid)
+        got = wasserstein_frechet_mean(sample)
+        np.testing.assert_allclose(got.values, expect.values, rtol=0, atol=1e-13)
+
+
+class TestDensitySample:
+    def test_statistics_computed_once(self, rng, unit512):
+        sample = DensitySample([smooth_density(rng, unit512) for _ in range(6)])
+        for metric in Metric:
+            mean = frechet_mean(sample, metric)
+            assert sample.mean(metric) is mean
+            assert sample.embedding(metric)[0] is sample.embedding(metric)[0]
+            assert sample.variance(metric) == frechet_variance(sample, mean, metric)
+        with pytest.raises(ValueError):
+            sample.values[0, 0] = 1.0
+
+    def test_list_and_sample_give_the_same_fit(self, rng, unit512):
+        densities = [smooth_density(rng, unit512) for _ in range(8)]
+        shared = DensitySample(densities)
+        for method in (MethodKind.lqd(0.5), MethodKind.ordinary_fpca(), MethodKind.hilbert_sphere()):
+            for metric in Metric:
+                a = fve_curve(densities, method, metric, k_max=3)
+                b = fve_curve(shared, method, metric, k_max=3)
+                np.testing.assert_array_equal(a.fve, b.fve)
+            np.testing.assert_array_equal(
+                FittedMethod(densities, method).reconstruct_values(2),
+                FittedMethod(shared, method).reconstruct_values(2),
+            )
+
+    def test_validation(self, rng):
+        with pytest.raises(EmptySampleError):
+            DensitySample([])
+        with pytest.raises(SupportMismatchError):
+            DensitySample([smooth_density(rng, Grid(0.0, 1.0, M)), smooth_density(rng, Grid(0.0, 2.0, M))])
+        with pytest.raises(GridMismatchError):
+            DensitySample([smooth_density(rng, Grid(0.0, 1.0, M)), smooth_density(rng, Grid(0.0, 1.0, 64))])
 
 
 class TestFrechetMeanDispatch:

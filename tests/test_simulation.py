@@ -142,6 +142,57 @@ class TestRunComparison:
         values = res.fve_at_k("LQD")
         assert np.isnan(values[1]) and not np.isnan(values[0])
 
+    def test_summary_when_every_replication_fails(self, monkeypatch):
+        import densfda.simulation as sim
+
+        def broken(spec, rng=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(sim, "gen_setting", broken)
+        spec = SettingSpec(setting=1, n=10, seed=5, m=128)
+        summary = sim.run_comparison(spec, default_methods(), 1, Metric.L2, reps=2).summary()
+        assert [r for r, _ in summary["failures"]] == [0, 1]
+        assert all("boom" in message for _, message in summary["failures"])
+        for name in sim.MEAN_METRICS:
+            dist = summary["mean_distance_to_target"][name]
+            assert np.isnan(dist["aggregated"]) and np.isnan(dist["per_replication_median"])
+        assert np.isnan(summary["fve"]["LQD"]["median"])
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_sample_statistics_computed_once(self, monkeypatch, metric):
+        import densfda.frechet as frechet
+        import densfda.simulation as sim
+
+        means, embedded, samples = [], [], []
+        original_mean = frechet.wasserstein_frechet_mean
+        original_embed = frechet.Metric.embed_rows
+        original_gen = sim.gen_setting
+
+        def counting_mean(sample, floor=frechet.DEFAULT_FLOOR):
+            means.append(sample)
+            return original_mean(sample, floor)
+
+        def counting_embed(self, values, grid, m=None):
+            embedded.append((self, values))
+            return original_embed(self, values, grid, m)
+
+        def keeping_gen(spec, rng=None):
+            gen = original_gen(spec, rng)
+            samples.append(np.stack([f.values for f in gen.densities]))
+            return gen
+
+        monkeypatch.setattr(frechet, "wasserstein_frechet_mean", counting_mean)
+        monkeypatch.setattr(frechet.Metric, "embed_rows", counting_embed)
+        monkeypatch.setattr(sim, "gen_setting", keeping_gen)
+        spec = SettingSpec(setting=2, n=12, seed=9, m=128)
+        res = sim.run_comparison(spec, default_methods(), 1, metric, reps=1)
+        assert res.failures == []
+        # one Wasserstein mean per replication, shared by the FVE and the means
+        assert len(means) == 1
+        # the sample itself is embedded once, under the FVE metric only
+        of_sample = [m for m, values in embedded if np.array_equal(values, samples[0])]
+        assert of_sample == [metric]
+
     def test_reps_validated(self):
         with pytest.raises(ValueError):
             run_comparison(SettingSpec(setting=1), [MethodKind.lqd()], 1, Metric.L2, reps=0)
