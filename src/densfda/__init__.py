@@ -61,16 +61,14 @@ from .frechet import (
     DensitySample,
     FittedMethod,
     FrechetReport,
-    KSelection,
     Metric,
     MethodKind,
     blend_uniform,
+    fisher_rao_mean,
     frechet_mean,
     frechet_variance,
     fve_curve,
     fve_report,
-    select_k,
-    unblend_uniform,
     wasserstein_frechet_mean,
 )
 from .kde import KdeConfig, Kernel, boundary_weight, default_bandwidth, estimate_density
@@ -89,11 +87,8 @@ from .simulation import (
 from .sphere import (
     SpherePoint,
     exp_map,
-    fisher_rao_mean,
-    geodesic_distance,
     karcher_mean,
     log_map,
-    pga,
     sqrt_embed,
     square_back,
 )

@@ -23,13 +23,13 @@ from .frechet import (
     FittedMethod,
     Metric,
     MethodKind,
+    fisher_rao_mean,
     frechet_mean,
     fve_report,
 )
 from .kde import KdeConfig, Kernel, default_bandwidth, estimate_density
 from .regression import cv_mse, fit_flr, project_scores, score_basis
 from .simulation import SettingSpec, default_methods, run_comparison
-from .sphere import fisher_rao_mean
 from .transforms import TransformKind, TransformSpec, forward, inverse
 
 

@@ -261,15 +261,7 @@ def quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray:
     """:func:`to_quantile` of each row of an ``(n, m)`` array of CDF values."""
     if (tgrid.lo, tgrid.hi) != (0.0, 1.0):
         raise ValueError("quantiles are evaluated on a probability grid over [0, 1]")
-    step = np.diff(cdf, axis=1)
-    if np.any(step < 0):
-        raise ValueError("CDF values must be nondecreasing")
-    flat = step == 0.0
-    if np.any(flat[:, :-1] & flat[:, 1:]):
-        raise NotInvertibleError("CDF has a flat span wider than one grid cell")
-    # the first knot of each level: a repeated level resolves to its left end
-    first = np.ones(cdf.shape, dtype=bool)
-    first[:, 1:] = ~flat
+    first = _first_knots(cdf)
     t, x = tgrid.points, grid.points
     q = np.empty((cdf.shape[0], tgrid.m))
     for i, row in enumerate(cdf):
@@ -277,6 +269,24 @@ def quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray:
     q[:, 0] = grid.lo
     q[:, -1] = grid.hi
     return q
+
+
+def _first_knots(cdf: np.ndarray) -> np.ndarray:
+    """Mask of the first knot of each level in every row of CDF values.
+
+    A repeated level resolves to its left end, which is how a flat step
+    inverts.  Raises ``ValueError`` for a decreasing row and
+    ``NotInvertibleError`` for a flat span wider than one grid cell.
+    """
+    step = np.diff(cdf, axis=1)
+    if np.any(step < 0):
+        raise ValueError("CDF values must be nondecreasing")
+    flat = step == 0.0
+    if np.any(flat[:, :-1] & flat[:, 1:]):
+        raise NotInvertibleError("CDF has a flat span wider than one grid cell")
+    first = np.ones(cdf.shape, dtype=bool)
+    first[:, 1:] = ~flat
+    return first
 
 
 def pchip_rows(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:

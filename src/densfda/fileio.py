@@ -4,6 +4,13 @@ Density tables are CSV with an ``x`` first column (the grid) and one
 column per subject; transformed functions use ``t`` as the first column.
 All floats are written with 17 significant digits so a write/read round
 trip reproduces binary64 values exactly.
+
+Tables move as arrays.  A read checks the shape line by line (an empty
+file, no data rows, fewer than two columns or a row of the wrong field
+count raise ``CsvFormatError``), skipping blank lines, then parses the
+body with one ``np.loadtxt``; a field that is no number raises
+``ValueError``.  A write formats the body with one format string per
+row, the same bytes as ``csv.writer`` (CRLF line ends).
 """
 
 from __future__ import annotations
@@ -16,16 +23,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .density import Grid, normalize
+from .density import DensityFn, Grid, normalize_rows
 from .errors import CsvFormatError
 from .transforms import TransformedFn, TransformSpec
 
 ARTIFACT_VERSION = "0.1.0"
 FLOAT_FMT = "%.17g"
-
-
-def _fmt(v) -> str:
-    return FLOAT_FMT % float(v)
 
 
 def _uniform_grid_from(points: np.ndarray) -> Grid:
@@ -37,30 +40,32 @@ def _uniform_grid_from(points: np.ndarray) -> Grid:
 
 
 def _write_table(path, first_name: str, points: np.ndarray, columns, ids):
+    rows = np.column_stack([points, *columns]).tolist()
+    line = ",".join([FLOAT_FMT] * (len(ids) + 1)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([first_name, *ids])
-        for j, x in enumerate(points):
-            writer.writerow([_fmt(x), *(_fmt(col[j]) for col in columns)])
+        csv.writer(fh).writerow([first_name, *ids])
+        fh.write("".join(line % tuple(row) for row in rows))
 
 
 def _read_table(path):
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
+        lines = [line for line in fh.read().splitlines() if line]
+    if not lines:
         raise CsvFormatError(f"{path}: file is empty")
-    header, body = rows[0], rows[1:]
+    header, body = next(csv.reader(lines[:1])), lines[1:]
     if not body:
         raise CsvFormatError(f"{path}: header but no data rows")
     if len(header) < 2:
         raise CsvFormatError(f"{path}: needs a grid column and at least one function column")
-    for i, row in enumerate(body, start=1):
-        if len(row) != len(header):
+    for i, line in enumerate(body, start=1):
+        fields = line.count(",") + 1
+        if fields != len(header):
             raise CsvFormatError(
-                f"{path}: data row {i} has {len(row)} fields, the header has {len(header)}"
+                f"{path}: data row {i} has {fields} fields, the header has {len(header)}"
             )
-    data = np.array([[float(v) for v in row] for row in body])
-    return header, data[:, 0], data[:, 1:].T
+    data = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    # contiguous rows sum in the same order as one column at a time
+    return header, data[:, 0], np.ascontiguousarray(data[:, 1:].T)
 
 
 def write_density_csv(path, densities, ids=None):
@@ -74,7 +79,7 @@ def read_density_csv(path, floor: float = 0.0):
     """Read densities, renormalizing each column to the grid quadrature."""
     header, points, columns = _read_table(path)
     grid = _uniform_grid_from(points)
-    return [normalize(col, grid, floor) for col in columns], header[1:]
+    return [DensityFn(grid, row) for row in normalize_rows(columns, grid, floor)], header[1:]
 
 
 def write_transformed_csv(path, xs, ids=None):

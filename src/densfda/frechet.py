@@ -15,10 +15,12 @@ truncation level and mode parameter.
 
 A sample is held as one :class:`DensitySample`: the densities stacked
 once on their shared grid, with the Fréchet mean, the Fréchet variance
-V_inf and the metric embedding computed once per metric and shared by
-every method fitted to it and every mean taken of it.  The Wasserstein
-mean inverts all sample CDFs, and then their averaged quantile
-function, through one batched monotone cubic kernel
+V_inf and the metric embedding computed once per metric, and the
+Karcher mean of the square-root densities computed once, all shared by
+every method fitted to it and every mean taken of it.  The Karcher mean
+serves both the Hilbert-sphere method and the Fisher–Rao mean.  The
+Wasserstein mean inverts all sample CDFs, and then their averaged
+quantile function, through one batched monotone cubic kernel
 (:func:`density.pchip_rows`).
 """
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,6 @@ from .density import (
     DensityFn,
     Grid,
     cdf_rows,
-    dist_l2,
-    dist_wasserstein,
     normalize,
     pchip_rows,
     quantile_rows,
@@ -45,7 +44,15 @@ from .density import (
     unit_grid,
 )
 from .errors import EmptySampleError, GridMismatchError, SupportMismatchError
-from .sphere import SpherePoint, _embed_rows, _exp_rows, _square_rows, pga
+from .sphere import (
+    SpherePoint,
+    _embed_rows,
+    _exp_rows,
+    _log_rows,
+    _square_rows,
+    karcher_mean,
+    square_back,
+)
 from .transforms import LQD, TransformSpec, forward_rows, inverse_rows, log_hazard_spec
 
 K_MAX_CAP = 20
@@ -55,9 +62,6 @@ EXPLAINED_TAIL = 1e-8  # eigenvalue mass allowed beyond the default K_max
 class Metric(Enum):
     L2 = "l2"
     WASSERSTEIN = "wasserstein"
-
-    def distance(self, f: DensityFn, g: DensityFn) -> float:
-        return dist_l2(f, g) if self is Metric.L2 else dist_wasserstein(f, g)
 
     def embed_rows(self, values: np.ndarray, grid: Grid, m: int | None = None) -> tuple[np.ndarray, Grid]:
         """Rows whose L2 distances are this metric's distances between the
@@ -116,11 +120,6 @@ class MethodKind:
         return "LQD" if self.transform == LQD else f"LH({self.transform.delta:g})"
 
 
-class KSelection(NamedTuple):
-    k: int
-    reached: bool
-
-
 @dataclass
 class FrechetReport:
     """Fréchet variance, per-K explained variance and the chosen truncation."""
@@ -147,10 +146,11 @@ class DensitySample:
 
     The densities are checked for a shared support and grid and stacked
     once into the read-only ``(n, m)`` array ``values``.  The Fréchet
-    mean and variance under each metric, and the sample's metric
-    embedding (:meth:`Metric.embed_rows`), are computed on first use and
-    kept, so every method fitted to the sample and every mean taken of
-    it share them.  Iterating yields the densities.
+    mean and variance under each metric, the sample's metric embedding
+    (:meth:`Metric.embed_rows`) and the Karcher mean of its square-root
+    densities are computed on first use and kept, so every method fitted
+    to the sample and every mean taken of it share them.  Iterating
+    yields the densities.
     """
 
     def __init__(self, densities):
@@ -200,6 +200,13 @@ class DensitySample:
         """:meth:`Metric.embed_rows` of the sample on its own grid size."""
         return self._cached(("embedding", metric), lambda: metric.embed_rows(self.values, self.grid))
 
+    def karcher_mean(self) -> SpherePoint:
+        """:func:`sphere.karcher_mean` of the square-root densities."""
+        return self._cached("karcher", self._karcher_mean)
+
+    def _karcher_mean(self) -> SpherePoint:
+        return karcher_mean([SpherePoint(self.grid, row) for row in _embed_rows(self.values, self.grid)])
+
 
 def _pchip_quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray:
     """Quantile rows by monotone cubic CDF inversion (:func:`pchip_rows`).
@@ -248,6 +255,15 @@ def frechet_mean(sample, metric: Metric, floor: float = DEFAULT_FLOOR) -> Densit
     return DensitySample.of(sample).mean(metric, floor)
 
 
+def fisher_rao_mean(sample, floor: float = DEFAULT_FLOOR) -> DensityFn:
+    """Fréchet mean under the geodesic metric of the square-root embedding.
+
+    The Karcher mean of the square-root densities, squared back to a
+    density.  A :class:`DensitySample` computes it once and keeps it.
+    """
+    return square_back(DensitySample.of(sample).karcher_mean(), floor)
+
+
 def frechet_variance(sample, mean: DensityFn, metric: Metric) -> float:
     """Average squared metric distance to the given mean.
 
@@ -280,13 +296,6 @@ def blend_uniform(f: DensityFn, weight: float) -> DensityFn:
     if weight == 0.0:
         return f
     return DensityFn(f.grid, _blend_rows(f.values, f.grid, weight))
-
-
-def unblend_uniform(f: DensityFn, weight: float, floor: float) -> DensityFn:
-    """Exact inverse of :func:`blend_uniform`, clipped and renormalized."""
-    if weight == 0.0:
-        return f
-    return DensityFn(f.grid, _unblend_rows(f.values[None], f.grid, weight, floor)[0])
 
 
 def _blend_rows(values: np.ndarray, grid: Grid, weight: float) -> np.ndarray:
@@ -324,8 +333,9 @@ class FittedMethod:
         self.sphere_mean = None
         if method.kind == "hs":
             # tangent space at the Karcher mean of the square-root densities
-            points = [SpherePoint(self.grid, row) for row in _embed_rows(self.values, self.grid)]
-            self.sphere_mean, self.system = pga(points)
+            self.sphere_mean = self.sample.karcher_mean()
+            tangents = _log_rows(self.sphere_mean, _embed_rows(self.values, self.grid))
+            self.system = fpca.fit(tangents, self.grid)
         elif method.kind == "transform":
             blended = _blend_rows(self.values, self.grid, method.blend)
             self._tgrid, xs = forward_rows(blended, self.grid, method.transform)
@@ -405,9 +415,12 @@ def fve_report(
     :class:`DensitySample`, which computes them once per metric for all
     the methods fitted to it.  Every reconstruction is embedded once as
     rows (:meth:`Metric.embed_rows`), so each metric distance is an L2
-    distance between two rows.  Raises ``ValueError`` unless
-    0 < p < 1, as :func:`select_k` does.
+    distance between two rows.  The selected K is the smallest whose FVE
+    exceeds p, or k_max with ``threshold_reached`` False when none does.
+    Raises ``ValueError`` unless 0 < p < 1.
     """
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must be in (0, 1)")
     sample = fitted.sample
     v_inf = sample.variance(metric, fitted.floor)
     target, egrid = sample.embedding(metric)
@@ -419,20 +432,6 @@ def fve_report(
         recon, _ = metric.embed_rows(fitted.reconstruct_values(k), fitted.grid)
         v_k[k - 1] = v_inf - float(np.mean(sq_dist_rows(target, recon, egrid)))
     fve = v_k / v_inf if v_inf > 0 else np.ones(k_max)
-    selected, reached = _select(fve, p)
-    return FrechetReport(metric, v_inf, v_k, fve, selected, reached, p, fitted.method)
-
-
-def _select(fve: np.ndarray, p: float) -> KSelection:
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must be in (0, 1)")
     hit = np.nonzero(fve > p)[0]
-    if hit.size:
-        return KSelection(int(hit[0]) + 1, True)
-    return KSelection(len(fve), False)
-
-
-def select_k(report: FrechetReport, p: float) -> KSelection:
-    """Smallest K whose FVE exceeds p; falls back to K_max with
-    ``reached=False`` when the threshold is never met."""
-    return _select(report.fve, p)
+    selected, reached = (int(hit[0]) + 1, True) if hit.size else (k_max, False)
+    return FrechetReport(metric, v_inf, v_k, fve, selected, reached, p, fitted.method)

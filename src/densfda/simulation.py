@@ -21,9 +21,8 @@ from scipy.special import ndtr
 
 from .density import DensityFn, Grid, cdf_rows, dist_wasserstein, normalize_rows
 from .errors import DegenerateSigmaError, EmptySampleError
-from .frechet import DensitySample, Metric, MethodKind, frechet_mean, fve_curve
+from .frechet import DensitySample, Metric, MethodKind, fisher_rao_mean, frechet_mean, fve_curve
 from .kde import KdeConfig, Kernel, estimate_density
-from .sphere import fisher_rao_mean
 
 # truncated normals can run below 1e-40 near the support boundary, which
 # no fixed grid can represent through the quantile map; simulated

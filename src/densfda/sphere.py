@@ -7,10 +7,11 @@ space at the mean (linearized principal geodesic analysis).  Strictly
 positive densities share an orthant, so all pairwise angles stay below
 pi/2 and the iteration is well behaved.
 
-:func:`pga` is the map into L2 of the Hilbert-sphere method: the fitted
-method (``frechet.FittedMethod``) runs it on the embedded sample and
-maps FPCA output back by the exp map at the Karcher mean followed by
-squaring.
+The Hilbert-sphere method (``frechet.FittedMethod``) maps the embedded
+sample into L2 by the log map at its Karcher mean and maps FPCA output
+back by the exp map followed by squaring; the sample object
+(``frechet.DensitySample``) computes that Karcher mean once and shares
+it with the Fisher–Rao mean (``frechet.fisher_rao_mean``).
 """
 
 from __future__ import annotations
@@ -63,14 +64,6 @@ def square_back(p: SpherePoint, floor: float = DEFAULT_FLOOR) -> DensityFn:
     return DensityFn(p.grid, _square_rows(p.values[None], p.grid, floor)[0])
 
 
-def geodesic_distance(p: SpherePoint, q: SpherePoint) -> float:
-    """Arc length between two points, in [0, pi]."""
-    if p.grid != q.grid:
-        raise GridMismatchError("sphere points live on different grids")
-    c = np.clip(inner_product(p.values, q.values, p.grid), -1.0, 1.0)
-    return float(np.arccos(c))
-
-
 def log_map(base: SpherePoint, p: SpherePoint) -> np.ndarray:
     """Tangent vector at `base` pointing to `p` with norm = geodesic distance."""
     if p.grid != base.grid:
@@ -105,18 +98,6 @@ def karcher_mean(
     raise NoConvergenceError(f"karcher_mean did not converge in {max_iter} iterations")
 
 
-def pga(sample, k: int | None = None) -> tuple[SpherePoint, fpca.EigenSystem]:
-    """Tangent-space PCA at the Karcher mean.
-
-    Returns the mean point and an eigensystem of the log-mapped sample
-    (mean function, eigenvalues, tangent eigenfunctions, scores).
-    """
-    points = list(sample)
-    mu = karcher_mean(points)
-    data, _ = fpca.stack(points)
-    return mu, fpca.fit(_log_rows(mu, data), mu.grid, k)
-
-
 def _embed_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Unit-norm square roots of each row of an ``(n, m)`` array of densities."""
     v = np.sqrt(values)
@@ -148,8 +129,3 @@ def _exp_rows(base: SpherePoint, v: np.ndarray) -> np.ndarray:
     out /= np.sqrt(integrate_rows(out * out, grid))[:, None]
     out[~far] = base.values
     return out
-
-
-def fisher_rao_mean(densities, floor: float = DEFAULT_FLOOR) -> DensityFn:
-    """Fréchet mean under the geodesic metric, squared back to a density."""
-    return square_back(karcher_mean([sqrt_embed(f) for f in densities]), floor)

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -8,6 +9,9 @@ import pytest
 from densfda import Grid, dist_sup, normalize, unit_grid
 from densfda.cli import main
 from densfda.fileio import (
+    FLOAT_FMT,
+    _read_table,
+    _write_table,
     read_density_csv,
     read_samples_csv,
     write_density_csv,
@@ -25,7 +29,63 @@ def density_csv(tmp_path, rng):
     return path, densities
 
 
+def _read_table_reference(path):
+    """Reference: the table parsed field by field with ``csv.reader`` and ``float``."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    data = np.array([[float(v) for v in row] for row in rows[1:]])
+    return rows[0], data[:, 0], data[:, 1:].T
+
+
+def _write_table_reference(path, first_name, points, columns, ids):
+    """Reference: the table written row by row with ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([first_name, *ids])
+        for j, x in enumerate(points):
+            writer.writerow([FLOAT_FMT % x, *(FLOAT_FMT % col[j] for col in columns)])
+
+
 class TestFileIO:
+    @pytest.mark.parametrize("layout", ["written", "raw", "crlf", "blank-lines", "no-final-newline"])
+    def test_reader_matches_csv_reference(self, tmp_path, rng, layout):
+        grid = Grid(-2.0, 3.0, 129)
+        path = tmp_path / "d.csv"
+        values = [rng.uniform(0.5, 2.0, grid.m) for _ in range(4)]
+        if layout == "raw":  # columns of other than unit mass, renormalized on reading
+            _write_table(path, "x", grid.points, values, ["a", "b", "c", "d"])
+        else:
+            write_density_csv(path, [normalize(v, grid) for v in values])
+        text = path.read_bytes().decode()
+        lines = text.replace("\r\n", "\n").split("\n")
+        text = {
+            "written": text,
+            "raw": text,
+            "crlf": "\r\n".join(lines),
+            "blank-lines": "\n\n".join(lines[:5]) + "\n\n" + "\n".join(lines[5:]) + "\n\n",
+            "no-final-newline": "\n".join(lines).rstrip("\n"),
+        }[layout]
+        path.write_bytes(text.encode())
+        header, points, columns = _read_table(path)
+        ref_header, ref_points, ref_columns = _read_table_reference(path)
+        assert header == ref_header
+        np.testing.assert_array_equal(points, ref_points)
+        np.testing.assert_array_equal(columns, ref_columns)
+        densities, ids = read_density_csv(path, floor=1e-6)
+        assert ids == ref_header[1:]
+        for f, col in zip(densities, ref_columns):
+            assert f.grid == grid
+            np.testing.assert_array_equal(f.values, normalize(col, grid, 1e-6).values)
+
+    def test_writer_matches_csv_writer(self, tmp_path, rng):
+        points = Grid(-1.0, 1.0, 33).points
+        columns = [rng.normal(size=33) * 10.0 ** rng.integers(-300, 300) for _ in range(3)]
+        columns.append(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0] + [1e-320] * 28))
+        ids = ["plain", "with,comma", 'with"quote', " padded "]
+        _write_table(tmp_path / "got.csv", "x", points, columns, ids)
+        _write_table_reference(tmp_path / "want.csv", "x", points, columns, ids)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_density_csv_roundtrip(self, tmp_path, rng):
         grid = Grid(-3.0, 3.0, 257)
         densities = [smooth_density(rng, grid) for _ in range(3)]
@@ -234,6 +294,23 @@ class TestErrorPaths:
         code = main(["estimate", "--in", str(path), "--out", str(tmp_path / "d.csv"),
                      "--support", "0,1"])
         self._assert_csv_error(code, capsys)
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [("0.5,1.0", "CsvFormatError"), ("0.5,1.0,1.0,1.0", "CsvFormatError"),
+         ("0.5,1.0,abc", "ValueError")],
+        ids=["short-row", "long-row", "non-numeric"],
+    )
+    def test_bad_density_table_exits_1(self, tmp_path, capsys, row, error):
+        lines = ["x,subject_1,subject_2"] + [f"{x},1.0,1.0" for x in (0.0, 0.25, 0.75, 1.0)]
+        lines.insert(3, row)
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        captured = capsys.readouterr().err
+        assert "Traceback" not in captured
+        assert json.loads(captured)["error"] == error
 
     @pytest.mark.parametrize("command", ["fve", "analyze"])
     def test_header_without_rows_exits_1(self, tmp_path, capsys, command):

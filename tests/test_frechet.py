@@ -6,7 +6,6 @@ from densfda import (
     DensitySample,
     EmptySampleError,
     FittedMethod,
-    FrechetReport,
     Grid,
     GridMismatchError,
     LQD,
@@ -19,18 +18,21 @@ from densfda import (
     dist_l2,
     dist_sup,
     dist_wasserstein,
+    fisher_rao_mean,
     fit,
     frechet_mean,
     frechet_variance,
     fve_curve,
+    fve_report,
     gen_setting,
+    karcher_mean,
     lqd_inverse,
     normalize,
-    select_k,
+    sqrt_embed,
+    square_back,
     to_cdf,
     to_quantile,
     truncated_normal_density,
-    unblend_uniform,
     unit_grid,
     wasserstein_frechet_mean,
 )
@@ -115,6 +117,10 @@ class TestDensitySample:
             assert sample.mean(metric) is mean
             assert sample.embedding(metric)[0] is sample.embedding(metric)[0]
             assert sample.variance(metric) == frechet_variance(sample, mean, metric)
+        assert sample.karcher_mean() is sample.karcher_mean()
+        # the same bits as the Karcher mean of each density embedded on its own
+        per_density = square_back(karcher_mean([sqrt_embed(f) for f in sample]))
+        np.testing.assert_array_equal(fisher_rao_mean(sample).values, per_density.values)
         with pytest.raises(ValueError):
             sample.values[0, 0] = 1.0
 
@@ -171,7 +177,8 @@ class TestFrechetVariance:
         sample = [smooth_density(rng, unit512) for _ in range(5)]
         for metric in Metric:
             mean = frechet_mean(sample, metric)
-            expect = np.mean([metric.distance(f, mean) ** 2 for f in sample])
+            distance = dist_l2 if metric is Metric.L2 else dist_wasserstein
+            expect = np.mean([distance(f, mean) ** 2 for f in sample])
             assert frechet_variance(sample, mean, metric) == pytest.approx(expect, rel=1e-12)
 
     def test_wasserstein_mean_on_finer_grid(self, rng):
@@ -290,36 +297,46 @@ class TestFveCurve:
 
 
 class TestSelectK:
-    def test_threshold_scan(self):
-        report = FrechetReport(
-            Metric.L2, 1.0, np.array([0.5, 0.8, 0.95]), np.array([0.5, 0.8, 0.95]),
-            0, False, 0.9,
-        )
-        assert select_k(report, 0.9) == (3, True)
-        assert select_k(report, 0.75) == (2, True)
-        assert select_k(report, 0.99) == (3, False)
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        gen = gen_setting(SettingSpec(setting=3, n=12, m=128, seed=5))
+        return FittedMethod(gen.densities, MethodKind.ordinary_fpca())
 
-    def test_matches_brute_force(self, rng):
-        for _ in range(50):
-            fve = np.sort(rng.random(6))
-            p = rng.random()
-            report = FrechetReport(Metric.L2, 1.0, fve, fve, 0, False, p)
-            got = select_k(report, p)
-            hits = [k for k, v in enumerate(fve, start=1) if v > p]
-            assert got == ((hits[0], True) if hits else (len(fve), False))
+    def test_threshold_scan(self, fitted):
+        fve = fve_report(fitted, Metric.L2, k_max=4).fve
+        assert np.all(np.diff(fve) > 0)
+        for k, (below, above) in enumerate(zip(fve[:-1], fve[1:]), start=2):
+            report = fve_report(fitted, Metric.L2, k_max=4, p=0.5 * (below + above))
+            assert (report.selected_k, report.threshold_reached) == (k, True)
+        report = fve_report(fitted, Metric.L2, k_max=4, p=0.5 * (1.0 + fve[-1]))
+        assert (report.selected_k, report.threshold_reached) == (4, False)
 
-    def test_p_validated(self):
-        report = FrechetReport(Metric.L2, 1.0, np.array([0.5]), np.array([0.5]), 0, False, 0.9)
-        with pytest.raises(ValueError):
-            select_k(report, 1.0)
+    def test_matches_brute_force(self, fitted, rng):
+        for metric in Metric:
+            for p in rng.random(10):
+                report = fve_report(fitted, metric, k_max=5, p=p)
+                hits = [k for k, v in enumerate(report.fve, start=1) if v > p]
+                expect = (hits[0], True) if hits else (len(report.fve), False)
+                assert (report.selected_k, report.threshold_reached) == expect
+
+    def test_p_validated(self, fitted):
+        for p in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                fve_report(fitted, Metric.L2, k_max=2, p=p)
 
 
 class TestBlend:
     def test_blend_roundtrip_exact(self, rng, unit512):
-        f = smooth_density(rng, unit512)
-        g = blend_uniform(f, 0.4)
-        back = unblend_uniform(g, 0.4, floor=0.0)
-        assert dist_sup(f, back) <= 1e-12
+        # the blended method's reconstructions, blended again, are the plain
+        # method's reconstructions of the blended sample: unblending is exact
+        sample = [smooth_density(rng, unit512) for _ in range(6)]
+        blended = FittedMethod(sample, MethodKind.lqd(0.4), floor=0.0)
+        plain = FittedMethod([blend_uniform(f, 0.4) for f in sample], MethodKind.lqd())
+        for k in (0, 2, 5):
+            for r, want in zip(blended.reconstruct(k), plain.reconstruct_values(k)):
+                np.testing.assert_allclose(blend_uniform(r, 0.4).values, want, rtol=0.0, atol=1e-12)
+        for f, r in zip(sample, blended.reconstruct(5)):
+            assert dist_sup(f, r) <= 1e-3
 
     def test_blend_bounds_transform(self, rng):
         grid = Grid(-5.0, 5.0, M)

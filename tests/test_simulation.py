@@ -163,8 +163,9 @@ class TestRunComparison:
         import densfda.frechet as frechet
         import densfda.simulation as sim
 
-        means, embedded, samples = [], [], []
+        means, embedded, samples, karcher = [], [], [], []
         original_mean = frechet.wasserstein_frechet_mean
+        original_karcher = frechet.karcher_mean
         original_embed = frechet.Metric.embed_rows
         original_gen = sim.gen_setting
 
@@ -176,6 +177,10 @@ class TestRunComparison:
             embedded.append((self, values))
             return original_embed(self, values, grid, m)
 
+        def counting_karcher(points):
+            karcher.append(points)
+            return original_karcher(points)
+
         def keeping_gen(spec, rng=None):
             gen = original_gen(spec, rng)
             samples.append(np.stack([f.values for f in gen.densities]))
@@ -183,6 +188,7 @@ class TestRunComparison:
 
         monkeypatch.setattr(frechet, "wasserstein_frechet_mean", counting_mean)
         monkeypatch.setattr(frechet.Metric, "embed_rows", counting_embed)
+        monkeypatch.setattr(frechet, "karcher_mean", counting_karcher)
         monkeypatch.setattr(sim, "gen_setting", keeping_gen)
         spec = SettingSpec(setting=2, n=12, seed=9, m=128)
         res = sim.run_comparison(spec, default_methods(), 1, metric, reps=1)
@@ -192,6 +198,8 @@ class TestRunComparison:
         # the sample itself is embedded once, under the FVE metric only
         of_sample = [m for m, values in embedded if np.array_equal(values, samples[0])]
         assert of_sample == [metric]
+        # one Karcher mean, shared by the sphere method and the Fisher-Rao mean
+        assert len(karcher) == 1
 
     def test_reps_validated(self):
         with pytest.raises(ValueError):

@@ -10,11 +10,9 @@ from densfda import (
     dist_l2,
     exp_map,
     fisher_rao_mean,
-    geodesic_distance,
     karcher_mean,
     log_map,
     normalize,
-    pga,
     sqrt_embed,
     square_back,
     truncate,
@@ -25,6 +23,12 @@ from conftest import smooth_density
 
 M = 512
 HS = MethodKind.hilbert_sphere()
+
+
+def geodesic_distance(p, q):
+    """Arc length between two sphere points: the norm of the log map."""
+    v = log_map(p, q)
+    return float(np.sqrt(inner_product(v, v, p.grid)))
 
 
 class TestEmbedding:
@@ -142,26 +146,29 @@ class TestKarcherMean:
 
 class TestPga:
     def test_identical_sample_no_components(self, rng, unit512):
-        p = sqrt_embed(smooth_density(rng, unit512))
-        _, system = pga([p, p, p])
-        assert system.n_components == 0
+        f = smooth_density(rng, unit512)
+        assert FittedMethod([f, f, f], HS).n_components == 0
 
     def test_geodesic_family_is_rank_one(self, rng, unit512):
         mu = sqrt_embed(smooth_density(rng, unit512))
         v = log_map(mu, sqrt_embed(smooth_density(rng, unit512)))
         v /= np.sqrt(inner_product(v, v, unit512))
-        cs = rng.uniform(-0.6, 0.6, 30)
-        points = [exp_map(mu, c * v) for c in cs]
-        _, system = pga(points)
+        # |c| <= 0.3 keeps this geodesic in the positive orthant, where
+        # squaring back to densities loses nothing
+        cs = rng.uniform(-0.3, 0.3, 30)
+        system = FittedMethod([square_back(exp_map(mu, c * v)) for c in cs], HS).system
         share = system.eigenvalues[0] / system.eigenvalues.sum()
         assert share >= 0.999
 
     def test_tangents_orthogonal_to_mean(self, rng, unit512):
-        points = [sqrt_embed(smooth_density(rng, unit512)) for _ in range(10)]
-        mu, system = pga(points)
-        for p in points:
-            v = log_map(mu, p)
+        densities = [smooth_density(rng, unit512) for _ in range(10)]
+        fitted = FittedMethod(densities, HS)
+        mu = fitted.sphere_mean
+        for f in densities:
+            v = log_map(mu, sqrt_embed(f))
             assert abs(inner_product(v, mu.values, unit512)) <= 1e-8
+        for phi in fitted.system.eigenfunctions:
+            assert abs(inner_product(phi, mu.values, unit512)) <= 1e-8
 
 
 class TestRepresentations:

@@ -22,12 +22,14 @@ from densfda import (
     unit_grid,
 )
 from densfda.density import integrate
+from densfda.errors import DensfdaError
 from densfda.transforms import lqd_forward_rows, lqd_inverse_rows
 from scipy.integrate import cumulative_trapezoid
 
 from conftest import smooth_density
 
 M = 512
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture
@@ -262,25 +264,37 @@ def _cdf_loop(values, grid):
     return cum
 
 
-def _lqd_forward_loop(f):
-    """Reference: the per-density LQD forward map."""
-    grid01 = unit_grid(f.grid.m)
-    v01 = f.values * f.grid.width
+def _quantile_loop(v01):
+    """Q(t) of a density on [0, 1], the first step of the forward map."""
+    grid01 = unit_grid(len(v01))
     levels, first = np.unique(_cdf_loop(v01, grid01), return_index=True)
     q = np.interp(grid01.points, levels, grid01.points[first])
     q[0], q[-1] = 0.0, 1.0
-    return -np.log(np.interp(q, grid01.points, v01))
+    return q
 
 
-def _lqd_inverse_loop(x, support):
-    """Reference: the per-function LQD inverse map onto ``support``."""
+def _lqd_forward_loop(f):
+    """Reference: the per-density LQD forward map."""
+    v01 = f.values * f.grid.width
+    return -np.log(np.interp(_quantile_loop(v01), unit_grid(f.grid.m).points, v01))
+
+
+def _inverse_loop_steps(x):
+    """theta and F(t) of LQD values x, the first step of the inverse map."""
     tgrid = unit_grid(len(x))
     t = tgrid.points
     ex = np.exp(x)
     theta = integrate(ex, tgrid)
     q = cumulative_trapezoid(ex, dx=tgrid.spacing, initial=0.0) / theta
     q[-1] = 1.0
-    values01 = theta * np.exp(-np.interp(np.interp(t, q, t), t, x))
+    return theta, np.interp(t, q, t)
+
+
+def _lqd_inverse_loop(x, support):
+    """Reference: the per-function LQD inverse map onto ``support``."""
+    tgrid = unit_grid(len(x))
+    theta, F = _inverse_loop_steps(x)
+    values01 = theta * np.exp(-np.interp(F, tgrid.points, x))
     values01 /= integrate(values01, tgrid)
     return values01 / (support[1] - support[0])
 
@@ -310,3 +324,104 @@ class TestBatchedLqdAgainstLoop:
             f = lqd_inverse(TransformedFn(unit_grid(grid.m), row, LQD, support))
             assert f.grid == grid
             np.testing.assert_allclose(f.values, want, rtol=1e-12, atol=1e-12)
+
+
+def _cell_of(points, m):
+    """Index of the grid cell of the unit grid of m points holding each point."""
+    return np.clip((points * (m - 1)).astype(int), 0, m - 2)
+
+
+def _segments(gen, m, ends):
+    """A row of m values in 1-5 linear pieces; ``ends()`` draws each piece's two ends."""
+    cuts = np.sort(gen.choice(np.arange(1, m), size=min(int(gen.integers(0, 5)), m - 1), replace=False))
+    row = np.empty(m)
+    for a, b in zip([0, *cuts], [*cuts, m]):
+        row[a:b] = np.linspace(ends(), ends(), b - a)
+    return row
+
+
+class TestLqdKernelsProperty:
+    """The one-interpolation kernels against the two-step loops above.
+
+    Every case agrees with the loop or raises a ``DensfdaError``.  The
+    agreement is 1e-12 plus the loop's own round-off: the loop places its
+    intermediate point, Q(t) or F(s), to within about (m - 1) eps of a
+    grid cell and then interpolates again, so it is off by that many
+    cells times the slope of the outer function in the cell it lands in.
+    Next to spikes that slope is large; the loop is then the less
+    accurate of the two, since the kernels interpolate once.
+    """
+
+    def test_forward_matches_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(
+            st.integers(1, 3),
+            st.integers(3, 4096),
+            st.integers(0, 2**32 - 1),
+            st.sampled_from([1e-3, 1e-6, 1e-12, 1e-300]),
+            st.integers(0, 3),
+        )
+        def check(n, m, seed, floor, spikes):
+            gen = np.random.default_rng(seed)
+            lo = np.log(floor) - 5.0  # pieces below the floor become floor-level tails
+            rows = np.maximum(np.exp([_segments(gen, m, lambda: gen.uniform(lo, 3.0)) for _ in range(n)]), floor)
+            for row in rows:
+                row[gen.integers(0, m, spikes)] *= 10.0 ** gen.uniform(0.0, 6.0, spikes)
+                row /= integrate(row, unit_grid(m))
+            try:
+                got = lqd_forward_rows(rows)
+            except DensfdaError:
+                return
+            grid = unit_grid(m)
+            for row, x in zip(rows, got):
+                ref = _lqd_forward_loop(DensityFn(grid, row))
+                j = _cell_of(_quantile_loop(row), m)
+                slope = np.abs(row[j + 1] - row[j]) / np.exp(-ref)
+                tol = 1e-12 + 4.0 * (m - 1) * EPS * slope
+                assert np.all(np.abs(x - ref) <= tol)
+
+        check()
+
+    @pytest.mark.parametrize("m, tiny", [(100, [50, 51]), (100, [0, 1]), (100, [98, 99]), (3, [0, 1])],
+                             ids=["inside", "first", "last", "m3"])
+    def test_flat_cdf_step(self, m, tiny):
+        # two floor-level neighbours leave one flat CDF step, whose skipped
+        # knot the forward kernel places midway between its neighbours
+        row = np.ones(m)
+        row[tiny] = 1e-300
+        row /= integrate(row, unit_grid(m))
+        ref = _lqd_forward_loop(DensityFn(unit_grid(m), row))
+        np.testing.assert_allclose(lqd_forward_rows(row[None])[0], ref, rtol=0.0, atol=1e-12)
+
+    def test_inverse_matches_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(st.integers(1, 3), st.integers(3, 4096), st.integers(0, 2**32 - 1))
+        def check(n, m, seed):
+            gen = np.random.default_rng(seed)
+            # piece ends moderate, just below the +700 exp guard, or deep
+            # enough that exp underflows and q has flat steps
+            bands = [(-5.0, 5.0), (660.0, 699.9), (-800.0, -745.0)]
+            x = np.stack([
+                _segments(gen, m, lambda: gen.uniform(*bands[gen.choice(3, p=[0.6, 0.2, 0.2])]))
+                for _ in range(n)
+            ])
+            with np.errstate(over="ignore", invalid="ignore"):
+                refs = [_lqd_inverse_loop(row, (0.0, 1.0)) for row in x]
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = lqd_inverse_rows(x)
+            except DensfdaError:
+                assert any(not np.all(np.isfinite(r) & (r > 0)) for r in refs)
+                return
+            for row, f, ref in zip(x, got, refs):
+                dx = np.abs(np.diff(row))[_cell_of(_inverse_loop_steps(row)[1], m)]
+                tol = 1e-12 + 4.0 * (m - 1) * EPS * (dx + dx.max())
+                assert np.all(np.abs(f - ref) <= tol * ref)
+
+        check()
