@@ -12,18 +12,12 @@ simulation harness, and scalar-on-density regression.
 
 from .density import (
     DEFAULT_FLOOR,
-    CdfFn,
     DensityFn,
     Grid,
-    QuantileFn,
     dist_l2,
     dist_sup,
     dist_wasserstein,
-    from_unit_support,
     normalize,
-    to_cdf,
-    to_quantile,
-    to_unit_support,
     unit_grid,
 )
 from .errors import (
@@ -39,7 +33,6 @@ from .errors import (
     NoConvergenceError,
     NonFiniteError,
     NotInvertibleError,
-    NotSymmetricError,
     OutOfSupportError,
     RankDeficientWarning,
     SupportMismatchError,
@@ -48,12 +41,8 @@ from .errors import (
 )
 from .fpca import (
     EigenSystem,
-    cross_sectional_mean,
-    covariance,
-    eigendecompose,
     fit,
     mode_of_variation,
-    project_to_density,
     scores,
     truncate,
 )
@@ -63,7 +52,6 @@ from .frechet import (
     FrechetReport,
     Metric,
     MethodKind,
-    blend_uniform,
     fisher_rao_mean,
     frechet_mean,
     frechet_variance,

@@ -1,5 +1,8 @@
-"""Command-line front end: estimate, transform, analyze, modes, mean, fve,
+"""Command-line front end: estimate, transform, analyze, modes, mean,
 simulate, regress.
+
+``analyze`` writes the FVE report of one method (JSON) and its modes of
+variation (``<output stem>_modes.csv``) from one fit.
 
 Every command writes its outputs plus a ``<output>.manifest.json``
 recording the argv, seed, input digests and artifact version.  Exit
@@ -105,15 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("fve", parents=[common], help="FVE curve only")
-    p.add_argument("--method", choices=["lqd", "fpca", "hs", "loghazard"], default="lqd")
-    p.add_argument("--metric", choices=["l2", "wasserstein"], default="l2")
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--p", type=float, default=0.9)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-
     p = sub.add_parser("simulate", parents=[common], help="replicated method comparison")
     p.add_argument("--setting", type=int, choices=[1, 2, 3], required=True)
     p.add_argument("--n", type=int, default=50)
@@ -196,17 +190,11 @@ def _report_payload(report, fitted):
     }
 
 
-def _write_fve_report(args):
-    """Fit the method once, write its FVE report; return the fit and the report."""
+def _cmd_analyze(args):
     densities, _ = fileio.read_density_csv(args.infile)
     fitted = FittedMethod(densities, _method(args.method, args.delta))
     report = fve_report(fitted, _metric(args.metric), args.kmax, args.p)
     fileio.write_json(args.out, _report_payload(report, fitted))
-    return fitted, report
-
-
-def _cmd_analyze(args):
-    fitted, report = _write_fve_report(args)
     modes_path = f"{os.path.splitext(args.out)[0]}_modes.csv"
     ks = range(1, min(report.selected_k, 2, fitted.n_components) + 1)
     _write_modes(modes_path, fitted, ks, args.modes_alpha)
@@ -237,11 +225,6 @@ def _cmd_mean(args):
     else:
         mean = frechet_mean(densities, _metric(args.metric))
     fileio.write_density_csv(args.out, [mean], [f"{args.metric}_mean"])
-    _manifest(args, args.out, [args.infile])
-
-
-def _cmd_fve(args):
-    _write_fve_report(args)
     _manifest(args, args.out, [args.infile])
 
 
@@ -302,7 +285,6 @@ _HANDLERS = {
     "analyze": _cmd_analyze,
     "modes": _cmd_modes,
     "mean": _cmd_mean,
-    "fve": _cmd_fve,
     "simulate": _cmd_simulate,
     "regress": _cmd_regress,
 }

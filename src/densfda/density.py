@@ -2,11 +2,13 @@
 
 A density sample lives on a uniform grid over a compact support [lo, hi].
 All integrals use the trapezoidal rule on that grid, so every quantity in
-the package is reproducible from the grid alone.  Densities convert
-losslessly (up to quadrature) to CDFs and quantile functions; the
-log quantile density and log hazard transforms live in `transforms`.
-Three metrics are provided: L2 (`dist_l2`), uniform (`dist_sup`) and
-the quantile-based Wasserstein distance (`dist_wasserstein`).
+the package is reproducible from the grid alone.  A sample is an
+``(n, m)`` array of density values on one grid, and its CDFs and
+quantile functions are arrays of the same shape (`cdf_rows`,
+`quantile_rows`); the log quantile density and log hazard transforms
+live in `transforms`.  Three metrics are provided: L2 (`dist_l2`),
+uniform (`dist_sup`) and the quantile-based Wasserstein distance
+(`dist_wasserstein`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     AllZeroError,
@@ -27,7 +28,6 @@ from .errors import (
 
 DEFAULT_FLOOR = 1e-6
 DEFAULT_GRID_SIZE = 512
-DISPLAY_GRID_SIZE = 101
 
 _UNIT_MASS_TOL = 1e-10
 
@@ -85,18 +85,15 @@ def integrate_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 def cumulative_integral(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Running trapezoidal integral along the last axis, starting at 0."""
-    return cumulative_trapezoid(np.asarray(values, dtype=float), dx=grid.spacing, initial=0.0, axis=-1)
+    v = np.asarray(values, dtype=float)
+    out = np.zeros(v.shape)
+    np.cumsum(grid.spacing * (v[..., 1:] + v[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
+    return out
 
 
 def inner_product(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
     """L2 inner product on the grid."""
     return integrate(np.asarray(u) * np.asarray(v), grid)
-
-
-def _freeze(values) -> np.ndarray:
-    out = np.ascontiguousarray(values, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +109,9 @@ class DensityFn:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
+        values = np.ascontiguousarray(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         if self.values.shape != (self.grid.m,):
             raise InvalidDensityError("values must match the grid size")
         if not np.all(np.isfinite(self.values)):
@@ -131,44 +130,6 @@ class DensityFn:
     @property
     def support(self) -> tuple[float, float]:
         return (self.grid.lo, self.grid.hi)
-
-
-@dataclass(frozen=True)
-class CdfFn:
-    """CDF values on a grid: nondecreasing, 0 at lo and 1 at hi."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        if self.values.shape != (self.grid.m,):
-            raise ValueError("values must match the grid size")
-        if np.any(np.diff(self.values) < 0):
-            raise ValueError("CDF values must be nondecreasing")
-        if abs(self.values[0]) > _UNIT_MASS_TOL or abs(self.values[-1] - 1.0) > _UNIT_MASS_TOL:
-            raise ValueError("CDF must run from 0 to 1 over the support")
-
-
-@dataclass(frozen=True)
-class QuantileFn:
-    """Quantile function on a probability grid over [0, 1]."""
-
-    tgrid: Grid
-    values: np.ndarray = field(repr=False)
-    support: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        if (self.tgrid.lo, self.tgrid.hi) != (0.0, 1.0):
-            raise ValueError("quantile functions live on the probability grid [0, 1]")
-        if self.values.shape != (self.tgrid.m,):
-            raise ValueError("values must match the grid size")
-        if np.any(np.diff(self.values) < 0):
-            raise ValueError("quantile values must be nondecreasing")
-        lo, hi = self.support
-        if self.values[0] < lo - 1e-12 or self.values[-1] > hi + 1e-12:
-            raise ValueError("quantile values must stay inside the support")
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +193,9 @@ def normalize_rows(values, grid: Grid, floor: float = DEFAULT_FLOOR) -> np.ndarr
     return out
 
 
-def to_cdf(f: DensityFn) -> CdfFn:
-    """Cumulative trapezoidal integral of a density, pinned to [0, 1]."""
-    return CdfFn(f.grid, cdf_rows(f.values[None], f.grid)[0])
-
-
 def cdf_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """:func:`to_cdf` of each row of an ``(n, m)`` array of density values."""
+    """Cumulative trapezoidal integral of each row of an ``(n, m)`` array of
+    density values, pinned to 0 at ``lo`` and 1 at ``hi``."""
     cum = cumulative_integral(values, grid)
     cum /= cum[:, -1:]
     cum[:, 0] = 0.0
@@ -246,19 +203,14 @@ def cdf_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
     return cum
 
 
-def to_quantile(F: CdfFn, tgrid: Grid) -> QuantileFn:
-    """Invert a CDF by monotone piecewise-linear interpolation.
+def quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray:
+    """Invert each row of an ``(n, m)`` array of CDF values by monotone
+    piecewise-linear interpolation on the probability grid ``tgrid``.
 
     Flat spans at most one grid cell wide are resolved to their left
     endpoint; wider flats cannot be inverted and raise
     ``NotInvertibleError``.
     """
-    q = quantile_rows(F.values[None], F.grid, tgrid)[0]
-    return QuantileFn(tgrid, q, support=(F.grid.lo, F.grid.hi))
-
-
-def quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray:
-    """:func:`to_quantile` of each row of an ``(n, m)`` array of CDF values."""
     if (tgrid.lo, tgrid.hi) != (0.0, 1.0):
         raise ValueError("quantiles are evaluated on a probability grid over [0, 1]")
     first = _first_knots(cdf)
@@ -420,25 +372,3 @@ def dist_wasserstein(f: DensityFn, g: DensityFn) -> float:
     qf = quantile_rows(cdf_rows(f.values[None], f.grid), f.grid, tgrid)
     qg = quantile_rows(cdf_rows(g.values[None], g.grid), g.grid, tgrid)
     return float(np.sqrt(sq_dist_rows(qf, qg, tgrid)[0]))
-
-
-# ---------------------------------------------------------------------------
-# Support mapping
-# ---------------------------------------------------------------------------
-
-
-def to_unit_support(f: DensityFn) -> DensityFn:
-    """Affinely map a density on [lo, hi] to the unit interval."""
-    if f.support == (0.0, 1.0):
-        return f
-    return DensityFn(unit_grid(f.grid.m), f.values * f.grid.width)
-
-
-def from_unit_support(f01: DensityFn, lo: float, hi: float) -> DensityFn:
-    """Inverse of :func:`to_unit_support` onto the target support [lo, hi]."""
-    if f01.support != (0.0, 1.0):
-        raise SupportMismatchError("input must live on [0, 1]")
-    if (lo, hi) == (0.0, 1.0):
-        return f01
-    grid = Grid(lo, hi, f01.grid.m)
-    return DensityFn(grid, f01.values / grid.width)

@@ -49,10 +49,6 @@ class EmptySampleError(DensfdaError):
     """An operation requiring n >= 1 (or >= 2) received an empty sample."""
 
 
-class NotSymmetricError(DensfdaError):
-    """Covariance surface is not symmetric."""
-
-
 class NoConvergenceError(DensfdaError):
     """Iterative mean computation failed to converge within max_iter."""
 

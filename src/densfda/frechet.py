@@ -291,14 +291,8 @@ def frechet_variance(sample, mean: DensityFn, metric: Metric) -> float:
 # ---------------------------------------------------------------------------
 
 
-def blend_uniform(f: DensityFn, weight: float) -> DensityFn:
-    """Mixture (1 - weight) * f + weight * uniform on the same support."""
-    if weight == 0.0:
-        return f
-    return DensityFn(f.grid, _blend_rows(f.values, f.grid, weight))
-
-
 def _blend_rows(values: np.ndarray, grid: Grid, weight: float) -> np.ndarray:
+    """Mixture (1 - weight) * f + weight * uniform of each row."""
     return (1.0 - weight) * values + weight / grid.width
 
 

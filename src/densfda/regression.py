@@ -19,7 +19,7 @@ import numpy as np
 from . import fpca
 from .density import Grid
 from .errors import RankDeficientWarning
-from .transforms import lqd_forward
+from .transforms import LQD, forward_rows
 
 SCORE_METHODS = ("fpca", "lqd")
 
@@ -107,8 +107,11 @@ def _score_rows(densities, method: str) -> tuple[np.ndarray, Grid]:
     """The densities, or each one's LQD transform, as an ``(n, m)`` array."""
     if method not in SCORE_METHODS:
         raise ValueError(f"method must be one of {SCORE_METHODS}, got {method!r}")
-    sample = densities if method == "fpca" else [lqd_forward(f) for f in densities]
-    return fpca.stack(sample)
+    values, grid = fpca.stack(densities)
+    if method == "fpca":
+        return values, grid
+    tgrid, xs = forward_rows(values, grid, LQD)
+    return xs, tgrid
 
 
 def _fit_basis(rows: np.ndarray, grid: Grid, method: str, k: int) -> ScoreBasis:

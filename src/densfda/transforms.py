@@ -8,11 +8,19 @@ domain [0, 1-delta]; its inverse places the leftover mass uniformly on
 (1-delta, 1].  Densities on a native support [a, b] are mapped affinely
 to [0, 1] before transforming and restored on inversion.
 
-Each LQD map evaluates one piecewise-linear interpolant at another, and
-does so with one ``np.interp`` per row: between consecutive knots the
-inner interpolant is affine onto one grid cell, where the outer one is
-affine too, so the composition is the interpolant through the knots of
-the inner one with the outer one's values.  This is exact up to
+Each transform is a pair of row kernels on ``(n, m)`` arrays of
+densities on [0, 1] and of transformed values: :func:`lqd_forward_rows`
+and :func:`lqd_inverse_rows`, :func:`log_hazard_forward_rows` and
+:func:`log_hazard_inverse_rows`.  :func:`forward_rows` and
+:func:`inverse_rows` apply them to a sample on its native support, and
+the per-function maps (:func:`lqd_forward`, :func:`log_hazard_inverse`,
+...) call them with one row.
+
+Each LQD kernel evaluates one piecewise-linear interpolant at another,
+and does so with one ``np.interp`` per row: between consecutive knots
+the inner interpolant is affine onto one grid cell, where the outer one
+is affine too, so the composition is the interpolant through the knots
+of the inner one with the outer one's values.  This is exact up to
 round-off, and has less of it than two steps, which place the
 intermediate point only to about m machine epsilons of a grid cell.
 """
@@ -31,17 +39,16 @@ from .density import (
     _first_knots,
     cdf_rows,
     cumulative_integral,
-    from_unit_support,
     integrate_rows,
-    normalize,
     normalize_rows,
-    to_cdf,
-    to_unit_support,
     unit_grid,
 )
 from .errors import NonFiniteError, TransformOverflowError
 
 _EXP_GUARD = 700.0  # exp overflows binary64 just above this
+# inverse kernels let overflow run into the finiteness and positivity
+# checks of normalize_rows, which raise a DensfdaError
+_QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 
 class TransformKind(Enum):
@@ -99,26 +106,8 @@ class TransformedFn:
 
 
 # ---------------------------------------------------------------------------
-# Log quantile density
+# Row kernels on [0, 1]
 # ---------------------------------------------------------------------------
-
-
-def lqd_forward(f: DensityFn) -> TransformedFn:
-    """X(t) = -log f(Q(t)) on the probability grid."""
-    x = lqd_forward_rows(f.values[None] * f.grid.width)[0]
-    return TransformedFn(unit_grid(f.grid.m), x, LQD, f.support)
-
-
-def lqd_inverse(x: TransformedFn) -> DensityFn:
-    """Map X back to a density supported exactly on the native interval.
-
-    See :func:`lqd_inverse_rows` for the construction.
-    """
-    if x.spec.kind is not TransformKind.LOG_QUANTILE_DENSITY:
-        raise ValueError("lqd_inverse expects a log-quantile-density function")
-    lo, hi = x.support
-    values01 = lqd_inverse_rows(x.values[None])[0]
-    return DensityFn(Grid(lo, hi, x.tgrid.m), values01 / (hi - lo))
 
 
 def lqd_forward_rows(values01: np.ndarray) -> np.ndarray:
@@ -151,86 +140,76 @@ def lqd_inverse_rows(x: np.ndarray) -> np.ndarray:
     scaled by its total theta, which pins Q(1) = 1; the density follows
     as theta * exp(-X(F)) and is renormalized once to absorb quadrature
     drift.  F interpolates the knots (q_j, t_j), so X(F(s)) is the
-    interpolant through (q_j, X_j) (see the module docstring).
+    interpolant through (q_j, X_j) (see the module docstring).  Values
+    that overflow or underflow end in a ``DensfdaError`` from the final
+    check, not in a NumPy warning.
     """
     _guard_exp(x)
     grid = unit_grid(x.shape[1])
     t = grid.points
-    ex = np.exp(x)
-    theta = integrate_rows(ex, grid)
-    q = cumulative_integral(ex, grid) / theta[:, None]
-    q[:, -1] = 1.0
-    xf = np.empty_like(q)
-    for i, (qi, xi) in enumerate(zip(q, x)):
-        xf[i] = np.interp(t, qi, xi)
-    return normalize_rows(theta[:, None] * np.exp(-xf), grid, floor=0.0)
+    with np.errstate(**_QUIET):
+        ex = np.exp(x)
+        theta = integrate_rows(ex, grid)
+        q = cumulative_integral(ex, grid) / theta[:, None]
+        q[:, -1] = 1.0
+        xf = np.empty_like(q)
+        for i, (qi, xi) in enumerate(zip(q, x)):
+            xf[i] = np.interp(t, qi, xi)
+        return normalize_rows(theta[:, None] * np.exp(-xf), grid, floor=0.0)
 
 
-# ---------------------------------------------------------------------------
-# Log hazard
-# ---------------------------------------------------------------------------
+def log_hazard_forward_rows(values01: np.ndarray, delta: float) -> np.ndarray:
+    """Log hazard of each row of an ``(n, m)`` array of densities on [0, 1].
 
-
-def log_hazard_forward(f: DensityFn, spec: TransformSpec) -> TransformedFn:
-    """X(t) = log f(t) - log(1 - F(t)) on [0, 1 - delta]."""
-    if spec.kind is not TransformKind.LOG_HAZARD:
-        raise ValueError("spec must be a log-hazard spec")
-    f01 = to_unit_support(f)
-    F = to_cdf(f01)
-    tgrid = Grid(0.0, 1.0 - spec.delta, f01.grid.m)
-    t = tgrid.points
-    ft = np.interp(t, f01.grid.points, f01.values)
-    survival = 1.0 - np.interp(t, f01.grid.points, F.values)
+    Row i of the result is X on the grid of m points over [0, 1 - delta].
+    Raises ``TransformOverflowError`` when a survival function vanishes
+    before 1 - delta.
+    """
+    m = values01.shape[1]
+    grid = unit_grid(m)
+    cdf = cdf_rows(values01, grid)
+    s, t = grid.points, np.linspace(0.0, 1.0 - delta, m)
+    ft = np.empty_like(cdf)
+    survival = np.empty_like(cdf)
+    for i, (f, F) in enumerate(zip(values01, cdf)):
+        ft[i] = np.interp(t, s, f)
+        survival[i] = 1.0 - np.interp(t, s, F)
     if survival.min() < 1e-300:
         raise TransformOverflowError("survival function vanished before 1 - delta")
-    return TransformedFn(tgrid, np.log(ft) - np.log(survival), spec, f.support)
+    return np.log(ft) - np.log(survival)
 
 
-def log_hazard_inverse(x: TransformedFn, spec: TransformSpec | None = None) -> DensityFn:
-    """Rebuild a density from a log hazard on [0, 1 - delta].
+def log_hazard_inverse_rows(x: np.ndarray, delta: float) -> np.ndarray:
+    """Densities on [0, 1] for each row of an ``(n, m)`` array of log hazards.
 
     On the truncated domain the density is exp{X(s) - int_0^s exp(X)};
     the remaining mass exp{-int_0^{1-delta} exp(X)} is spread uniformly
-    over (1 - delta, 1].  The cumulative hazard integral uses a cubic
-    spline antiderivative so the interior/tail mass split is accurate
-    well beyond trapezoidal resolution.
+    over (1 - delta, 1], and each row is renormalized once.  The
+    cumulative hazard integral uses a cubic spline antiderivative so the
+    interior/tail mass split is accurate well beyond trapezoidal
+    resolution.  As in :func:`lqd_inverse_rows`, overflow ends in a
+    ``DensfdaError``.
     """
-    spec = spec or x.spec
-    if spec != x.spec:
-        raise ValueError("spec disagrees with the transformed function's own spec")
-    if spec.kind is not TransformKind.LOG_HAZARD:
-        raise ValueError("log_hazard_inverse expects a log-hazard function")
-    _guard_exp(x.values)
-    tgrid = x.tgrid
-    t = tgrid.points
-    cumhaz = CubicSpline(t, np.exp(x.values)).antiderivative()
-    upper = 1.0 - spec.delta
-    xs = np.linspace(0.0, 1.0, tgrid.m)
-    interior = xs <= upper
-    values01 = np.empty(tgrid.m)
-    xi = xs[interior]
-    values01[interior] = np.exp(np.interp(xi, t, x.values) - cumhaz(xi))
-    tail_mass = np.exp(-float(cumhaz(upper)))
-    values01[~interior] = tail_mass / spec.delta
-    d01 = normalize(values01, unit_grid(tgrid.m), floor=0.0)
-    return from_unit_support(d01, *x.support)
+    _guard_exp(x)
+    m = x.shape[1]
+    upper = 1.0 - delta
+    t = np.linspace(0.0, upper, m)
+    grid = unit_grid(m)
+    interior = grid.points <= upper
+    s = grid.points[interior]
+    values01 = np.empty_like(x)
+    with np.errstate(**_QUIET):
+        cumhaz = CubicSpline(t, np.exp(x), axis=1).antiderivative()
+        hazard_integral = cumhaz(s)
+        for i, row in enumerate(x):
+            values01[i, interior] = np.exp(np.interp(s, t, row) - hazard_integral[i])
+        values01[:, ~interior] = (np.exp(-cumhaz(upper)) / delta)[:, None]
+        return normalize_rows(values01, grid, floor=0.0)
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Samples and single functions on their native support
 # ---------------------------------------------------------------------------
-
-
-def forward(f: DensityFn, spec: TransformSpec) -> TransformedFn:
-    if spec.kind is TransformKind.LOG_QUANTILE_DENSITY:
-        return lqd_forward(f)
-    return log_hazard_forward(f, spec)
-
-
-def inverse(x: TransformedFn) -> DensityFn:
-    if x.spec.kind is TransformKind.LOG_QUANTILE_DENSITY:
-        return lqd_inverse(x)
-    return log_hazard_inverse(x)
 
 
 def forward_rows(values: np.ndarray, grid: Grid, spec: TransformSpec) -> tuple[Grid, np.ndarray]:
@@ -238,10 +217,10 @@ def forward_rows(values: np.ndarray, grid: Grid, spec: TransformSpec) -> tuple[G
 
     Returns the transform grid and the ``(n, m)`` transformed values.
     """
+    values01 = values * grid.width
     if spec.kind is TransformKind.LOG_QUANTILE_DENSITY:
-        return unit_grid(grid.m), lqd_forward_rows(values * grid.width)
-    xs = [log_hazard_forward(DensityFn(grid, row), spec) for row in values]
-    return xs[0].tgrid, np.stack([x.values for x in xs])
+        return unit_grid(grid.m), lqd_forward_rows(values01)
+    return Grid(0.0, 1.0 - spec.delta, grid.m), log_hazard_forward_rows(values01, spec.delta)
 
 
 def inverse_rows(x: np.ndarray, tgrid: Grid, spec: TransformSpec, support) -> np.ndarray:
@@ -249,9 +228,48 @@ def inverse_rows(x: np.ndarray, tgrid: Grid, spec: TransformSpec, support) -> np
     lo, hi = support
     if spec.kind is TransformKind.LOG_QUANTILE_DENSITY:
         return lqd_inverse_rows(x) / (hi - lo)
-    return np.stack(
-        [log_hazard_inverse(TransformedFn(tgrid, row, spec, support)).values for row in x]
-    )
+    return log_hazard_inverse_rows(x, spec.delta) / (hi - lo)
+
+
+def forward(f: DensityFn, spec: TransformSpec) -> TransformedFn:
+    """:func:`forward_rows` of one density, with its native support recorded."""
+    tgrid, x = forward_rows(f.values[None], f.grid, spec)
+    return TransformedFn(tgrid, x[0], spec, f.support)
+
+
+def inverse(x: TransformedFn) -> DensityFn:
+    """:func:`inverse_rows` of one function, on the support it records."""
+    lo, hi = x.support
+    values = inverse_rows(x.values[None], x.tgrid, x.spec, x.support)[0]
+    return DensityFn(Grid(lo, hi, x.tgrid.m), values)
+
+
+def lqd_forward(f: DensityFn) -> TransformedFn:
+    """X(t) = -log f(Q(t)) on the probability grid."""
+    return forward(f, LQD)
+
+
+def lqd_inverse(x: TransformedFn) -> DensityFn:
+    """Map X back to a density supported exactly on the native interval."""
+    if x.spec.kind is not TransformKind.LOG_QUANTILE_DENSITY:
+        raise ValueError("lqd_inverse expects a log-quantile-density function")
+    return inverse(x)
+
+
+def log_hazard_forward(f: DensityFn, spec: TransformSpec) -> TransformedFn:
+    """X(t) = log f(t) - log(1 - F(t)) on [0, 1 - delta]."""
+    if spec.kind is not TransformKind.LOG_HAZARD:
+        raise ValueError("spec must be a log-hazard spec")
+    return forward(f, spec)
+
+
+def log_hazard_inverse(x: TransformedFn, spec: TransformSpec | None = None) -> DensityFn:
+    """Map a log hazard back to a density on the native interval."""
+    if spec is not None and spec != x.spec:
+        raise ValueError("spec disagrees with the transformed function's own spec")
+    if x.spec.kind is not TransformKind.LOG_HAZARD:
+        raise ValueError("log_hazard_inverse expects a log-hazard function")
+    return inverse(x)
 
 
 def _guard_exp(values: np.ndarray):

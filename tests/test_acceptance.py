@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from densfda import (
+    DensityFn,
     FittedMethod,
     Grid,
     KdeConfig,
@@ -41,8 +42,7 @@ from densfda import (
     truncated_normal_density,
     cv_mse,
 )
-from densfda.density import integrate, to_cdf, unit_grid
-from densfda.frechet import blend_uniform
+from densfda.density import cdf_rows, integrate, unit_grid
 from densfda.sphere import exp_map, log_map
 from densfda.regression import predict
 
@@ -123,7 +123,7 @@ def test_criterion_4_kde_rate():
     grid = Grid(-3.0, 3.0, m)
     truth = truncated_normal_density(0.0, 1.0, grid, floor=1e-6)
     fine = Grid(-3.0, 3.0, 4096)
-    fine_cdf = to_cdf(truncated_normal_density(0.0, 1.0, fine, floor=1e-12))
+    fine_cdf = cdf_rows(truncated_normal_density(0.0, 1.0, fine, floor=1e-12).values[None], fine)[0]
     ns = np.array([100, 400, 1600, 6400])
     rng = np.random.default_rng(1234)
     mise = []
@@ -131,7 +131,7 @@ def test_criterion_4_kde_rate():
         h = float(n) ** (-1.0 / 3.0) / grid.width  # rate rule on the data scale
         cfg = KdeConfig(h, Kernel.GAUSSIAN, grid, 1e-6)
         sq = [
-            dist_l2(estimate_density(np.interp(rng.random(n), fine_cdf.values, fine.points), cfg), truth) ** 2
+            dist_l2(estimate_density(np.interp(rng.random(n), fine_cdf, fine.points), cfg), truth) ** 2
             for _ in range(200)
         ]
         mise.append(np.mean(sq))
@@ -187,8 +187,8 @@ def test_criterion_6_wasserstein_oracle():
         f = smooth_density(rng, grid, amplitude=0.8)
         g = smooth_density(rng, grid, amplitude=0.8)
         d_formula = dist_wasserstein(f, g)
-        x = np.interp(u, to_cdf(f).values, grid.points)
-        y = np.interp(u, to_cdf(g).values, grid.points)
+        x = np.interp(u, cdf_rows(f.values[None], grid)[0], grid.points)
+        y = np.interp(u, cdf_rows(g.values[None], grid)[0], grid.points)
         d_matched = float(np.sqrt(np.mean((np.sort(x) - np.sort(y)) ** 2)))
         worst = max(worst, abs(d_formula - d_matched) / d_matched)
     # the monotone coupling is genuinely optimal: brute-force assignment
@@ -196,8 +196,8 @@ def test_criterion_6_wasserstein_oracle():
     for _ in range(3):
         f = smooth_density(rng, grid, amplitude=0.8)
         g = smooth_density(rng, grid, amplitude=0.8)
-        x = np.interp(rng.random(60), to_cdf(f).values, grid.points)
-        y = np.interp(rng.random(60), to_cdf(g).values, grid.points)
+        x = np.interp(rng.random(60), cdf_rows(f.values[None], grid)[0], grid.points)
+        y = np.interp(rng.random(60), cdf_rows(g.values[None], grid)[0], grid.points)
         cost = (x[:, None] - y[None, :]) ** 2
         rows, cols = linear_sum_assignment(cost)
         assignment_ok &= np.isclose(
@@ -286,7 +286,8 @@ def test_criterion_8_regression_substitute():
     densities = [truncated_normal_density(mu, 1.0, grid, 1e-3) for mu in mus]
     noise_sd = float(np.sqrt(0.1 * mus.var()))  # 10% noise variance
     y = mus + noise_sd * rng.normal(size=n)
-    blended = [blend_uniform(f, 0.5) for f in densities]
+    # each density mixed half-and-half with the uniform density
+    blended = [DensityFn(grid, (1.0 - 0.5) * f.values + 0.5 / grid.width) for f in densities]
     mse_lqd = cv_mse(blended, y, "lqd", 2, folds=10, repeats=REPS, seed=5)
     mse_fpca = cv_mse(densities, y, "fpca", 2, folds=10, repeats=REPS, seed=5)
     basis = score_basis(blended, "lqd", 2)

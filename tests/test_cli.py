@@ -138,6 +138,19 @@ class TestTransformCli:
         for f, g in zip(densities, recovered):
             assert dist_sup(f, g) <= 5e-3  # display-resolution grid
 
+    def test_overflow_reports_one_json_line(self, tmp_path, capsys):
+        # X far above and far below zero: exp(-X) overflows in the inverse
+        m = 64
+        x = np.where(np.arange(m) < m // 2, 699.0, -800.0)
+        path = tmp_path / "x.csv"
+        _write_table(path, "t", unit_grid(m).points, [x], ["s1"])
+        out = tmp_path / "back.csv"
+        assert main(["transform", "--kind", "lqd", "--inverse", "--in", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NonFiniteError"
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_rank_one_fixture_selects_one(self, tmp_path, rng):
@@ -161,7 +174,7 @@ class TestAnalyze:
         assert report["threshold_reached"] is True
         assert (tmp_path / "report_modes.csv").exists()
 
-    @pytest.mark.parametrize("command", ["fve", "analyze"])
+    @pytest.mark.parametrize("command", ["analyze"])
     def test_fits_the_method_once(self, tmp_path, density_csv, monkeypatch, command):
         from densfda import cli
 
@@ -179,7 +192,7 @@ class TestAnalyze:
         assert len(fits) == 1
         assert len(json.loads(out.read_text())["fve"]) == 3
 
-    @pytest.mark.parametrize("command, p", [("analyze", "1.5"), ("fve", "0")])
+    @pytest.mark.parametrize("command, p", [("analyze", "1.5"), ("analyze", "0")])
     def test_p_outside_unit_interval_exits_1(self, tmp_path, capsys, density_csv, command, p):
         path, _ = density_csv
         out = tmp_path / "r.json"
@@ -214,7 +227,7 @@ class TestAnalyze:
         mean, _ = read_density_csv(mean_out)
         assert mean[0].grid.m == 101
         fve_out = tmp_path / "fve.json"
-        assert main(["fve", "--method", "fpca", "--kmax", "3",
+        assert main(["analyze", "--method", "fpca", "--kmax", "3",
                      "--in", str(path), "--out", str(fve_out)]) == 0
         payload = json.loads(fve_out.read_text())
         assert len(payload["fve"]) == 3
@@ -312,14 +325,14 @@ class TestErrorPaths:
         assert "Traceback" not in captured
         assert json.loads(captured)["error"] == error
 
-    @pytest.mark.parametrize("command", ["fve", "analyze"])
+    @pytest.mark.parametrize("command", ["modes", "analyze"])
     def test_header_without_rows_exits_1(self, tmp_path, capsys, command):
         path = tmp_path / "d.csv"
         path.write_text("x,subject_1,subject_2\n")
         code = main([command, "--in", str(path), "--out", str(tmp_path / "r.json")])
         self._assert_csv_error(code, capsys)
 
-    @pytest.mark.parametrize("command", ["fve", "analyze"])
+    @pytest.mark.parametrize("command", ["modes", "analyze"])
     def test_empty_file_exits_1(self, tmp_path, capsys, command):
         path = tmp_path / "d.csv"
         path.write_text("")

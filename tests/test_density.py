@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import PchipInterpolator
 
 from densfda import (
+    LQD,
     AllZeroError,
-    CdfFn,
     DensfdaError,
     DensityFn,
     Grid,
@@ -15,15 +16,20 @@ from densfda import (
     dist_l2,
     dist_sup,
     dist_wasserstein,
-    from_unit_support,
+    log_hazard_spec,
     normalize,
-    to_cdf,
-    to_quantile,
-    to_unit_support,
     unit_grid,
 )
-from densfda.density import cdf_rows, integrate, normalize_rows, pchip_rows, quantile_rows
+from densfda.density import (
+    cdf_rows,
+    cumulative_integral,
+    integrate,
+    normalize_rows,
+    pchip_rows,
+    quantile_rows,
+)
 from densfda.frechet import _pchip_quantile_rows
+from densfda.transforms import forward_rows, inverse_rows
 
 from conftest import smooth_density
 
@@ -98,42 +104,48 @@ class TestNormalize:
             f.values[0] = 2.0
 
 
+def _cdf(f):
+    return cdf_rows(f.values[None], f.grid)[0]
+
+
+def _quantile(f, tgrid):
+    return quantile_rows(_cdf(f)[None], f.grid, tgrid)[0]
+
+
 class TestConversions:
     def test_uniform_cdf_is_identity(self, unit512):
         f = normalize(np.ones(512), unit512, floor=0.0)
-        F = to_cdf(f)
-        np.testing.assert_allclose(F.values, unit512.points, atol=1e-12)
-        assert F.values[0] == 0.0 and F.values[-1] == 1.0
+        F = _cdf(f)
+        np.testing.assert_allclose(F, unit512.points, atol=1e-12)
+        assert F[0] == 0.0 and F[-1] == 1.0
 
     def test_linear_density_cdf(self, unit512):
         # analytic F(x) = x^2
         f = normalize(2.0 * unit512.points, unit512, floor=1e-6)
-        F = to_cdf(f)
-        assert np.interp(0.5, unit512.points, F.values) == pytest.approx(0.25, abs=1e-4)
+        assert np.interp(0.5, unit512.points, _cdf(f)) == pytest.approx(0.25, abs=1e-4)
 
     def test_wide_support_cdf(self):
         g = Grid(0.0, 2.0, 512)
         f = normalize(np.full(512, 0.5), g, floor=0.0)
-        F = to_cdf(f)
-        assert np.interp(1.0, g.points, F.values) == pytest.approx(0.5, abs=1e-12)
+        assert np.interp(1.0, g.points, _cdf(f)) == pytest.approx(0.5, abs=1e-12)
 
     def test_quantile_identity(self, unit512):
         f = normalize(np.ones(512), unit512, floor=0.0)
-        q = to_quantile(to_cdf(f), unit_grid(512))
-        np.testing.assert_allclose(q.values, unit_grid(512).points, atol=1e-12)
+        q = _quantile(f, unit_grid(512))
+        np.testing.assert_allclose(q, unit_grid(512).points, atol=1e-12)
 
     def test_quantile_of_square_cdf(self, unit512):
         # F(x) = x^2 inverts to Q(t) = sqrt(t)
         f = normalize(2.0 * unit512.points, unit512, floor=1e-6)
-        q = to_quantile(to_cdf(f), unit_grid(512))
-        assert np.interp(0.25, q.tgrid.points, q.values) == pytest.approx(0.5, abs=1e-3)
+        q = _quantile(f, unit_grid(512))
+        assert np.interp(0.25, unit_grid(512).points, q) == pytest.approx(0.5, abs=1e-3)
 
     def test_quantile_symmetry(self):
         g = Grid(0.0, 2.0, 512)
         f = normalize(np.full(512, 0.5), g, floor=0.0)
-        q = to_quantile(to_cdf(f), unit_grid(512))
-        assert np.interp(0.5, q.tgrid.points, q.values) == pytest.approx(1.0, abs=1e-9)
-        assert q.values[0] == 0.0 and q.values[-1] == 2.0
+        q = _quantile(f, unit_grid(512))
+        assert np.interp(0.5, unit_grid(512).points, q) == pytest.approx(1.0, abs=1e-9)
+        assert q[0] == 0.0 and q[-1] == 2.0
 
     def test_flat_span_not_invertible(self):
         g = Grid(0.0, 1.0, 11)
@@ -141,18 +153,18 @@ class TestConversions:
         vals[4] = vals[5] = vals[6] = 0.5  # flat span of two cells
         vals.sort()
         with pytest.raises(NotInvertibleError):
-            to_quantile(CdfFn(g, vals), unit_grid(11))
+            quantile_rows(vals[None], g, unit_grid(11))
 
     def test_roundtrip_error_halves_with_resolution(self, rng):
         errors = []
         for m in (256, 512):
             g = Grid(0.0, 1.0, m)
             f = normalize(np.exp(np.sin(2 * np.pi * g.points)), g, 1e-6)
-            q = to_quantile(to_cdf(f), unit_grid(m))
+            q = _quantile(f, unit_grid(m))
             # reconstruct f(Q(t)) = 1/q'(t) by central differences
-            qd = np.gradient(q.values, q.tgrid.spacing)
+            qd = np.gradient(q, unit_grid(m).spacing)
             recon = 1.0 / qd
-            truth = np.interp(q.values, g.points, f.values)
+            truth = np.interp(q, g.points, f.values)
             errors.append(np.abs(recon[5:-5] - truth[5:-5]).max())
         assert errors[1] < 0.65 * errors[0]
 
@@ -219,17 +231,34 @@ class TestMetrics:
         g01 = smooth_density(rng, Grid(0.0, 1.0, m))
         base = dist_wasserstein(f01, g01)
         for lo, hi in [(-3.0, 3.0), (2.0, 2.5)]:
-            fa = from_unit_support(f01, lo, hi)
-            ga = from_unit_support(g01, lo, hi)
+            fa = DensityFn(Grid(lo, hi, m), f01.values / (hi - lo))
+            ga = DensityFn(Grid(lo, hi, m), g01.values / (hi - lo))
             assert dist_wasserstein(fa, ga) == pytest.approx((hi - lo) * base, abs=1e-6)
 
 
 class TestSupportMapping:
     def test_unit_roundtrip(self, rng):
+        # the transforms map a native support affinely onto [0, 1] and back
         g = Grid(-5.0, 5.0, 512)
         f = smooth_density(rng, g)
-        back = from_unit_support(to_unit_support(f), -5.0, 5.0)
-        np.testing.assert_allclose(back.values, f.values, rtol=1e-12)
+        unit = DensityFn(unit_grid(512), f.values * g.width)
+        for spec in (LQD, log_hazard_spec(0.1)):
+            tgrid, x = forward_rows(f.values[None], g, spec)
+            np.testing.assert_array_equal(x, forward_rows(unit.values[None], unit.grid, spec)[1])
+            back = inverse_rows(x, tgrid, spec, (g.lo, g.hi))
+            np.testing.assert_allclose(back * g.width, inverse_rows(x, tgrid, spec, (0.0, 1.0)), rtol=1e-12)
+
+
+class TestCumulativeIntegral:
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 64), (200, 1024)])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_matches_scipy(self, rng, shape, scale):
+        # the same arithmetic as SciPy's cumulative_trapezoid, so the same bits
+        for lo, hi in [(0.0, 1.0), (-5.0, 5.0), (0.0, 0.3)]:
+            values = rng.random(shape) * scale
+            grid = Grid(lo, hi, shape[1])
+            want = cumulative_trapezoid(values, dx=grid.spacing, initial=0.0, axis=-1)
+            np.testing.assert_array_equal(cumulative_integral(values, grid), want)
 
 
 def _scipy_pchip_loop(x, y, t):

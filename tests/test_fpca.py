@@ -3,26 +3,19 @@ import pytest
 
 from densfda import (
     AllZeroError,
-    EigenSystem,
     EmptySampleError,
     Grid,
     GridMismatchError,
     KTooLargeError,
-    NotSymmetricError,
     SettingSpec,
-    cross_sectional_mean,
-    covariance,
-    dist_l2,
-    eigendecompose,
     fit,
     gen_setting,
     mode_of_variation,
     normalize,
-    project_to_density,
-    scores,
     truncate,
 )
 from densfda.density import inner_product, integrate
+from densfda.fpca import EIGENVALUE_DROP, project_rows
 
 from conftest import smooth_density
 
@@ -39,16 +32,42 @@ def rank1_sample(grid, coeffs, base=None):
     return np.stack([base + c * rho for c in coeffs]), rho
 
 
+def _covariance(data):
+    """Reference: the empirical covariance surface (1/n convention)."""
+    centered = data - data.mean(axis=0)
+    return centered.T @ centered / len(data)
+
+
+def _eigendecompose(cov, grid):
+    """Reference: eigenpairs of a covariance surface by a weighted ``eigh``.
+
+    The surface is weighted with the square roots of the quadrature
+    weights, which keeps the eigenproblem symmetric and makes the
+    eigenfunctions orthonormal in L2 of the grid; eigenvalues below
+    fit's drop rule are dropped.
+    """
+    sw = np.sqrt(grid.trapezoid_weights())
+    vals, vecs = np.linalg.eigh(sw[:, None] * cov * sw[None, :])
+    vals, funcs = vals[::-1], vecs.T[::-1] / sw
+    keep = vals > EIGENVALUE_DROP * vals[0]
+    return vals[keep], funcs[keep]
+
+
+def _surface(system):
+    """The covariance surface spanned by a fitted eigensystem."""
+    return (system.eigenfunctions.T * system.eigenvalues) @ system.eigenfunctions
+
+
 class TestMean:
     def test_mean_of_identical(self, unit512, rng):
         f = smooth_density(rng, unit512)
-        mean = cross_sectional_mean([f, f])
+        mean = fit([f, f]).mean
         np.testing.assert_allclose(mean, f.values, rtol=1e-14)
 
     def test_mean_is_density(self, unit512):
         f = normalize(np.ones(M), unit512, floor=0.0)
         g = normalize(2.0 * unit512.points, unit512, floor=1e-6)
-        mean = cross_sectional_mean([f, g])
+        mean = fit([f, g]).mean
         np.testing.assert_allclose(mean, (f.values + g.values) / 2.0)
         assert integrate(mean, unit512) == pytest.approx(1.0, abs=1e-12)
 
@@ -60,63 +79,44 @@ class TestMean:
             for _ in range(40):
                 sample = base + rng.uniform(-1, 1, size=(n, M))
                 trials.append(
-                    np.sqrt(integrate((cross_sectional_mean(sample, unit512) - base) ** 2, unit512))
+                    np.sqrt(integrate((fit(sample, unit512).mean - base) ** 2, unit512))
                 )
             errors.append(np.mean(trials))
         assert errors[1] == pytest.approx(errors[0] / 2.0, rel=0.25)
-
-    def test_empty_and_singleton_rejected(self, unit512, rng):
-        with pytest.raises(EmptySampleError):
-            cross_sectional_mean([])
-        with pytest.raises(EmptySampleError):
-            cross_sectional_mean([smooth_density(rng, unit512)])
 
     def test_grid_mismatch(self, rng):
         f = smooth_density(rng, Grid(0.0, 1.0, 128))
         g = smooth_density(rng, Grid(0.0, 1.0, 256))
         with pytest.raises(GridMismatchError):
-            cross_sectional_mean([f, g])
+            fit([f, g])
 
 
 class TestCovariance:
+    """The covariance surface that fit's eigensystem spans."""
+
     def test_identical_sample_zero_surface(self, unit512, rng):
         f = smooth_density(rng, unit512)
-        cov = covariance([f, f, f], f.values)
-        assert np.abs(cov).max() <= 1e-16
+        assert np.abs(_surface(fit([f, f, f]))).max() <= 1e-16
 
     def test_rank_one_surface(self, unit512, rng):
         coeffs = rng.normal(0.0, 2.0, 40)
         data, rho = rank1_sample(unit512, coeffs)
-        mean = cross_sectional_mean(data, unit512)
-        cov = covariance(data, mean, unit512)
         s2 = coeffs.var()  # 1/n convention
-        np.testing.assert_allclose(cov, s2 * np.outer(rho, rho), atol=1e-8)
-
-    def test_exact_symmetry(self, unit512, rng):
-        sample = np.stack([smooth_density(rng, unit512).values for _ in range(7)])
-        cov = covariance(sample, sample.mean(0), unit512)
-        np.testing.assert_array_equal(cov, cov.T)
+        np.testing.assert_allclose(_surface(fit(data, unit512)), s2 * np.outer(rho, rho), atol=1e-8)
 
 
 class TestEigendecompose:
     def test_rank_one_oracle(self, unit512, rng):
         coeffs = rng.normal(0.0, 1.5, 30)
         data, rho = rank1_sample(unit512, coeffs)
-        cov = covariance(data, data.mean(0), unit512)
-        vals, funcs = eigendecompose(cov, unit512)
-        assert vals[0] == pytest.approx(coeffs.var(), rel=1e-10)
-        assert len(vals) == 1  # numerical rank one: the rest is dropped
-        np.testing.assert_allclose(np.abs(funcs[0]), rho, atol=1e-6)
+        system = fit(data, unit512)
+        assert system.eigenvalues[0] == pytest.approx(coeffs.var(), rel=1e-10)
+        assert system.n_components == 1  # numerical rank one: the rest is dropped
+        np.testing.assert_allclose(np.abs(system.eigenfunctions[0]), rho, atol=1e-6)
 
     def test_zero_surface(self, unit512):
-        vals, funcs = eigendecompose(np.zeros((M, M)), unit512)
-        assert len(vals) == 0 and funcs.shape == (0, M)
-
-    def test_not_symmetric_raises(self, unit512):
-        cov = np.zeros((M, M))
-        cov[0, 1] = 1.0
-        with pytest.raises(NotSymmetricError):
-            eigendecompose(cov, unit512)
+        system = fit(np.zeros((4, M)), unit512)
+        assert system.n_components == 0 and system.eigenfunctions.shape == (0, M)
 
     def test_density_eigenfunctions_integrate_to_zero(self, rng):
         grid = Grid(-5.0, 5.0, M)
@@ -129,13 +129,16 @@ class TestEigendecompose:
 
     def test_orthonormal_and_sorted(self, rng, unit512):
         sample = np.stack([smooth_density(rng, unit512).values for _ in range(12)])
-        system = fit(sample, unit512).validate(1e-8)
-        assert np.all(np.diff(system.eigenvalues) <= 0)
+        system = fit(sample, unit512)
+        phi = system.eigenfunctions
+        gram = (phi * unit512.trapezoid_weights()) @ phi.T
+        np.testing.assert_allclose(gram, np.eye(system.n_components), rtol=0.0, atol=1e-8)
+        assert np.all(np.diff(system.eigenvalues) <= 0) and np.all(system.eigenvalues >= 0)
+        np.testing.assert_allclose(system.scores.mean(axis=0), 0.0, rtol=0.0, atol=1e-8)
 
     def test_sign_convention(self, rng, unit512):
         sample = np.stack([smooth_density(rng, unit512).values for _ in range(12)])
-        _, funcs = eigendecompose(covariance(sample, sample.mean(0), unit512), unit512)
-        for phi in funcs:
+        for phi in fit(sample, unit512).eigenfunctions:
             assert phi[np.abs(phi).argmax()] > 0
 
 
@@ -221,18 +224,17 @@ class TestTruncateAndModes:
 class TestProjectToDensity:
     def test_idempotent_on_densities(self, rng, unit512):
         f = smooth_density(rng, unit512)
-        out = project_to_density(f.values, unit512)
-        np.testing.assert_array_equal(out.values, f.values)
+        np.testing.assert_array_equal(project_rows(f.values[None], unit512)[0], f.values)
 
     def test_signed_function_projected(self, unit512):
         x = unit512.points
-        out = project_to_density(1.0 - 2.0 * x, unit512, floor=1e-6)
+        out = project_rows((1.0 - 2.0 * x)[None], unit512, floor=1e-6)[0]
         keep = x < 0.49
-        np.testing.assert_allclose(out.values[keep], 4.0 * (1.0 - 2.0 * x[keep]), rtol=1e-3)
+        np.testing.assert_allclose(out[keep], 4.0 * (1.0 - 2.0 * x[keep]), rtol=1e-3)
 
     def test_nonpositive_raises(self, unit512):
         with pytest.raises(AllZeroError):
-            project_to_density(-np.ones(M), unit512)
+            project_rows(-np.ones((1, M)), unit512)
 
 
 class TestIdentities:
@@ -265,8 +267,8 @@ def _separated_sample(rng, grid, n, variances):
 
 
 class TestThinSvdAgainstSurface:
-    """fit (thin SVD of the weighted sample) against eigendecompose of the
-    covariance surface, the reference path."""
+    """fit (thin SVD of the weighted sample) against a weighted eigensolver
+    of the covariance surface, the reference path."""
 
     @pytest.mark.parametrize(
         "n, m, variances",
@@ -277,7 +279,7 @@ class TestThinSvdAgainstSurface:
         grid = Grid(-1.0, 2.0, m)
         sample = _separated_sample(rng, grid, n, variances)
         system = fit(sample, grid)
-        vals, funcs = eigendecompose(covariance(sample, sample.mean(0), grid), grid)
+        vals, funcs = _eigendecompose(_covariance(sample), grid)
         assert system.n_components == len(vals)
         np.testing.assert_allclose(system.eigenvalues, vals, rtol=1e-10, atol=0.0)
         for phi, ref in zip(system.eigenfunctions, funcs):

@@ -3,6 +3,7 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from densfda import (
+    DensityFn,
     DensitySample,
     EmptySampleError,
     FittedMethod,
@@ -14,7 +15,6 @@ from densfda import (
     SettingSpec,
     SupportMismatchError,
     TransformedFn,
-    blend_uniform,
     dist_l2,
     dist_sup,
     dist_wasserstein,
@@ -30,13 +30,11 @@ from densfda import (
     normalize,
     sqrt_embed,
     square_back,
-    to_cdf,
-    to_quantile,
     truncated_normal_density,
     unit_grid,
     wasserstein_frechet_mean,
 )
-from densfda.density import integrate
+from densfda.density import cdf_rows, integrate, quantile_rows
 
 from conftest import lqd_rank2_basis, smooth_density
 
@@ -54,6 +52,11 @@ def lqd_family(coeffs2, grid_m=M, support=(0.0, 1.0)):
     return out, (rho1, rho2)
 
 
+def blend(f, weight):
+    """Mixture (1 - weight) * f + weight * uniform on the same support."""
+    return DensityFn(f.grid, (1.0 - weight) * f.values + weight / f.grid.width)
+
+
 class TestWassersteinMean:
     def test_identical_sample(self, rng, unit512):
         f = smooth_density(rng, unit512)
@@ -65,8 +68,8 @@ class TestWassersteinMean:
         f = normalize(2.0 * unit512.points, unit512, floor=1e-6)
         g = normalize(2.0 * (1.0 - unit512.points), unit512, floor=1e-6)
         mean = wasserstein_frechet_mean([f, g])
-        q = to_quantile(to_cdf(mean), unit_grid(M))
-        assert np.interp(0.5, q.tgrid.points, q.values) == pytest.approx(0.5, abs=2e-3)
+        q = quantile_rows(cdf_rows(mean.values[None], mean.grid), mean.grid, unit_grid(M))[0]
+        assert np.interp(0.5, unit_grid(M).points, q) == pytest.approx(0.5, abs=2e-3)
 
     def test_beats_cross_sectional_on_shifted_normals(self):
         # location families: quantile averaging recovers the shape, the
@@ -96,12 +99,12 @@ class TestWassersteinMean:
         tgrid = unit_grid(grid.m)
         quantiles = []
         for f in sample:
-            cdf = to_cdf(f).values
+            cdf = cdf_rows(f.values[None], grid)
             if np.all(np.diff(cdf) > 0):
-                q = PchipInterpolator(cdf, grid.points)(tgrid.points)
+                q = PchipInterpolator(cdf[0], grid.points)(tgrid.points)
                 q[0], q[-1] = grid.lo, grid.hi
             else:
-                q = to_quantile(to_cdf(f), tgrid).values
+                q = quantile_rows(cdf, grid, tgrid)[0]
             quantiles.append(q)
         cdf = PchipInterpolator(np.mean(quantiles, axis=0), tgrid.points)(grid.points)
         expect = normalize(np.gradient(cdf, grid.spacing, edge_order=2), grid)
@@ -331,10 +334,10 @@ class TestBlend:
         # method's reconstructions of the blended sample: unblending is exact
         sample = [smooth_density(rng, unit512) for _ in range(6)]
         blended = FittedMethod(sample, MethodKind.lqd(0.4), floor=0.0)
-        plain = FittedMethod([blend_uniform(f, 0.4) for f in sample], MethodKind.lqd())
+        plain = FittedMethod([blend(f, 0.4) for f in sample], MethodKind.lqd())
         for k in (0, 2, 5):
             for r, want in zip(blended.reconstruct(k), plain.reconstruct_values(k)):
-                np.testing.assert_allclose(blend_uniform(r, 0.4).values, want, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(blend(r, 0.4).values, want, rtol=0.0, atol=1e-12)
         for f, r in zip(sample, blended.reconstruct(5)):
             assert dist_sup(f, r) <= 1e-3
 
@@ -344,7 +347,7 @@ class TestBlend:
         from densfda import lqd_forward
 
         raw = lqd_forward(f)
-        blended = lqd_forward(blend_uniform(f, 0.5))
+        blended = lqd_forward(blend(f, 0.5))
         assert blended.values.max() < raw.values.max()
         assert blended.values.max() <= np.log(2.0 * f.grid.width) + 1e-9
 

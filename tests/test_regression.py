@@ -8,13 +8,13 @@ from densfda import (
     cv_mse,
     fit_flr,
     gen_setting,
-    lqd_forward,
     predict,
     project_scores,
     score_basis,
     truncated_normal_density,
 )
 from densfda.regression import CvDetails
+from densfda.transforms import forward_rows
 
 
 @pytest.fixture(scope="module")
@@ -158,16 +158,16 @@ class TestCvMse:
     def test_transforms_each_density_once(self, shift_family, monkeypatch):
         from densfda import regression
 
-        calls = []
+        rows = []
 
-        def counting(f):
-            calls.append(f)
-            return lqd_forward(f)
+        def counting(values, grid, spec):
+            rows.append(len(values))
+            return forward_rows(values, grid, spec)
 
-        monkeypatch.setattr(regression, "lqd_forward", counting)
+        monkeypatch.setattr(regression, "forward_rows", counting)
         densities, mus = shift_family
         cv_mse(densities, mus, "lqd", 2, folds=5, repeats=3, seed=2)
-        assert len(calls) == len(densities)
+        assert rows == [len(densities)]
 
     @pytest.mark.parametrize("method", ["lqd", "fpca"])
     def test_matches_refit_per_fold(self, shift_family, method):

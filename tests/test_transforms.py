@@ -3,14 +3,18 @@ import pytest
 
 from densfda import (
     DensityFn,
+    FittedMethod,
     Grid,
     LQD,
+    MethodKind,
+    SettingSpec,
     TransformedFn,
     TransformOverflowError,
     TransformSpec,
     dist_l2,
     dist_sup,
     forward,
+    gen_setting,
     inverse,
     log_hazard_forward,
     log_hazard_inverse,
@@ -23,8 +27,15 @@ from densfda import (
 )
 from densfda.density import integrate
 from densfda.errors import DensfdaError
-from densfda.transforms import lqd_forward_rows, lqd_inverse_rows
+from densfda.transforms import (
+    _guard_exp,
+    log_hazard_forward_rows,
+    log_hazard_inverse_rows,
+    lqd_forward_rows,
+    lqd_inverse_rows,
+)
 from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import CubicSpline
 
 from conftest import smooth_density
 
@@ -340,6 +351,18 @@ def _segments(gen, m, ends):
     return row
 
 
+def _density_rows(seed, n, m, floor, spikes):
+    """n densities on the unit grid of m points: exp of 1-5 linear pieces,
+    floor-level tails, and up to ``spikes`` points raised by up to 1e6."""
+    gen = np.random.default_rng(seed)
+    lo = np.log(floor) - 5.0  # pieces below the floor become floor-level tails
+    rows = np.maximum(np.exp([_segments(gen, m, lambda: gen.uniform(lo, 3.0)) for _ in range(n)]), floor)
+    for row in rows:
+        row[gen.integers(0, m, spikes)] *= 10.0 ** gen.uniform(0.0, 6.0, spikes)
+        row /= integrate(row, unit_grid(m))
+    return rows
+
+
 class TestLqdKernelsProperty:
     """The one-interpolation kernels against the two-step loops above.
 
@@ -365,12 +388,7 @@ class TestLqdKernelsProperty:
             st.integers(0, 3),
         )
         def check(n, m, seed, floor, spikes):
-            gen = np.random.default_rng(seed)
-            lo = np.log(floor) - 5.0  # pieces below the floor become floor-level tails
-            rows = np.maximum(np.exp([_segments(gen, m, lambda: gen.uniform(lo, 3.0)) for _ in range(n)]), floor)
-            for row in rows:
-                row[gen.integers(0, m, spikes)] *= 10.0 ** gen.uniform(0.0, 6.0, spikes)
-                row /= integrate(row, unit_grid(m))
+            rows = _density_rows(seed, n, m, floor, spikes)
             try:
                 got = lqd_forward_rows(rows)
             except DensfdaError:
@@ -425,3 +443,85 @@ class TestLqdKernelsProperty:
                 assert np.all(np.abs(f - ref) <= tol * ref)
 
         check()
+
+
+def _log_hazard_forward_loop(v01, delta):
+    """Reference: the per-density log hazard forward map of a density on [0, 1]."""
+    m = len(v01)
+    x = unit_grid(m).points
+    t = Grid(0.0, 1.0 - delta, m).points
+    survival = 1.0 - np.interp(t, x, _cdf_loop(v01, unit_grid(m)))
+    if survival.min() < 1e-300:
+        raise TransformOverflowError("survival function vanished before 1 - delta")
+    return np.log(np.interp(t, x, v01)) - np.log(survival)
+
+
+def _log_hazard_inverse_loop(x, delta):
+    """Reference: the per-function log hazard inverse map onto [0, 1]."""
+    _guard_exp(x)
+    m = len(x)
+    t = Grid(0.0, 1.0 - delta, m).points
+    cumhaz = CubicSpline(t, np.exp(x)).antiderivative()
+    s = unit_grid(m).points
+    interior = s <= 1.0 - delta
+    values01 = np.empty(m)
+    values01[interior] = np.exp(np.interp(s[interior], t, x) - cumhaz(s[interior]))
+    values01[~interior] = np.exp(-float(cumhaz(1.0 - delta))) / delta
+    return normalize(values01, unit_grid(m), floor=0.0).values
+
+
+class TestLogHazardKernelsProperty:
+    """The batched log hazard kernels against the per-density loops above:
+    the same values, to the bit from four grid points on, or the same error."""
+
+    def test_kernels_match_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(
+            st.integers(1, 3),
+            st.integers(3, 4096),
+            st.integers(0, 2**32 - 1),
+            st.floats(0.0, 0.5, exclude_min=True),
+            st.sampled_from([1e-3, 1e-6, 1e-12, 1e-300]),
+            st.integers(0, 3),
+        )
+        def check(n, m, seed, delta, floor, spikes):
+            rows = _density_rows(seed, n, m, floor, spikes)
+            try:
+                ref_x = np.stack([_log_hazard_forward_loop(row, delta) for row in rows])
+            except TransformOverflowError:
+                with pytest.raises(TransformOverflowError):
+                    log_hazard_forward_rows(rows, delta)
+                return
+            np.testing.assert_array_equal(log_hazard_forward_rows(rows, delta), ref_x)
+            try:
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    ref_f = np.stack([_log_hazard_inverse_loop(x, delta) for x in ref_x])
+            except DensfdaError as exc:
+                with pytest.raises(type(exc)):
+                    log_hazard_inverse_rows(ref_x, delta)
+                return
+            got = log_hazard_inverse_rows(ref_x, delta)
+            if m > 3:
+                np.testing.assert_array_equal(got, ref_f)
+            else:
+                # SciPy fits a 3-knot spline by a dense solve, whose rounding
+                # differs between one right-hand side and several; the
+                # cumulative hazard stays below -log(1e-300), about 690
+                np.testing.assert_allclose(got, ref_f, rtol=1e3 * EPS, atol=0.0)
+
+        check()
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_fitted_method_outputs_are_densities(self, setting):
+        # reconstruct and mode build DensityFn objects, which check
+        # finiteness, strict positivity and unit mass
+        sample = gen_setting(SettingSpec(setting=setting, n=20, m=256, seed=setting)).densities
+        fitted = FittedMethod(sample, MethodKind.log_hazard(0.1))
+        for k in range(min(fitted.n_components, 3) + 1):
+            assert len(fitted.reconstruct(k)) == len(sample)
+        for k in range(1, min(fitted.n_components, 2) + 1):
+            for alpha in (-2.0, -1.0, 0.0, 1.0, 2.0):
+                assert fitted.mode(k, alpha).grid == sample[0].grid
