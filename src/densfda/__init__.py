@@ -14,8 +14,6 @@ from .density import (
     DEFAULT_FLOOR,
     DensityFn,
     Grid,
-    dist_l2,
-    dist_sup,
     dist_wasserstein,
     normalize,
     unit_grid,
@@ -82,16 +80,11 @@ from .sphere import (
 )
 from .transforms import (
     LQD,
-    TransformedFn,
     TransformKind,
     TransformSpec,
-    forward,
-    inverse,
-    log_hazard_forward,
-    log_hazard_inverse,
+    forward_rows,
+    inverse_rows,
     log_hazard_spec,
-    lqd_forward,
-    lqd_inverse,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import fileio
+from . import fileio, fpca
 from .density import DEFAULT_FLOOR, Grid
 from .errors import DensfdaError
 from .frechet import (
@@ -33,7 +33,7 @@ from .frechet import (
 from .kde import KdeConfig, Kernel, default_bandwidth, estimate_density
 from .regression import cv_mse, fit_flr, project_scores, score_basis
 from .simulation import SettingSpec, default_methods, run_comparison
-from .transforms import TransformKind, TransformSpec, forward, inverse
+from .transforms import TransformKind, TransformSpec, forward_rows, inverse_rows
 
 
 def _support(text: str) -> tuple[float, float]:
@@ -168,11 +168,14 @@ def _spec(args) -> TransformSpec:
 def _cmd_transform(args):
     spec = _spec(args)
     if args.inverse:
-        xs, ids = fileio.read_transformed_csv(args.infile, spec, args.support)
-        fileio.write_density_csv(args.out, [inverse(x) for x in xs], ids)
+        tgrid, x, ids = fileio.read_transformed_csv(args.infile)
+        grid = Grid(*args.support, tgrid.m)  # rejects an empty support before dividing by it
+        values = inverse_rows(x, tgrid, spec, args.support)
+        fileio._write_table(args.out, "x", grid.points, values, ids)
     else:
         densities, ids = fileio.read_density_csv(args.infile)
-        fileio.write_transformed_csv(args.out, [forward(f, spec) for f in densities], ids)
+        values, grid = fpca.stack(densities)
+        fileio.write_transformed_csv(args.out, *forward_rows(values, grid, spec), ids)
     _manifest(args, args.out, [args.infile])
 
 

@@ -6,9 +6,9 @@ the package is reproducible from the grid alone.  A sample is an
 ``(n, m)`` array of density values on one grid, and its CDFs and
 quantile functions are arrays of the same shape (`cdf_rows`,
 `quantile_rows`); the log quantile density and log hazard transforms
-live in `transforms`.  Three metrics are provided: L2 (`dist_l2`),
-uniform (`dist_sup`) and the quantile-based Wasserstein distance
-(`dist_wasserstein`).
+live in `transforms`.  Distances are squared L2 distances between
+rows (`sq_dist_rows`); the Wasserstein distance of two densities is the
+L2 distance of their quantile functions (`dist_wasserstein`).
 """
 
 from __future__ import annotations
@@ -327,34 +327,9 @@ def _count_at_or_below(knots: np.ndarray, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _grid_and_values(obj) -> tuple[Grid, np.ndarray]:
-    grid = getattr(obj, "grid", None) or getattr(obj, "tgrid", None)
-    if grid is None:
-        raise TypeError(f"{type(obj).__name__} is not a grid function")
-    return grid, obj.values
-
-
-def dist_l2(f, g) -> float:
-    """L2 distance between two functions sharing one grid."""
-    grid_f, vf = _grid_and_values(f)
-    grid_g, vg = _grid_and_values(g)
-    if grid_f != grid_g:
-        raise GridMismatchError("L2 distance requires identical grids")
-    return float(np.sqrt(sq_dist_rows(vf, vg, grid_f)))
-
-
 def sq_dist_rows(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
     """Squared L2 distances between the rows of ``a`` and ``b``."""
     return np.maximum(integrate_rows((a - b) ** 2, grid), 0.0)
-
-
-def dist_sup(f, g) -> float:
-    """Uniform (sup) distance between two functions sharing one grid."""
-    grid_f, vf = _grid_and_values(f)
-    grid_g, vg = _grid_and_values(g)
-    if grid_f != grid_g:
-        raise GridMismatchError("sup distance requires identical grids")
-    return float(np.abs(vf - vg).max())
 
 
 def dist_wasserstein(f: DensityFn, g: DensityFn) -> float:

@@ -1,7 +1,9 @@
 """CSV/JSON serialization and the run manifest.
 
 Density tables are CSV with an ``x`` first column (the grid) and one
-column per subject; transformed functions use ``t`` as the first column.
+column per subject.  Transformed tables use ``t`` as the first column
+and move as ``(t grid, (n, m) array, ids)``; whether the grid is the
+transform's domain is checked by ``transforms.inverse_rows``.
 All floats are written with 17 significant digits so a write/read round
 trip reproduces binary64 values exactly.
 
@@ -25,7 +27,6 @@ import numpy as np
 
 from .density import DensityFn, Grid, normalize_rows
 from .errors import CsvFormatError
-from .transforms import TransformedFn, TransformSpec
 
 ARTIFACT_VERSION = "0.1.0"
 FLOAT_FMT = "%.17g"
@@ -75,23 +76,24 @@ def write_density_csv(path, densities, ids=None):
     _write_table(path, "x", grid.points, [f.values for f in densities], ids)
 
 
-def read_density_csv(path, floor: float = 0.0):
-    """Read densities, renormalizing each column to the grid quadrature."""
+def read_density_csv(path):
+    """Read densities, each column floored at ``DEFAULT_FLOOR`` (as
+    ``estimate`` writes them) and renormalized to the grid quadrature."""
     header, points, columns = _read_table(path)
     grid = _uniform_grid_from(points)
-    return [DensityFn(grid, row) for row in normalize_rows(columns, grid, floor)], header[1:]
+    return [DensityFn(grid, row) for row in normalize_rows(columns, grid)], header[1:]
 
 
-def write_transformed_csv(path, xs, ids=None):
-    xs = list(xs)
-    ids = ids or [f"subject_{i + 1}" for i in range(len(xs))]
-    _write_table(path, "t", xs[0].tgrid.points, [x.values for x in xs], ids)
+def write_transformed_csv(path, tgrid: Grid, x: np.ndarray, ids=None):
+    """Write the ``(n, m)`` transformed values ``x`` on ``tgrid``, one column per row."""
+    ids = ids or [f"subject_{i + 1}" for i in range(len(x))]
+    _write_table(path, "t", tgrid.points, x, ids)
 
 
-def read_transformed_csv(path, spec: TransformSpec, support=(0.0, 1.0)):
+def read_transformed_csv(path) -> tuple[Grid, np.ndarray, list]:
+    """The t grid, the ``(n, m)`` transformed values and the column ids."""
     header, points, columns = _read_table(path)
-    grid = _uniform_grid_from(points)
-    return [TransformedFn(grid, col, spec, tuple(support)) for col in columns], header[1:]
+    return _uniform_grid_from(points), columns, header[1:]
 
 
 def _id_value_rows(path) -> tuple[list, list]:

@@ -51,7 +51,7 @@ def stack(sample, grid: Grid | None = None) -> tuple[np.ndarray, Grid]:
     rows = list(sample)
     if not rows:
         raise EmptySampleError("sample is empty")
-    grids = [getattr(f, "grid", None) or getattr(f, "tgrid") for f in rows]
+    grids = [f.grid for f in rows]
     if any(g != grids[0] for g in grids):
         raise GridMismatchError("sample members live on different grids")
     if grid is not None and grid != grids[0]:
@@ -70,10 +70,11 @@ def fit(sample, grid: Grid | None = None, k: int | None = None) -> EigenSystem:
     """Mean, eigensystem (by thin SVD of the weighted sample) and scores.
 
     Eigenvalues come out descending; components below ``EIGENVALUE_DROP``
-    times the leading eigenvalue are dropped, then at most ``k`` are
-    kept.  Each eigenfunction has unit L2 norm and its largest-magnitude
-    value positive.  A single function gives its own mean, no components
-    and scores of shape (1, 0).
+    times the leading eigenvalue, or below the round-off bound (m eps)^2
+    times the mean squared L2 norm of the uncentered rows, are dropped,
+    then at most ``k`` are kept.  Each eigenfunction has unit L2 norm and
+    its largest-magnitude value positive.  A single function, or a sample
+    of identical ones, gives its own mean and no components.
     """
     data, g = stack(sample, grid)
     if len(data) == 0:
@@ -85,7 +86,9 @@ def fit(sample, grid: Grid | None = None, k: int | None = None) -> EigenSystem:
     _, s, vt = np.linalg.svd(centered * (sw / np.sqrt(len(data))), full_matrices=False)
     # singular values come out descending, so no sort is needed
     vals, funcs = s**2, vt / sw
-    keep = vals > EIGENVALUE_DROP * (vals[0] if vals.size and vals[0] > 0 else 1.0)
+    # identical rows leave only round-off, which the relative rule keeps
+    roundoff = (g.m * np.finfo(float).eps) ** 2 * np.mean(data**2 @ w)
+    keep = vals > max(EIGENVALUE_DROP * vals[0], roundoff)
     vals, funcs = vals[keep][:k], funcs[keep][:k]
     funcs /= np.sqrt(np.einsum("km,m,km->k", funcs, w, funcs))[:, None]
     flip = funcs[np.arange(len(funcs)), np.abs(funcs).argmax(axis=1)] < 0

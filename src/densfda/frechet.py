@@ -10,8 +10,10 @@ back onto density space; a transform method (log quantile density or
 log hazard) maps each density through the transform and back through
 its inverse; the Hilbert-sphere method log-maps the square-root
 densities at their Karcher mean and maps back by the exp map and
-squaring.  Representations and modes are valid densities for every
-truncation level and mode parameter.
+squaring.  ``FittedMethod.reconstruct(K)`` returns the K-component
+representations of the whole sample as one ``(n, m)`` array.
+Representations and modes are valid densities for every truncation
+level and mode parameter.
 
 A sample is held as one :class:`DensitySample`: the densities stacked
 once on their shared grid, with the Fréchet mean, the Fréchet variance
@@ -311,8 +313,8 @@ class FittedMethod:
     maps depend on the method.  The sample is held as a
     :class:`DensitySample` (a list of densities is wrapped in one), whose
     ``(n, m)`` array ``values`` every step works on as a whole;
-    ``DensityFn`` objects are built only for the densities that
-    ``reconstruct`` and ``mode`` return.  ``reconstruct(K)`` silently
+    ``reconstruct`` returns such an array and ``mode`` one
+    ``DensityFn``.  ``reconstruct(K)`` silently
     uses all available components when K exceeds them (trailing
     components carry no variance), which also covers the degenerate
     single-subject sample: it has no components, and every method
@@ -343,14 +345,11 @@ class FittedMethod:
     def n_components(self) -> int:
         return self.system.n_components
 
-    def reconstruct_values(self, k: int) -> np.ndarray:
+    def reconstruct(self, k: int) -> np.ndarray:
         """``(n, m)`` density values of the k-component representations."""
         if k < 0:
             raise ValueError("k must be >= 0")
         return self._to_density(fpca.truncate(self.system, min(k, self.n_components)))
-
-    def reconstruct(self, k: int) -> list[DensityFn]:
-        return [DensityFn(self.grid, row) for row in self.reconstruct_values(k)]
 
     def mode(self, k: int, alpha: float) -> DensityFn:
         """Mode of variation along component k (1-based) at parameter alpha."""
@@ -423,7 +422,7 @@ def fve_report(
     k_max = max(1, k_max)
     v_k = np.empty(k_max)
     for k in range(1, k_max + 1):
-        recon, _ = metric.embed_rows(fitted.reconstruct_values(k), fitted.grid)
+        recon, _ = metric.embed_rows(fitted.reconstruct(k), fitted.grid)
         v_k[k - 1] = v_inf - float(np.mean(sq_dist_rows(target, recon, egrid)))
     fve = v_k / v_inf if v_inf > 0 else np.ones(k_max)
     hit = np.nonzero(fve > p)[0]

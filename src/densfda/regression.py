@@ -78,29 +78,31 @@ def predict(model: FlrModel, scores: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ScoreBasis:
-    """Mean and eigenfunctions used to score new densities."""
+    """The score method and the eigensystem (at most K components) of
+    the scored rows; new densities are scored in its mean and
+    eigenfunctions."""
 
     method: str
-    grid: Grid
-    mean: np.ndarray
-    eigenfunctions: np.ndarray
+    system: fpca.EigenSystem
 
     def digest(self) -> str:
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.mean).tobytes())
-        h.update(np.ascontiguousarray(self.eigenfunctions).tobytes())
+        h.update(np.ascontiguousarray(self.system.mean).tobytes())
+        h.update(np.ascontiguousarray(self.system.eigenfunctions).tobytes())
         return h.hexdigest()
 
 
 def score_basis(densities, method: str, k: int) -> ScoreBasis:
     """Fit the score basis (mean + leading eigenfunctions) on a sample."""
-    return _fit_basis(*_score_rows(densities, method), method, k)
+    rows, grid = _score_rows(densities, method)
+    return ScoreBasis(method, fpca.fit(rows, grid, k=k))
 
 
 def project_scores(densities, basis: ScoreBasis) -> np.ndarray:
     """Scores of (possibly unseen) densities in a previously fitted basis."""
     rows, _ = _score_rows(densities, basis.method)
-    return fpca.scores(rows, basis.mean, basis.eigenfunctions, basis.grid)
+    system = basis.system
+    return fpca.scores(rows, system.mean, system.eigenfunctions, system.grid)
 
 
 def _score_rows(densities, method: str) -> tuple[np.ndarray, Grid]:
@@ -112,11 +114,6 @@ def _score_rows(densities, method: str) -> tuple[np.ndarray, Grid]:
         return values, grid
     tgrid, xs = forward_rows(values, grid, LQD)
     return xs, tgrid
-
-
-def _fit_basis(rows: np.ndarray, grid: Grid, method: str, k: int) -> ScoreBasis:
-    system = fpca.fit(rows, grid, k=k)
-    return ScoreBasis(method, grid, system.mean, system.eigenfunctions[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +139,10 @@ def cv_mse(
 ):
     """Repeated K-fold cross-validated mean squared prediction error.
 
-    Every fold refits the score basis on its training subjects only and
-    projects the held-out densities onto that basis.  Fold assignment is
-    a seeded shuffle with one child stream per repeat.
+    Every fold refits the score basis on its training subjects only,
+    regresses on that fit's scores and projects the held-out densities
+    onto the basis.  Fold assignment is a seeded shuffle with one child
+    stream per repeat.
     """
     densities = list(densities)
     y = np.asarray(y, dtype=float).ravel()
@@ -165,16 +163,13 @@ def cv_mse(
         perm = rng.permutation(n)
         for j, test_idx in enumerate(np.array_split(perm, folds)):
             train_idx = np.setdiff1d(perm, test_idx)
-            basis = _fit_basis(rows[train_idx], grid, method, k)
-            model = fit_flr(
-                fpca.scores(rows[train_idx], basis.mean, basis.eigenfunctions, grid),
-                y[train_idx],
-                basis,
-            )
-            pred = predict(model, fpca.scores(rows[test_idx], basis.mean, basis.eigenfunctions, grid))
+            system = fpca.fit(rows[train_idx], grid, k=k)
+            # the fit's own scores are the training rows' projections
+            model = fit_flr(system.scores, y[train_idx], ScoreBasis(method, system))
+            pred = predict(model, fpca.scores(rows[test_idx], system.mean, system.eigenfunctions, grid))
             total_sse += float(((y[test_idx] - pred) ** 2).sum())
             if return_details:
-                records.append((r, j, test_idx.copy(), basis.digest()))
+                records.append((r, j, test_idx.copy(), model.basis.digest()))
     mse = total_sse / (n * repeats)
     if return_details:
         return CvDetails(mse, records)

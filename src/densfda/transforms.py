@@ -12,9 +12,8 @@ Each transform is a pair of row kernels on ``(n, m)`` arrays of
 densities on [0, 1] and of transformed values: :func:`lqd_forward_rows`
 and :func:`lqd_inverse_rows`, :func:`log_hazard_forward_rows` and
 :func:`log_hazard_inverse_rows`.  :func:`forward_rows` and
-:func:`inverse_rows` apply them to a sample on its native support, and
-the per-function maps (:func:`lqd_forward`, :func:`log_hazard_inverse`,
-...) call them with one row.
+:func:`inverse_rows` apply them to a sample on its native support; a
+single density is a sample of one row.
 
 Each LQD kernel evaluates one piecewise-linear interpolant at another,
 and does so with one ``np.interp`` per row: between consecutive knots
@@ -27,14 +26,13 @@ intermediate point only to about m machine epsilons of a grid cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .density import (
-    DensityFn,
     Grid,
     _first_knots,
     cdf_rows,
@@ -43,7 +41,7 @@ from .density import (
     normalize_rows,
     unit_grid,
 )
-from .errors import NonFiniteError, TransformOverflowError
+from .errors import GridMismatchError, NonFiniteError, TransformOverflowError
 
 _EXP_GUARD = 700.0  # exp overflows binary64 just above this
 # inverse kernels let overflow run into the finiteness and positivity
@@ -73,36 +71,6 @@ LQD = TransformSpec(TransformKind.LOG_QUANTILE_DENSITY)
 
 def log_hazard_spec(delta: float = 0.1) -> TransformSpec:
     return TransformSpec(TransformKind.LOG_HAZARD, delta)
-
-
-@dataclass(frozen=True)
-class TransformedFn:
-    """Unconstrained representative X of a density, plus provenance.
-
-    ``support`` records the native support of the source density so the
-    inverse map can restore it; transforms themselves always operate on
-    the unit interval.
-    """
-
-    tgrid: Grid
-    values: np.ndarray = field(repr=False)
-    spec: TransformSpec = LQD
-    support: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.tgrid.m,):
-            raise ValueError("values must match the grid size")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteError("transformed values must be finite")
-        expected_hi = 1.0 if self.spec.kind is TransformKind.LOG_QUANTILE_DENSITY else 1.0 - self.spec.delta
-        if self.tgrid.lo != 0.0 or abs(self.tgrid.hi - expected_hi) > 1e-12:
-            raise ValueError(
-                f"grid [{self.tgrid.lo}, {self.tgrid.hi}] does not match the "
-                f"{self.spec.kind.value} domain [0, {expected_hi}]"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +176,7 @@ def log_hazard_inverse_rows(x: np.ndarray, delta: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Samples and single functions on their native support
+# Samples on their native support
 # ---------------------------------------------------------------------------
 
 
@@ -224,52 +192,22 @@ def forward_rows(values: np.ndarray, grid: Grid, spec: TransformSpec) -> tuple[G
 
 
 def inverse_rows(x: np.ndarray, tgrid: Grid, spec: TransformSpec, support) -> np.ndarray:
-    """Density values on the native ``support`` for each row of transformed values."""
+    """Density values on the native ``support`` for each row of transformed values.
+
+    ``tgrid`` must be the transform's domain, [0, 1] for LQD and
+    [0, 1 - delta] for log hazard, with one point per column of ``x``;
+    otherwise ``GridMismatchError`` is raised.
+    """
+    hi_t = 1.0 if spec.kind is TransformKind.LOG_QUANTILE_DENSITY else 1.0 - spec.delta
+    if tgrid.lo != 0.0 or abs(tgrid.hi - hi_t) > 1e-12 or x.shape[1] != tgrid.m:
+        raise GridMismatchError(
+            f"{x.shape[1]} values on a grid of {tgrid.m} points over [{tgrid.lo}, "
+            f"{tgrid.hi}] do not fit the {spec.kind.value} domain [0, {hi_t}]"
+        )
     lo, hi = support
     if spec.kind is TransformKind.LOG_QUANTILE_DENSITY:
         return lqd_inverse_rows(x) / (hi - lo)
     return log_hazard_inverse_rows(x, spec.delta) / (hi - lo)
-
-
-def forward(f: DensityFn, spec: TransformSpec) -> TransformedFn:
-    """:func:`forward_rows` of one density, with its native support recorded."""
-    tgrid, x = forward_rows(f.values[None], f.grid, spec)
-    return TransformedFn(tgrid, x[0], spec, f.support)
-
-
-def inverse(x: TransformedFn) -> DensityFn:
-    """:func:`inverse_rows` of one function, on the support it records."""
-    lo, hi = x.support
-    values = inverse_rows(x.values[None], x.tgrid, x.spec, x.support)[0]
-    return DensityFn(Grid(lo, hi, x.tgrid.m), values)
-
-
-def lqd_forward(f: DensityFn) -> TransformedFn:
-    """X(t) = -log f(Q(t)) on the probability grid."""
-    return forward(f, LQD)
-
-
-def lqd_inverse(x: TransformedFn) -> DensityFn:
-    """Map X back to a density supported exactly on the native interval."""
-    if x.spec.kind is not TransformKind.LOG_QUANTILE_DENSITY:
-        raise ValueError("lqd_inverse expects a log-quantile-density function")
-    return inverse(x)
-
-
-def log_hazard_forward(f: DensityFn, spec: TransformSpec) -> TransformedFn:
-    """X(t) = log f(t) - log(1 - F(t)) on [0, 1 - delta]."""
-    if spec.kind is not TransformKind.LOG_HAZARD:
-        raise ValueError("spec must be a log-hazard spec")
-    return forward(f, spec)
-
-
-def log_hazard_inverse(x: TransformedFn, spec: TransformSpec | None = None) -> DensityFn:
-    """Map a log hazard back to a density on the native interval."""
-    if spec is not None and spec != x.spec:
-        raise ValueError("spec disagrees with the transformed function's own spec")
-    if x.spec.kind is not TransformKind.LOG_HAZARD:
-        raise ValueError("log_hazard_inverse expects a log-hazard function")
-    return inverse(x)
 
 
 def _guard_exp(values: np.ndarray):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from densfda import DensityFn, Grid, normalize, unit_grid
-from densfda.density import integrate
+from densfda import DensityFn, Grid, forward_rows, inverse_rows, normalize, unit_grid
+from densfda.density import integrate, sq_dist_rows
 
 
 @pytest.fixture
@@ -18,6 +18,35 @@ def smooth_density(rng, grid: Grid, floor: float = 1e-6, amplitude: float = 0.5)
         a, b = rng.normal(size=2) * amplitude / k
         log_f += a * np.cos(np.pi * k * u) + b * np.sin(np.pi * k * u)
     return normalize(np.exp(log_f), grid, floor)
+
+
+def to_transform(f: DensityFn, spec) -> tuple[Grid, np.ndarray]:
+    """Transform grid and values of one density: ``forward_rows`` of one row."""
+    tgrid, x = forward_rows(f.values[None], f.grid, spec)
+    return tgrid, x[0]
+
+
+def from_transform(tgrid: Grid, x, spec, support=(0.0, 1.0)) -> DensityFn:
+    """Density on ``support`` of one row of transformed values: ``inverse_rows``."""
+    values = inverse_rows(np.asarray(x, dtype=float)[None], tgrid, spec, support)[0]
+    return DensityFn(Grid(*support, tgrid.m), values)
+
+
+def roundtrip(f: DensityFn, spec) -> DensityFn:
+    """One density through the forward transform and back to its support."""
+    return from_transform(*to_transform(f, spec), spec, f.support)
+
+
+def l2_distance(f, g) -> float:
+    """L2 distance of two densities on one grid, by ``sq_dist_rows``."""
+    assert f.grid == g.grid
+    return float(np.sqrt(sq_dist_rows(f.values, g.values, f.grid)))
+
+
+def sup_distance(f, g) -> float:
+    """Largest absolute difference of two densities on one grid."""
+    assert f.grid == g.grid
+    return float(np.abs(f.values - g.values).max())
 
 
 def lqd_rank2_basis(grid_m: int = 512):

@@ -20,10 +20,7 @@ from densfda import (
     Metric,
     MethodKind,
     SettingSpec,
-    TransformedFn,
     default_methods,
-    dist_l2,
-    dist_sup,
     dist_wasserstein,
     estimate_density,
     fit,
@@ -31,10 +28,7 @@ from densfda import (
     frechet_mean,
     fve_curve,
     gen_setting,
-    inverse,
-    forward,
     log_hazard_spec,
-    lqd_inverse,
     project_scores,
     run_comparison,
     score_basis,
@@ -46,7 +40,14 @@ from densfda.density import cdf_rows, integrate, unit_grid
 from densfda.sphere import exp_map, log_map
 from densfda.regression import predict
 
-from conftest import lqd_rank2_basis, smooth_density
+from conftest import (
+    from_transform,
+    l2_distance,
+    lqd_rank2_basis,
+    roundtrip,
+    smooth_density,
+    sup_distance,
+)
 
 REPS = 50
 SIM_SEED = 7
@@ -131,7 +132,7 @@ def test_criterion_4_kde_rate():
         h = float(n) ** (-1.0 / 3.0) / grid.width  # rate rule on the data scale
         cfg = KdeConfig(h, Kernel.GAUSSIAN, grid, 1e-6)
         sq = [
-            dist_l2(estimate_density(np.interp(rng.random(n), fine_cdf, fine.points), cfg), truth) ** 2
+            l2_distance(estimate_density(np.interp(rng.random(n), fine_cdf, fine.points), cfg), truth) ** 2
             for _ in range(200)
         ]
         mise.append(np.mean(sq))
@@ -146,7 +147,7 @@ def test_criterion_5_mode_convergence_rate():
     spread = tuple(np.sqrt(3.0 * t) for t in tau)
     alphas = (-2.0, -1.0, 0.0, 1.0, 2.0)
     true_modes = {
-        (k, a): lqd_inverse(TransformedFn(tgrid, a * np.sqrt(t) * rho, LQD))
+        (k, a): from_transform(tgrid, a * np.sqrt(t) * rho, LQD)
         for k, (rho, t) in enumerate([(rho1, tau[0]), (rho2, tau[1])], start=1)
         for a in alphas
     }
@@ -154,10 +155,7 @@ def test_criterion_5_mode_convergence_rate():
     def max_mode_error(n, rng):
         c1 = rng.uniform(-spread[0], spread[0], n)
         c2 = rng.uniform(-spread[1], spread[1], n)
-        sample = [
-            lqd_inverse(TransformedFn(tgrid, a * rho1 + b * rho2, LQD))
-            for a, b in zip(c1, c2)
-        ]
+        sample = [from_transform(tgrid, a * rho1 + b * rho2, LQD) for a, b in zip(c1, c2)]
         from densfda import FittedMethod
 
         fitted = FittedMethod(sample, MethodKind.lqd())
@@ -219,8 +217,8 @@ def test_criterion_7_property_suites(rng):
     hspec = log_hazard_spec(0.1)
     for _ in range(10):
         f = smooth_density(rng, grid)
-        worst_round = max(worst_round, dist_sup(f, lqd_inverse(forward(f, LQD))))
-        back = inverse(forward(f, hspec))
+        worst_round = max(worst_round, sup_distance(f, roundtrip(f, LQD)))
+        back = roundtrip(f, hspec)
         keep = grid.points <= 0.9
         worst_round = max(worst_round, float(np.abs(back.values[keep] - f.values[keep]).max()))
     checks["roundtrip<=1e-3"] = worst_round <= 1e-3
@@ -232,8 +230,8 @@ def test_criterion_7_property_suites(rng):
         rep = fve_curve(gen.densities, method, Metric.L2, k_max=2, floor=1e-3)
         fitted = FittedMethod(gen.densities, method, floor=1e-3)
         for r in fitted.reconstruct(2):
-            mass_dev = max(mass_dev, abs(integrate(r.values, r.grid) - 1.0))
-            min_val = min(min_val, r.values.min())
+            mass_dev = max(mass_dev, abs(integrate(r, fitted.grid) - 1.0))
+            min_val = min(min_val, r.min())
     lqd = FittedMethod(gen.densities, MethodKind.lqd(0.5), floor=1e-3)
     for alpha in (-2.0, 0.0, 2.0):
         mode = lqd.mode(1, alpha)

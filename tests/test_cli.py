@@ -6,7 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from densfda import Grid, dist_sup, normalize, unit_grid
+from densfda import (
+    DEFAULT_FLOOR,
+    LQD,
+    Grid,
+    forward_rows,
+    inverse_rows,
+    log_hazard_spec,
+    normalize,
+    unit_grid,
+)
 from densfda.cli import main
 from densfda.fileio import (
     FLOAT_FMT,
@@ -14,10 +23,11 @@ from densfda.fileio import (
     _write_table,
     read_density_csv,
     read_samples_csv,
+    read_transformed_csv,
     write_density_csv,
 )
 
-from conftest import lqd_rank2_basis, smooth_density
+from conftest import from_transform, lqd_rank2_basis, smooth_density, sup_distance
 
 
 @pytest.fixture
@@ -71,11 +81,11 @@ class TestFileIO:
         assert header == ref_header
         np.testing.assert_array_equal(points, ref_points)
         np.testing.assert_array_equal(columns, ref_columns)
-        densities, ids = read_density_csv(path, floor=1e-6)
+        densities, ids = read_density_csv(path)
         assert ids == ref_header[1:]
         for f, col in zip(densities, ref_columns):
             assert f.grid == grid
-            np.testing.assert_array_equal(f.values, normalize(col, grid, 1e-6).values)
+            np.testing.assert_array_equal(f.values, normalize(col, grid, DEFAULT_FLOOR).values)
 
     def test_writer_matches_csv_writer(self, tmp_path, rng):
         points = Grid(-1.0, 1.0, 33).points
@@ -136,7 +146,51 @@ class TestTransformCli:
         ]) == 0
         recovered, _ = read_density_csv(back)
         for f, g in zip(densities, recovered):
-            assert dist_sup(f, g) <= 5e-3  # display-resolution grid
+            assert sup_distance(f, g) <= 5e-3  # display-resolution grid
+
+    @pytest.mark.parametrize("m", [64, 1024])
+    @pytest.mark.parametrize("kind", ["lqd", "loghazard"])
+    def test_tables_match_the_row_kernels(self, tmp_path, rng, kind, m):
+        # one call per table: each output column is that row of the kernels, to the bit
+        grid = Grid(-2.0, 3.0, m)
+        densities = [smooth_density(rng, grid) for _ in range(5)]
+        path, fwd, back = tmp_path / "d.csv", tmp_path / "x.csv", tmp_path / "back.csv"
+        write_density_csv(path, densities)
+        spec = LQD if kind == "lqd" else log_hazard_spec(0.2)
+        tgrid, x = forward_rows(np.stack([f.values for f in densities]), grid, spec)
+        args = ["transform", "--kind", kind, "--delta", "0.2"]
+        assert main([*args, "--in", str(path), "--out", str(fwd)]) == 0
+        got_tgrid, got_x, ids = read_transformed_csv(fwd)
+        assert (got_tgrid, ids) == (tgrid, [f"subject_{i}" for i in range(1, 6)])
+        np.testing.assert_array_equal(got_x, x)
+        assert main([*args, "--inverse", "--support=-2,3", "--in", str(fwd), "--out", str(back)]) == 0
+        header, points, values = _read_table(back)
+        np.testing.assert_array_equal(points, grid.points)
+        np.testing.assert_array_equal(values, inverse_rows(x, tgrid, spec, (-2.0, 3.0)))
+
+    @pytest.mark.parametrize("support", ["1,1", "1,0"])
+    def test_empty_support_reports_one_json_line(self, tmp_path, capsys, support):
+        path, out = tmp_path / "x.csv", tmp_path / "back.csv"
+        _write_table(path, "t", unit_grid(16).points, [np.zeros(16)], ["s1"])
+        args = ["transform", "--inverse", f"--support={support}", "--in", str(path), "--out", str(out)]
+        assert main(args) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValueError"
+        assert not out.exists()
+
+    def test_inverse_of_another_transform_exits_1(self, tmp_path, density_csv, capsys):
+        # an LQD table spans t in [0, 1]; the log hazard domain is [0, 1 - delta]
+        path, _ = density_csv
+        fwd, out = tmp_path / "x.csv", tmp_path / "back.csv"
+        assert main(["transform", "--kind", "lqd", "--in", str(path), "--out", str(fwd)]) == 0
+        capsys.readouterr()
+        args = ["transform", "--kind", "loghazard", "--inverse", "--in", str(fwd), "--out", str(out)]
+        assert main(args) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "GridMismatchError"
+        assert not out.exists()
 
     def test_overflow_reports_one_json_line(self, tmp_path, capsys):
         # X far above and far below zero: exp(-X) overflows in the inverse
@@ -155,12 +209,7 @@ class TestTransformCli:
 class TestAnalyze:
     def test_rank_one_fixture_selects_one(self, tmp_path, rng):
         tgrid, rho1, _ = lqd_rank2_basis(101)
-        from densfda import LQD, TransformedFn, lqd_inverse
-
-        densities = [
-            lqd_inverse(TransformedFn(tgrid, c * rho1, LQD))
-            for c in rng.uniform(-0.7, 0.7, 12)
-        ]
+        densities = [from_transform(tgrid, c * rho1, LQD) for c in rng.uniform(-0.7, 0.7, 12)]
         path = tmp_path / "rank1.csv"
         write_density_csv(path, densities)
         out = tmp_path / "report.json"
@@ -208,6 +257,18 @@ class TestAnalyze:
         assert main(["modes", "--k", "50", "--in", str(path), "--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "KTooLargeError"
         assert not out.exists()
+
+    def test_zero_in_a_column_is_floored(self, tmp_path, rng):
+        # read_density_csv floors like estimate does, so one zero fails nothing
+        grid = Grid(0.0, 1.0, 101)
+        columns = [smooth_density(rng, grid).values for _ in range(6)]
+        columns[2] = columns[2].copy()
+        columns[2][40] = 0.0
+        path = tmp_path / "d.csv"
+        _write_table(path, "x", grid.points, columns, [f"s{i}" for i in range(6)])
+        assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 0
+        _, _, modes = _read_table(tmp_path / "r_modes.csv")
+        assert modes.shape[0] > 0 and modes.min() > 0.0
 
     def test_one_density_gets_grid_only_modes(self, tmp_path, rng):
         grid = Grid(0.0, 1.0, 101)

@@ -13,9 +13,9 @@ from densfda import (
     NonFiniteError,
     NotInvertibleError,
     SupportMismatchError,
-    dist_l2,
-    dist_sup,
+    Metric,
     dist_wasserstein,
+    frechet_variance,
     log_hazard_spec,
     normalize,
     unit_grid,
@@ -31,7 +31,7 @@ from densfda.density import (
 from densfda.frechet import _pchip_quantile_rows
 from densfda.transforms import forward_rows, inverse_rows
 
-from conftest import smooth_density
+from conftest import l2_distance, smooth_density
 
 
 class TestGrid:
@@ -172,19 +172,13 @@ class TestConversions:
 class TestMetrics:
     def test_identity_of_indiscernibles(self, unit512, rng):
         f = smooth_density(rng, unit512)
-        assert dist_l2(f, f) == 0.0
-        assert dist_sup(f, f) == 0.0
+        assert l2_distance(f, f) == 0.0
         assert dist_wasserstein(f, f) == 0.0
 
     def test_l2_analytic(self, unit512):
         f = normalize(np.ones(512), unit512, floor=0.0)
         g = normalize(2.0 * unit512.points, unit512, floor=1e-6)
-        assert dist_l2(f, g) == pytest.approx(np.sqrt(1.0 / 3.0), abs=1e-3)
-
-    def test_sup_analytic(self, unit512):
-        f = normalize(np.ones(512), unit512, floor=0.0)
-        g = normalize(2.0 * unit512.points, unit512, floor=1e-6)
-        assert dist_sup(f, g) == pytest.approx(1.0, abs=1e-3)
+        assert l2_distance(f, g) == pytest.approx(np.sqrt(1.0 / 3.0), abs=1e-3)
 
     def test_wasserstein_analytic(self, unit512):
         # oracle: int_0^1 (t - sqrt(t))^2 dt = 1/30
@@ -193,12 +187,12 @@ class TestMetrics:
         assert dist_wasserstein(f, g) == pytest.approx(np.sqrt(1.0 / 30.0), abs=1e-3)
 
     def test_grid_mismatch(self, unit512):
+        # L2 distances need one grid; Wasserstein ones only one support
         f = normalize(np.ones(512), unit512)
         g = normalize(np.ones(256), Grid(0.0, 1.0, 256))
         with pytest.raises(GridMismatchError):
-            dist_l2(f, g)
-        with pytest.raises(GridMismatchError):
-            dist_sup(f, g)
+            frechet_variance([f], g, Metric.L2)
+        assert frechet_variance([f], g, Metric.WASSERSTEIN) == pytest.approx(0.0, abs=1e-24)
 
     def test_wasserstein_allows_resolution_mismatch(self, unit512):
         f = normalize(np.ones(512), unit512, floor=0.0)
@@ -214,7 +208,7 @@ class TestMetrics:
     def test_metric_axioms_on_random_triples(self, unit512, rng):
         for _ in range(20):
             f, g, h = (smooth_density(rng, unit512) for _ in range(3))
-            for dist in (dist_l2, dist_sup, dist_wasserstein):
+            for dist in (l2_distance, dist_wasserstein):
                 dfg, dgh, dfh = dist(f, g), dist(g, h), dist(f, h)
                 assert dfg >= 0.0
                 assert dfg == pytest.approx(dist(g, f), abs=1e-12)
@@ -223,7 +217,7 @@ class TestMetrics:
     def test_sup_dominates_l2_on_unit_support(self, unit512, rng):
         for _ in range(20):
             f, g = smooth_density(rng, unit512), smooth_density(rng, unit512)
-            assert dist_sup(f, g) >= dist_l2(f, g) - 1e-12
+            assert np.abs(f.values - g.values).max() >= l2_distance(f, g) - 1e-12
 
     def test_wasserstein_affine_equivariance(self, rng):
         m = 512

@@ -9,14 +9,12 @@ from densfda import (
     FittedMethod,
     Grid,
     GridMismatchError,
+    KTooLargeError,
     LQD,
     Metric,
     MethodKind,
     SettingSpec,
     SupportMismatchError,
-    TransformedFn,
-    dist_l2,
-    dist_sup,
     dist_wasserstein,
     fisher_rao_mean,
     fit,
@@ -26,7 +24,6 @@ from densfda import (
     fve_report,
     gen_setting,
     karcher_mean,
-    lqd_inverse,
     normalize,
     sqrt_embed,
     square_back,
@@ -36,7 +33,14 @@ from densfda import (
 )
 from densfda.density import cdf_rows, integrate, quantile_rows
 
-from conftest import lqd_rank2_basis, smooth_density
+from conftest import (
+    from_transform,
+    l2_distance,
+    lqd_rank2_basis,
+    smooth_density,
+    sup_distance,
+    to_transform,
+)
 
 M = 512
 
@@ -47,8 +51,7 @@ def lqd_family(coeffs2, grid_m=M, support=(0.0, 1.0)):
     coeffs2 = np.atleast_2d(coeffs2)
     out = []
     for c1, c2 in coeffs2:
-        x = TransformedFn(tgrid, c1 * rho1 + c2 * rho2, LQD, support)
-        out.append(lqd_inverse(x))
+        out.append(from_transform(tgrid, c1 * rho1 + c2 * rho2, LQD, support))
     return out, (rho1, rho2)
 
 
@@ -61,7 +64,7 @@ class TestWassersteinMean:
     def test_identical_sample(self, rng, unit512):
         f = smooth_density(rng, unit512)
         mean = wasserstein_frechet_mean([f, f])
-        assert dist_sup(mean, f) <= 1e-3
+        assert sup_distance(mean, f) <= 1e-3
 
     def test_median_of_mirror_pair(self, unit512):
         # Q_+(t) = (sqrt(t) + 1 - sqrt(1-t)) / 2, so the median is 0.5
@@ -136,8 +139,8 @@ class TestDensitySample:
                 b = fve_curve(shared, method, metric, k_max=3)
                 np.testing.assert_array_equal(a.fve, b.fve)
             np.testing.assert_array_equal(
-                FittedMethod(densities, method).reconstruct_values(2),
-                FittedMethod(shared, method).reconstruct_values(2),
+                FittedMethod(densities, method).reconstruct(2),
+                FittedMethod(shared, method).reconstruct(2),
             )
 
     def test_validation(self, rng):
@@ -180,7 +183,7 @@ class TestFrechetVariance:
         sample = [smooth_density(rng, unit512) for _ in range(5)]
         for metric in Metric:
             mean = frechet_mean(sample, metric)
-            distance = dist_l2 if metric is Metric.L2 else dist_wasserstein
+            distance = l2_distance if metric is Metric.L2 else dist_wasserstein
             expect = np.mean([distance(f, mean) ** 2 for f in sample])
             assert frechet_variance(sample, mean, metric) == pytest.approx(expect, rel=1e-12)
 
@@ -216,7 +219,7 @@ class TestTransformationModes:
         for i in (0, 7, 13):
             alpha = (cs[i] - cs.mean()) / np.sqrt(tau1)
             mode = fitted.mode(1, alpha)
-            assert dist_l2(mode, sample[i]) <= 1e-3
+            assert l2_distance(mode, sample[i]) <= 1e-3
 
     def test_any_alpha_valid_density(self, rng, unit512):
         fitted = FittedMethod([smooth_density(rng, unit512) for _ in range(8)], MethodKind.lqd())
@@ -232,7 +235,7 @@ class TestRepresent:
         sample, _ = lqd_family(cs)
         recon = FittedMethod(sample, MethodKind.lqd()).reconstruct(10)
         for f, r in zip(sample, recon):
-            assert dist_l2(f, r) <= 1e-3
+            assert l2_distance(f, DensityFn(f.grid, r)) <= 1e-3
 
     def test_lqd_beats_fpca_at_k1_on_shifts(self):
         gen = gen_setting(SettingSpec(setting=2, n=30, seed=9))
@@ -254,7 +257,17 @@ class TestRepresent:
             assert fitted.n_components == 0
             (r,) = fitted.reconstruct(1)
             keep = unit512.points <= upper
-            assert np.abs(r.values - f.values)[keep].max() <= 1e-3
+            assert np.abs(r - f.values)[keep].max() <= 1e-3
+
+    def test_identical_sample_has_no_components(self, rng, unit512):
+        f = smooth_density(rng, unit512)
+        for method in (MethodKind.lqd(), MethodKind.log_hazard(0.1),
+                       MethodKind.ordinary_fpca(), MethodKind.hilbert_sphere()):
+            fitted = FittedMethod([f] * 5, method)
+            assert fitted.n_components == 0
+            assert fitted.reconstruct(2).shape == (5, M)
+            with pytest.raises(KTooLargeError):
+                fitted.mode(1, 1.0)
 
     def test_k_below_one_rejected(self, rng, unit512):
         sample = [smooth_density(rng, unit512) for _ in range(4)]
@@ -265,8 +278,8 @@ class TestRepresent:
         sample = [smooth_density(rng, unit512) for _ in range(8)]
         for method in (MethodKind.lqd(), MethodKind.ordinary_fpca(), MethodKind.hilbert_sphere()):
             for r in FittedMethod(sample, method).reconstruct(2):
-                assert r.values.min() > 0.0
-                assert integrate(r.values, unit512) == pytest.approx(1.0, abs=1e-10)
+                assert r.min() > 0.0
+                assert integrate(r, unit512) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestFveCurve:
@@ -336,20 +349,19 @@ class TestBlend:
         blended = FittedMethod(sample, MethodKind.lqd(0.4), floor=0.0)
         plain = FittedMethod([blend(f, 0.4) for f in sample], MethodKind.lqd())
         for k in (0, 2, 5):
-            for r, want in zip(blended.reconstruct(k), plain.reconstruct_values(k)):
-                np.testing.assert_allclose(blend(r, 0.4).values, want, rtol=0.0, atol=1e-12)
+            for r, want in zip(blended.reconstruct(k), plain.reconstruct(k)):
+                again = blend(DensityFn(unit512, r), 0.4).values
+                np.testing.assert_allclose(again, want, rtol=0.0, atol=1e-12)
         for f, r in zip(sample, blended.reconstruct(5)):
-            assert dist_sup(f, r) <= 1e-3
+            assert sup_distance(f, DensityFn(unit512, r)) <= 1e-3
 
     def test_blend_bounds_transform(self, rng):
         grid = Grid(-5.0, 5.0, M)
         f = truncated_normal_density(2.0, 0.5, grid, floor=1e-6)
-        from densfda import lqd_forward
-
-        raw = lqd_forward(f)
-        blended = lqd_forward(blend(f, 0.5))
-        assert blended.values.max() < raw.values.max()
-        assert blended.values.max() <= np.log(2.0 * f.grid.width) + 1e-9
+        _, raw = to_transform(f, LQD)
+        _, blended = to_transform(blend(f, 0.5), LQD)
+        assert blended.max() < raw.max()
+        assert blended.max() <= np.log(2.0 * f.grid.width) + 1e-9
 
     def test_blend_only_for_transforms(self):
         with pytest.raises(ValueError):

@@ -12,12 +12,12 @@ from densfda import (
     TooFewSamplesError,
     boundary_weight,
     default_bandwidth,
-    dist_l2,
-    dist_sup,
     estimate_density,
     normalize,
 )
 from densfda.density import integrate
+
+from conftest import l2_distance, sup_distance
 
 
 class TestBoundaryWeight:
@@ -82,7 +82,7 @@ class TestEstimateDensity:
         cfg = KdeConfig(default_bandwidth(n), Kernel.EPANECHNIKOV, Grid(0.0, 1.0, 512))
         f = estimate_density(samples, cfg)
         uniform = normalize(np.ones(512), f.grid, 0.0)
-        assert dist_l2(f, uniform) <= 0.05
+        assert l2_distance(f, uniform) <= 0.05
 
     def test_uniform_recovery_gaussian_interior(self, rng):
         # the gaussian kernel's weight drops tail mass beyond one bandwidth,
@@ -143,7 +143,7 @@ class TestEstimateDensity:
             f = estimate_density(samples, KdeConfig(h, Kernel.GAUSSIAN, cfg_grid))
             sups.append(f.values.max())
             if prev is not None:
-                assert dist_sup(prev, f) > 0.0
+                assert sup_distance(prev, f) > 0.0
             prev = f
         assert all(a > b for a, b in zip(sups, sups[1:]))
 

@@ -85,8 +85,7 @@ class TestScoreBases:
         basis = score_basis(densities, "fpca", 2)
         model = fit_flr(project_scores(densities, basis), y)
         flipped = score_basis(densities, "fpca", 2)
-        flipped.eigenfunctions = flipped.eigenfunctions.copy()
-        flipped.eigenfunctions[1] *= -1.0
+        flipped.system.eigenfunctions[1] *= -1.0
         model2 = fit_flr(project_scores(densities, flipped), y)
         assert model2.coefficients[1] == pytest.approx(-model.coefficients[1], abs=1e-10)
         pred1 = predict(model, project_scores(densities, basis))
@@ -168,6 +167,17 @@ class TestCvMse:
         densities, mus = shift_family
         cv_mse(densities, mus, "lqd", 2, folds=5, repeats=3, seed=2)
         assert rows == [len(densities)]
+
+    @pytest.mark.parametrize("method", ["lqd", "fpca"])
+    def test_fit_scores_are_projected_scores(self, method):
+        # cv_mse regresses on the fit's own scores instead of projecting the
+        # training rows again; the two are the same bits
+        densities = gen_setting(SettingSpec(setting=3, n=60, m=256, seed=3)).densities
+        perm = np.random.default_rng(8).permutation(len(densities))
+        for test_idx in np.array_split(perm, 20):
+            train = [densities[i] for i in np.setdiff1d(perm, test_idx)]
+            basis = score_basis(train, method, 3)
+            np.testing.assert_array_equal(basis.system.scores, project_scores(train, basis))
 
     @pytest.mark.parametrize("method", ["lqd", "fpca"])
     def test_matches_refit_per_fold(self, shift_family, method):

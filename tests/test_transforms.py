@@ -5,27 +5,21 @@ from densfda import (
     DensityFn,
     FittedMethod,
     Grid,
+    GridMismatchError,
     LQD,
     MethodKind,
+    NonFiniteError,
     SettingSpec,
-    TransformedFn,
     TransformOverflowError,
     TransformSpec,
-    dist_l2,
-    dist_sup,
-    forward,
     gen_setting,
-    inverse,
-    log_hazard_forward,
-    log_hazard_inverse,
+    inverse_rows,
     log_hazard_spec,
-    lqd_forward,
-    lqd_inverse,
     normalize,
     truncated_normal_density,
     unit_grid,
 )
-from densfda.density import integrate
+from densfda.density import integrate, sq_dist_rows
 from densfda.errors import DensfdaError
 from densfda.transforms import (
     _guard_exp,
@@ -37,7 +31,14 @@ from densfda.transforms import (
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
-from conftest import smooth_density
+from conftest import (
+    from_transform,
+    l2_distance,
+    roundtrip,
+    smooth_density,
+    sup_distance,
+    to_transform,
+)
 
 M = 512
 EPS = np.finfo(float).eps
@@ -50,93 +51,84 @@ def uniform(unit512):
 
 class TestLqdForward:
     def test_uniform_maps_to_zero(self, uniform):
-        x = lqd_forward(uniform)
-        assert np.abs(x.values).max() <= 1e-12
+        _, x = to_transform(uniform, LQD)
+        assert np.abs(x).max() <= 1e-12
 
     def test_linear_density_analytic(self, unit512):
         # f = 2(1+x)/3: Q(t) = -1 + sqrt(1+3t), f(Q(t)) = 2 sqrt(1+3t)/3
         f = normalize(2.0 * (1.0 + unit512.points) / 3.0, unit512, floor=0.0)
-        x = lqd_forward(f)
-        assert x.values[0] == pytest.approx(np.log(1.5), abs=1e-3)
-        assert x.values[-1] == pytest.approx(np.log(1.5) - 0.5 * np.log(4.0), abs=1e-3)
+        _, x = to_transform(f, LQD)
+        assert x[0] == pytest.approx(np.log(1.5), abs=1e-3)
+        assert x[-1] == pytest.approx(np.log(1.5) - 0.5 * np.log(4.0), abs=1e-3)
 
     def test_affine_mapped_uniform(self):
-        g = Grid(0.0, 2.0, M)
-        f = normalize(np.full(M, 0.5), g, floor=0.0)
-        x = lqd_forward(f)
-        assert np.abs(x.values).max() <= 1e-12
-        assert x.support == (0.0, 2.0)
+        f = normalize(np.full(M, 0.5), Grid(0.0, 2.0, M), floor=0.0)
+        tgrid, x = to_transform(f, LQD)
+        assert np.abs(x).max() <= 1e-12
+        assert tgrid == unit_grid(M)
 
 
 class TestLqdInverse:
     def test_zero_maps_to_uniform(self):
-        x = TransformedFn(unit_grid(M), np.zeros(M), LQD)
-        f = lqd_inverse(x)
+        f = from_transform(unit_grid(M), np.zeros(M), LQD)
         np.testing.assert_allclose(f.values, 1.0, atol=1e-12)
 
     def test_constant_scale_cancels(self):
-        x = TransformedFn(unit_grid(M), np.full(M, 3.7), LQD)
-        f = lqd_inverse(x)
+        f = from_transform(unit_grid(M), np.full(M, 3.7), LQD)
         np.testing.assert_allclose(f.values, 1.0, atol=1e-10)
 
     def test_roundtrip_linear_density(self, unit512):
         f = normalize(2.0 * (1.0 + unit512.points) / 3.0, unit512, floor=0.0)
-        assert dist_sup(f, lqd_inverse(lqd_forward(f))) <= 1e-3
+        assert sup_distance(f, roundtrip(f, LQD)) <= 1e-3
 
     def test_roundtrip_restores_native_support(self, rng):
         g = Grid(-3.0, 3.0, M)
         f = smooth_density(rng, g)
-        back = lqd_inverse(lqd_forward(f))
+        back = roundtrip(f, LQD)
         assert back.grid == g
-        assert dist_sup(f, back) <= 1e-3
+        assert sup_distance(f, back) <= 1e-3
 
     def test_roundtrip_floored_truncated_normal(self):
         # the 1e-6 floor leaves a sub-cell boundary layer in the quantile
         # density, so the roundtrip is only first-order accurate there
-        g = Grid(-3.0, 3.0, M)
-        f = truncated_normal_density(0.0, 1.0, g, floor=1e-6)
-        back = lqd_inverse(lqd_forward(f))
-        assert dist_sup(f, back) <= 1e-2
+        f = truncated_normal_density(0.0, 1.0, Grid(-3.0, 3.0, M), floor=1e-6)
+        assert sup_distance(f, roundtrip(f, LQD)) <= 1e-2
 
     def test_overflow_guard(self):
         vals = np.zeros(M)
         vals[M // 2] = 701.0
-        x = TransformedFn(unit_grid(M), vals, LQD)
         with pytest.raises(TransformOverflowError):
-            lqd_inverse(x)
+            from_transform(unit_grid(M), vals, LQD)
 
     def test_wrong_kind_rejected(self):
-        spec = log_hazard_spec(0.1)
-        x = TransformedFn(Grid(0.0, 0.9, M), np.zeros(M), spec)
-        with pytest.raises(ValueError):
-            lqd_inverse(x)
+        # log hazard values live on [0, 1 - delta], not on the LQD domain
+        with pytest.raises(GridMismatchError):
+            from_transform(Grid(0.0, 0.9, M), np.zeros(M), LQD)
 
 
 class TestLogHazardForward:
     def test_uniform_hazard(self, uniform):
         # X(t) = -log(1 - t)
-        x = log_hazard_forward(uniform, log_hazard_spec(0.1))
-        assert x.tgrid.hi == pytest.approx(0.9)
-        assert x.values[0] == pytest.approx(0.0, abs=1e-4)
-        at_half = np.interp(0.5, x.tgrid.points, x.values)
-        assert at_half == pytest.approx(np.log(2.0), abs=1e-4)
+        tgrid, x = to_transform(uniform, log_hazard_spec(0.1))
+        assert tgrid.hi == pytest.approx(0.9)
+        assert x[0] == pytest.approx(0.0, abs=1e-4)
+        assert np.interp(0.5, tgrid.points, x) == pytest.approx(np.log(2.0), abs=1e-4)
 
     def test_truncated_normal_hazard_increasing_at_right(self):
         f = truncated_normal_density(0.0, 1.0, Grid(-3.0, 3.0, M), floor=1e-6)
-        x = log_hazard_forward(f, log_hazard_spec(0.1))
-        assert np.all(np.isfinite(x.values))
-        tail = x.values[int(0.8 * M):]
-        assert np.all(np.diff(tail) > 0)  # monotone hazard near the right end
+        _, x = to_transform(f, log_hazard_spec(0.1))
+        assert np.all(np.isfinite(x))
+        assert np.all(np.diff(x[int(0.8 * M):]) > 0)  # monotone hazard near the right end
 
     def test_deterministic(self, uniform):
         spec = log_hazard_spec(0.2)
-        a = log_hazard_forward(uniform, spec)
-        b = log_hazard_forward(uniform, spec)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(to_transform(uniform, spec)[1], to_transform(uniform, spec)[1])
 
     def test_requires_hazard_spec(self, uniform):
-        with pytest.raises(ValueError):
-            log_hazard_forward(uniform, LQD)
+        # the hazard grid [0, 1 - delta] is only inverted under its own spec
+        tgrid, x = to_transform(uniform, log_hazard_spec(0.1))
+        with pytest.raises(GridMismatchError):
+            from_transform(tgrid, x, LQD)
 
 
 class TestLogHazardInverse:
@@ -146,9 +138,7 @@ class TestLogHazardInverse:
         # O(spacing * jump) straddle-cell error; 4096 points keep it under
         # the example tolerance.
         m = 4096
-        spec = log_hazard_spec(0.1)
-        x = TransformedFn(Grid(0.0, 0.9, m), np.zeros(m), spec)
-        f = log_hazard_inverse(x, spec)
+        f = from_transform(Grid(0.0, 0.9, m), np.zeros(m), log_hazard_spec(0.1))
         pts = f.grid.points
         interior = pts <= 0.9
         np.testing.assert_allclose(f.values[interior], np.exp(-pts[interior]), atol=1e-3)
@@ -157,24 +147,21 @@ class TestLogHazardInverse:
         assert tail[0] == pytest.approx(10.0 * np.exp(-0.9), abs=1e-3)
 
     def test_uniform_roundtrip_and_tail_mass(self, uniform):
-        spec = log_hazard_spec(0.1)
-        back = log_hazard_inverse(log_hazard_forward(uniform, spec), spec)
+        back = roundtrip(uniform, log_hazard_spec(0.1))
         pts = back.grid.points
         assert np.abs(back.values[pts <= 0.9] - 1.0).max() <= 1e-3
         tail_value = back.values[pts > 0.9][0]
         assert tail_value * 0.1 == pytest.approx(0.1, abs=1e-6)
 
     def test_spike_still_integrates_to_one(self):
-        spec = log_hazard_spec(0.1)
         vals = np.zeros(M)
         vals[0] = 5.0
-        f = log_hazard_inverse(TransformedFn(Grid(0.0, 0.9, M), vals, spec), spec)
+        f = from_transform(Grid(0.0, 0.9, M), vals, log_hazard_spec(0.1))
         assert integrate(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_spec_mismatch_rejected(self):
-        x = TransformedFn(Grid(0.0, 0.9, M), np.zeros(M), log_hazard_spec(0.1))
-        with pytest.raises(ValueError):
-            log_hazard_inverse(x, log_hazard_spec(0.2))
+        with pytest.raises(GridMismatchError):
+            from_transform(Grid(0.0, 0.9, M), np.zeros(M), log_hazard_spec(0.2))
 
 
 class TestRoundTrips:
@@ -182,12 +169,11 @@ class TestRoundTrips:
     def test_smooth_roundtrips(self, spec, rng, unit512):
         for _ in range(5):
             f = smooth_density(rng, unit512)
-            back = inverse(forward(f, spec))
+            back = roundtrip(f, spec)
             if spec is LQD:
-                assert dist_sup(f, back) <= 1e-3
+                assert sup_distance(f, back) <= 1e-3
             else:
-                pts = f.grid.points
-                keep = pts <= 1.0 - spec.delta
+                keep = f.grid.points <= 1.0 - spec.delta
                 assert np.abs(back.values[keep] - f.values[keep]).max() <= 1e-3
 
     def test_roundtrip_error_shrinks_with_resolution(self, rng):
@@ -195,13 +181,12 @@ class TestRoundTrips:
         for m in (128, 512):
             g = Grid(0.0, 1.0, m)
             f = normalize(np.exp(np.sin(2 * np.pi * g.points)), g, 1e-6)
-            errs.append(dist_sup(f, lqd_inverse(lqd_forward(f))))
+            errs.append(sup_distance(f, roundtrip(f, LQD)))
         assert errs[1] < errs[0]
 
     def test_hazard_tail_mass_matches_delta(self, rng, unit512):
-        spec = log_hazard_spec(0.2)
         f = smooth_density(rng, unit512)
-        back = log_hazard_inverse(log_hazard_forward(f, spec), spec)
+        back = roundtrip(f, log_hazard_spec(0.2))
         pts = back.grid.points
         truth_tail = integrate(np.where(pts >= 0.8, f.values, 0.0), back.grid)
         got_tail = back.values[pts > 0.8][0] * 0.2
@@ -213,7 +198,7 @@ class TestStructuralProperties:
         # nearby density pairs (floored at 0.1, capped near 10) keep a stable
         # ratio d2(psi f, psi g) / d2(f, g) for both transforms
         ratios = {"lqd": [], "hazard": []}
-        hspec = log_hazard_spec(0.1)
+        specs = {"lqd": LQD, "hazard": log_hazard_spec(0.1)}
         for _ in range(100):
             f = smooth_density(rng, unit512)
             bump = np.zeros(M)
@@ -224,36 +209,41 @@ class TestStructuralProperties:
             bump /= max(np.abs(bump).max(), 1.0)
             perturbed = f.values * (1.0 + 1e-4 * bump)
             g = DensityFn(unit512, perturbed / integrate(perturbed, unit512))
-            assert dist_sup(f, g) <= 1e-3
-            d_fg = dist_l2(f, g)
+            assert sup_distance(f, g) <= 1e-3
+            d_fg = l2_distance(f, g)
             if d_fg == 0.0:
                 continue
-            ratios["lqd"].append(dist_l2(lqd_forward(f), lqd_forward(g)) / d_fg)
-            ratios["hazard"].append(
-                dist_l2(log_hazard_forward(f, hspec), log_hazard_forward(g, hspec)) / d_fg
-            )
+            for name, spec in specs.items():
+                tgrid, xf = to_transform(f, spec)
+                d_x = np.sqrt(sq_dist_rows(xf, to_transform(g, spec)[1], tgrid))
+                ratios[name].append(d_x / d_fg)
         for vals in ratios.values():
             assert np.max(vals) < 50.0
 
     def test_transformed_fn_bounded_by_density_box(self, rng, unit512):
         # |X| <= log(sup f * sup 1/f) for the LQD map, plus |log delta| for
         # the hazard map
+        spec = log_hazard_spec(0.1)
         for _ in range(20):
             f = smooth_density(rng, unit512)
             box = np.log(f.values.max() * (1.0 / f.values.min()))
-            x = lqd_forward(f)
-            assert np.abs(x.values).max() <= box + 1e-9
-            spec = log_hazard_spec(0.1)
-            xh = log_hazard_forward(f, spec)
-            assert np.abs(xh.values).max() <= box + abs(np.log(spec.delta)) + 1e-9
+            assert np.abs(to_transform(f, LQD)[1]).max() <= box + 1e-9
+            xh = to_transform(f, spec)[1]
+            assert np.abs(xh).max() <= box + abs(np.log(spec.delta)) + 1e-9
 
 
 class TestTransformedFnValidation:
+    """Transformed values are checked where they are inverted, by ``inverse_rows``."""
+
     def test_grid_domain_checked(self):
-        with pytest.raises(ValueError):
-            TransformedFn(Grid(0.0, 0.9, M), np.zeros(M), LQD)
-        with pytest.raises(ValueError):
-            TransformedFn(unit_grid(M), np.zeros(M), log_hazard_spec(0.1))
+        x = np.zeros((2, M))
+        for spec, hi, other in ((LQD, 1.0, 0.9), (log_hazard_spec(0.1), 0.9, 1.0)):
+            # a t column read back from CSV may be off by round-off
+            assert inverse_rows(x, Grid(0.0, hi + 1e-13, M), spec, (0.0, 1.0)).shape == x.shape
+            for tgrid in (Grid(0.0, other, M), Grid(0.1, hi, M), Grid(-1e-9, hi, M),
+                          Grid(0.0, hi, M + 1), Grid(0.0, hi, M - 1)):
+                with pytest.raises(GridMismatchError):
+                    inverse_rows(x, tgrid, spec, (0.0, 1.0))
 
     def test_delta_range(self):
         with pytest.raises(ValueError):
@@ -262,10 +252,12 @@ class TestTransformedFnValidation:
             log_hazard_spec(0.6)
 
     def test_non_finite_rejected(self):
-        vals = np.zeros(M)
-        vals[3] = np.inf
-        with pytest.raises(Exception):
-            TransformedFn(unit_grid(M), vals, LQD)
+        for bad in (np.inf, -np.inf, np.nan):
+            vals = np.zeros((1, M))
+            vals[0, 3] = bad
+            for spec, tgrid in ((LQD, unit_grid(M)), (log_hazard_spec(0.1), Grid(0.0, 0.9, M))):
+                with pytest.raises(NonFiniteError):
+                    inverse_rows(vals, tgrid, spec, (0.0, 1.0))
 
 
 def _cdf_loop(values, grid):
@@ -325,14 +317,14 @@ class TestBatchedLqdAgainstLoop:
         x = lqd_forward_rows(np.stack([f.values for f in densities]) * grid.width)
         np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=1e-12)
         for f, row in zip(densities, ref_x):
-            np.testing.assert_allclose(lqd_forward(f).values, row, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(to_transform(f, LQD)[1], row, rtol=0.0, atol=1e-12)
 
         support = (grid.lo, grid.hi)
         ref_f = np.stack([_lqd_inverse_loop(row, support) for row in ref_x])
         back = lqd_inverse_rows(ref_x) / grid.width
         np.testing.assert_allclose(back, ref_f, rtol=1e-12, atol=1e-12)
         for row, want in zip(ref_x, ref_f):
-            f = lqd_inverse(TransformedFn(unit_grid(grid.m), row, LQD, support))
+            f = from_transform(unit_grid(grid.m), row, LQD, support)
             assert f.grid == grid
             np.testing.assert_allclose(f.values, want, rtol=1e-12, atol=1e-12)
 
@@ -516,12 +508,14 @@ class TestLogHazardKernelsProperty:
 
     @pytest.mark.parametrize("setting", [1, 2, 3])
     def test_fitted_method_outputs_are_densities(self, setting):
-        # reconstruct and mode build DensityFn objects, which check
-        # finiteness, strict positivity and unit mass
+        # DensityFn checks finiteness, strict positivity and unit mass
         sample = gen_setting(SettingSpec(setting=setting, n=20, m=256, seed=setting)).densities
         fitted = FittedMethod(sample, MethodKind.log_hazard(0.1))
         for k in range(min(fitted.n_components, 3) + 1):
-            assert len(fitted.reconstruct(k)) == len(sample)
+            recon = fitted.reconstruct(k)
+            assert recon.shape == (len(sample), fitted.grid.m)
+            for row in recon:
+                DensityFn(fitted.grid, row)
         for k in range(1, min(fitted.n_components, 2) + 1):
             for alpha in (-2.0, -1.0, 0.0, 1.0, 2.0):
                 assert fitted.mode(k, alpha).grid == sample[0].grid
