@@ -170,22 +170,31 @@ def normalize_rows(values, grid: Grid, floor: float = DEFAULT_FLOOR) -> np.ndarr
     """:func:`normalize` applied to each row of an ``(n, m)`` array.
 
     Returns the density values as an array, with the checks of
-    :class:`DensityFn` applied to every row.
+    :class:`DensityFn` applied to every row.  When rows fail, the error
+    is that of the first failing row, as :func:`normalize` row by row
+    would raise it.
     """
     raw = np.asarray(values, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != grid.m:
         raise GridMismatchError("raw values must match the grid size")
-    if not np.all(np.isfinite(raw)):
-        raise NonFiniteError("raw values contain NaN or infinities")
     if floor < 0:
         raise ValueError("floor must be >= 0")
-    if raw.size and raw.max(axis=1).min() <= 0.0:
-        raise AllZeroError("raw function has no positive mass")
-    clamped = np.maximum(raw, floor)
+    finite = np.isfinite(raw).all(axis=1)
+    positive = raw.max(axis=1) > 0.0
+    valid = finite & positive
+    # failing rows are replaced by ones so the arithmetic below stays quiet
+    clamped = np.maximum(raw if valid.all() else np.where(valid[:, None], raw, 1.0), floor)
     mass = integrate_rows(clamped, grid)
     # rows already of unit mass are kept as they are, so normalize is idempotent
     out = clamped / np.where(np.abs(mass - 1.0) < 1e-14, 1.0, mass)[:, None]
-    if out.size and out.min() <= 0.0:
+    failure = np.select([~finite, ~positive, out.min(axis=1) <= 0.0], [1, 2, 3], 0)
+    first = np.flatnonzero(failure)
+    if first.size:
+        code = failure[first[0]]
+        if code == 1:
+            raise NonFiniteError("raw values contain NaN or infinities")
+        if code == 2:
+            raise AllZeroError("raw function has no positive mass")
         raise InvalidDensityError(
             "density values must be strictly positive; "
             "use normalize() with a positive floor"

@@ -10,6 +10,7 @@ from densfda import (
     DensityFn,
     Grid,
     GridMismatchError,
+    InvalidDensityError,
     NonFiniteError,
     NotInvertibleError,
     SupportMismatchError,
@@ -73,6 +74,20 @@ class TestNormalize:
         raw[5] = np.nan
         with pytest.raises(NonFiniteError):
             normalize(raw, unit512)
+
+    def test_rows_raise_first_failing_row(self, unit512):
+        # each row fails a different check; the batch fails as row-by-row
+        # normalize would, on the first failing row
+        ones, zeros, nan = np.ones(512), np.zeros(512), np.full(512, np.nan)
+        gap = np.where(unit512.points < 0.5, 1.0, 0.0)
+        for rows, error in [
+            ((ones, gap, nan), InvalidDensityError),
+            ((ones, nan, zeros), NonFiniteError),
+            ((zeros, nan), AllZeroError),
+        ]:
+            with pytest.raises(error) as info:
+                normalize_rows(np.stack(rows), unit512, floor=0.0)
+            assert type(info.value) is error
 
     def test_idempotent_exactly(self, unit512, rng):
         f = smooth_density(rng, unit512)
