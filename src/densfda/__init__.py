@@ -13,6 +13,7 @@ simulation harness, and scalar-on-density regression.
 from .density import (
     DEFAULT_FLOOR,
     DensityFn,
+    DensitySample,
     Grid,
     dist_wasserstein,
     normalize,
@@ -45,7 +46,6 @@ from .fpca import (
     truncate,
 )
 from .frechet import (
-    DensitySample,
     FittedMethod,
     FrechetReport,
     Metric,
@@ -53,7 +53,6 @@ from .frechet import (
     fisher_rao_mean,
     frechet_mean,
     frechet_variance,
-    fve_curve,
     fve_report,
     wasserstein_frechet_mean,
 )

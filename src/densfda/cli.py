@@ -19,8 +19,8 @@ import sys
 
 import numpy as np
 
-from . import fileio, fpca
-from .density import DEFAULT_FLOOR, Grid
+from . import fileio
+from .density import DEFAULT_FLOOR, DensitySample, Grid
 from .errors import DensfdaError
 from .frechet import (
     FittedMethod,
@@ -65,10 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--grid-points", type=int, default=512)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("estimate", parents=[common], help="kernel density estimation")
+    p.add_argument("--grid-points", type=int, default=512)
     p.add_argument("--in", dest="infile", required=True, help="subject_id,value CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--bandwidth", type=float, default=None, help="default n**(-1/3)")
@@ -109,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("simulate", parents=[common], help="replicated method comparison")
+    p.add_argument("--grid-points", type=int, default=512)
     p.add_argument("--setting", type=int, choices=[1, 2, 3], required=True)
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--reps", type=int, default=50)
@@ -169,13 +170,11 @@ def _cmd_transform(args):
     spec = _spec(args)
     if args.inverse:
         tgrid, x, ids = fileio.read_transformed_csv(args.infile)
-        grid = Grid(*args.support, tgrid.m)  # rejects an empty support before dividing by it
         values = inverse_rows(x, tgrid, spec, args.support)
-        fileio._write_table(args.out, "x", grid.points, values, ids)
+        fileio.write_density_csv(args.out, DensitySample(values, Grid(*args.support, tgrid.m)), ids)
     else:
-        densities, ids = fileio.read_density_csv(args.infile)
-        values, grid = fpca.stack(densities)
-        fileio.write_transformed_csv(args.out, *forward_rows(values, grid, spec), ids)
+        sample, ids = fileio.read_density_csv(args.infile)
+        fileio.write_transformed_csv(args.out, *forward_rows(sample.values, sample.grid, spec), ids)
     _manifest(args, args.out, [args.infile])
 
 
@@ -194,8 +193,8 @@ def _report_payload(report, fitted):
 
 
 def _cmd_analyze(args):
-    densities, _ = fileio.read_density_csv(args.infile)
-    fitted = FittedMethod(densities, _method(args.method, args.delta))
+    sample, _ = fileio.read_density_csv(args.infile)
+    fitted = FittedMethod(sample, _method(args.method, args.delta))
     report = fve_report(fitted, _metric(args.metric), args.kmax, args.p)
     fileio.write_json(args.out, _report_payload(report, fitted))
     modes_path = f"{os.path.splitext(args.out)[0]}_modes.csv"
@@ -205,28 +204,27 @@ def _cmd_analyze(args):
 
 
 def _write_modes(path, fitted, ks, alphas):
-    columns, ids = [], []
-    for k in ks:
-        for alpha in alphas:
-            columns.append(fitted.mode(k, alpha).values)
-            ids.append(f"mode{k}_alpha{alpha:g}")
-    grid = fitted.grid
-    fileio._write_table(path, "x", grid.points, columns, ids)
+    modes = [fitted.mode(k, alpha) for k in ks for alpha in alphas]
+    ids = [f"mode{k}_alpha{alpha:g}" for k in ks for alpha in alphas]
+    if modes:
+        fileio.write_density_csv(path, modes, ids)
+    else:  # a fit without components has no modes: the table holds only the grid
+        fileio._write_table(path, "x", fitted.grid.points, [], [])
 
 
 def _cmd_modes(args):
-    densities, _ = fileio.read_density_csv(args.infile)
-    fitted = FittedMethod(densities, _method(args.method, args.delta))
+    sample, _ = fileio.read_density_csv(args.infile)
+    fitted = FittedMethod(sample, _method(args.method, args.delta))
     _write_modes(args.out, fitted, [args.k], args.alpha)
     _manifest(args, args.out, [args.infile])
 
 
 def _cmd_mean(args):
-    densities, _ = fileio.read_density_csv(args.infile)
+    sample, _ = fileio.read_density_csv(args.infile)
     if args.metric == "fisherrao":
-        mean = fisher_rao_mean(densities)
+        mean = fisher_rao_mean(sample)
     else:
-        mean = frechet_mean(densities, _metric(args.metric))
+        mean = frechet_mean(sample, _metric(args.metric))
     fileio.write_density_csv(args.out, [mean], [f"{args.metric}_mean"])
     _manifest(args, args.out, [args.infile])
 
@@ -255,15 +253,15 @@ def _cmd_simulate(args):
 
 
 def _cmd_regress(args):
-    densities, ids = fileio.read_density_csv(args.densities)
+    sample, ids = fileio.read_density_csv(args.densities)
     responses = fileio.read_response_csv(args.yfile)
-    keep = [(f, responses[sid]) for f, sid in zip(densities, ids) if sid in responses]
-    if len(keep) < len(densities):
-        print(f"dropping {len(densities) - len(keep)} subjects without responses", file=sys.stderr)
-    sample = [f for f, _ in keep]
-    y = np.array([v for _, v in keep])
+    keep = [i for i, sid in enumerate(ids) if sid in responses]
+    if len(keep) < len(sample):
+        print(f"dropping {len(sample) - len(keep)} subjects without responses", file=sys.stderr)
+    sample = sample[keep]
+    y = np.array([responses[ids[i]] for i in keep])
     basis = score_basis(sample, args.method, args.K)
-    model = fit_flr(project_scores(sample, basis), y, basis)
+    model = fit_flr(project_scores(sample, basis), y)
     mse = cv_mse(sample, y, args.method, args.K, args.folds, args.repeats, args.seed)
     fileio.write_json(
         args.out,

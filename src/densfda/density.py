@@ -2,13 +2,14 @@
 
 A density sample lives on a uniform grid over a compact support [lo, hi].
 All integrals use the trapezoidal rule on that grid, so every quantity in
-the package is reproducible from the grid alone.  A sample is an
-``(n, m)`` array of density values on one grid, and its CDFs and
-quantile functions are arrays of the same shape (`cdf_rows`,
-`quantile_rows`); the log quantile density and log hazard transforms
-live in `transforms`.  Distances are squared L2 distances between
-rows (`sq_dist_rows`); the Wasserstein distance of two densities is the
-L2 distance of their quantile functions (`dist_wasserstein`).
+the package is reproducible from the grid alone.  A sample is one
+:class:`DensitySample`, a read-only ``(n, m)`` array of density values
+on one grid whose rows pass the checks of :class:`DensityFn` in one
+pass.  Its CDFs and quantile functions are arrays of the same shape
+(`cdf_rows`, `quantile_rows`); the log quantile density and log hazard
+transforms live in `transforms`.  Distances are squared L2 distances
+between rows (`sq_dist_rows`); the Wasserstein distance of two densities
+is the L2 distance of their quantile functions (`dist_wasserstein`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import (
     AllZeroError,
+    EmptySampleError,
     GridMismatchError,
     InvalidDensityError,
     NonFiniteError,
@@ -112,24 +114,93 @@ class DensityFn:
         values = np.ascontiguousarray(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self.values.shape != (self.grid.m,):
-            raise InvalidDensityError("values must match the grid size")
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteError("density values must be finite")
-        if self.values.min() <= 0.0:
-            raise InvalidDensityError(
-                "density values must be strictly positive; "
-                "use normalize() with a positive floor"
-            )
-        mass = integrate(self.values, self.grid)
-        if abs(mass - 1.0) > _UNIT_MASS_TOL:
-            raise InvalidDensityError(
-                f"density integral is {mass!r}, not 1 within {_UNIT_MASS_TOL}"
-            )
+        _check_rows(values[None], self.grid)
 
     @property
     def support(self) -> tuple[float, float]:
         return (self.grid.lo, self.grid.hi)
+
+
+def _check_rows(values: np.ndarray, grid: Grid):
+    """Raise the error of the first row of an ``(n, m)`` array with a value
+    that is not finite or <= 0, or with a trapezoidal integral off 1."""
+    if values.ndim != 2 or values.shape[1] != grid.m:
+        raise InvalidDensityError("values must match the grid size")
+    finite = np.isfinite(values).all(axis=1)
+    # rows with a non-finite value are summed as zeros, which raises no warning
+    mass = integrate_rows(values if finite.all() else np.where(finite[:, None], values, 0.0), grid)
+    positive = values.min(axis=1) > 0.0
+    ok = finite & positive & (np.abs(mass - 1.0) <= _UNIT_MASS_TOL)
+    if ok.all():
+        return
+    i = ok.argmin()
+    if not finite[i]:
+        raise NonFiniteError("density values must be finite")
+    if not positive[i]:
+        raise InvalidDensityError(
+            "density values must be strictly positive; "
+            "use normalize() with a positive floor"
+        )
+    raise InvalidDensityError(f"density integral is {float(mass[i])!r}, not 1 within {_UNIT_MASS_TOL}")
+
+
+class DensitySample:
+    """A sample of densities on one grid: a read-only ``(n, m)`` array.
+
+    ``DensitySample(values, grid)`` checks every row as :class:`DensityFn`
+    checks one density; :meth:`of` stacks a sequence of densities into
+    one.  An integer index gives the ``DensityFn`` of that row, and a
+    slice or an index array a new sample of the selected rows; iterating
+    yields ``DensityFn``s.  :meth:`cached` keeps what is computed once
+    per sample (its Fréchet means, variances, metric embeddings and
+    Karcher mean, which ``frechet`` fills in).
+    """
+
+    def __init__(self, values, grid: Grid):
+        values = np.ascontiguousarray(values, dtype=float).view()
+        _check_rows(values, grid)
+        if not len(values):
+            raise EmptySampleError("empty sample")
+        values.flags.writeable = False
+        self.values, self.grid = values, grid
+        self._cache = {}
+
+    @classmethod
+    def of(cls, densities) -> "DensitySample":
+        """The sample itself, or the densities stacked on their shared grid."""
+        if isinstance(densities, cls):
+            return densities
+        densities = list(densities)
+        if not densities:
+            raise EmptySampleError("empty sample")
+        supports = {f.support for f in densities}
+        if len(supports) != 1:
+            raise SupportMismatchError(f"sample mixes supports: {sorted(supports)}")
+        grid = densities[0].grid
+        if any(f.grid != grid for f in densities):
+            raise GridMismatchError("sample members live on different grids")
+        return cls(np.stack([f.values for f in densities]), grid)
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return (self.grid.lo, self.grid.hi)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return DensityFn(self.grid, self.values[index])
+        return DensitySample(self.values[index], self.grid)
+
+    def __iter__(self):
+        return (DensityFn(self.grid, row) for row in self.values)
+
+    def cached(self, key, compute):
+        """``compute()``, evaluated on the first call with ``key`` and kept."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
 
 # ---------------------------------------------------------------------------

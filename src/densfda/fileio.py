@@ -1,9 +1,10 @@
 """CSV/JSON serialization and the run manifest.
 
 Density tables are CSV with an ``x`` first column (the grid) and one
-column per subject.  Transformed tables use ``t`` as the first column
-and move as ``(t grid, (n, m) array, ids)``; whether the grid is the
-transform's domain is checked by ``transforms.inverse_rows``.
+column per subject, and move as ``(DensitySample, ids)``.  Transformed
+tables use ``t`` as the first column and move as
+``(t grid, (n, m) array, ids)``; whether the grid is the transform's
+domain is checked by ``transforms.inverse_rows``.
 All floats are written with 17 significant digits so a write/read round
 trip reproduces binary64 values exactly.
 
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .density import DensityFn, Grid, normalize_rows
+from .density import DensitySample, Grid, normalize_rows
 from .errors import CsvFormatError
 
 ARTIFACT_VERSION = "0.1.0"
@@ -69,19 +70,20 @@ def _read_table(path):
     return header, data[:, 0], np.ascontiguousarray(data[:, 1:].T)
 
 
-def write_density_csv(path, densities, ids=None):
-    densities = list(densities)
-    ids = ids or [f"subject_{i + 1}" for i in range(len(densities))]
-    grid = densities[0].grid
-    _write_table(path, "x", grid.points, [f.values for f in densities], ids)
+def write_density_csv(path, sample, ids=None):
+    """Write a :class:`DensitySample` (or densities it stacks), one column per density."""
+    sample = DensitySample.of(sample)
+    ids = ids or [f"subject_{i + 1}" for i in range(len(sample))]
+    _write_table(path, "x", sample.grid.points, sample.values, ids)
 
 
-def read_density_csv(path):
-    """Read densities, each column floored at ``DEFAULT_FLOOR`` (as
-    ``estimate`` writes them) and renormalized to the grid quadrature."""
+def read_density_csv(path) -> tuple[DensitySample, list]:
+    """The sample of a density table and its column ids, each column
+    floored at ``DEFAULT_FLOOR`` (as ``estimate`` writes them) and
+    renormalized to the grid quadrature."""
     header, points, columns = _read_table(path)
     grid = _uniform_grid_from(points)
-    return [DensityFn(grid, row) for row in normalize_rows(columns, grid)], header[1:]
+    return DensitySample(normalize_rows(columns, grid), grid), header[1:]
 
 
 def write_transformed_csv(path, tgrid: Grid, x: np.ndarray, ids=None):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DEFAULT_FLOOR, Grid, normalize_rows
+from .density import DEFAULT_FLOOR, DensitySample, Grid, normalize_rows
 from .errors import EmptySampleError, GridMismatchError, KTooLargeError
 
 EIGENVALUE_DROP = 1e-12  # relative to the leading eigenvalue
@@ -40,34 +40,19 @@ class EigenSystem:
         return len(self.eigenvalues)
 
 
-def stack(sample, grid: Grid | None = None) -> tuple[np.ndarray, Grid]:
-    """Stack grid functions (or a 2-D array) into an (n, m) matrix and its grid."""
-    if isinstance(sample, np.ndarray) and sample.ndim == 2:
-        if grid is None:
-            raise ValueError("a grid is required with a plain array sample")
-        if sample.shape[1] != grid.m:
-            raise GridMismatchError("array columns do not match the grid")
-        return np.asarray(sample, dtype=float), grid
-    rows = list(sample)
-    if not rows:
-        raise EmptySampleError("sample is empty")
-    grids = [f.grid for f in rows]
-    if any(g != grids[0] for g in grids):
-        raise GridMismatchError("sample members live on different grids")
-    if grid is not None and grid != grids[0]:
-        raise GridMismatchError("sample grid differs from the requested grid")
-    return np.stack([f.values for f in rows]), grids[0]
-
-
-def scores(sample, mean, eigenfunctions: np.ndarray, grid: Grid | None = None) -> np.ndarray:
-    """Projections of centered sample functions onto the eigenfunctions."""
-    data, g = stack(sample, grid)
-    centered = data - np.asarray(mean, dtype=float)
-    return centered @ (eigenfunctions * g.trapezoid_weights()).T
+def scores(data, mean, eigenfunctions: np.ndarray, grid: Grid) -> np.ndarray:
+    """Projections of the centered rows of an ``(n, m)`` array on ``grid``
+    onto the eigenfunctions."""
+    centered = np.asarray(data, dtype=float) - np.asarray(mean, dtype=float)
+    return centered @ (eigenfunctions * grid.trapezoid_weights()).T
 
 
 def fit(sample, grid: Grid | None = None, k: int | None = None) -> EigenSystem:
     """Mean, eigensystem (by thin SVD of the weighted sample) and scores.
+
+    ``sample`` is an ``(n, m)`` array of functions on ``grid`` or, without
+    a grid, a :class:`DensitySample` or a sequence of densities
+    (:meth:`DensitySample.of`).
 
     Eigenvalues come out descending; components below ``EIGENVALUE_DROP``
     times the leading eigenvalue, or below the round-off bound (m eps)^2
@@ -76,24 +61,29 @@ def fit(sample, grid: Grid | None = None, k: int | None = None) -> EigenSystem:
     its largest-magnitude value positive.  A single function, or a sample
     of identical ones, gives its own mean and no components.
     """
-    data, g = stack(sample, grid)
+    if grid is None:
+        sample = DensitySample.of(sample)
+        sample, grid = sample.values, sample.grid
+    data = np.asarray(sample, dtype=float)
+    if data.ndim != 2 or data.shape[1] != grid.m:
+        raise GridMismatchError("array columns do not match the grid")
     if len(data) == 0:
         raise EmptySampleError("cannot fit an empty sample")
     mean = data.mean(axis=0)
-    w = g.trapezoid_weights()
+    w = grid.trapezoid_weights()
     sw = np.sqrt(w)
     centered = data - mean
     _, s, vt = np.linalg.svd(centered * (sw / np.sqrt(len(data))), full_matrices=False)
     # singular values come out descending, so no sort is needed
     vals, funcs = s**2, vt / sw
     # identical rows leave only round-off, which the relative rule keeps
-    roundoff = (g.m * np.finfo(float).eps) ** 2 * np.mean(data**2 @ w)
+    roundoff = (grid.m * np.finfo(float).eps) ** 2 * np.mean(data**2 @ w)
     keep = vals > max(EIGENVALUE_DROP * vals[0], roundoff)
     vals, funcs = vals[keep][:k], funcs[keep][:k]
     funcs /= np.sqrt(np.einsum("km,m,km->k", funcs, w, funcs))[:, None]
     flip = funcs[np.arange(len(funcs)), np.abs(funcs).argmax(axis=1)] < 0
     funcs[flip] *= -1.0
-    return EigenSystem(g, mean, vals, funcs, centered @ (funcs * w).T)
+    return EigenSystem(grid, mean, vals, funcs, centered @ (funcs * w).T)
 
 
 def truncate(system: EigenSystem, k: int) -> np.ndarray:

@@ -15,14 +15,15 @@ representations of the whole sample as one ``(n, m)`` array.
 Representations and modes are valid densities for every truncation
 level and mode parameter.
 
-A sample is held as one :class:`DensitySample`: the densities stacked
-once on their shared grid, with the Fréchet mean, the Fréchet variance
-V_inf and the metric embedding computed once per metric, and the
-Karcher mean of the square-root densities computed once, all shared by
-every method fitted to it and every mean taken of it.  The Karcher mean
-serves both the Hilbert-sphere method and the Fisher–Rao mean.  The
-Wasserstein mean inverts all sample CDFs, and then their averaged
-quantile function, through one batched monotone cubic kernel
+Every function takes a sample as a :class:`density.DensitySample` or a
+sequence of densities (:meth:`DensitySample.of`).  Its Fréchet mean,
+variance V_inf and metric embedding (once per metric) and the Karcher
+mean of its square-root densities are kept in the sample's cache
+(:meth:`DensitySample.cached`), shared by every method fitted to it and
+every mean taken of it; the Karcher mean serves both the Hilbert-sphere
+method and the Fisher–Rao mean.  :func:`fve_report` is the one FVE entry
+point.  The Wasserstein mean inverts all sample CDFs, and then their
+averaged quantile function, through one batched monotone cubic kernel
 (:func:`density.pchip_rows`).
 """
 
@@ -37,6 +38,7 @@ from . import fpca
 from .density import (
     DEFAULT_FLOOR,
     DensityFn,
+    DensitySample,
     Grid,
     cdf_rows,
     normalize,
@@ -45,7 +47,7 @@ from .density import (
     sq_dist_rows,
     unit_grid,
 )
-from .errors import EmptySampleError, GridMismatchError, SupportMismatchError
+from .errors import GridMismatchError, SupportMismatchError
 from .sphere import (
     SpherePoint,
     _embed_rows,
@@ -106,8 +108,8 @@ class MethodKind:
         return MethodKind("transform", LQD, blend)
 
     @staticmethod
-    def log_hazard(delta: float = 0.1, blend: float = 0.0) -> "MethodKind":
-        return MethodKind("transform", log_hazard_spec(delta), blend)
+    def log_hazard(delta: float = 0.1) -> "MethodKind":
+        return MethodKind("transform", log_hazard_spec(delta))
 
     @staticmethod
     def hilbert_sphere() -> "MethodKind":
@@ -136,78 +138,14 @@ class FrechetReport:
     method: MethodKind | None = None
 
 
-def _check_shared_support(sample) -> tuple[float, float]:
-    supports = {f.support for f in sample}
-    if len(supports) != 1:
-        raise SupportMismatchError(f"sample mixes supports: {sorted(supports)}")
-    return supports.pop()
+def _embedding(sample: DensitySample, metric: Metric) -> tuple[np.ndarray, Grid]:
+    """:meth:`Metric.embed_rows` of the sample on its own grid size, kept."""
+    return sample.cached(("embedding", metric), lambda: metric.embed_rows(sample.values, sample.grid))
 
 
-class DensitySample:
-    """A sample of densities on one grid, with its Fréchet statistics.
-
-    The densities are checked for a shared support and grid and stacked
-    once into the read-only ``(n, m)`` array ``values``.  The Fréchet
-    mean and variance under each metric, the sample's metric embedding
-    (:meth:`Metric.embed_rows`) and the Karcher mean of its square-root
-    densities are computed on first use and kept, so every method fitted
-    to the sample and every mean taken of it share them.  Iterating
-    yields the densities.
-    """
-
-    def __init__(self, densities):
-        self.densities = tuple(densities)
-        if not self.densities:
-            raise EmptySampleError("empty sample")
-        self.support = _check_shared_support(self.densities)
-        self.values, self.grid = fpca.stack(self.densities)
-        self.values.flags.writeable = False
-        self._cache = {}
-
-    @classmethod
-    def of(cls, sample) -> "DensitySample":
-        """The sample itself, or a new one holding the given densities."""
-        return sample if isinstance(sample, cls) else cls(sample)
-
-    def __len__(self) -> int:
-        return len(self.densities)
-
-    def __iter__(self):
-        return iter(self.densities)
-
-    def _cached(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    def mean(self, metric: Metric, floor: float = DEFAULT_FLOOR) -> DensityFn:
-        """:func:`frechet_mean` of the sample."""
-        return self._cached(("mean", metric, floor), lambda: self._mean(metric, floor))
-
-    def _mean(self, metric: Metric, floor: float) -> DensityFn:
-        if len(self) == 1:
-            return self.densities[0]
-        if metric is Metric.WASSERSTEIN:
-            return wasserstein_frechet_mean(self, floor)
-        return DensityFn(self.grid, self.values.mean(axis=0))
-
-    def variance(self, metric: Metric, floor: float = DEFAULT_FLOOR) -> float:
-        """:func:`frechet_variance` of the sample about its own mean."""
-        return self._cached(
-            ("variance", metric, floor),
-            lambda: frechet_variance(self, self.mean(metric, floor), metric),
-        )
-
-    def embedding(self, metric: Metric) -> tuple[np.ndarray, Grid]:
-        """:meth:`Metric.embed_rows` of the sample on its own grid size."""
-        return self._cached(("embedding", metric), lambda: metric.embed_rows(self.values, self.grid))
-
-    def karcher_mean(self) -> SpherePoint:
-        """:func:`sphere.karcher_mean` of the square-root densities."""
-        return self._cached("karcher", self._karcher_mean)
-
-    def _karcher_mean(self) -> SpherePoint:
-        return karcher_mean([SpherePoint(self.grid, row) for row in _embed_rows(self.values, self.grid)])
+def _karcher_mean(sample: DensitySample) -> SpherePoint:
+    """:func:`sphere.karcher_mean` of the square-root densities, kept."""
+    return sample.cached("karcher", lambda: karcher_mean(_embed_rows(sample.values, sample.grid), sample.grid))
 
 
 def _pchip_quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray:
@@ -239,7 +177,7 @@ def wasserstein_frechet_mean(sample, floor: float = DEFAULT_FLOOR) -> DensityFn:
     """
     sample = DensitySample.of(sample)
     if len(sample) == 1:
-        return sample.densities[0]
+        return sample[0]
     grid = sample.grid
     tgrid = unit_grid(grid.m)
     qbar = _pchip_quantile_rows(cdf_rows(sample.values, grid), grid, tgrid).mean(axis=0)
@@ -252,18 +190,21 @@ def frechet_mean(sample, metric: Metric, floor: float = DEFAULT_FLOOR) -> Densit
 
     L2 gives the cross-sectional mean (densities are convex, so no
     projection is needed); Wasserstein gives the quantile-synchronized
-    mean.  A :class:`DensitySample` computes it once and keeps it.
+    mean.  It is computed once per sample and kept.
     """
-    return DensitySample.of(sample).mean(metric, floor)
+    sample = DensitySample.of(sample)
+    if metric is Metric.WASSERSTEIN:
+        return sample.cached(("mean", metric, floor), lambda: wasserstein_frechet_mean(sample, floor))
+    return sample.cached(("mean", metric), lambda: DensityFn(sample.grid, sample.values.mean(axis=0)))
 
 
 def fisher_rao_mean(sample, floor: float = DEFAULT_FLOOR) -> DensityFn:
     """Fréchet mean under the geodesic metric of the square-root embedding.
 
     The Karcher mean of the square-root densities, squared back to a
-    density.  A :class:`DensitySample` computes it once and keeps it.
+    density.  The Karcher mean is computed once per sample and kept.
     """
-    return square_back(DensitySample.of(sample).karcher_mean(), floor)
+    return square_back(_karcher_mean(DensitySample.of(sample)), floor)
 
 
 def frechet_variance(sample, mean: DensityFn, metric: Metric) -> float:
@@ -281,7 +222,7 @@ def frechet_variance(sample, mean: DensityFn, metric: Metric) -> float:
         raise SupportMismatchError(f"supports differ: {sample.support} vs {mean.support}")
     m = max(grid.m, mean.grid.m)
     if m == grid.m:
-        target, egrid = sample.embedding(metric)
+        target, egrid = _embedding(sample, metric)
     else:
         target, egrid = metric.embed_rows(sample.values, grid, m)
     center, _ = metric.embed_rows(mean.values[None], mean.grid, m)
@@ -311,7 +252,7 @@ class FittedMethod:
     Every method maps the sample into L2, runs FPCA there and maps the
     FPCA output back to densities (:meth:`_to_density`); only those two
     maps depend on the method.  The sample is held as a
-    :class:`DensitySample` (a list of densities is wrapped in one), whose
+    :class:`DensitySample` (a list of densities is stacked into one), whose
     ``(n, m)`` array ``values`` every step works on as a whole;
     ``reconstruct`` returns such an array and ``mode`` one
     ``DensityFn``.  ``reconstruct(K)`` silently
@@ -329,7 +270,7 @@ class FittedMethod:
         self.sphere_mean = None
         if method.kind == "hs":
             # tangent space at the Karcher mean of the square-root densities
-            self.sphere_mean = self.sample.karcher_mean()
+            self.sphere_mean = _karcher_mean(self.sample)
             tangents = _log_rows(self.sphere_mean, _embed_rows(self.values, self.grid))
             self.system = fpca.fit(tangents, self.grid)
         elif method.kind == "transform":
@@ -379,34 +320,19 @@ def default_k_max(eigenvalues: np.ndarray, n: int) -> int:
     return max(1, min(k, cap))
 
 
-def fve_curve(
-    sample,
-    method: MethodKind,
-    metric: Metric,
-    k_max: int | None = None,
-    p: float = 0.9,
-    floor: float = DEFAULT_FLOOR,
-) -> FrechetReport:
-    """Fréchet variance explained by K = 1..k_max components.
-
-    V_K = V_inf - mean_i d(f_i, reconstruction_i(K))^2, reported as the
-    curve of ratios V_K / V_inf together with the smallest K exceeding
-    the threshold p.  Fits the method and calls :func:`fve_report`.
-    """
-    return fve_report(FittedMethod(sample, method, floor), metric, k_max, p)
-
-
 def fve_report(
     fitted: FittedMethod,
     metric: Metric,
     k_max: int | None = None,
     p: float = 0.9,
 ) -> FrechetReport:
-    """:func:`fve_curve` of a method already fitted to its sample.
+    """Fréchet variance explained by K = 1..k_max components of a fitted method.
 
-    The sample's Fréchet mean, V_inf and embedding come from its
-    :class:`DensitySample`, which computes them once per metric for all
-    the methods fitted to it.  Every reconstruction is embedded once as
+    V_K = V_inf - mean_i d(f_i, reconstruction_i(K))^2, reported as the
+    curve of ratios V_K / V_inf together with the smallest K exceeding
+    the threshold p.  The sample's Fréchet mean, V_inf and embedding are
+    computed once per metric and kept in the sample's cache, for all the
+    methods fitted to it.  Every reconstruction is embedded once as
     rows (:meth:`Metric.embed_rows`), so each metric distance is an L2
     distance between two rows.  The selected K is the smallest whose FVE
     exceeds p, or k_max with ``threshold_reached`` False when none does.
@@ -414,9 +340,12 @@ def fve_report(
     """
     if not (0.0 < p < 1.0):
         raise ValueError("p must be in (0, 1)")
-    sample = fitted.sample
-    v_inf = sample.variance(metric, fitted.floor)
-    target, egrid = sample.embedding(metric)
+    sample, floor = fitted.sample, fitted.floor
+    v_inf = sample.cached(
+        ("variance", metric, floor),
+        lambda: frechet_variance(sample, frechet_mean(sample, metric, floor), metric),
+    )
+    target, egrid = _embedding(sample, metric)
     if k_max is None:
         k_max = default_k_max(fitted.system.eigenvalues, len(sample))
     k_max = max(1, k_max)

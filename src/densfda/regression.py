@@ -5,19 +5,20 @@ of the densities, either taken directly in density space or after the
 log-quantile-density transform.  Cross-validated prediction error
 recomputes the score basis on every training fold, so held-out subjects
 never influence the basis they are projected onto; the transform maps
-each density on its own, so it is applied once per subject.
+each density on its own, so it is applied once per subject.  Densities
+come in as one :class:`DensitySample` (or a sequence that
+:meth:`DensitySample.of` stacks), and folds index its rows.
 """
 
 from __future__ import annotations
 
-import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fpca
-from .density import Grid
+from .density import DensitySample, Grid
 from .errors import RankDeficientWarning
 from .transforms import LQD, forward_rows
 
@@ -31,14 +32,13 @@ class FlrModel:
     intercept: float
     coefficients: np.ndarray
     r_squared: float
-    basis: "ScoreBasis | fpca.EigenSystem | None" = None
 
     @property
     def k(self) -> int:
         return len(self.coefficients)
 
 
-def fit_flr(scores: np.ndarray, y: np.ndarray, basis=None) -> FlrModel:
+def fit_flr(scores: np.ndarray, y: np.ndarray) -> FlrModel:
     """Ordinary least squares of y on the score columns plus an intercept.
 
     A singular design triggers a ``RankDeficientWarning`` and trailing
@@ -63,7 +63,7 @@ def fit_flr(scores: np.ndarray, y: np.ndarray, basis=None) -> FlrModel:
     residuals = y - design @ beta
     tss = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - float((residuals**2).sum()) / tss if tss > 0 else 0.0
-    return FlrModel(float(beta[0]), beta[1:], r2, basis)
+    return FlrModel(float(beta[0]), beta[1:], r2)
 
 
 def predict(model: FlrModel, scores: np.ndarray) -> np.ndarray:
@@ -85,12 +85,6 @@ class ScoreBasis:
     method: str
     system: fpca.EigenSystem
 
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.system.mean).tobytes())
-        h.update(np.ascontiguousarray(self.system.eigenfunctions).tobytes())
-        return h.hexdigest()
-
 
 def score_basis(densities, method: str, k: int) -> ScoreBasis:
     """Fit the score basis (mean + leading eigenfunctions) on a sample."""
@@ -109,22 +103,16 @@ def _score_rows(densities, method: str) -> tuple[np.ndarray, Grid]:
     """The densities, or each one's LQD transform, as an ``(n, m)`` array."""
     if method not in SCORE_METHODS:
         raise ValueError(f"method must be one of {SCORE_METHODS}, got {method!r}")
-    values, grid = fpca.stack(densities)
+    sample = DensitySample.of(densities)
     if method == "fpca":
-        return values, grid
-    tgrid, xs = forward_rows(values, grid, LQD)
+        return sample.values, sample.grid
+    tgrid, xs = forward_rows(sample.values, sample.grid, LQD)
     return xs, tgrid
 
 
 # ---------------------------------------------------------------------------
 # Cross validation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CvDetails:
-    mse: float
-    fold_records: list = field(default_factory=list)  # (repeat, fold, test_idx, digest)
 
 
 def cv_mse(
@@ -135,8 +123,7 @@ def cv_mse(
     folds: int = 10,
     repeats: int = 50,
     seed: int = 0,
-    return_details: bool = False,
-):
+) -> float:
     """Repeated K-fold cross-validated mean squared prediction error.
 
     Every fold refits the score basis on its training subjects only,
@@ -144,7 +131,7 @@ def cv_mse(
     onto the basis.  Fold assignment is a seeded shuffle with one child
     stream per repeat.
     """
-    densities = list(densities)
+    densities = DensitySample.of(densities)
     y = np.asarray(y, dtype=float).ravel()
     n = len(densities)
     if n != y.size:
@@ -157,20 +144,13 @@ def cv_mse(
     rows, grid = _score_rows(densities, method)
     children = np.random.SeedSequence(seed).spawn(repeats)
     total_sse = 0.0
-    records = []
-    for r, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        perm = rng.permutation(n)
-        for j, test_idx in enumerate(np.array_split(perm, folds)):
+    for child in children:
+        perm = np.random.default_rng(child).permutation(n)
+        for test_idx in np.array_split(perm, folds):
             train_idx = np.setdiff1d(perm, test_idx)
             system = fpca.fit(rows[train_idx], grid, k=k)
             # the fit's own scores are the training rows' projections
-            model = fit_flr(system.scores, y[train_idx], ScoreBasis(method, system))
+            model = fit_flr(system.scores, y[train_idx])
             pred = predict(model, fpca.scores(rows[test_idx], system.mean, system.eigenfunctions, grid))
             total_sse += float(((y[test_idx] - pred) ** 2).sum())
-            if return_details:
-                records.append((r, j, test_idx.copy(), model.basis.digest()))
-    mse = total_sse / (n * repeats)
-    if return_details:
-        return CvDetails(mse, records)
-    return mse
+    return total_sse / (n * repeats)

@@ -9,7 +9,9 @@ the L2, Wasserstein and sphere-geodesic metrics, aggregated across
 replications by another Fréchet mean under the same metric.
 
 Replications draw their randomness from child streams spawned off the
-spec seed (one child per replication).
+spec seed (one child per replication).  A replication's densities come
+out of the generator as one :class:`DensitySample`, which the methods
+and the means of that replication then share.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .density import DensityFn, Grid, cdf_rows, dist_wasserstein, normalize_rows
+from .density import DensityFn, DensitySample, Grid, cdf_rows, dist_wasserstein, normalize_rows
 from .errors import DegenerateSigmaError, EmptySampleError
-from .frechet import DensitySample, Metric, MethodKind, fisher_rao_mean, frechet_mean, fve_curve
+from .frechet import FittedMethod, Metric, MethodKind, fisher_rao_mean, frechet_mean, fve_report
 from .kde import KdeConfig, Kernel, estimate_density
 
 # truncated normals can run below 1e-40 near the support boundary, which
@@ -104,8 +106,8 @@ class GeneratedSetting:
     """Densities for one replication plus the parameters that made them."""
 
     spec: SettingSpec
-    densities: list  # what gets analyzed (estimates when observed='sampled')
-    true_densities: list
+    densities: DensitySample  # what gets analyzed (estimates when observed='sampled')
+    true_densities: DensitySample
     raw_samples: list | None
     mus: np.ndarray
     sigmas: np.ndarray
@@ -137,15 +139,12 @@ def gen_setting(spec: SettingSpec, rng=None) -> GeneratedSetting:
         rng = np.random.default_rng(spec.seed)
     mus, sigmas = _draw_parameters(spec, rng)
     grid = spec.grid
-    true = [
-        DensityFn(grid, row)
-        for row in _truncated_normal_rows(mus, sigmas, grid, spec.floor)
-    ]
+    true = DensitySample(_truncated_normal_rows(mus, sigmas, grid, spec.floor), grid)
     if spec.observed == "full":
         return GeneratedSetting(spec, true, true, None, mus, sigmas)
     cfg = KdeConfig(spec.unit_bandwidth, Kernel.GAUSSIAN, grid, spec.floor)
     samples = _inverse_cdf_samples(mus, sigmas, grid, spec.n_obs, rng)
-    estimated = [estimate_density(w, cfg) for w in samples]
+    estimated = DensitySample.of([estimate_density(w, cfg) for w in samples])
     return GeneratedSetting(spec, estimated, true, samples, mus, sigmas)
 
 
@@ -246,11 +245,11 @@ class SimulationResult:
 
 def _run_one(spec: SettingSpec, child_seed, methods, k, metric, floor):
     rng = np.random.default_rng(child_seed)
-    # the methods and the means share one stacked sample and its statistics
-    sample = DensitySample(gen_setting(spec, rng).densities)
+    # the methods and the means share one sample and its statistics
+    sample = gen_setting(spec, rng).densities
     fve = {}
     for method in methods:
-        report = fve_curve(sample, method, metric, k_max=k, floor=floor)
+        report = fve_report(FittedMethod(sample, method, floor), metric, k_max=k)
         fve[method.label] = report.fve
     means = {
         "l2": frechet_mean(sample, Metric.L2, floor),

@@ -7,11 +7,13 @@ space at the mean (linearized principal geodesic analysis).  Strictly
 positive densities share an orthant, so all pairwise angles stay below
 pi/2 and the iteration is well behaved.
 
-The Hilbert-sphere method (``frechet.FittedMethod``) maps the embedded
+A sample on the sphere is the ``(n, m)`` array of its unit-norm rows,
+and :func:`karcher_mean` iterates on that array as a whole.  The
+Hilbert-sphere method (``frechet.FittedMethod``) maps the embedded
 sample into L2 by the log map at its Karcher mean and maps FPCA output
-back by the exp map followed by squaring; the sample object
-(``frechet.DensitySample``) computes that Karcher mean once and shares
-it with the Fisher–Rao mean (``frechet.fisher_rao_mean``).
+back by the exp map followed by squaring; ``frechet`` computes that
+Karcher mean once per ``DensitySample`` and shares it with the
+Fisher–Rao mean (``frechet.fisher_rao_mean``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fpca
 from .density import (
     DEFAULT_FLOOR,
     DensityFn,
@@ -76,26 +77,24 @@ def exp_map(base: SpherePoint, v: np.ndarray) -> SpherePoint:
     return SpherePoint(base.grid, _exp_rows(base, np.asarray(v, dtype=float)[None])[0])
 
 
-def karcher_mean(
-    sample,
-    tol: float = KARCHER_TOL,
-    max_iter: int = KARCHER_MAX_ITER,
-) -> SpherePoint:
-    """Intrinsic mean by iterated tangent averaging with unit steps.
+def karcher_mean(data: np.ndarray, grid: Grid) -> SpherePoint:
+    """Intrinsic mean of the unit-norm rows of an ``(n, m)`` array on ``grid``,
+    by iterated tangent averaging with unit steps.
 
-    Each iteration log-maps the whole sample at once (:func:`_log_rows`)
-    and stops when the mean tangent has L2 norm <= tol.
+    Each iteration log-maps all rows at once (:func:`_log_rows`) and stops
+    when the mean tangent has L2 norm <= ``KARCHER_TOL``.
     """
-    data, grid = fpca.stack(sample)
+    if data.ndim != 2 or data.shape[1] != grid.m:
+        raise GridMismatchError("sphere points do not match the grid")
     init = data.mean(axis=0)
     init /= np.sqrt(inner_product(init, init, grid))
     mu = SpherePoint(grid, init)
-    for _ in range(max_iter):
+    for _ in range(KARCHER_MAX_ITER):
         v = _log_rows(mu, data).mean(axis=0)
-        if np.sqrt(max(inner_product(v, v, grid), 0.0)) <= tol:
+        if np.sqrt(max(inner_product(v, v, grid), 0.0)) <= KARCHER_TOL:
             return mu
         mu = exp_map(mu, v)
-    raise NoConvergenceError(f"karcher_mean did not converge in {max_iter} iterations")
+    raise NoConvergenceError(f"karcher_mean did not converge in {KARCHER_MAX_ITER} iterations")
 
 
 def _embed_rows(values: np.ndarray, grid: Grid) -> np.ndarray:

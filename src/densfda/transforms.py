@@ -196,7 +196,8 @@ def inverse_rows(x: np.ndarray, tgrid: Grid, spec: TransformSpec, support) -> np
 
     ``tgrid`` must be the transform's domain, [0, 1] for LQD and
     [0, 1 - delta] for log hazard, with one point per column of ``x``;
-    otherwise ``GridMismatchError`` is raised.
+    otherwise ``GridMismatchError`` is raised.  ``support`` must be a
+    finite interval (the checks of :class:`Grid`).
     """
     hi_t = 1.0 if spec.kind is TransformKind.LOG_QUANTILE_DENSITY else 1.0 - spec.delta
     if tgrid.lo != 0.0 or abs(tgrid.hi - hi_t) > 1e-12 or x.shape[1] != tgrid.m:
@@ -204,10 +205,10 @@ def inverse_rows(x: np.ndarray, tgrid: Grid, spec: TransformSpec, support) -> np
             f"{x.shape[1]} values on a grid of {tgrid.m} points over [{tgrid.lo}, "
             f"{tgrid.hi}] do not fit the {spec.kind.value} domain [0, {hi_t}]"
         )
-    lo, hi = support
+    width = Grid(*support, tgrid.m).width
     if spec.kind is TransformKind.LOG_QUANTILE_DENSITY:
-        return lqd_inverse_rows(x) / (hi - lo)
-    return log_hazard_inverse_rows(x, spec.delta) / (hi - lo)
+        return lqd_inverse_rows(x) / width
+    return log_hazard_inverse_rows(x, spec.delta) / width
 
 
 def _guard_exp(values: np.ndarray):

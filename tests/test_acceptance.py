@@ -26,7 +26,7 @@ from densfda import (
     fit,
     fit_flr,
     frechet_mean,
-    fve_curve,
+    fve_report,
     gen_setting,
     log_hazard_spec,
     project_scores,
@@ -227,8 +227,8 @@ def test_criterion_7_property_suites(rng):
     gen = gen_setting(SettingSpec(setting=3, n=25, seed=13))
     mass_dev, min_val = 0.0, np.inf
     for method in default_methods():
-        rep = fve_curve(gen.densities, method, Metric.L2, k_max=2, floor=1e-3)
         fitted = FittedMethod(gen.densities, method, floor=1e-3)
+        fve_report(fitted, Metric.L2, k_max=2)
         for r in fitted.reconstruct(2):
             mass_dev = max(mass_dev, abs(integrate(r, fitted.grid) - 1.0))
             min_val = min(min_val, r.min())
@@ -289,7 +289,7 @@ def test_criterion_8_regression_substitute():
     mse_lqd = cv_mse(blended, y, "lqd", 2, folds=10, repeats=REPS, seed=5)
     mse_fpca = cv_mse(densities, y, "fpca", 2, folds=10, repeats=REPS, seed=5)
     basis = score_basis(blended, "lqd", 2)
-    r2 = fit_flr(project_scores(blended, basis), y, basis).r_squared
+    r2 = fit_flr(project_scores(blended, basis), y).r_squared
     ok = mse_lqd < mse_fpca and r2 >= 0.9
     assert report(
         8, "scalar-on-density regression",

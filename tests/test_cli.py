@@ -9,6 +9,7 @@ import pytest
 from densfda import (
     DEFAULT_FLOOR,
     LQD,
+    DensitySample,
     Grid,
     forward_rows,
     inverse_rows,
@@ -105,6 +106,15 @@ class TestFileIO:
         assert ids == ["a", "b", "c"]
         for f, g in zip(densities, back):
             assert np.abs(f.values - g.values).max() <= 1e-12
+
+    def test_sample_csv_roundtrip(self, tmp_path, rng):
+        sample = DensitySample.of([smooth_density(rng, Grid(-3.0, 3.0, 257)) for _ in range(3)])
+        path = tmp_path / "d.csv"
+        write_density_csv(path, sample, ["a", "b", "c"])
+        back, ids = read_density_csv(path)
+        assert isinstance(back, DensitySample) and ids == ["a", "b", "c"]
+        assert back.grid == sample.grid
+        np.testing.assert_array_equal(back.values, sample.values)
 
     def test_samples_csv(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -317,6 +327,31 @@ class TestSimulate:
         lines = box.read_text().strip().splitlines()
         assert lines[0] == "replication,LQD,FPCA,HS"
         assert len(lines) == 3
+
+
+class TestGridPoints:
+    @pytest.mark.parametrize("command", ["transform", "analyze", "modes", "mean", "regress"])
+    def test_rejected_where_unused(self, capsys, command):
+        inputs = ["--densities", "d.csv", "--y", "y.csv"] if command == "regress" else ["--in", "d.csv"]
+        with pytest.raises(SystemExit) as err:
+            main([command, *inputs, "--out", "o.json", "--grid-points", "7"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --grid-points 7" in capsys.readouterr().err
+
+    def test_simulate_uses_it(self, tmp_path, monkeypatch):
+        from densfda import cli
+
+        specs, original = [], cli.run_comparison
+
+        def capturing(spec, *args):
+            specs.append(spec)
+            return original(spec, *args)
+
+        monkeypatch.setattr(cli, "run_comparison", capturing)
+        out = tmp_path / "s.json"
+        args = ["simulate", "--setting", "1", "--n", "5", "--reps", "1", "--grid-points", "64"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert specs[0].m == 64
 
 
 class TestRegress:

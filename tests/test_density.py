@@ -8,6 +8,8 @@ from densfda import (
     AllZeroError,
     DensfdaError,
     DensityFn,
+    DensitySample,
+    EmptySampleError,
     Grid,
     GridMismatchError,
     InvalidDensityError,
@@ -117,6 +119,70 @@ class TestNormalize:
         f = normalize(np.ones(512), unit512)
         with pytest.raises(ValueError):
             f.values[0] = 2.0
+
+
+class TestDensitySample:
+    def test_rows_checked_as_densities(self, unit512, rng):
+        ok = smooth_density(rng, unit512).values
+        with_zero, nan, heavy = ok.copy(), ok.copy(), 2.0 * ok
+        with_zero[7] = 0.0
+        nan[3] = np.nan
+        # each bad row fails a different check, as one DensityFn and in a
+        # batch; the batch fails with the error of its first failing row
+        for row, error, match in [
+            (with_zero, InvalidDensityError, "strictly positive"),
+            (nan, NonFiniteError, "finite"),
+            (heavy, InvalidDensityError, "integral is 2"),
+        ]:
+            with pytest.raises(error, match=match):
+                DensityFn(unit512, row)
+            for rows in ((ok, row, with_zero, nan, heavy), (row, ok)):
+                with pytest.raises(error, match=match) as info:
+                    DensitySample(np.stack(rows), unit512)
+                assert type(info.value) is error
+        with pytest.raises(InvalidDensityError):
+            DensitySample(np.stack([ok, ok])[:, :-1], unit512)
+        with pytest.raises(InvalidDensityError):
+            DensitySample(ok, unit512)
+        with pytest.raises(EmptySampleError):
+            DensitySample(np.empty((0, 512)), unit512)
+
+    def test_values_read_only_and_callers_array_untouched(self, unit512, rng):
+        values = np.stack([smooth_density(rng, unit512).values for _ in range(3)])
+        sample = DensitySample(values, unit512)
+        assert values.flags.writeable
+        with pytest.raises(ValueError):
+            sample.values[0, 0] = 1.0
+        assert sample.support == (0.0, 1.0) and len(sample) == 3
+
+    def test_of_stacks_densities(self, unit512, rng):
+        densities = [smooth_density(rng, unit512) for _ in range(4)]
+        sample = DensitySample.of(densities)
+        assert sample.grid == unit512
+        np.testing.assert_array_equal(sample.values, np.stack([f.values for f in densities]))
+        assert DensitySample.of(sample) is sample
+        with pytest.raises(EmptySampleError):
+            DensitySample.of(iter([]))
+        with pytest.raises(SupportMismatchError):
+            DensitySample.of([densities[0], smooth_density(rng, Grid(0.0, 2.0, 512))])
+        with pytest.raises(GridMismatchError):
+            DensitySample.of([densities[0], smooth_density(rng, unit_grid(64))])
+
+    def test_indexing_and_iteration(self, unit512, rng):
+        sample = DensitySample.of([smooth_density(rng, unit512) for _ in range(5)])
+        for i in (0, 4, -1, np.int64(2)):
+            f = sample[i]
+            assert isinstance(f, DensityFn) and f.grid == unit512
+            np.testing.assert_array_equal(f.values, sample.values[i])
+        for index in (slice(1, 4), [4, 0, 0], np.array([True, False, True, False, True])):
+            sub = sample[index]
+            assert isinstance(sub, DensitySample) and sub.grid == unit512
+            np.testing.assert_array_equal(sub.values, sample.values[index])
+        with pytest.raises(IndexError):
+            sample[5]
+        rows = list(sample)
+        assert len(rows) == 5 and all(isinstance(f, DensityFn) for f in rows)
+        np.testing.assert_array_equal(np.stack([f.values for f in rows]), sample.values)
 
 
 def _cdf(f):

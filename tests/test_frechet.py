@@ -20,7 +20,6 @@ from densfda import (
     fit,
     frechet_mean,
     frechet_variance,
-    fve_curve,
     fve_report,
     gen_setting,
     karcher_mean,
@@ -31,6 +30,7 @@ from densfda import (
     unit_grid,
     wasserstein_frechet_mean,
 )
+from densfda import frechet
 from densfda.density import cdf_rows, integrate, quantile_rows
 
 from conftest import (
@@ -117,26 +117,30 @@ class TestWassersteinMean:
 
 class TestDensitySample:
     def test_statistics_computed_once(self, rng, unit512):
-        sample = DensitySample([smooth_density(rng, unit512) for _ in range(6)])
+        sample = DensitySample.of([smooth_density(rng, unit512) for _ in range(6)])
         for metric in Metric:
             mean = frechet_mean(sample, metric)
-            assert sample.mean(metric) is mean
-            assert sample.embedding(metric)[0] is sample.embedding(metric)[0]
-            assert sample.variance(metric) == frechet_variance(sample, mean, metric)
-        assert sample.karcher_mean() is sample.karcher_mean()
+            assert frechet_mean(sample, metric) is mean
+            assert frechet._embedding(sample, metric)[0] is frechet._embedding(sample, metric)[0]
+            report = fve_report(FittedMethod(sample, MethodKind.ordinary_fpca()), metric, k_max=1)
+            assert report.v_infinity == frechet_variance(sample, mean, metric)
+        assert frechet._karcher_mean(sample) is frechet._karcher_mean(sample)
         # the same bits as the Karcher mean of each density embedded on its own
-        per_density = square_back(karcher_mean([sqrt_embed(f) for f in sample]))
+        roots = np.stack([sqrt_embed(f).values for f in sample])
+        per_density = square_back(karcher_mean(roots, unit512))
         np.testing.assert_array_equal(fisher_rao_mean(sample).values, per_density.values)
+        # a sub-sample has statistics of its own
+        assert frechet_mean(sample[:3], Metric.L2) is not frechet_mean(sample, Metric.L2)
         with pytest.raises(ValueError):
             sample.values[0, 0] = 1.0
 
     def test_list_and_sample_give_the_same_fit(self, rng, unit512):
         densities = [smooth_density(rng, unit512) for _ in range(8)]
-        shared = DensitySample(densities)
+        shared = DensitySample.of(densities)
         for method in (MethodKind.lqd(0.5), MethodKind.ordinary_fpca(), MethodKind.hilbert_sphere()):
             for metric in Metric:
-                a = fve_curve(densities, method, metric, k_max=3)
-                b = fve_curve(shared, method, metric, k_max=3)
+                a = fve_report(FittedMethod(densities, method), metric, k_max=3)
+                b = fve_report(FittedMethod(shared, method), metric, k_max=3)
                 np.testing.assert_array_equal(a.fve, b.fve)
             np.testing.assert_array_equal(
                 FittedMethod(densities, method).reconstruct(2),
@@ -145,11 +149,11 @@ class TestDensitySample:
 
     def test_validation(self, rng):
         with pytest.raises(EmptySampleError):
-            DensitySample([])
+            DensitySample.of([])
         with pytest.raises(SupportMismatchError):
-            DensitySample([smooth_density(rng, Grid(0.0, 1.0, M)), smooth_density(rng, Grid(0.0, 2.0, M))])
+            DensitySample.of([smooth_density(rng, Grid(0.0, 1.0, M)), smooth_density(rng, Grid(0.0, 2.0, M))])
         with pytest.raises(GridMismatchError):
-            DensitySample([smooth_density(rng, Grid(0.0, 1.0, M)), smooth_density(rng, Grid(0.0, 1.0, 64))])
+            DensitySample.of([smooth_density(rng, Grid(0.0, 1.0, M)), smooth_density(rng, Grid(0.0, 1.0, 64))])
 
 
 class TestFrechetMeanDispatch:
@@ -161,8 +165,10 @@ class TestFrechetMeanDispatch:
 
     def test_singleton_agreement(self, rng, unit512):
         f = smooth_density(rng, unit512)
-        assert frechet_mean([f], Metric.L2) is f
-        assert frechet_mean([f], Metric.WASSERSTEIN) is f
+        for metric in Metric:
+            mean = frechet_mean([f], metric)
+            assert mean.grid == f.grid
+            np.testing.assert_array_equal(mean.values, f.values)
 
 
 class TestFrechetVariance:
@@ -239,8 +245,10 @@ class TestRepresent:
 
     def test_lqd_beats_fpca_at_k1_on_shifts(self):
         gen = gen_setting(SettingSpec(setting=2, n=30, seed=9))
-        lqd = fve_curve(gen.densities, MethodKind.lqd(0.5), Metric.L2, k_max=1, floor=1e-3)
-        fpca = fve_curve(gen.densities, MethodKind.ordinary_fpca(), Metric.L2, k_max=1, floor=1e-3)
+        lqd, fpca = (
+            fve_report(FittedMethod(gen.densities, method, floor=1e-3), Metric.L2, k_max=1)
+            for method in (MethodKind.lqd(0.5), MethodKind.ordinary_fpca())
+        )
         assert lqd.fve[0] > fpca.fve[0]
 
     def test_singleton_returns_the_density(self, rng, unit512):
@@ -286,29 +294,29 @@ class TestFveCurve:
     def test_rank_one_family_first_component_explains_all(self, rng):
         cs = rng.uniform(-0.8, 0.8, 25)
         sample, _ = lqd_family(np.column_stack([cs, np.zeros_like(cs)]))
-        report = fve_curve(sample, MethodKind.lqd(), Metric.L2, k_max=1)
+        report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.L2, k_max=1)
         assert report.fve[0] >= 0.999
         assert report.selected_k == 1 and report.threshold_reached
 
     def test_transform_fve_nondecreasing(self, rng, unit512):
         sample = [smooth_density(rng, unit512) for _ in range(12)]
-        report = fve_curve(sample, MethodKind.lqd(), Metric.L2, k_max=8)
+        report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.L2, k_max=8)
         assert np.all(np.diff(report.fve) >= -1e-9)
 
     def test_full_rank_dominates(self, rng, unit512):
         sample = [smooth_density(rng, unit512) for _ in range(10)]
-        report = fve_curve(sample, MethodKind.lqd(), Metric.L2)
+        report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.L2)
         assert report.fve[-1] >= report.fve.max() - 1e-9
 
     def test_wasserstein_metric_curve(self, rng, unit512):
         sample = [smooth_density(rng, unit512) for _ in range(8)]
-        report = fve_curve(sample, MethodKind.lqd(), Metric.WASSERSTEIN, k_max=3)
+        report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.WASSERSTEIN, k_max=3)
         assert report.metric is Metric.WASSERSTEIN
         assert np.all(report.fve <= 1.0 + 1e-12)
 
     def test_default_k_max_capped(self, rng, unit512):
         sample = [smooth_density(rng, unit512) for _ in range(5)]
-        report = fve_curve(sample, MethodKind.lqd(), Metric.L2)
+        report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.L2)
         assert len(report.fve) <= min(len(sample) - 1, 20)
 
 

@@ -13,7 +13,7 @@ from densfda import (
     score_basis,
     truncated_normal_density,
 )
-from densfda.regression import CvDetails
+from densfda import fpca
 from densfda.transforms import forward_rows
 
 
@@ -97,6 +97,35 @@ class TestScoreBases:
             score_basis(shift_family[0], "pca", 1)
 
 
+def _first_fold_fit(monkeypatch, densities, y, method, k):
+    """The MSE of a 5-fold ``cv_mse`` run and the eigensystem its first fold fits."""
+    fit, fits = fpca.fit, []
+
+    def capturing(*args, **kwargs):
+        fits.append(fit(*args, **kwargs))
+        return fits[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fpca, "fit", capturing)
+        mse = cv_mse(densities, y, method, k, folds=5, repeats=1, seed=11)
+    return mse, fits[0]
+
+
+def _assert_no_leakage(monkeypatch, densities, y, method, k):
+    """Replacing the subjects ``cv_mse`` holds out first (its seeded shuffle
+    of repeat 0, split in 5 folds) changes the MSE but leaves the first
+    fold's fit bitwise unchanged."""
+    mse, system = _first_fold_fit(monkeypatch, densities, y, method, k)
+    perm = np.random.default_rng(np.random.SeedSequence(11).spawn(1)[0]).permutation(len(densities))
+    corrupted = list(densities)
+    for i in np.array_split(perm, 5)[0]:
+        corrupted[i] = truncated_normal_density(0.0, 3.0, densities[0].grid, 1e-3)
+    mse2, system2 = _first_fold_fit(monkeypatch, corrupted, y, method, k)
+    np.testing.assert_array_equal(system2.mean, system.mean)
+    np.testing.assert_array_equal(system2.eigenfunctions, system.eigenfunctions)
+    assert mse2 != mse
+
+
 class TestCvMse:
     def test_deterministic(self, shift_family):
         densities, mus = shift_family
@@ -120,20 +149,8 @@ class TestCvMse:
         mse = cv_mse(densities, y, "lqd", 1, folds=10, repeats=3, seed=1)
         assert mse <= 1.2 * noise_sd**2
 
-    def test_no_leakage_training_basis_bit_identical(self, shift_family):
-        densities, mus = shift_family
-        y = mus
-        details = cv_mse(densities, y, "fpca", 1, folds=5, repeats=1, seed=11,
-                         return_details=True)
-        assert isinstance(details, CvDetails)
-        repeat0, fold0, test_idx, digest = details.fold_records[0]
-        corrupted = list(densities)
-        for i in test_idx:
-            corrupted[i] = truncated_normal_density(0.0, 3.0, densities[0].grid, 1e-3)
-        details2 = cv_mse(corrupted, y, "fpca", 1, folds=5, repeats=1, seed=11,
-                          return_details=True)
-        assert details2.fold_records[0][3] == digest
-        assert details2.mse != details.mse
+    def test_no_leakage_training_basis_bit_identical(self, shift_family, monkeypatch):
+        _assert_no_leakage(monkeypatch, *shift_family, "fpca", 1)
 
     def test_validation(self, shift_family):
         densities, mus = shift_family
@@ -142,17 +159,8 @@ class TestCvMse:
         with pytest.raises(ValueError):
             cv_mse(densities, mus[:-1], "lqd", 1)
 
-    def test_lqd_no_leakage_training_basis_bit_identical(self, shift_family):
-        densities, mus = shift_family
-        details = cv_mse(densities, mus, "lqd", 2, folds=5, repeats=1, seed=11,
-                         return_details=True)
-        _, _, test_idx, digest = details.fold_records[0]
-        corrupted = list(densities)
-        for i in test_idx:
-            corrupted[i] = truncated_normal_density(0.0, 3.0, densities[0].grid, 1e-3)
-        again = cv_mse(corrupted, mus, "lqd", 2, folds=5, repeats=1, seed=11,
-                       return_details=True)
-        assert again.fold_records[0][3] == digest
+    def test_lqd_no_leakage_training_basis_bit_identical(self, shift_family, monkeypatch):
+        _assert_no_leakage(monkeypatch, *shift_family, "lqd", 2)
 
     def test_transforms_each_density_once(self, shift_family, monkeypatch):
         from densfda import regression

@@ -177,13 +177,13 @@ class TestRunComparison:
             embedded.append((self, values))
             return original_embed(self, values, grid, m)
 
-        def counting_karcher(points):
-            karcher.append(points)
-            return original_karcher(points)
+        def counting_karcher(data, grid):
+            karcher.append(data)
+            return original_karcher(data, grid)
 
         def keeping_gen(spec, rng=None):
             gen = original_gen(spec, rng)
-            samples.append(np.stack([f.values for f in gen.densities]))
+            samples.append(gen.densities.values)
             return gen
 
         monkeypatch.setattr(frechet, "wasserstein_frechet_mean", counting_mean)

@@ -25,6 +25,11 @@ M = 512
 HS = MethodKind.hilbert_sphere()
 
 
+def _rows(points):
+    """The values of sphere points on one grid as an ``(n, m)`` array, and the grid."""
+    return np.stack([p.values for p in points]), points[0].grid
+
+
 def geodesic_distance(p, q):
     """Arc length between two sphere points: the norm of the log map."""
     v = log_map(p, q)
@@ -102,13 +107,13 @@ class TestExpLog:
 class TestKarcherMean:
     def test_fixed_point_of_identical_sample(self, rng, unit512):
         p = sqrt_embed(smooth_density(rng, unit512))
-        mu = karcher_mean([p, p])
+        mu = karcher_mean(*_rows([p, p]))
         assert np.abs(mu.values - p.values).max() <= 1e-9
 
     def test_two_point_midpoint(self, rng, unit512):
         p = sqrt_embed(smooth_density(rng, unit512))
         q = sqrt_embed(smooth_density(rng, unit512))
-        mu = karcher_mean([p, q])
+        mu = karcher_mean(*_rows([p, q]))
         assert geodesic_distance(mu, p) == pytest.approx(geodesic_distance(mu, q), abs=1e-6)
         # midpoint lies on the connecting geodesic
         assert geodesic_distance(p, q) == pytest.approx(
@@ -117,20 +122,20 @@ class TestKarcherMean:
 
     def test_gradient_norm_below_tol(self, rng, unit512):
         points = [sqrt_embed(smooth_density(rng, unit512)) for _ in range(8)]
-        mu = karcher_mean(points, tol=1e-9)
+        mu = karcher_mean(*_rows(points))
         grad = np.mean([log_map(mu, p) for p in points], axis=0)
         assert np.sqrt(inner_product(grad, grad, unit512)) <= 1e-9
 
     def test_permutation_invariant(self, rng, unit512):
         points = [sqrt_embed(smooth_density(rng, unit512)) for _ in range(6)]
-        mu1 = karcher_mean(points)
-        mu2 = karcher_mean(points[::-1])
+        mu1 = karcher_mean(*_rows(points))
+        mu2 = karcher_mean(*_rows(points[::-1]))
         assert np.abs(mu1.values - mu2.values).max() <= 1e-8
 
     def test_matches_brute_force_on_pair(self, rng, unit512):
         p = sqrt_embed(smooth_density(rng, unit512))
         q = sqrt_embed(smooth_density(rng, unit512))
-        mu = karcher_mean([p, q])
+        mu = karcher_mean(*_rows([p, q]))
         # brute force along the connecting geodesic
         v = log_map(p, q)
         ts = np.linspace(0.0, 1.0, 2001)
@@ -142,6 +147,11 @@ class TestKarcherMean:
                 best, best_t = obj, t
         brute = exp_map(p, best_t * v)
         assert np.abs(mu.values - brute.values).max() <= 1e-3
+
+    def test_grid_mismatch_rejected(self, rng, unit512):
+        data, _ = _rows([sqrt_embed(smooth_density(rng, unit512)) for _ in range(2)])
+        with pytest.raises(GridMismatchError):
+            karcher_mean(data, Grid(0.0, 1.0, 64))
 
 
 class TestPga:
@@ -184,7 +194,7 @@ class TestRepresentations:
     def test_mode_alpha_zero_is_karcher_mean(self, rng, unit512):
         densities = [smooth_density(rng, unit512) for _ in range(8)]
         mode0 = FittedMethod(densities, HS).mode(1, 0.0)
-        mean = square_back(karcher_mean([sqrt_embed(f) for f in densities]))
+        mean = square_back(karcher_mean(*_rows([sqrt_embed(f) for f in densities])))
         assert l2_distance(mode0, mean) <= 1e-9
 
     def test_outputs_unit_mass(self, rng, unit512):
@@ -245,7 +255,7 @@ class TestBatchedAgainstLoop:
         grid = Grid(-2.0, 3.0, m)
         points = [sqrt_embed(smooth_density(rng, grid, amplitude=1.0)) for _ in range(n)]
         ref = _karcher_loop(points)
-        np.testing.assert_allclose(karcher_mean(points).values, ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(karcher_mean(*_rows(points)).values, ref, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n, m", [(20, 512), (2, 512), (6, 3)], ids=["n20", "n2", "m3"])
     def test_maps_and_embedding(self, rng, n, m):
@@ -282,7 +292,3 @@ class TestBatchedAgainstLoop:
         v = system.mean + 2.0 * np.sqrt(system.eigenvalues[0]) * system.eigenfunctions[0]
         ref = _square_back_loop(_exp_loop(mu, v, grid), grid)
         np.testing.assert_allclose(fitted.mode(1, 2.0).values, ref, rtol=1e-12, atol=1e-12)
-
-    def test_plain_array_rejected(self):
-        with pytest.raises(ValueError):
-            karcher_mean(np.ones((2, M)))

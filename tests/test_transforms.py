@@ -245,6 +245,16 @@ class TestTransformedFnValidation:
                 with pytest.raises(GridMismatchError):
                     inverse_rows(x, tgrid, spec, (0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "support, error",
+        [((1.0, 0.0), ValueError), ((1.0, 1.0), ValueError), ((0.0, np.inf), NonFiniteError)],
+        ids=["reversed", "empty", "infinite"],
+    )
+    def test_support_checked(self, support, error):
+        for spec, tgrid in ((LQD, unit_grid(M)), (log_hazard_spec(0.1), Grid(0.0, 0.9, M))):
+            with pytest.raises(error):
+                inverse_rows(np.zeros((1, M)), tgrid, spec, support)
+
     def test_delta_range(self):
         with pytest.raises(ValueError):
             TransformSpec(LQD.kind, 0.0)
