@@ -34,6 +34,7 @@ from .errors import (
     NotInvertibleError,
     OutOfSupportError,
     RankDeficientWarning,
+    SampleShapeError,
     SupportMismatchError,
     TooFewSamplesError,
     TransformOverflowError,
@@ -56,7 +57,7 @@ from .frechet import (
     fve_report,
     wasserstein_frechet_mean,
 )
-from .kde import KdeConfig, Kernel, boundary_weight, default_bandwidth, estimate_density
+from .kde import KdeConfig, Kernel, boundary_weight, default_bandwidth, estimate_density, estimate_rows
 from .regression import FlrModel, cv_mse, fit_flr, predict, project_scores, score_basis
 from .simulation import (
     SIMULATION_BLEND,

@@ -111,7 +111,7 @@ class DensityFn:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = np.ascontiguousarray(self.values, dtype=float).view()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         _check_rows(values[None], self.grid)

@@ -37,6 +37,10 @@ class OutOfSupportError(DensfdaError):
     """A sample falls outside the declared support interval."""
 
 
+class SampleShapeError(DensfdaError, ValueError):
+    """Draws given to the density estimator have the wrong number of axes."""
+
+
 class TransformOverflowError(DensfdaError):
     """Exponentiation guard tripped while applying an inverse transform."""
 

@@ -5,7 +5,8 @@ bona fide density: nonnegative with unit integral.  Near the support
 boundary each kernel is reweighted by the reciprocal of its truncated
 integral, which removes the boundary bias of the plain kernel estimator.
 Bandwidths are expressed on the unit-mapped support and must stay below
-one half.
+one half.  :func:`estimate_rows` is the one estimator, for an ``(n, k)``
+array of draws; :func:`estimate_density` is its one-row form.
 """
 
 from __future__ import annotations
@@ -16,13 +17,8 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr
 
-from .density import DEFAULT_FLOOR, DensityFn, Grid, integrate, normalize
-from .errors import (
-    BadBandwidthError,
-    NonFiniteError,
-    OutOfSupportError,
-    TooFewSamplesError,
-)
+from .density import DEFAULT_FLOOR, DensityFn, Grid, integrate_rows, normalize_rows
+from .errors import BadBandwidthError, NonFiniteError, OutOfSupportError, SampleShapeError, TooFewSamplesError
 
 MAX_BANDWIDTH = 0.49
 
@@ -37,7 +33,9 @@ class Kernel(Enum):
     def pdf(self, u):
         u = np.asarray(u, dtype=float)
         if self is Kernel.GAUSSIAN:
-            return np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+            v = np.multiply(-0.5, u, out=np.empty_like(u))  # one new array, no temporaries
+            v *= u
+            return np.divide(np.exp(v, out=v), np.sqrt(2.0 * np.pi), out=v)
         if self is Kernel.EPANECHNIKOV:
             return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
         return np.where(np.abs(u) <= 1.0, 0.5, 0.0)
@@ -98,46 +96,56 @@ def boundary_weight(x, h: float, kernel: Kernel = Kernel.GAUSSIAN):
     w = np.ones_like(x)
     left = x < h
     right = x > 1.0 - h
-    if np.any(left):
-        w[left] = 1.0 / kernel.integral(-x[left] / h, 1.0)
-    if np.any(right):
-        w[right] = 1.0 / kernel.integral(-1.0, (1.0 - x[right]) / h)
+    w[left] = 1.0 / kernel.integral(-x[left] / h, 1.0)
+    w[right] = 1.0 / kernel.integral(-1.0, (1.0 - x[right]) / h)
     return float(w[0]) if scalar else w
 
 
-def estimate_density(samples, cfg: KdeConfig) -> DensityFn:
-    """Estimate a density from raw samples on the configured grid.
+def estimate_rows(samples, cfg: KdeConfig) -> np.ndarray:
+    """Estimate one density from each row of an ``(n, k)`` array of draws.
 
-    The kernel sum is evaluated with boundary weights on the unit-mapped
-    support and divided by its own trapezoidal integral, so the output
-    integrates to one by construction; it is then floored at
-    ``cfg.floor`` and renormalized to keep it strictly positive.
-
-    Raises
-    ------
-    TooFewSamplesError
-        If fewer than two samples are given.
-    OutOfSupportError
-        If any sample falls outside [grid.lo, grid.hi].
+    Each kernel sum, with boundary weights on the unit-mapped support, is
+    divided by its own trapezoidal integral, floored at ``cfg.floor`` and
+    renormalized into a strictly positive density on ``cfg.grid``.  The
+    checks, weights and normalization run once per array, the kernel sum
+    once per row.  Returns ``(n, m)`` values.  Rows fail with
+    ``TooFewSamplesError``, ``NonFiniteError``, ``OutOfSupportError`` or
+    ``BadBandwidthError``, and the first failing row's error is raised.
     """
-    w = np.asarray(samples, dtype=float).ravel()
-    if w.size < 2:
-        raise TooFewSamplesError(f"need at least 2 samples, got {w.size}")
-    if not np.all(np.isfinite(w)):
-        raise NonFiniteError("samples contain NaN or infinities")
-    grid = cfg.grid
-    if w.min() < grid.lo or w.max() > grid.hi:
-        raise OutOfSupportError(
-            f"samples outside support [{grid.lo}, {grid.hi}]"
-        )
-    u = (w - grid.lo) / grid.width
+    w = np.asarray(samples, dtype=float)
+    if w.ndim != 2:
+        raise SampleShapeError(f"samples must be an (n, k) array, got shape {w.shape}")
+    if w.shape[1] < 2:
+        raise TooFewSamplesError(f"need at least 2 samples, got {w.shape[1]}")
+    grid, h = cfg.grid, cfg.bandwidth
+    finite = np.isfinite(w).all(axis=1)
+    valid = finite & (w.min(axis=1) >= grid.lo) & (w.max(axis=1) <= grid.hi)
+    # rows from the first invalid one on are neither summed nor returned
+    stop = len(w) if valid.all() else int(valid.argmin())
+    u = (w[:stop] - grid.lo) / grid.width
     x = np.linspace(0.0, 1.0, grid.m)
-    weights = boundary_weight(x, cfg.bandwidth, cfg.kernel)
-    raw = cfg.kernel.pdf((x[:, None] - u[None, :]) / cfg.bandwidth).sum(axis=1) * weights
-    unit = Grid(0.0, 1.0, grid.m)
-    mass = integrate(raw, unit)
-    if mass <= 0.0:
-        # compact kernel narrower than the grid spacing can miss every node
+    weights = boundary_weight(x, h, cfg.kernel)
+    raw, diff = np.empty((stop, grid.m)), np.empty((grid.m, w.shape[1]))
+    with np.errstate(over="ignore"):  # a tiny bandwidth sends far draws to infinity, weight 0
+        for row, draws in zip(raw, u):
+            np.subtract(x[:, None], draws, out=diff)
+            diff /= h
+            np.multiply(cfg.kernel.pdf(diff).sum(axis=1), weights, out=row)
+    mass = integrate_rows(raw, Grid(0.0, 1.0, grid.m))
+    vanished = np.append(np.flatnonzero(mass <= 0.0), stop)[0]  # compact kernels can miss all nodes
+    out = normalize_rows(raw[:vanished] / (mass[:vanished, None] * grid.width), grid, cfg.floor)
+    if vanished < stop:
         raise BadBandwidthError("kernel sum vanished on the grid; increase bandwidth")
-    values = raw / (mass * grid.width)
-    return normalize(values, grid, cfg.floor)
+    if stop < len(w):
+        if not finite[stop]:
+            raise NonFiniteError("samples contain NaN or infinities")
+        raise OutOfSupportError(f"samples outside support [{grid.lo}, {grid.hi}]")
+    return out
+
+
+def estimate_density(samples, cfg: KdeConfig) -> DensityFn:
+    """The one-row form of :func:`estimate_rows`: a density from a 1-D sample."""
+    w = np.asarray(samples, dtype=float)
+    if w.ndim != 1:
+        raise SampleShapeError(f"samples must be a 1-D array, got shape {w.shape}")
+    return DensityFn(cfg.grid, estimate_rows(w[None], cfg)[0])

@@ -11,7 +11,8 @@ replications by another Fréchet mean under the same metric.
 Replications draw their randomness from child streams spawned off the
 spec seed (one child per replication).  A replication's densities come
 out of the generator as one :class:`DensitySample`, which the methods
-and the means of that replication then share.
+and the means of that replication then share.  Sampled observation
+draws one ``(n, n_obs)`` array and estimates all its rows in one call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.special import ndtr
 from .density import DensityFn, DensitySample, Grid, cdf_rows, dist_wasserstein, normalize_rows
 from .errors import DegenerateSigmaError, EmptySampleError
 from .frechet import FittedMethod, Metric, MethodKind, fisher_rao_mean, frechet_mean, fve_report
-from .kde import KdeConfig, Kernel, estimate_density
+from .kde import KdeConfig, Kernel, estimate_rows
 
 # truncated normals can run below 1e-40 near the support boundary, which
 # no fixed grid can represent through the quantile map; simulated
@@ -108,7 +109,7 @@ class GeneratedSetting:
     spec: SettingSpec
     densities: DensitySample  # what gets analyzed (estimates when observed='sampled')
     true_densities: DensitySample
-    raw_samples: list | None
+    raw_samples: np.ndarray | None  # (n, n_obs) draws when observed="sampled"
     mus: np.ndarray
     sigmas: np.ndarray
 
@@ -126,11 +127,12 @@ def _draw_parameters(spec: SettingSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     return mus, sigmas
 
 
-def _inverse_cdf_samples(mus, sigmas, grid: Grid, n_obs: int, rng) -> list:
-    """Draw n_obs points from each truncated normal via its CDF tabulated on a fine grid."""
+def _inverse_cdf_samples(mus, sigmas, grid: Grid, n_obs: int, rng) -> np.ndarray:
+    """``(n, n_obs)`` draws, one row per truncated normal, via its CDF on a fine grid."""
     fine = Grid(grid.lo, grid.hi, _FINE_M)
     cdfs = cdf_rows(_truncated_normal_rows(mus, sigmas, fine, 1e-300), fine)
-    return [np.interp(rng.random(n_obs), cdf, fine.points) for cdf in cdfs]
+    draws, points = rng.random((len(cdfs), n_obs)), fine.points
+    return np.array([np.interp(row, cdf, points) for row, cdf in zip(draws, cdfs)])
 
 
 def gen_setting(spec: SettingSpec, rng=None) -> GeneratedSetting:
@@ -144,7 +146,7 @@ def gen_setting(spec: SettingSpec, rng=None) -> GeneratedSetting:
         return GeneratedSetting(spec, true, true, None, mus, sigmas)
     cfg = KdeConfig(spec.unit_bandwidth, Kernel.GAUSSIAN, grid, spec.floor)
     samples = _inverse_cdf_samples(mus, sigmas, grid, spec.n_obs, rng)
-    estimated = DensitySample.of([estimate_density(w, cfg) for w in samples])
+    estimated = DensitySample(estimate_rows(samples, cfg), grid)
     return GeneratedSetting(spec, estimated, true, samples, mus, sigmas)
 
 

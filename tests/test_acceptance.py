@@ -12,6 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 from densfda import (
     DensityFn,
+    DensitySample,
     FittedMethod,
     Grid,
     KdeConfig,
@@ -28,6 +29,7 @@ from densfda import (
     frechet_mean,
     fve_report,
     gen_setting,
+    inverse_rows,
     log_hazard_spec,
     project_scores,
     run_comparison,
@@ -155,9 +157,8 @@ def test_criterion_5_mode_convergence_rate():
     def max_mode_error(n, rng):
         c1 = rng.uniform(-spread[0], spread[0], n)
         c2 = rng.uniform(-spread[1], spread[1], n)
-        sample = [from_transform(tgrid, a * rho1 + b * rho2, LQD) for a, b in zip(c1, c2)]
-        from densfda import FittedMethod
-
+        x = c1[:, None] * rho1 + c2[:, None] * rho2
+        sample = DensitySample(inverse_rows(x, tgrid, LQD, (0.0, 1.0)), Grid(0.0, 1.0, tgrid.m))
         fitted = FittedMethod(sample, MethodKind.lqd())
         return max(
             dist_wasserstein(true_modes[(k, a)], fitted.mode(k, a))

@@ -120,6 +120,16 @@ class TestNormalize:
         with pytest.raises(ValueError):
             f.values[0] = 2.0
 
+    def test_density_fn_leaves_callers_array_writable(self):
+        grid = Grid(0.0, 1.0, 64)
+        v = np.ones(64)
+        f = DensityFn(grid, v)
+        assert v.flags.writeable
+        assert not f.values.flags.writeable
+        with pytest.raises(ValueError):
+            f.values[0] = 2.0
+        v[0] = 2.0  # the caller may still write its own array
+
 
 class TestDensitySample:
     def test_rows_checked_as_densities(self, unit512, rng):

@@ -1,18 +1,26 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from densfda import (
     BadBandwidthError,
+    DensfdaError,
     Grid,
+    InvalidDensityError,
     KdeConfig,
     Kernel,
     NonFiniteError,
     OutOfSupportError,
+    SampleShapeError,
+    SettingSpec,
     TooFewSamplesError,
     boundary_weight,
     default_bandwidth,
     estimate_density,
+    estimate_rows,
+    gen_setting,
     normalize,
 )
 from densfda.density import integrate
@@ -153,3 +161,123 @@ class TestEstimateDensity:
             f = estimate_density(rng.normal(0, 0.5, 100).clip(-2, 2), cfg)
             assert f.values.min() > 0.0
             assert integrate(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
+
+
+def _reference_density(draws, cfg):
+    """The direct estimator on one sample of draws: the kernel at every
+    (grid point, draw) pair, summed, boundary-weighted, scaled to unit
+    trapezoidal mass, then floored and renormalized."""
+    grid = cfg.grid
+    u = (np.asarray(draws, dtype=float) - grid.lo) / grid.width
+    x = np.linspace(0.0, 1.0, grid.m)
+    with np.errstate(over="ignore"):
+        z = (x[:, None] - u[None, :]) / cfg.bandwidth
+        if cfg.kernel is Kernel.GAUSSIAN:
+            k = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        else:
+            k = cfg.kernel.pdf(z)
+    raw = k.sum(axis=1) * boundary_weight(x, cfg.bandwidth, cfg.kernel)
+    mass = integrate(raw, Grid(0.0, 1.0, grid.m))
+    return normalize(raw / (mass * grid.width), grid, cfg.floor).values
+
+
+def _first_row_error(rows, cfg):
+    """The error that estimating ``rows`` one at a time raises first, or None."""
+    for draws in rows:
+        try:
+            estimate_density(draws, cfg)
+        except DensfdaError as exc:
+            return exc
+    return None
+
+
+class TestEstimateRows:
+    @pytest.mark.parametrize("kernel", list(Kernel))
+    @pytest.mark.parametrize("n, k", [(1, 2), (1, 200), (6, 2), (6, 37)])
+    def test_bitwise_equal_to_row_loop(self, kernel, n, k, rng):
+        grid = Grid(-2.0, 3.0, 129)
+        draws = rng.uniform(grid.lo, grid.hi, (n, k))
+        draws[:, 0] = grid.lo  # draws on both ends of the support
+        draws[-1, -1] = grid.hi
+        cfg = KdeConfig(0.15, kernel, grid)
+        got = estimate_rows(draws, cfg)
+        assert got.shape == (n, grid.m)
+        for row, draw in zip(got, draws):
+            assert np.array_equal(row, estimate_density(draw, cfg).values)
+            assert np.array_equal(row, _reference_density(draw, cfg))
+
+    def test_matches_row_loop_on_random_shapes(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            st.integers(1, 8), st.integers(2, 300), st.integers(3, 512),
+            st.floats(0.0, 0.49, exclude_min=True), st.sampled_from(list(Kernel)),
+            st.integers(0, 2**32 - 1),
+        )
+        def check(n, k, m, h, kernel, seed):
+            gen = np.random.default_rng(seed)
+            lo = gen.normal(0.0, 10.0)
+            grid = Grid(lo, lo + gen.uniform(0.1, 10.0), m)
+            draws = gen.uniform(grid.lo, grid.hi, (n, k))
+            draws[gen.random((n, k)) < 0.05] = grid.lo
+            cfg = KdeConfig(h, kernel, grid)
+            error = _first_row_error(draws, cfg)
+            if error is not None:
+                with pytest.raises(type(error), match=re.escape(str(error))):
+                    estimate_rows(draws, cfg)
+                return
+            got = estimate_rows(draws, cfg)
+            for row, draw in zip(got, draws):
+                assert np.array_equal(row, estimate_density(draw, cfg).values)
+                assert np.array_equal(row, _reference_density(draw, cfg))
+
+        check()
+
+    def test_first_failing_row_raises(self):
+        # uniform kernel of half-width 0.02 on nodes 0.1 apart, floor 0: a
+        # draw on every node is a valid sample, draws at 0.5 only leave zeros
+        # (not strictly positive), and draws at 0.55 reach no node (the
+        # kernel sum vanishes)
+        cfg = KdeConfig(0.02, Kernel.UNIFORM, Grid(0.0, 1.0, 11), floor=0.0)
+        ok, zeros, missed = np.linspace(0.0, 1.0, 11), np.full(11, 0.5), np.full(11, 0.55)
+        nan, outside = zeros.copy(), zeros.copy()
+        nan[3], outside[7] = np.nan, 1.5
+        for rows, error in [
+            ((ok, nan, outside), NonFiniteError),
+            ((ok, outside, nan), OutOfSupportError),
+            ((ok, missed, nan), BadBandwidthError),
+            ((outside, missed), OutOfSupportError),
+            ((ok, zeros, nan), InvalidDensityError),
+            ((nan, zeros), NonFiniteError),
+            ((zeros, missed), InvalidDensityError),
+        ]:
+            first = _first_row_error(rows, cfg)
+            assert type(first) is error
+            with pytest.raises(error, match=re.escape(str(first))) as info:
+                estimate_rows(np.stack(rows), cfg)
+            assert type(info.value) is error
+        assert np.array_equal(estimate_rows(ok[None], cfg)[0], estimate_density(ok, cfg).values)
+        with pytest.raises(TooFewSamplesError):
+            estimate_rows(np.full((3, 1), 0.5), cfg)
+
+    def test_shape_checked(self):
+        cfg = KdeConfig(0.2)
+        with pytest.raises(SampleShapeError, match=r"\(2, 2\)"):
+            estimate_density(np.array([[0.2, 0.3], [0.4, 0.5]]), cfg)
+        with pytest.raises(SampleShapeError, match=r"\(\)"):
+            estimate_density(0.5, cfg)
+        for bad in (np.full(4, 0.5), np.full((2, 2, 3), 0.5)):
+            with pytest.raises(SampleShapeError, match=re.escape(str(bad.shape))):
+                estimate_rows(bad, cfg)
+        assert issubclass(SampleShapeError, DensfdaError)
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_gen_setting_estimates_each_row(self, setting):
+        spec = SettingSpec(setting=setting, n=6, m=128, observed="sampled", n_obs=40, seed=5)
+        gen = gen_setting(spec)
+        cfg = KdeConfig(spec.unit_bandwidth, Kernel.GAUSSIAN, spec.grid, spec.floor)
+        assert gen.raw_samples.shape == (6, 40)
+        expect = np.stack([estimate_density(w, cfg).values for w in gen.raw_samples])
+        assert np.array_equal(gen.densities.values, expect)

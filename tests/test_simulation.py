@@ -64,6 +64,7 @@ class TestGenSetting:
         spec = SettingSpec(setting=2, n=5, seed=3, observed="sampled", n_obs=50)
         gen = gen_setting(spec)
         assert gen.raw_samples is not None and len(gen.raw_samples) == 5
+        assert gen.raw_samples.shape == (5, 50)
         for w, f in zip(gen.raw_samples, gen.densities):
             assert w.shape == (50,)
             assert w.min() >= -5.0 and w.max() <= 5.0
