@@ -70,14 +70,7 @@ from .simulation import (
     run_comparison,
     truncated_normal_density,
 )
-from .sphere import (
-    SpherePoint,
-    exp_map,
-    karcher_mean,
-    log_map,
-    sqrt_embed,
-    square_back,
-)
+from .sphere import exp_map, karcher_mean, log_map, sqrt_embed, square_back
 from .transforms import (
     LQD,
     TransformKind,

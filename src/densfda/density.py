@@ -74,11 +74,6 @@ def unit_grid(m: int = DEFAULT_GRID_SIZE) -> Grid:
     return Grid(0.0, 1.0, m)
 
 
-def integrate(values: np.ndarray, grid: Grid) -> float:
-    """Trapezoidal integral of grid samples."""
-    return float(integrate_rows(values, grid))
-
-
 def integrate_rows(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Trapezoidal integral of each row of an ``(..., m)`` array."""
     v = np.asarray(values, dtype=float)
@@ -91,11 +86,6 @@ def cumulative_integral(values: np.ndarray, grid: Grid) -> np.ndarray:
     out = np.zeros(v.shape)
     np.cumsum(grid.spacing * (v[..., 1:] + v[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
     return out
-
-
-def inner_product(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
-    """L2 inner product on the grid."""
-    return integrate(np.asarray(u) * np.asarray(v), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,13 @@ def fit(sample, grid: Grid | None = None, k: int | None = None) -> EigenSystem:
     Eigenvalues come out descending; components below ``EIGENVALUE_DROP``
     times the leading eigenvalue, or below the round-off bound (m eps)^2
     times the mean squared L2 norm of the uncentered rows, are dropped,
-    then at most ``k`` are kept.  Each eigenfunction has unit L2 norm and
-    its largest-magnitude value positive.  A single function, or a sample
-    of identical ones, gives its own mean and no components.
+    then at most ``k`` are kept (``ValueError`` for a negative ``k``).
+    Each eigenfunction has unit L2 norm and its largest-magnitude value
+    positive.  A single function, or a sample of identical ones, gives
+    its own mean and no components.
     """
+    if k is not None and k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if grid is None:
         sample = DensitySample.of(sample)
         sample, grid = sample.values, sample.grid

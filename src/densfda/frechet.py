@@ -10,15 +10,16 @@ back onto density space; a transform method (log quantile density or
 log hazard) maps each density through the transform and back through
 its inverse; the Hilbert-sphere method log-maps the square-root
 densities at their Karcher mean and maps back by the exp map and
-squaring.  ``FittedMethod.reconstruct(K)`` returns the K-component
-representations of the whole sample as one ``(n, m)`` array.
-Representations and modes are valid densities for every truncation
-level and mode parameter.
+squaring through the row kernels of :mod:`sphere`, which check that
+mean's unit norm as it enters.  ``FittedMethod.reconstruct(K)`` returns
+the K-component representations of the whole sample as one ``(n, m)``
+array.  Representations and modes are valid densities for every
+truncation level and mode parameter.
 
 Every function takes a sample as a :class:`density.DensitySample` or a
 sequence of densities (:meth:`DensitySample.of`).  Its Fréchet mean,
-variance V_inf and metric embedding (once per metric) and the Karcher
-mean of its square-root densities are kept in the sample's cache
+variance V_inf and metric embedding (once per metric) and the ``(m,)``
+Karcher mean of its square-root densities are kept in the sample's cache
 (:meth:`DensitySample.cached`), shared by every method fitted to it and
 every mean taken of it; the Karcher mean serves both the Hilbert-sphere
 method and the Fisher–Rao mean.  :func:`fve_report` is the one FVE entry
@@ -48,15 +49,7 @@ from .density import (
     unit_grid,
 )
 from .errors import GridMismatchError, SupportMismatchError
-from .sphere import (
-    SpherePoint,
-    _embed_rows,
-    _exp_rows,
-    _log_rows,
-    _square_rows,
-    karcher_mean,
-    square_back,
-)
+from .sphere import exp_map, karcher_mean, log_map, sqrt_embed, square_back
 from .transforms import LQD, TransformSpec, forward_rows, inverse_rows, log_hazard_spec
 
 K_MAX_CAP = 20
@@ -67,14 +60,14 @@ class Metric(Enum):
     L2 = "l2"
     WASSERSTEIN = "wasserstein"
 
-    def embed_rows(self, values: np.ndarray, grid: Grid, m: int | None = None) -> tuple[np.ndarray, Grid]:
+    def embed_rows(self, values: np.ndarray, grid: Grid) -> tuple[np.ndarray, Grid]:
         """Rows whose L2 distances are this metric's distances between the
         density rows of ``values``: the densities themselves for L2, their
-        quantile functions for Wasserstein, on a probability grid of ``m``
-        points (default ``grid.m``), as in :func:`dist_wasserstein`."""
+        quantile functions for Wasserstein, on a probability grid of
+        ``grid.m`` points, as in :func:`dist_wasserstein`."""
         if self is Metric.L2:
             return values, grid
-        tgrid = unit_grid(m or grid.m)
+        tgrid = unit_grid(grid.m)
         return quantile_rows(cdf_rows(values, grid), grid, tgrid), tgrid
 
 
@@ -139,13 +132,13 @@ class FrechetReport:
 
 
 def _embedding(sample: DensitySample, metric: Metric) -> tuple[np.ndarray, Grid]:
-    """:meth:`Metric.embed_rows` of the sample on its own grid size, kept."""
+    """:meth:`Metric.embed_rows` of the sample, kept."""
     return sample.cached(("embedding", metric), lambda: metric.embed_rows(sample.values, sample.grid))
 
 
-def _karcher_mean(sample: DensitySample) -> SpherePoint:
-    """:func:`sphere.karcher_mean` of the square-root densities, kept."""
-    return sample.cached("karcher", lambda: karcher_mean(_embed_rows(sample.values, sample.grid), sample.grid))
+def _karcher_mean(sample: DensitySample) -> np.ndarray:
+    """:func:`sphere.karcher_mean` of the square-root densities, ``(m,)``, kept."""
+    return sample.cached("karcher", lambda: karcher_mean(sqrt_embed(sample.values, sample.grid), sample.grid))
 
 
 def _pchip_quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray:
@@ -204,28 +197,22 @@ def fisher_rao_mean(sample, floor: float = DEFAULT_FLOOR) -> DensityFn:
     The Karcher mean of the square-root densities, squared back to a
     density.  The Karcher mean is computed once per sample and kept.
     """
-    return square_back(_karcher_mean(DensitySample.of(sample)), floor)
+    sample = DensitySample.of(sample)
+    return DensityFn(sample.grid, square_back(_karcher_mean(sample)[None], sample.grid, floor)[0])
 
 
 def frechet_variance(sample, mean: DensityFn, metric: Metric) -> float:
     """Average squared metric distance to the given mean.
 
-    The sample shares one grid.  Under the Wasserstein metric the mean
-    may have another resolution on the same support; the finer grid sets
-    the probability grid.
+    The mean must lie on the sample's grid under either metric.
     """
     sample = DensitySample.of(sample)
-    grid = sample.grid
-    if metric is Metric.L2 and mean.grid != grid:
-        raise GridMismatchError("L2 distance requires identical grids")
     if mean.support != sample.support:
         raise SupportMismatchError(f"supports differ: {sample.support} vs {mean.support}")
-    m = max(grid.m, mean.grid.m)
-    if m == grid.m:
-        target, egrid = _embedding(sample, metric)
-    else:
-        target, egrid = metric.embed_rows(sample.values, grid, m)
-    center, _ = metric.embed_rows(mean.values[None], mean.grid, m)
+    if mean.grid != sample.grid:
+        raise GridMismatchError("the mean must lie on the sample's grid")
+    target, egrid = _embedding(sample, metric)
+    center, _ = metric.embed_rows(mean.values[None], mean.grid)
     return float(np.mean(sq_dist_rows(target, center, egrid)))
 
 
@@ -271,7 +258,7 @@ class FittedMethod:
         if method.kind == "hs":
             # tangent space at the Karcher mean of the square-root densities
             self.sphere_mean = _karcher_mean(self.sample)
-            tangents = _log_rows(self.sphere_mean, _embed_rows(self.values, self.grid))
+            tangents = log_map(self.sphere_mean, sqrt_embed(self.values, self.grid), self.grid)
             self.system = fpca.fit(tangents, self.grid)
         elif method.kind == "transform":
             blended = _blend_rows(self.values, self.grid, method.blend)
@@ -302,7 +289,7 @@ class FittedMethod:
         if self.method.kind == "fpca":
             return fpca.project_rows(rows, self.grid, self.floor)
         if self.method.kind == "hs":
-            return _square_rows(_exp_rows(self.sphere_mean, rows), self.grid, self.floor)
+            return square_back(exp_map(self.sphere_mean, rows, self.grid), self.grid, self.floor)
         dens = inverse_rows(rows, self._tgrid, self.method.transform, self.support)
         return _unblend_rows(dens, self.grid, self.method.blend, self.floor)
 

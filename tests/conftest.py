@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from densfda import DensityFn, Grid, forward_rows, inverse_rows, normalize, unit_grid
-from densfda.density import integrate, sq_dist_rows
+from densfda.density import integrate_rows, sq_dist_rows
 
 
 @pytest.fixture
@@ -61,10 +61,10 @@ def lqd_rank2_basis(grid_m: int = 512):
     tgrid = unit_grid(grid_m)
     t = tgrid.points
     raw1 = np.cos(np.pi * t) + 0.25 * np.cos(2 * np.pi * t)
-    rho1 = raw1 / np.sqrt(integrate(raw1**2, tgrid))
+    rho1 = raw1 / np.sqrt(integrate_rows(raw1**2, tgrid))
     raw2 = np.cos(2 * np.pi * t) + 0.3 * np.cos(3 * np.pi * t)
-    raw2 -= integrate(raw2 * rho1, tgrid) * rho1
-    rho2 = raw2 / np.sqrt(integrate(raw2**2, tgrid))
+    raw2 -= integrate_rows(raw2 * rho1, tgrid) * rho1
+    rho2 = raw2 / np.sqrt(integrate_rows(raw2**2, tgrid))
     for rho in (rho1, rho2):
         if rho[np.abs(rho).argmax()] < 0:
             rho *= -1.0

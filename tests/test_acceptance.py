@@ -38,7 +38,7 @@ from densfda import (
     truncated_normal_density,
     cv_mse,
 )
-from densfda.density import cdf_rows, integrate, unit_grid
+from densfda.density import cdf_rows, integrate_rows, unit_grid
 from densfda.sphere import exp_map, log_map
 from densfda.regression import predict
 
@@ -231,12 +231,12 @@ def test_criterion_7_property_suites(rng):
         fitted = FittedMethod(gen.densities, method, floor=1e-3)
         fve_report(fitted, Metric.L2, k_max=2)
         for r in fitted.reconstruct(2):
-            mass_dev = max(mass_dev, abs(integrate(r, fitted.grid) - 1.0))
+            mass_dev = max(mass_dev, abs(integrate_rows(r, fitted.grid) - 1.0))
             min_val = min(min_val, r.min())
     lqd = FittedMethod(gen.densities, MethodKind.lqd(0.5), floor=1e-3)
     for alpha in (-2.0, 0.0, 2.0):
         mode = lqd.mode(1, alpha)
-        mass_dev = max(mass_dev, abs(integrate(mode.values, mode.grid) - 1.0))
+        mass_dev = max(mass_dev, abs(integrate_rows(mode.values, mode.grid) - 1.0))
         min_val = min(min_val, mode.values.min())
     checks["unit-mass<=1e-10"] = mass_dev <= 1e-10
     checks["positive"] = min_val > 0.0
@@ -244,7 +244,7 @@ def test_criterion_7_property_suites(rng):
     # zero-integral eigenfunctions for density FPCA
     system = fit(gen.densities)
     zero_dev = max(
-        abs(integrate(phi, gen.densities[0].grid))
+        abs(integrate_rows(phi, gen.densities[0].grid))
         for lam, phi in zip(system.eigenvalues, system.eigenfunctions)
         if lam > 1e-10
     )
@@ -254,22 +254,22 @@ def test_criterion_7_property_suites(rng):
     sample = [smooth_density(rng, grid) for _ in range(12)]
     sys2 = fit(sample)
     parseval = max(
-        abs((row**2).sum() - integrate((f.values - sys2.mean) ** 2, grid))
-        / integrate((f.values - sys2.mean) ** 2, grid)
+        abs((row**2).sum() - integrate_rows((f.values - sys2.mean) ** 2, grid))
+        / integrate_rows((f.values - sys2.mean) ** 2, grid)
         for f, row in zip(sample, sys2.scores)
     )
-    avg_sq = np.mean([integrate((f.values - sys2.mean) ** 2, grid) for f in sample])
+    avg_sq = np.mean([integrate_rows((f.values - sys2.mean) ** 2, grid) for f in sample])
     trace = abs(sys2.eigenvalues.sum() - avg_sq) / avg_sq
     checks["parseval<=1e-6"] = parseval <= 1e-6
     checks["trace<=1e-6"] = trace <= 1e-6
 
     # sphere exp/log inversion
-    mu = sqrt_embed(smooth_density(rng, grid))
+    mu = sqrt_embed(smooth_density(rng, grid).values[None], grid)[0]
     sphere_dev = 0.0
     for _ in range(10):
-        p = sqrt_embed(smooth_density(rng, grid))
-        back = exp_map(mu, log_map(mu, p))
-        sphere_dev = max(sphere_dev, float(np.abs(back.values - p.values).max()))
+        p = sqrt_embed(smooth_density(rng, grid).values[None], grid)
+        back = exp_map(mu, log_map(mu, p, grid), grid)
+        sphere_dev = max(sphere_dev, float(np.abs(back - p).max()))
     checks["exp-log<=1e-9"] = sphere_dev <= 1e-9
 
     ok = all(checks.values())

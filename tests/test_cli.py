@@ -378,6 +378,22 @@ class TestRegress:
         assert payload["r_squared"] > 0.5
         assert payload["cv_mse"] > 0
 
+    def test_negative_k_exits_1(self, tmp_path, rng, capsys):
+        grid = Grid(0.0, 1.0, 64)
+        dpath, ypath, out = tmp_path / "d.csv", tmp_path / "y.csv", tmp_path / "reg.json"
+        ids = [f"s{i}" for i in range(12)]
+        write_density_csv(dpath, [smooth_density(rng, grid) for _ in ids], ids)
+        ypath.write_text("subject_id,value\n" + "".join(f"{sid},{i}\n" for i, sid in enumerate(ids)))
+        code = main([
+            "regress", "--method", "lqd", "--K", "-1", "--folds", "3", "--repeats", "1",
+            "--densities", str(dpath), "--y", str(ypath), "--out", str(out),
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": "k must be >= 0, got -1"}
+        assert not out.exists()
+
 
 class TestErrorPaths:
     def test_unknown_flag_exits_2(self):

@@ -14,7 +14,7 @@ from densfda import (
     normalize,
     truncate,
 )
-from densfda.density import inner_product, integrate
+from densfda.density import integrate_rows
 from densfda.fpca import EIGENVALUE_DROP, project_rows
 
 from conftest import smooth_density
@@ -26,7 +26,7 @@ def rank1_sample(grid, coeffs, base=None):
     """X_i = base + c_i * rho with rho unit-norm on the grid."""
     u = (grid.points - grid.lo) / grid.width
     rho = np.sqrt(2.0) * np.sin(np.pi * u) / np.sqrt(grid.width)
-    assert inner_product(rho, rho, grid) == pytest.approx(1.0, abs=1e-9)
+    assert integrate_rows(rho * rho, grid) == pytest.approx(1.0, abs=1e-9)
     if base is None:
         base = np.zeros(grid.m)
     return np.stack([base + c * rho for c in coeffs]), rho
@@ -69,7 +69,7 @@ class TestMean:
         g = normalize(2.0 * unit512.points, unit512, floor=1e-6)
         mean = fit([f, g]).mean
         np.testing.assert_allclose(mean, (f.values + g.values) / 2.0)
-        assert integrate(mean, unit512) == pytest.approx(1.0, abs=1e-12)
+        assert integrate_rows(mean, unit512) == pytest.approx(1.0, abs=1e-12)
 
     def test_root_n_convergence(self, unit512, rng):
         base = np.sin(2 * np.pi * unit512.points)
@@ -79,7 +79,7 @@ class TestMean:
             for _ in range(40):
                 sample = base + rng.uniform(-1, 1, size=(n, M))
                 trials.append(
-                    np.sqrt(integrate((fit(sample, unit512).mean - base) ** 2, unit512))
+                    np.sqrt(integrate_rows((fit(sample, unit512).mean - base) ** 2, unit512))
                 )
             errors.append(np.mean(trials))
         assert errors[1] == pytest.approx(errors[0] / 2.0, rel=0.25)
@@ -125,7 +125,7 @@ class TestEigendecompose:
         system = fit(sample)
         for lam, phi in zip(system.eigenvalues, system.eigenfunctions):
             if lam > 1e-10:
-                assert abs(integrate(phi, grid)) <= 1e-8
+                assert abs(integrate_rows(phi, grid)) <= 1e-8
 
     def test_orthonormal_and_sorted(self, rng, unit512):
         sample = np.stack([smooth_density(rng, unit512).values for _ in range(12)])
@@ -171,7 +171,7 @@ class TestTruncateAndModes:
         fitted, sample = system
         recon = truncate(fitted, fitted.n_components)
         for row, orig in zip(recon, sample):
-            assert np.sqrt(integrate((row - orig) ** 2, unit512)) <= 1e-6
+            assert np.sqrt(integrate_rows((row - orig) ** 2, unit512)) <= 1e-6
 
     def test_k_zero_returns_mean(self, system):
         fitted, _ = system
@@ -183,10 +183,18 @@ class TestTruncateAndModes:
         prev = None
         for k in range(fitted.n_components + 1):
             recon = truncate(fitted, k)
-            errs = np.array([np.sqrt(integrate((r - o) ** 2, unit512)) for r, o in zip(recon, sample)])
+            errs = np.array([np.sqrt(integrate_rows((r - o) ** 2, unit512)) for r, o in zip(recon, sample)])
             if prev is not None:
                 assert np.all(errs <= prev + 1e-12)
             prev = errs
+
+    def test_k_caps_components(self, system, unit512):
+        fitted, sample = system
+        assert fit(sample, unit512, k=0).n_components == 0
+        assert fit(sample, unit512, k=2).n_components == 2
+        # a negative k is rejected, not read as a slice from the end
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            fit(sample, unit512, k=-1)
 
     def test_k_too_large(self, system):
         fitted, _ = system
@@ -211,7 +219,7 @@ class TestTruncateAndModes:
         grid = Grid(-5.0, 5.0, M)
         for alpha in (-2.0, -0.5, 1.0, 3.0):
             mode = mode_of_variation(system, 1, alpha)
-            assert integrate(mode, grid) == pytest.approx(1.0, abs=1e-8)
+            assert integrate_rows(mode, grid) == pytest.approx(1.0, abs=1e-8)
 
     def test_ordinary_modes_leave_density_space(self):
         # horizontal-shift data: large |alpha| pushes the mode negative
@@ -242,13 +250,13 @@ class TestIdentities:
         sample = [smooth_density(rng, unit512) for _ in range(12)]
         system = fit(sample)
         for f, row in zip(sample, system.scores):
-            d2 = integrate((f.values - system.mean) ** 2, unit512)
+            d2 = integrate_rows((f.values - system.mean) ** 2, unit512)
             assert (row**2).sum() == pytest.approx(d2, rel=1e-6)
 
     def test_trace_identity(self, rng, unit512):
         sample = [smooth_density(rng, unit512) for _ in range(15)]
         system = fit(sample)
-        avg_sq = np.mean([integrate((f.values - system.mean) ** 2, unit512) for f in sample])
+        avg_sq = np.mean([integrate_rows((f.values - system.mean) ** 2, unit512) for f in sample])
         assert system.eigenvalues.sum() == pytest.approx(avg_sq, rel=1e-6)
 
 
@@ -293,7 +301,7 @@ class TestThinSvdAgainstSurface:
         system = fit(sample, grid)
         assert system.n_components == 4
         np.testing.assert_allclose(system.eigenvalues.sum(), np.mean(
-            [integrate((row - system.mean) ** 2, grid) for row in sample]), rtol=1e-12)
+            [integrate_rows((row - system.mean) ** 2, grid) for row in sample]), rtol=1e-12)
 
 
 class TestFitSingleton:

@@ -23,7 +23,7 @@ from densfda import (
     gen_setting,
     normalize,
 )
-from densfda.density import integrate
+from densfda.density import integrate_rows
 
 from conftest import l2_distance, sup_distance
 
@@ -76,7 +76,7 @@ class TestEstimateDensity:
     def test_point_mass_smoothing(self):
         cfg = KdeConfig(0.2, Kernel.GAUSSIAN, Grid(0.0, 1.0, 512))
         f = estimate_density(np.full(50, 0.5), cfg)
-        assert integrate(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
+        assert integrate_rows(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
         mid = f.grid.m // 2
         np.testing.assert_allclose(f.values, f.values[::-1], rtol=1e-9)  # symmetric
         assert f.values.argmax() in (mid, mid + 1, mid - 1)
@@ -115,7 +115,7 @@ class TestEstimateDensity:
     def test_boundary_samples_accepted(self):
         cfg = KdeConfig(0.2)
         f = estimate_density([0.0, 1.0, 0.5], cfg)
-        assert integrate(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
+        assert integrate_rows(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_non_finite_samples(self):
         with pytest.raises(NonFiniteError):
@@ -160,7 +160,7 @@ class TestEstimateDensity:
             cfg = KdeConfig(0.15, kernel, Grid(-2.0, 2.0, 257), floor=1e-6)
             f = estimate_density(rng.normal(0, 0.5, 100).clip(-2, 2), cfg)
             assert f.values.min() > 0.0
-            assert integrate(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
+            assert integrate_rows(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
 
 
 def _reference_density(draws, cfg):
@@ -177,7 +177,7 @@ def _reference_density(draws, cfg):
         else:
             k = cfg.kernel.pdf(z)
     raw = k.sum(axis=1) * boundary_weight(x, cfg.bandwidth, cfg.kernel)
-    mass = integrate(raw, Grid(0.0, 1.0, grid.m))
+    mass = integrate_rows(raw, Grid(0.0, 1.0, grid.m))
     return normalize(raw / (mass * grid.width), grid, cfg.floor).values
 
 

@@ -13,7 +13,7 @@ from densfda import (
     run_comparison,
     truncated_normal_density,
 )
-from densfda.density import integrate
+from densfda.density import integrate_rows
 
 
 class TestTruncatedNormal:
@@ -32,7 +32,7 @@ class TestTruncatedNormal:
     def test_unit_integral(self):
         grid = Grid(-5.0, 5.0, 512)
         f = truncated_normal_density(1.3, 0.4, grid, floor=1e-3)
-        assert integrate(f.values, grid) == pytest.approx(1.0, abs=1e-10)
+        assert integrate_rows(f.values, grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_sigma(self):
         with pytest.raises(DegenerateSigmaError):
@@ -68,7 +68,7 @@ class TestGenSetting:
         for w, f in zip(gen.raw_samples, gen.densities):
             assert w.shape == (50,)
             assert w.min() >= -5.0 and w.max() <= 5.0
-            assert integrate(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
+            assert integrate_rows(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_sampled_draws_match_parameters(self):
         spec = SettingSpec(setting=2, n=80, seed=19, observed="sampled", n_obs=200)
@@ -174,9 +174,9 @@ class TestRunComparison:
             means.append(sample)
             return original_mean(sample, floor)
 
-        def counting_embed(self, values, grid, m=None):
+        def counting_embed(self, values, grid):
             embedded.append((self, values))
-            return original_embed(self, values, grid, m)
+            return original_embed(self, values, grid)
 
         def counting_karcher(data, grid):
             karcher.append(data)

@@ -19,7 +19,7 @@ from densfda import (
     truncated_normal_density,
     unit_grid,
 )
-from densfda.density import integrate, sq_dist_rows
+from densfda.density import integrate_rows, sq_dist_rows
 from densfda.errors import DensfdaError
 from densfda.transforms import (
     _guard_exp,
@@ -157,7 +157,7 @@ class TestLogHazardInverse:
         vals = np.zeros(M)
         vals[0] = 5.0
         f = from_transform(Grid(0.0, 0.9, M), vals, log_hazard_spec(0.1))
-        assert integrate(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
+        assert integrate_rows(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_spec_mismatch_rejected(self):
         with pytest.raises(GridMismatchError):
@@ -188,7 +188,7 @@ class TestRoundTrips:
         f = smooth_density(rng, unit512)
         back = roundtrip(f, log_hazard_spec(0.2))
         pts = back.grid.points
-        truth_tail = integrate(np.where(pts >= 0.8, f.values, 0.0), back.grid)
+        truth_tail = integrate_rows(np.where(pts >= 0.8, f.values, 0.0), back.grid)
         got_tail = back.values[pts > 0.8][0] * 0.2
         assert got_tail == pytest.approx(truth_tail, abs=1e-3)
 
@@ -208,7 +208,7 @@ class TestStructuralProperties:
                 bump += a * np.cos(np.pi * k * u) + b * np.sin(np.pi * k * u)
             bump /= max(np.abs(bump).max(), 1.0)
             perturbed = f.values * (1.0 + 1e-4 * bump)
-            g = DensityFn(unit512, perturbed / integrate(perturbed, unit512))
+            g = DensityFn(unit512, perturbed / integrate_rows(perturbed, unit512))
             assert sup_distance(f, g) <= 1e-3
             d_fg = l2_distance(f, g)
             if d_fg == 0.0:
@@ -297,7 +297,7 @@ def _inverse_loop_steps(x):
     tgrid = unit_grid(len(x))
     t = tgrid.points
     ex = np.exp(x)
-    theta = integrate(ex, tgrid)
+    theta = integrate_rows(ex, tgrid)
     q = cumulative_trapezoid(ex, dx=tgrid.spacing, initial=0.0) / theta
     q[-1] = 1.0
     return theta, np.interp(t, q, t)
@@ -308,7 +308,7 @@ def _lqd_inverse_loop(x, support):
     tgrid = unit_grid(len(x))
     theta, F = _inverse_loop_steps(x)
     values01 = theta * np.exp(-np.interp(F, tgrid.points, x))
-    values01 /= integrate(values01, tgrid)
+    values01 /= integrate_rows(values01, tgrid)
     return values01 / (support[1] - support[0])
 
 
@@ -361,7 +361,7 @@ def _density_rows(seed, n, m, floor, spikes):
     rows = np.maximum(np.exp([_segments(gen, m, lambda: gen.uniform(lo, 3.0)) for _ in range(n)]), floor)
     for row in rows:
         row[gen.integers(0, m, spikes)] *= 10.0 ** gen.uniform(0.0, 6.0, spikes)
-        row /= integrate(row, unit_grid(m))
+        row /= integrate_rows(row, unit_grid(m))
     return rows
 
 
@@ -412,7 +412,7 @@ class TestLqdKernelsProperty:
         # knot the forward kernel places midway between its neighbours
         row = np.ones(m)
         row[tiny] = 1e-300
-        row /= integrate(row, unit_grid(m))
+        row /= integrate_rows(row, unit_grid(m))
         ref = _lqd_forward_loop(DensityFn(unit_grid(m), row))
         np.testing.assert_allclose(lqd_forward_rows(row[None])[0], ref, rtol=0.0, atol=1e-12)
 
