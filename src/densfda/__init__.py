@@ -57,7 +57,7 @@ from .frechet import (
     fve_report,
     wasserstein_frechet_mean,
 )
-from .kde import KdeConfig, Kernel, boundary_weight, default_bandwidth, estimate_density, estimate_rows
+from .kde import KdeConfig, Kernel, boundary_weight, default_bandwidth, estimate_rows
 from .regression import FlrModel, cv_mse, fit_flr, predict, project_scores, score_basis
 from .simulation import (
     SIMULATION_BLEND,
@@ -68,7 +68,7 @@ from .simulation import (
     default_methods,
     gen_setting,
     run_comparison,
-    truncated_normal_density,
+    truncated_normal_rows,
 )
 from .sphere import exp_map, karcher_mean, log_map, sqrt_embed, square_back
 from .transforms import (

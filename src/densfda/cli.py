@@ -1,8 +1,10 @@
-"""Command-line front end: estimate, transform, analyze, modes, mean,
-simulate, regress.
+"""Command-line front end: estimate, transform, analyze, mean, simulate,
+regress.
 
 ``analyze`` writes the FVE report of one method (JSON) and its modes of
-variation (``<output stem>_modes.csv``) from one fit.
+variation (``<output stem>_modes.csv``) from one fit: those along the
+components ``--modes-k`` names, or by default along components 1 to
+min(selected K, 2, components).
 
 Every command writes its outputs plus a ``<output>.manifest.json``
 recording the argv, seed, input digests and artifact version.  Exit
@@ -30,10 +32,10 @@ from .frechet import (
     frechet_mean,
     fve_report,
 )
-from .kde import KdeConfig, Kernel, default_bandwidth, estimate_density
+from .kde import KdeConfig, Kernel, default_bandwidth, estimate_rows
 from .regression import cv_mse, fit_flr, project_scores, score_basis
 from .simulation import SettingSpec, default_methods, run_comparison
-from .transforms import TransformKind, TransformSpec, forward_rows, inverse_rows
+from .transforms import LQD, forward_rows, inverse_rows, log_hazard_spec
 
 
 def _support(text: str) -> tuple[float, float]:
@@ -45,13 +47,18 @@ def _alphas(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+def _ks(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
 def _method(name: str, delta: float) -> MethodKind:
+    """The named method; only the log hazard method reads ``delta``."""
     return {
-        "lqd": MethodKind.lqd(),
-        "fpca": MethodKind.ordinary_fpca(),
-        "hs": MethodKind.hilbert_sphere(),
-        "loghazard": MethodKind.log_hazard(delta),
-    }[name]
+        "lqd": MethodKind.lqd,
+        "fpca": MethodKind.ordinary_fpca,
+        "hs": MethodKind.hilbert_sphere,
+        "loghazard": lambda: MethodKind.log_hazard(delta),
+    }[name]()
 
 
 def _metric(name: str) -> Metric:
@@ -91,15 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--p", type=float, default=0.9)
     p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--modes-k", type=_ks, default=None, metavar="K[,K...]",
+                   help="components of the modes; default 1..min(selected K, 2, components)")
     p.add_argument("--modes-alpha", type=_alphas, default=[-2.0, -1.0, 0.0, 1.0, 2.0])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("modes", parents=[common], help="modes of variation CSV")
-    p.add_argument("--method", choices=["lqd", "fpca", "hs", "loghazard"], default="lqd")
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--alpha", type=_alphas, default=[-2.0, -1.0, 0.0, 1.0, 2.0])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
@@ -151,23 +152,16 @@ def _manifest(args, out_path, inputs):
 def _cmd_estimate(args):
     groups = fileio.read_samples_csv(args.infile)
     grid = Grid(*args.support, args.grid_points)
-    densities, ids = [], []
-    for sid, samples in groups.items():
+    rows = np.empty((len(groups), grid.m))
+    for row, samples in zip(rows, groups.values()):  # subjects differ in draw count and bandwidth
         h = args.bandwidth if args.bandwidth is not None else default_bandwidth(len(samples))
-        cfg = KdeConfig(h, Kernel(args.kernel), grid, args.floor)
-        densities.append(estimate_density(samples, cfg))
-        ids.append(sid)
-    fileio.write_density_csv(args.out, densities, ids)
+        row[:] = estimate_rows(samples[None], KdeConfig(h, Kernel(args.kernel), grid, args.floor))[0]
+    fileio.write_density_csv(args.out, DensitySample(rows, grid), list(groups))
     _manifest(args, args.out, [args.infile])
 
 
-def _spec(args) -> TransformSpec:
-    kind = TransformKind.LOG_QUANTILE_DENSITY if args.kind == "lqd" else TransformKind.LOG_HAZARD
-    return TransformSpec(kind, args.delta)
-
-
 def _cmd_transform(args):
-    spec = _spec(args)
+    spec = LQD if args.kind == "lqd" else log_hazard_spec(args.delta)  # only the log hazard reads delta
     if args.inverse:
         tgrid, x, ids = fileio.read_transformed_csv(args.infile)
         values = inverse_rows(x, tgrid, spec, args.support)
@@ -196,27 +190,19 @@ def _cmd_analyze(args):
     sample, _ = fileio.read_density_csv(args.infile)
     fitted = FittedMethod(sample, _method(args.method, args.delta))
     report = fve_report(fitted, _metric(args.metric), args.kmax, args.p)
+    ks = args.modes_k or range(1, min(report.selected_k, 2, fitted.n_components) + 1)
+    # modes first: a component beyond the fit fails before any output is written
+    _write_modes(f"{os.path.splitext(args.out)[0]}_modes.csv", fitted, ks, args.modes_alpha)
     fileio.write_json(args.out, _report_payload(report, fitted))
-    modes_path = f"{os.path.splitext(args.out)[0]}_modes.csv"
-    ks = range(1, min(report.selected_k, 2, fitted.n_components) + 1)
-    _write_modes(modes_path, fitted, ks, args.modes_alpha)
     _manifest(args, args.out, [args.infile])
 
 
 def _write_modes(path, fitted, ks, alphas):
-    modes = [fitted.mode(k, alpha) for k in ks for alpha in alphas]
     ids = [f"mode{k}_alpha{alpha:g}" for k in ks for alpha in alphas]
-    if modes:
-        fileio.write_density_csv(path, modes, ids)
+    if ids:
+        fileio.write_density_csv(path, fitted.modes(ks, alphas), ids)
     else:  # a fit without components has no modes: the table holds only the grid
         fileio._write_table(path, "x", fitted.grid.points, [], [])
-
-
-def _cmd_modes(args):
-    sample, _ = fileio.read_density_csv(args.infile)
-    fitted = FittedMethod(sample, _method(args.method, args.delta))
-    _write_modes(args.out, fitted, [args.k], args.alpha)
-    _manifest(args, args.out, [args.infile])
 
 
 def _cmd_mean(args):
@@ -284,7 +270,6 @@ _HANDLERS = {
     "estimate": _cmd_estimate,
     "transform": _cmd_transform,
     "analyze": _cmd_analyze,
-    "modes": _cmd_modes,
     "mean": _cmd_mean,
     "simulate": _cmd_simulate,
     "regress": _cmd_regress,

@@ -405,15 +405,14 @@ def sq_dist_rows(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
 def dist_wasserstein(f: DensityFn, g: DensityFn) -> float:
     """Wasserstein-2 distance via the L2 distance of quantile functions.
 
-    Requires both densities to share the support interval; grids may
-    differ in resolution, in which case the finer one sets the shared
-    probability grid.
+    Both densities must lie on one grid; their quantile functions are
+    computed as the two rows of one array, on a probability grid of the
+    same size.
     """
     if f.support != g.support:
-        raise SupportMismatchError(
-            f"supports differ: {f.support} vs {g.support}"
-        )
-    tgrid = unit_grid(max(f.grid.m, g.grid.m))
-    qf = quantile_rows(cdf_rows(f.values[None], f.grid), f.grid, tgrid)
-    qg = quantile_rows(cdf_rows(g.values[None], g.grid), g.grid, tgrid)
-    return float(np.sqrt(sq_dist_rows(qf, qg, tgrid)[0]))
+        raise SupportMismatchError(f"supports differ: {f.support} vs {g.support}")
+    if f.grid != g.grid:
+        raise GridMismatchError("both densities must lie on one grid")
+    tgrid = unit_grid(f.grid.m)
+    q = quantile_rows(cdf_rows(np.stack([f.values, g.values]), f.grid), f.grid, tgrid)
+    return float(np.sqrt(sq_dist_rows(q[:1], q[1:], tgrid)[0]))

@@ -132,8 +132,10 @@ class FrechetReport:
 
 
 def _embedding(sample: DensitySample, metric: Metric) -> tuple[np.ndarray, Grid]:
-    """:meth:`Metric.embed_rows` of the sample, kept."""
-    return sample.cached(("embedding", metric), lambda: metric.embed_rows(sample.values, sample.grid))
+    """:meth:`Metric.embed_rows` of the sample, kept read-only."""
+    rows, egrid = sample.cached(("embedding", metric), lambda: metric.embed_rows(sample.values, sample.grid))
+    rows.flags.writeable = False
+    return rows, egrid
 
 
 def _karcher_mean(sample: DensitySample) -> np.ndarray:
@@ -221,11 +223,6 @@ def frechet_variance(sample, mean: DensityFn, metric: Metric) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _blend_rows(values: np.ndarray, grid: Grid, weight: float) -> np.ndarray:
-    """Mixture (1 - weight) * f + weight * uniform of each row."""
-    return (1.0 - weight) * values + weight / grid.width
-
-
 def _unblend_rows(values: np.ndarray, grid: Grid, weight: float, floor: float) -> np.ndarray:
     if weight == 0.0:
         return values
@@ -241,8 +238,8 @@ class FittedMethod:
     maps depend on the method.  The sample is held as a
     :class:`DensitySample` (a list of densities is stacked into one), whose
     ``(n, m)`` array ``values`` every step works on as a whole;
-    ``reconstruct`` returns such an array and ``mode`` one
-    ``DensityFn``.  ``reconstruct(K)`` silently
+    ``reconstruct`` returns such an array and ``modes`` a
+    ``DensitySample``.  ``reconstruct(K)`` silently
     uses all available components when K exceeds them (trailing
     components carry no variance), which also covers the degenerate
     single-subject sample: it has no components, and every method
@@ -261,7 +258,7 @@ class FittedMethod:
             tangents = log_map(self.sphere_mean, sqrt_embed(self.values, self.grid), self.grid)
             self.system = fpca.fit(tangents, self.grid)
         elif method.kind == "transform":
-            blended = _blend_rows(self.values, self.grid, method.blend)
+            blended = (1.0 - method.blend) * self.values + method.blend / self.grid.width
             self._tgrid, xs = forward_rows(blended, self.grid, method.transform)
             self.system = fpca.fit(xs, self._tgrid)
         elif method.kind == "fpca":
@@ -279,10 +276,11 @@ class FittedMethod:
             raise ValueError("k must be >= 0")
         return self._to_density(fpca.truncate(self.system, min(k, self.n_components)))
 
-    def mode(self, k: int, alpha: float) -> DensityFn:
-        """Mode of variation along component k (1-based) at parameter alpha."""
-        values = fpca.mode_of_variation(self.system, k, alpha)
-        return DensityFn(self.grid, self._to_density(values[None])[0])
+    def modes(self, ks, alphas) -> DensitySample:
+        """Modes of variation along each component k (1-based) at each
+        parameter alpha, k-major, mapped back in one call."""
+        rows = [fpca.mode_of_variation(self.system, k, alpha) for k in ks for alpha in alphas]
+        return DensitySample(self._to_density(np.stack(rows)), self.grid)
 
     def _to_density(self, rows: np.ndarray) -> np.ndarray:
         """Density values for rows of the space the method's FPCA works in."""
@@ -323,10 +321,12 @@ def fve_report(
     rows (:meth:`Metric.embed_rows`), so each metric distance is an L2
     distance between two rows.  The selected K is the smallest whose FVE
     exceeds p, or k_max with ``threshold_reached`` False when none does.
-    Raises ``ValueError`` unless 0 < p < 1.
+    Raises ``ValueError`` unless 0 < p < 1 and k_max >= 1.
     """
     if not (0.0 < p < 1.0):
         raise ValueError("p must be in (0, 1)")
+    if k_max is not None and k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     sample, floor = fitted.sample, fitted.floor
     v_inf = sample.cached(
         ("variance", metric, floor),
@@ -335,7 +335,6 @@ def fve_report(
     target, egrid = _embedding(sample, metric)
     if k_max is None:
         k_max = default_k_max(fitted.system.eigenvalues, len(sample))
-    k_max = max(1, k_max)
     v_k = np.empty(k_max)
     for k in range(1, k_max + 1):
         recon, _ = metric.embed_rows(fitted.reconstruct(k), fitted.grid)

@@ -6,7 +6,7 @@ boundary each kernel is reweighted by the reciprocal of its truncated
 integral, which removes the boundary bias of the plain kernel estimator.
 Bandwidths are expressed on the unit-mapped support and must stay below
 one half.  :func:`estimate_rows` is the one estimator, for an ``(n, k)``
-array of draws; :func:`estimate_density` is its one-row form.
+array of draws; one sample of draws is the row of a ``(1, k)`` array.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr
 
-from .density import DEFAULT_FLOOR, DensityFn, Grid, integrate_rows, normalize_rows
+from .density import DEFAULT_FLOOR, Grid, integrate_rows, normalize_rows
 from .errors import BadBandwidthError, NonFiniteError, OutOfSupportError, SampleShapeError, TooFewSamplesError
 
 MAX_BANDWIDTH = 0.49
@@ -141,11 +141,3 @@ def estimate_rows(samples, cfg: KdeConfig) -> np.ndarray:
             raise NonFiniteError("samples contain NaN or infinities")
         raise OutOfSupportError(f"samples outside support [{grid.lo}, {grid.hi}]")
     return out
-
-
-def estimate_density(samples, cfg: KdeConfig) -> DensityFn:
-    """The one-row form of :func:`estimate_rows`: a density from a 1-D sample."""
-    w = np.asarray(samples, dtype=float)
-    if w.ndim != 1:
-        raise SampleShapeError(f"samples must be a 1-D array, got shape {w.shape}")
-    return DensityFn(cfg.grid, estimate_rows(w[None], cfg)[0])

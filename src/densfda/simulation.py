@@ -3,6 +3,8 @@
 Three generators of truncated-normal density samples are provided:
 pure vertical variation (random scale on [-3, 3]), pure horizontal
 variation (random location on [-5, 5]) and the combination of both.
+:func:`truncated_normal_rows` evaluates the densities, one row per
+(mu, sigma) pair; its standard normal row is the target of the means.
 The harness runs seeded replications, computes FVE per method at a fixed
 truncation K, and collects the Fréchet means of every replication under
 the L2, Wasserstein and sphere-geodesic metrics, aggregated across
@@ -80,16 +82,10 @@ class SettingSpec:
         return Grid(*self.support, self.m)
 
 
-def truncated_normal_density(
-    mu: float, sigma: float, grid: Grid, floor: float = SIMULATION_FLOOR
-) -> DensityFn:
+def truncated_normal_rows(mus, sigmas, grid: Grid, floor: float = SIMULATION_FLOOR) -> np.ndarray:
     """Normal(mu, sigma^2) truncated to the grid support, floored and
-    renormalized to the grid quadrature."""
-    return DensityFn(grid, _truncated_normal_rows(np.array([mu]), np.array([sigma]), grid, floor)[0])
-
-
-def _truncated_normal_rows(mus: np.ndarray, sigmas: np.ndarray, grid: Grid, floor: float) -> np.ndarray:
-    """Values of :func:`truncated_normal_density` for each (mu, sigma) pair, one row each."""
+    renormalized to the grid quadrature: one row for each (mu, sigma) pair."""
+    mus, sigmas = np.asarray(mus, dtype=float), np.asarray(sigmas, dtype=float)
     bad = ~(sigmas > 0)
     if bad.any():
         raise DegenerateSigmaError(f"sigma must be positive, got {sigmas[bad][0]}")
@@ -130,7 +126,7 @@ def _draw_parameters(spec: SettingSpec, rng) -> tuple[np.ndarray, np.ndarray]:
 def _inverse_cdf_samples(mus, sigmas, grid: Grid, n_obs: int, rng) -> np.ndarray:
     """``(n, n_obs)`` draws, one row per truncated normal, via its CDF on a fine grid."""
     fine = Grid(grid.lo, grid.hi, _FINE_M)
-    cdfs = cdf_rows(_truncated_normal_rows(mus, sigmas, fine, 1e-300), fine)
+    cdfs = cdf_rows(truncated_normal_rows(mus, sigmas, fine, 1e-300), fine)
     draws, points = rng.random((len(cdfs), n_obs)), fine.points
     return np.array([np.interp(row, cdf, points) for row, cdf in zip(draws, cdfs)])
 
@@ -141,7 +137,7 @@ def gen_setting(spec: SettingSpec, rng=None) -> GeneratedSetting:
         rng = np.random.default_rng(spec.seed)
     mus, sigmas = _draw_parameters(spec, rng)
     grid = spec.grid
-    true = DensitySample(_truncated_normal_rows(mus, sigmas, grid, spec.floor), grid)
+    true = DensitySample(truncated_normal_rows(mus, sigmas, grid, spec.floor), grid)
     if spec.observed == "full":
         return GeneratedSetting(spec, true, true, None, mus, sigmas)
     cfg = KdeConfig(spec.unit_bandwidth, Kernel.GAUSSIAN, grid, spec.floor)
@@ -271,8 +267,12 @@ def run_comparison(
     """Run seeded replications of one setting and collect FVE and means.
 
     Failed replications are recorded in ``result.failures`` and left as
-    gaps (None / NaN) rather than dropped.
+    gaps (None / NaN) rather than dropped.  The target is the standard
+    normal truncated to the support.  Raises ``ValueError`` unless
+    k >= 1 and reps >= 1.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     methods = list(methods)
@@ -291,7 +291,7 @@ def run_comparison(
         for name, dens in means.items():
             mean_densities[name][r] = dens
 
-    target = truncated_normal_density(0.0, 1.0, spec.grid, spec.floor)
+    target = DensityFn(spec.grid, truncated_normal_rows([0.0], [1.0], spec.grid, spec.floor)[0])
     return SimulationResult(
         spec, methods, k, metric, reps, fve_curves, mean_densities, target, failures
     )

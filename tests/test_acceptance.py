@@ -23,7 +23,7 @@ from densfda import (
     SettingSpec,
     default_methods,
     dist_wasserstein,
-    estimate_density,
+    estimate_rows,
     fit,
     fit_flr,
     frechet_mean,
@@ -35,16 +35,15 @@ from densfda import (
     run_comparison,
     score_basis,
     sqrt_embed,
-    truncated_normal_density,
+    truncated_normal_rows,
     cv_mse,
 )
-from densfda.density import cdf_rows, integrate_rows, unit_grid
+from densfda.density import cdf_rows, integrate_rows, sq_dist_rows, unit_grid
 from densfda.sphere import exp_map, log_map
 from densfda.regression import predict
 
 from conftest import (
     from_transform,
-    l2_distance,
     lqd_rank2_basis,
     roundtrip,
     smooth_density,
@@ -124,20 +123,18 @@ def test_criterion_3_wasserstein_mean_recovery(full_runs):
 def test_criterion_4_kde_rate():
     m = 256
     grid = Grid(-3.0, 3.0, m)
-    truth = truncated_normal_density(0.0, 1.0, grid, floor=1e-6)
+    truth = truncated_normal_rows([0.0], [1.0], grid, floor=1e-6)
     fine = Grid(-3.0, 3.0, 4096)
-    fine_cdf = cdf_rows(truncated_normal_density(0.0, 1.0, fine, floor=1e-12).values[None], fine)[0]
+    fine_cdf = cdf_rows(truncated_normal_rows([0.0], [1.0], fine, floor=1e-12), fine)[0]
     ns = np.array([100, 400, 1600, 6400])
     rng = np.random.default_rng(1234)
     mise = []
     for n in ns:
         h = float(n) ** (-1.0 / 3.0) / grid.width  # rate rule on the data scale
         cfg = KdeConfig(h, Kernel.GAUSSIAN, grid, 1e-6)
-        sq = [
-            l2_distance(estimate_density(np.interp(rng.random(n), fine_cdf, fine.points), cfg), truth) ** 2
-            for _ in range(200)
-        ]
-        mise.append(np.mean(sq))
+        # 200 samples of n draws, one per row, estimated in one call
+        draws = np.interp(rng.random((200, n)), fine_cdf, fine.points)
+        mise.append(np.mean(sq_dist_rows(estimate_rows(draws, cfg), truth, grid)))
     slope = float(np.polyfit(np.log(ns), np.log(mise), 1)[0])
     ok = abs(slope - (-2.0 / 3.0)) <= 0.15
     assert report(4, "KDE MISE rate", ok, f"slope={slope:.3f} vs -2/3 +- 0.15")
@@ -159,12 +156,9 @@ def test_criterion_5_mode_convergence_rate():
         c2 = rng.uniform(-spread[1], spread[1], n)
         x = c1[:, None] * rho1 + c2[:, None] * rho2
         sample = DensitySample(inverse_rows(x, tgrid, LQD, (0.0, 1.0)), Grid(0.0, 1.0, tgrid.m))
-        fitted = FittedMethod(sample, MethodKind.lqd())
-        return max(
-            dist_wasserstein(true_modes[(k, a)], fitted.mode(k, a))
-            for k in (1, 2)
-            for a in alphas
-        )
+        # the 10 modes in one call, k-major as true_modes is keyed
+        modes = FittedMethod(sample, MethodKind.lqd()).modes((1, 2), alphas)
+        return max(dist_wasserstein(truth, mode) for truth, mode in zip(true_modes.values(), modes))
 
     ns = np.array([50, 100, 200, 400, 800])
     seeds = np.random.SeedSequence(77)
@@ -234,8 +228,7 @@ def test_criterion_7_property_suites(rng):
             mass_dev = max(mass_dev, abs(integrate_rows(r, fitted.grid) - 1.0))
             min_val = min(min_val, r.min())
     lqd = FittedMethod(gen.densities, MethodKind.lqd(0.5), floor=1e-3)
-    for alpha in (-2.0, 0.0, 2.0):
-        mode = lqd.mode(1, alpha)
+    for mode in lqd.modes([1], (-2.0, 0.0, 2.0)):
         mass_dev = max(mass_dev, abs(integrate_rows(mode.values, mode.grid) - 1.0))
         min_val = min(min_val, mode.values.min())
     checks["unit-mass<=1e-10"] = mass_dev <= 1e-10
@@ -282,7 +275,7 @@ def test_criterion_8_regression_substitute():
     grid = Grid(-5.0, 5.0, 256)
     n = 100
     mus = rng.uniform(-2.5, 2.5, n)
-    densities = [truncated_normal_density(mu, 1.0, grid, 1e-3) for mu in mus]
+    densities = DensitySample(truncated_normal_rows(mus, np.ones(n), grid, 1e-3), grid)
     noise_sd = float(np.sqrt(0.1 * mus.var()))  # 10% noise variance
     y = mus + noise_sd * rng.normal(size=n)
     # each density mixed half-and-half with the uniform density

@@ -10,11 +10,18 @@ from densfda import (
     DEFAULT_FLOOR,
     LQD,
     DensitySample,
+    FittedMethod,
     Grid,
+    KdeConfig,
+    Kernel,
+    MethodKind,
+    default_bandwidth,
+    estimate_rows,
     forward_rows,
     inverse_rows,
     log_hazard_spec,
     normalize,
+    truncated_normal_rows,
     unit_grid,
 )
 from densfda.cli import main
@@ -143,6 +150,24 @@ class TestEstimate:
         assert densities[0].grid.m == 201
         assert (tmp_path / "dens.csv.manifest.json").exists()
 
+    def test_writes_the_row_kernel_per_subject(self, tmp_path, rng):
+        # subjects with unequal draw counts get their own default bandwidth
+        draws = {"a": rng.beta(2, 3, 40), "b": rng.beta(2, 3, 13), "c": rng.beta(2, 3, 200)}
+        samples = tmp_path / "samples.csv"
+        samples.write_text("subject_id,value\n" + "".join(
+            f"{sid},{float(v)!r}\n" for sid, values in draws.items() for v in values
+        ))
+        out, want = tmp_path / "dens.csv", tmp_path / "want.csv"
+        args = ["estimate", "--in", str(samples), "--out", str(out), "--support", "0,1", "--grid-points", "300"]
+        assert main(args) == 0
+        grid = Grid(0.0, 1.0, 300)
+        rows = [
+            estimate_rows(values[None], KdeConfig(default_bandwidth(len(values)), Kernel.GAUSSIAN, grid))[0]
+            for values in draws.values()
+        ]
+        write_density_csv(want, DensitySample(np.stack(rows), grid), list(draws))
+        assert out.read_bytes() == want.read_bytes()
+
 
 class TestTransformCli:
     def test_forward_inverse_roundtrip(self, tmp_path, density_csv):
@@ -188,6 +213,14 @@ class TestTransformCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ValueError"
         assert not out.exists()
+
+    def test_lqd_ignores_delta(self, tmp_path, density_csv):
+        # delta belongs to the log hazard transform; LQD neither reads nor checks it
+        path, _ = density_csv
+        default, other = tmp_path / "x.csv", tmp_path / "x_delta.csv"
+        assert main(["transform", "--kind", "lqd", "--in", str(path), "--out", str(default)]) == 0
+        assert main(["transform", "--kind", "lqd", "--delta", "0.7", "--in", str(path), "--out", str(other)]) == 0
+        assert other.read_bytes() == default.read_bytes()
 
     def test_inverse_of_another_transform_exits_1(self, tmp_path, density_csv, capsys):
         # an LQD table spans t in [0, 1]; the log hazard domain is [0, 1 - delta]
@@ -263,10 +296,46 @@ class TestAnalyze:
         grid = Grid(0.0, 1.0, 101)
         path = tmp_path / "d.csv"
         write_density_csv(path, [smooth_density(rng, grid) for _ in range(8)])
-        out = tmp_path / "modes.csv"
-        assert main(["modes", "--k", "50", "--in", str(path), "--out", str(out)]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "KTooLargeError"
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--modes-k", "50", "--in", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "KTooLargeError"
         assert not out.exists()
+        assert not (tmp_path / "r_modes.csv").exists()
+
+    def test_modes_k_selects_the_components(self, tmp_path, density_csv):
+        path, _ = density_csv
+        out, want = tmp_path / "r.json", tmp_path / "want.csv"
+        assert main(["analyze", "--modes-k", "1,3", "--in", str(path), "--out", str(out)]) == 0
+        alphas = (-2.0, -1.0, 0.0, 1.0, 2.0)
+        ids = [f"mode{k}_alpha{a:g}" for k in (1, 3) for a in alphas]
+        assert ids[0] == "mode1_alpha-2" and ids[-1] == "mode3_alpha2"
+        sample, _ = read_density_csv(path)
+        write_density_csv(want, FittedMethod(sample, MethodKind.lqd()).modes([1, 3], alphas), ids)
+        assert (tmp_path / "r_modes.csv").read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("kmax", ["0", "-3"])
+    def test_kmax_below_one_exits_1(self, tmp_path, density_csv, capsys, kmax):
+        path, _ = density_csv
+        out = tmp_path / "r.json"
+        assert main(["analyze", f"--kmax={kmax}", "--in", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": f"k_max must be >= 1, got {kmax}"}
+        assert not out.exists()
+
+    def test_delta_read_only_by_log_hazard(self, tmp_path, density_csv, capsys):
+        path, _ = density_csv
+        outputs = []
+        for delta in ([], ["--delta", "0.7"]):
+            out = tmp_path / f"r{len(delta)}.json"
+            assert main(["analyze", "--method", "lqd", *delta, "--in", str(path), "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), (tmp_path / f"r{len(delta)}_modes.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        args = ["analyze", "--method", "loghazard", "--delta", "0.7", "--in", str(path)]
+        assert main([*args, "--out", str(tmp_path / "lh.json")]) == 1
+        assert json.loads(capsys.readouterr().err)["message"] == "delta must be in (0, 0.5], got 0.7"
 
     def test_zero_in_a_column_is_floored(self, tmp_path, rng):
         # read_density_csv floors like estimate does, so one zero fails nothing
@@ -289,9 +358,10 @@ class TestAnalyze:
 
     def test_modes_and_mean_and_fve(self, tmp_path, density_csv):
         path, _ = density_csv
-        modes_out = tmp_path / "modes.csv"
-        assert main(["modes", "--method", "hs", "--k", "1",
-                     "--in", str(path), "--out", str(modes_out)]) == 0
+        hs_out = tmp_path / "hs.json"
+        assert main(["analyze", "--method", "hs", "--modes-k", "1",
+                     "--in", str(path), "--out", str(hs_out)]) == 0
+        assert len(_read_table(tmp_path / "hs_modes.csv")[0]) == 6
         mean_out = tmp_path / "mean.csv"
         assert main(["mean", "--metric", "wasserstein",
                      "--in", str(path), "--out", str(mean_out)]) == 0
@@ -328,9 +398,19 @@ class TestSimulate:
         assert lines[0] == "replication,LQD,FPCA,HS"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_exits_1(self, tmp_path, capsys, k):
+        out = tmp_path / "sim.json"
+        args = ["simulate", "--setting", "1", "--n", "5", "--reps", "1", "--grid-points", "64"]
+        assert main([*args, f"--K={k}", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": f"k must be >= 1, got {k}"}
+        assert not out.exists()
+
 
 class TestGridPoints:
-    @pytest.mark.parametrize("command", ["transform", "analyze", "modes", "mean", "regress"])
+    @pytest.mark.parametrize("command", ["transform", "analyze", "mean", "regress"])
     def test_rejected_where_unused(self, capsys, command):
         inputs = ["--densities", "d.csv", "--y", "y.csv"] if command == "regress" else ["--in", "d.csv"]
         with pytest.raises(SystemExit) as err:
@@ -356,11 +436,9 @@ class TestGridPoints:
 
 class TestRegress:
     def test_end_to_end(self, tmp_path, rng):
-        from densfda import truncated_normal_density
-
         grid = Grid(-5.0, 5.0, 128)
         mus = rng.uniform(-2.0, 2.0, 30)
-        densities = [truncated_normal_density(mu, 1.0, grid, 1e-3) for mu in mus]
+        densities = DensitySample(truncated_normal_rows(mus, np.ones(30), grid, 1e-3), grid)
         dpath = tmp_path / "d.csv"
         ids = [f"s{i}" for i in range(30)]
         write_density_csv(dpath, densities, ids)
@@ -401,6 +479,13 @@ class TestErrorPaths:
             main(["simulate", "--setting", "2", "--out", "x.json", "--bogus"])
         assert err.value.code == 2
 
+    def test_modes_command_is_gone(self, capsys):
+        # analyze --modes-k writes what the modes command wrote
+        with pytest.raises(SystemExit) as err:
+            main(["modes", "--k", "1", "--in", "d.csv", "--out", "m.csv"])
+        assert err.value.code == 2
+        assert "invalid choice: 'modes'" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["analyze", "--in", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "r.json")])
@@ -437,14 +522,14 @@ class TestErrorPaths:
         assert "Traceback" not in captured
         assert json.loads(captured)["error"] == error
 
-    @pytest.mark.parametrize("command", ["modes", "analyze"])
+    @pytest.mark.parametrize("command", ["analyze"])
     def test_header_without_rows_exits_1(self, tmp_path, capsys, command):
         path = tmp_path / "d.csv"
         path.write_text("x,subject_1,subject_2\n")
         code = main([command, "--in", str(path), "--out", str(tmp_path / "r.json")])
         self._assert_csv_error(code, capsys)
 
-    @pytest.mark.parametrize("command", ["modes", "analyze"])
+    @pytest.mark.parametrize("command", ["analyze"])
     def test_empty_file_exits_1(self, tmp_path, capsys, command):
         path = tmp_path / "d.csv"
         path.write_text("")

@@ -285,10 +285,21 @@ class TestMetrics:
             with pytest.raises(GridMismatchError):
                 frechet_variance([f], g, metric)
 
-    def test_wasserstein_allows_resolution_mismatch(self, unit512):
+    def test_wasserstein_rejects_resolution_mismatch(self, unit512):
         f = normalize(np.ones(512), unit512, floor=0.0)
         g = normalize(np.ones(256), Grid(0.0, 1.0, 256), floor=0.0)
-        assert dist_wasserstein(f, g) == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(GridMismatchError):
+            dist_wasserstein(f, g)
+
+    @pytest.mark.parametrize("m", [3, 64, 512])
+    def test_wasserstein_of_the_stacked_pair(self, rng, m):
+        # reference: each quantile function inverted on its own, as one-row arrays
+        grid, tgrid = Grid(-2.0, 3.0, m), unit_grid(m)
+        for _ in range(10):
+            f, g = smooth_density(rng, grid, amplitude=1.0), smooth_density(rng, grid, amplitude=1.0)
+            qf, qg = (quantile_rows(cdf_rows(h.values[None], grid), grid, tgrid) for h in (f, g))
+            want = float(np.sqrt(np.maximum(integrate_rows((qf - qg) ** 2, tgrid), 0.0)[0]))
+            assert dist_wasserstein(f, g) == want
 
     def test_support_mismatch(self):
         f = normalize(np.ones(128), Grid(0.0, 1.0, 128))

@@ -23,10 +23,11 @@ from densfda import (
     fve_report,
     gen_setting,
     karcher_mean,
+    mode_of_variation,
     normalize,
     sqrt_embed,
     square_back,
-    truncated_normal_density,
+    truncated_normal_rows,
     unit_grid,
     wasserstein_frechet_mean,
 )
@@ -81,7 +82,8 @@ class TestWassersteinMean:
         wins = 0
         for seed in range(5):
             gen = gen_setting(SettingSpec(setting=2, n=50, seed=31 + seed))
-            target = truncated_normal_density(0.0, 1.0, gen.densities[0].grid, spec.floor)
+            grid = gen.densities.grid
+            target = DensityFn(grid, truncated_normal_rows([0.0], [1.0], grid, spec.floor)[0])
             wmean = wasserstein_frechet_mean(gen.densities, spec.floor)
             cmean = frechet_mean(gen.densities, Metric.L2)
             wins += dist_wasserstein(wmean, target) < dist_wasserstein(cmean, target)
@@ -116,6 +118,16 @@ class TestWassersteinMean:
 
 
 class TestDensitySample:
+    def test_cached_embedding_is_read_only(self, rng, unit512):
+        # an edit in place would change every later FVE of the sample
+        sample = DensitySample.of([smooth_density(rng, unit512) for _ in range(4)])
+        for metric in Metric:
+            fve_report(FittedMethod(sample, MethodKind.ordinary_fpca()), metric, k_max=1)
+            rows, _ = frechet._embedding(sample, metric)
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 0.0
+
     def test_statistics_computed_once(self, rng, unit512):
         sample = DensitySample.of([smooth_density(rng, unit512) for _ in range(6)])
         for metric in Metric:
@@ -211,10 +223,30 @@ class TestFrechetVariance:
         assert a == pytest.approx(b, abs=1e-15)
 
 
+def _modes_loop(fitted, ks, alphas):
+    """Reference: each mode of variation mapped back on its own, as a one-row array."""
+    return np.stack([
+        fitted._to_density(mode_of_variation(fitted.system, k, a)[None])[0] for k in ks for a in alphas
+    ])
+
+
 class TestTransformationModes:
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_modes_equal_the_loop(self, setting):
+        sample = gen_setting(SettingSpec(setting=setting, n=30, m=256, seed=setting)).densities
+        ks, alphas = (1, 2, 3), (-2.0, -0.5, 0.0, 1.0, 2.0)
+        for method in (MethodKind.lqd(), MethodKind.lqd(0.5), MethodKind.ordinary_fpca(),
+                       MethodKind.hilbert_sphere(), MethodKind.log_hazard(0.1)):
+            fitted = FittedMethod(sample, method, floor=1e-3)
+            modes = fitted.modes(ks, alphas)
+            assert modes.grid == sample.grid
+            np.testing.assert_array_equal(modes.values, _modes_loop(fitted, ks, alphas))
+            # k-major: the rows of one component come together
+            np.testing.assert_array_equal(modes.values[5:10], fitted.modes([2], alphas).values)
+
     def test_alpha_zero_is_valid_density(self, rng, unit512):
         sample = [smooth_density(rng, unit512) for _ in range(10)]
-        mode = FittedMethod(sample, MethodKind.lqd()).mode(1, 0.0)
+        (mode,) = FittedMethod(sample, MethodKind.lqd()).modes([1], [0.0])
         assert integrate_rows(mode.values, unit512) == pytest.approx(1.0, abs=1e-10)
 
     def test_rank_one_family_reproduced_at_score_alpha(self, rng):
@@ -222,15 +254,14 @@ class TestTransformationModes:
         sample, _ = lqd_family(np.column_stack([cs, np.zeros_like(cs)]))
         fitted = FittedMethod(sample, MethodKind.lqd())
         tau1 = fitted.system.eigenvalues[0]
-        for i in (0, 7, 13):
-            alpha = (cs[i] - cs.mean()) / np.sqrt(tau1)
-            mode = fitted.mode(1, alpha)
+        rows = (0, 7, 13)
+        modes = fitted.modes([1], [(cs[i] - cs.mean()) / np.sqrt(tau1) for i in rows])
+        for i, mode in zip(rows, modes):
             assert l2_distance(mode, sample[i]) <= 1e-3
 
     def test_any_alpha_valid_density(self, rng, unit512):
         fitted = FittedMethod([smooth_density(rng, unit512) for _ in range(8)], MethodKind.lqd())
-        for alpha in np.linspace(-3, 3, 7):
-            mode = fitted.mode(1, alpha)
+        for mode in fitted.modes([1], np.linspace(-3, 3, 7)):
             assert integrate_rows(mode.values, unit512) == pytest.approx(1.0, abs=1e-10)
             assert mode.values.min() > 0.0
 
@@ -275,7 +306,7 @@ class TestRepresent:
             assert fitted.n_components == 0
             assert fitted.reconstruct(2).shape == (5, M)
             with pytest.raises(KTooLargeError):
-                fitted.mode(1, 1.0)
+                fitted.modes([1], [1.0])
 
     def test_k_below_one_rejected(self, rng, unit512):
         sample = [smooth_density(rng, unit512) for _ in range(4)]
@@ -291,6 +322,12 @@ class TestRepresent:
 
 
 class TestFveCurve:
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_k_max_below_one_rejected(self, rng, unit512, k_max):
+        fitted = FittedMethod([smooth_density(rng, unit512) for _ in range(4)], MethodKind.lqd())
+        with pytest.raises(ValueError, match=f"k_max must be >= 1, got {k_max}"):
+            fve_report(fitted, Metric.L2, k_max=k_max)
+
     def test_rank_one_family_first_component_explains_all(self, rng):
         cs = rng.uniform(-0.8, 0.8, 25)
         sample, _ = lqd_family(np.column_stack([cs, np.zeros_like(cs)]))
@@ -365,7 +402,7 @@ class TestBlend:
 
     def test_blend_bounds_transform(self, rng):
         grid = Grid(-5.0, 5.0, M)
-        f = truncated_normal_density(2.0, 0.5, grid, floor=1e-6)
+        f = DensityFn(grid, truncated_normal_rows([2.0], [0.5], grid, floor=1e-6)[0])
         _, raw = to_transform(f, LQD)
         _, blended = to_transform(blend(f, 0.5), LQD)
         assert blended.max() < raw.max()

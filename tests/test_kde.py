@@ -7,6 +7,7 @@ from scipy.stats import norm
 from densfda import (
     BadBandwidthError,
     DensfdaError,
+    DensityFn,
     Grid,
     InvalidDensityError,
     KdeConfig,
@@ -18,7 +19,6 @@ from densfda import (
     TooFewSamplesError,
     boundary_weight,
     default_bandwidth,
-    estimate_density,
     estimate_rows,
     gen_setting,
     normalize,
@@ -26,6 +26,11 @@ from densfda import (
 from densfda.density import integrate_rows
 
 from conftest import l2_distance, sup_distance
+
+
+def _estimate(draws, cfg) -> DensityFn:
+    """The density of one sample of draws: the row of ``estimate_rows`` on a ``(1, k)`` array."""
+    return DensityFn(cfg.grid, estimate_rows(np.asarray(draws, dtype=float)[None], cfg)[0])
 
 
 class TestBoundaryWeight:
@@ -75,7 +80,7 @@ class TestDefaultBandwidth:
 class TestEstimateDensity:
     def test_point_mass_smoothing(self):
         cfg = KdeConfig(0.2, Kernel.GAUSSIAN, Grid(0.0, 1.0, 512))
-        f = estimate_density(np.full(50, 0.5), cfg)
+        f = _estimate(np.full(50, 0.5), cfg)
         assert integrate_rows(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
         mid = f.grid.m // 2
         np.testing.assert_allclose(f.values, f.values[::-1], rtol=1e-9)  # symmetric
@@ -88,7 +93,7 @@ class TestEstimateDensity:
         n = 10_000
         samples = rng.random(n)
         cfg = KdeConfig(default_bandwidth(n), Kernel.EPANECHNIKOV, Grid(0.0, 1.0, 512))
-        f = estimate_density(samples, cfg)
+        f = _estimate(samples, cfg)
         uniform = normalize(np.ones(512), f.grid, 0.0)
         assert l2_distance(f, uniform) <= 0.05
 
@@ -98,37 +103,37 @@ class TestEstimateDensity:
         n = 10_000
         samples = rng.random(n)
         h = default_bandwidth(n)
-        f = estimate_density(samples, KdeConfig(h, Kernel.GAUSSIAN, Grid(0.0, 1.0, 512)))
+        f = _estimate(samples, KdeConfig(h, Kernel.GAUSSIAN, Grid(0.0, 1.0, 512)))
         interior = (f.grid.points > 2 * h) & (f.grid.points < 1 - 2 * h)
         assert np.abs(f.values[interior] - 1.0).max() <= 0.06
 
     def test_too_few_samples(self):
         cfg = KdeConfig(0.2)
         with pytest.raises(TooFewSamplesError):
-            estimate_density([0.5], cfg)
+            _estimate([0.5], cfg)
 
     def test_out_of_support(self):
         cfg = KdeConfig(0.2)
         with pytest.raises(OutOfSupportError):
-            estimate_density([0.5, 1.2], cfg)
+            _estimate([0.5, 1.2], cfg)
 
     def test_boundary_samples_accepted(self):
         cfg = KdeConfig(0.2)
-        f = estimate_density([0.0, 1.0, 0.5], cfg)
+        f = _estimate([0.0, 1.0, 0.5], cfg)
         assert integrate_rows(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_non_finite_samples(self):
         with pytest.raises(NonFiniteError):
-            estimate_density([0.5, np.nan], KdeConfig(0.2))
+            _estimate([0.5, np.nan], KdeConfig(0.2))
 
     def test_location_equivariance_with_support(self, rng):
         # shifting samples and support window together is an exact affine remap
         samples = rng.uniform(0.3, 0.7, 200)
         cfg = KdeConfig(0.1, Kernel.GAUSSIAN, Grid(0.0, 1.0, 512))
-        base = estimate_density(samples, cfg)
+        base = _estimate(samples, cfg)
         c = 0.25
         shifted_cfg = KdeConfig(0.1, Kernel.GAUSSIAN, Grid(c, 1.0 + c, 512))
-        shifted = estimate_density(samples + c, shifted_cfg)
+        shifted = _estimate(samples + c, shifted_cfg)
         assert np.abs(shifted.values - base.values).max() <= 1e-6
 
     def test_interior_shift_equivariance(self, rng):
@@ -139,8 +144,8 @@ class TestEstimateDensity:
         cells = 51
         c = cells * g.spacing
         cfg = KdeConfig(0.05, Kernel.EPANECHNIKOV, g)
-        base = estimate_density(samples, cfg)
-        shifted = estimate_density(samples + c, cfg)
+        base = _estimate(samples, cfg)
+        shifted = _estimate(samples + c, cfg)
         assert np.abs(shifted.values[cells:-1] - base.values[: -cells - 1]).max() <= 1e-6
 
     def test_bandwidth_monotonicity_at_dirac(self):
@@ -148,7 +153,7 @@ class TestEstimateDensity:
         samples = np.full(20, 0.5)
         sups, prev = [], None
         for h in (0.05, 0.1, 0.2, 0.4):
-            f = estimate_density(samples, KdeConfig(h, Kernel.GAUSSIAN, cfg_grid))
+            f = _estimate(samples, KdeConfig(h, Kernel.GAUSSIAN, cfg_grid))
             sups.append(f.values.max())
             if prev is not None:
                 assert sup_distance(prev, f) > 0.0
@@ -158,7 +163,7 @@ class TestEstimateDensity:
     def test_output_valid_for_compact_kernels(self, rng):
         for kernel in (Kernel.EPANECHNIKOV, Kernel.UNIFORM):
             cfg = KdeConfig(0.15, kernel, Grid(-2.0, 2.0, 257), floor=1e-6)
-            f = estimate_density(rng.normal(0, 0.5, 100).clip(-2, 2), cfg)
+            f = _estimate(rng.normal(0, 0.5, 100).clip(-2, 2), cfg)
             assert f.values.min() > 0.0
             assert integrate_rows(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
 
@@ -185,7 +190,7 @@ def _first_row_error(rows, cfg):
     """The error that estimating ``rows`` one at a time raises first, or None."""
     for draws in rows:
         try:
-            estimate_density(draws, cfg)
+            _estimate(draws, cfg)
         except DensfdaError as exc:
             return exc
     return None
@@ -203,7 +208,7 @@ class TestEstimateRows:
         got = estimate_rows(draws, cfg)
         assert got.shape == (n, grid.m)
         for row, draw in zip(got, draws):
-            assert np.array_equal(row, estimate_density(draw, cfg).values)
+            assert np.array_equal(row, estimate_rows(draw[None], cfg)[0])
             assert np.array_equal(row, _reference_density(draw, cfg))
 
     def test_matches_row_loop_on_random_shapes(self):
@@ -230,7 +235,7 @@ class TestEstimateRows:
                 return
             got = estimate_rows(draws, cfg)
             for row, draw in zip(got, draws):
-                assert np.array_equal(row, estimate_density(draw, cfg).values)
+                assert np.array_equal(row, estimate_rows(draw[None], cfg)[0])
                 assert np.array_equal(row, _reference_density(draw, cfg))
 
         check()
@@ -258,16 +263,14 @@ class TestEstimateRows:
             with pytest.raises(error, match=re.escape(str(first))) as info:
                 estimate_rows(np.stack(rows), cfg)
             assert type(info.value) is error
-        assert np.array_equal(estimate_rows(ok[None], cfg)[0], estimate_density(ok, cfg).values)
+        assert np.array_equal(estimate_rows(ok[None], cfg)[0], _reference_density(ok, cfg))
         with pytest.raises(TooFewSamplesError):
             estimate_rows(np.full((3, 1), 0.5), cfg)
 
     def test_shape_checked(self):
         cfg = KdeConfig(0.2)
-        with pytest.raises(SampleShapeError, match=r"\(2, 2\)"):
-            estimate_density(np.array([[0.2, 0.3], [0.4, 0.5]]), cfg)
         with pytest.raises(SampleShapeError, match=r"\(\)"):
-            estimate_density(0.5, cfg)
+            estimate_rows(0.5, cfg)
         for bad in (np.full(4, 0.5), np.full((2, 2, 3), 0.5)):
             with pytest.raises(SampleShapeError, match=re.escape(str(bad.shape))):
                 estimate_rows(bad, cfg)
@@ -279,5 +282,5 @@ class TestEstimateRows:
         gen = gen_setting(spec)
         cfg = KdeConfig(spec.unit_bandwidth, Kernel.GAUSSIAN, spec.grid, spec.floor)
         assert gen.raw_samples.shape == (6, 40)
-        expect = np.stack([estimate_density(w, cfg).values for w in gen.raw_samples])
+        expect = np.stack([estimate_rows(w[None], cfg)[0] for w in gen.raw_samples])
         assert np.array_equal(gen.densities.values, expect)

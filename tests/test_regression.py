@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from densfda import (
+    DensityFn,
+    DensitySample,
     Grid,
     RankDeficientWarning,
     SettingSpec,
@@ -11,7 +13,7 @@ from densfda import (
     predict,
     project_scores,
     score_basis,
-    truncated_normal_density,
+    truncated_normal_rows,
 )
 from densfda import fpca
 from densfda.transforms import forward_rows
@@ -23,7 +25,7 @@ def shift_family():
     rng = np.random.default_rng(99)
     grid = Grid(-5.0, 5.0, 256)
     mus = rng.uniform(-2.0, 2.0, 60)
-    densities = [truncated_normal_density(mu, 1.0, grid, 1e-3) for mu in mus]
+    densities = list(DensitySample(truncated_normal_rows(mus, np.ones(60), grid, 1e-3), grid))
     return densities, mus
 
 
@@ -117,9 +119,9 @@ def _assert_no_leakage(monkeypatch, densities, y, method, k):
     fold's fit bitwise unchanged."""
     mse, system = _first_fold_fit(monkeypatch, densities, y, method, k)
     perm = np.random.default_rng(np.random.SeedSequence(11).spawn(1)[0]).permutation(len(densities))
-    corrupted = list(densities)
+    corrupted, grid = list(densities), densities[0].grid
     for i in np.array_split(perm, 5)[0]:
-        corrupted[i] = truncated_normal_density(0.0, 3.0, densities[0].grid, 1e-3)
+        corrupted[i] = DensityFn(grid, truncated_normal_rows([0.0], [3.0], grid, 1e-3)[0])
     mse2, system2 = _first_fold_fit(monkeypatch, corrupted, y, method, k)
     np.testing.assert_array_equal(system2.mean, system.mean)
     np.testing.assert_array_equal(system2.eigenfunctions, system.eigenfunctions)
@@ -140,7 +142,7 @@ class TestCvMse:
         rng0 = np.random.default_rng(99)
         grid = Grid(-5.0, 5.0, 256)
         mus = rng0.uniform(-2.0, 2.0, 100)
-        densities = [truncated_normal_density(mu, 1.0, grid, 1e-3) for mu in mus]
+        densities = DensitySample(truncated_normal_rows(mus, np.ones(100), grid, 1e-3), grid)
         rng = np.random.default_rng(3)
         basis = score_basis(densities, "lqd", 1)
         s1 = project_scores(densities, basis)[:, 0]

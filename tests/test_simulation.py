@@ -11,7 +11,7 @@ from densfda import (
     default_methods,
     gen_setting,
     run_comparison,
-    truncated_normal_density,
+    truncated_normal_rows,
 )
 from densfda.density import integrate_rows
 
@@ -19,24 +19,24 @@ from densfda.density import integrate_rows
 class TestTruncatedNormal:
     def test_standard_normal_center_value(self):
         grid = Grid(-3.0, 3.0, 512)
-        f = truncated_normal_density(0.0, 1.0, grid, floor=1e-6)
-        center = np.interp(0.0, grid.points, f.values)
+        f = truncated_normal_rows([0.0], [1.0], grid, floor=1e-6)[0]
+        center = np.interp(0.0, grid.points, f)
         expect = norm.pdf(0.0) / (norm.cdf(3.0) - norm.cdf(-3.0))
         assert center == pytest.approx(expect, abs=1e-4)
 
     def test_symmetric(self):
         grid = Grid(-3.0, 3.0, 513)
-        f = truncated_normal_density(0.0, 1.0, grid, floor=1e-6)
-        np.testing.assert_allclose(f.values, f.values[::-1], rtol=1e-10)
+        f = truncated_normal_rows([0.0], [1.0], grid, floor=1e-6)[0]
+        np.testing.assert_allclose(f, f[::-1], rtol=1e-10)
 
     def test_unit_integral(self):
         grid = Grid(-5.0, 5.0, 512)
-        f = truncated_normal_density(1.3, 0.4, grid, floor=1e-3)
-        assert integrate_rows(f.values, grid) == pytest.approx(1.0, abs=1e-10)
+        f = truncated_normal_rows([1.3], [0.4], grid, floor=1e-3)[0]
+        assert integrate_rows(f, grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_sigma(self):
         with pytest.raises(DegenerateSigmaError):
-            truncated_normal_density(0.0, 0.0, Grid(-3.0, 3.0, 128))
+            truncated_normal_rows([0.0], [0.0], Grid(-3.0, 3.0, 128))
 
 
 class TestGenSetting:
@@ -205,3 +205,13 @@ class TestRunComparison:
     def test_reps_validated(self):
         with pytest.raises(ValueError):
             run_comparison(SettingSpec(setting=1), [MethodKind.lqd()], 1, Metric.L2, reps=0)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected_before_any_replication(self, monkeypatch, k):
+        import densfda.simulation as sim
+
+        calls = []
+        monkeypatch.setattr(sim, "gen_setting", lambda spec, rng=None: calls.append(spec))
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            sim.run_comparison(SettingSpec(setting=1), [MethodKind.lqd()], k, Metric.L2, reps=2)
+        assert calls == []

@@ -225,14 +225,13 @@ class TestRepresentations:
 
     def test_mode_alpha_zero_is_karcher_mean(self, rng, unit512):
         densities = [smooth_density(rng, unit512) for _ in range(8)]
-        mode0 = FittedMethod(densities, HS).mode(1, 0.0)
+        (mode0,) = FittedMethod(densities, HS).modes([1], [0.0])
         mean = squared(karcher_mean(embed_all(densities), unit512)[None], unit512)[0]
         assert l2_distance(mode0, mean) <= 1e-9
 
     def test_outputs_unit_mass(self, rng, unit512):
         fitted = FittedMethod([smooth_density(rng, unit512) for _ in range(8)], HS)
-        for alpha in (-2.0, 1.0, 3.0):
-            mode = fitted.mode(1, alpha)
+        for mode in fitted.modes([1], (-2.0, 1.0, 3.0)):
             assert integrate_rows(mode.values, unit512) == pytest.approx(1.0, abs=1e-10)
         for r in fitted.reconstruct(2):
             assert integrate_rows(r, unit512) == pytest.approx(1.0, abs=1e-10)
@@ -319,4 +318,4 @@ class TestBatchedAgainstLoop:
                 np.testing.assert_allclose(r, f, rtol=1e-12, atol=1e-12)
         v = system.mean + 2.0 * np.sqrt(system.eigenvalues[0]) * system.eigenfunctions[0]
         ref = _square_back_loop(_exp_loop(mu, v, grid), grid)
-        np.testing.assert_allclose(fitted.mode(1, 2.0).values, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(fitted.modes([1], [2.0]).values[0], ref, rtol=1e-12, atol=1e-12)

@@ -16,7 +16,7 @@ from densfda import (
     inverse_rows,
     log_hazard_spec,
     normalize,
-    truncated_normal_density,
+    truncated_normal_rows,
     unit_grid,
 )
 from densfda.density import integrate_rows, sq_dist_rows
@@ -91,7 +91,8 @@ class TestLqdInverse:
     def test_roundtrip_floored_truncated_normal(self):
         # the 1e-6 floor leaves a sub-cell boundary layer in the quantile
         # density, so the roundtrip is only first-order accurate there
-        f = truncated_normal_density(0.0, 1.0, Grid(-3.0, 3.0, M), floor=1e-6)
+        grid = Grid(-3.0, 3.0, M)
+        f = DensityFn(grid, truncated_normal_rows([0.0], [1.0], grid, floor=1e-6)[0])
         assert sup_distance(f, roundtrip(f, LQD)) <= 1e-2
 
     def test_overflow_guard(self):
@@ -115,7 +116,8 @@ class TestLogHazardForward:
         assert np.interp(0.5, tgrid.points, x) == pytest.approx(np.log(2.0), abs=1e-4)
 
     def test_truncated_normal_hazard_increasing_at_right(self):
-        f = truncated_normal_density(0.0, 1.0, Grid(-3.0, 3.0, M), floor=1e-6)
+        grid = Grid(-3.0, 3.0, M)
+        f = DensityFn(grid, truncated_normal_rows([0.0], [1.0], grid, floor=1e-6)[0])
         _, x = to_transform(f, log_hazard_spec(0.1))
         assert np.all(np.isfinite(x))
         assert np.all(np.diff(x[int(0.8 * M):]) > 0)  # monotone hazard near the right end
@@ -322,7 +324,7 @@ class TestBatchedLqdAgainstLoop:
     def test_forward_and_inverse(self, rng, n, grid):
         densities = [smooth_density(rng, grid, amplitude=1.0) for _ in range(n - 1)]
         mid = 0.5 * (grid.lo + grid.hi)
-        densities.append(truncated_normal_density(mid, 0.1 * grid.width, grid, 1e-3))
+        densities.append(DensityFn(grid, truncated_normal_rows([mid], [0.1 * grid.width], grid, 1e-3)[0]))
         ref_x = np.stack([_lqd_forward_loop(f) for f in densities])
         x = lqd_forward_rows(np.stack([f.values for f in densities]) * grid.width)
         np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=1e-12)
@@ -526,6 +528,6 @@ class TestLogHazardKernelsProperty:
             assert recon.shape == (len(sample), fitted.grid.m)
             for row in recon:
                 DensityFn(fitted.grid, row)
-        for k in range(1, min(fitted.n_components, 2) + 1):
-            for alpha in (-2.0, -1.0, 0.0, 1.0, 2.0):
-                assert fitted.mode(k, alpha).grid == sample[0].grid
+        ks = range(1, min(fitted.n_components, 2) + 1)
+        modes = fitted.modes(ks, (-2.0, -1.0, 0.0, 1.0, 2.0))  # a DensitySample checks every row
+        assert modes.grid == sample.grid and len(modes) == 5 * len(ks)
