@@ -58,7 +58,7 @@ from .frechet import (
     wasserstein_frechet_mean,
 )
 from .kde import KdeConfig, Kernel, boundary_weight, default_bandwidth, estimate_rows
-from .regression import FlrModel, cv_mse, fit_flr, predict, project_scores, score_basis
+from .regression import FlrModel, cv_mse, fit_flr, predict, score_rows
 from .simulation import (
     SIMULATION_BLEND,
     SIMULATION_FLOOR,

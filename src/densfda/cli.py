@@ -7,9 +7,10 @@ components ``--modes-k`` names, or by default along components 1 to
 min(selected K, 2, components).
 
 Every command writes its outputs plus a ``<output>.manifest.json``
-recording the argv, seed, input digests and artifact version.  Exit
-codes: 0 on success, 2 on usage errors (argparse), 1 on computation
-errors, which are also reported as a JSON object on stderr.
+recording the argv, seed (null but for ``simulate`` and ``regress``),
+input digests and artifact version.  Exit codes: 0 on success, 2 on
+usage errors (argparse), 1 on computation errors, which are also
+reported as a JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import fileio
+from . import fileio, fpca
 from .density import DEFAULT_FLOOR, DensitySample, Grid
 from .errors import DensfdaError
 from .frechet import (
@@ -33,7 +34,7 @@ from .frechet import (
     fve_report,
 )
 from .kde import KdeConfig, Kernel, default_bandwidth, estimate_rows
-from .regression import cv_mse, fit_flr, project_scores, score_basis
+from .regression import cv_mse, fit_flr, score_rows
 from .simulation import SettingSpec, default_methods, run_comparison
 from .transforms import LQD, forward_rows, inverse_rows, log_hazard_spec
 
@@ -70,11 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="densfda",
         description="Functional data analysis for samples of density functions.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", parents=[common], help="kernel density estimation")
+    p = sub.add_parser("estimate", help="kernel density estimation")
     p.add_argument("--grid-points", type=int, default=512)
     p.add_argument("--in", dest="infile", required=True, help="subject_id,value CSV")
     p.add_argument("--out", required=True)
@@ -83,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", type=_support, required=True, metavar="a,b")
     p.add_argument("--floor", type=float, default=DEFAULT_FLOOR)
 
-    p = sub.add_parser("transform", parents=[common], help="apply or invert a transform")
+    p = sub.add_parser("transform", help="apply or invert a transform")
     p.add_argument("--kind", choices=["lqd", "loghazard"], default="lqd")
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--in", dest="infile", required=True)
@@ -92,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", type=_support, default=(0.0, 1.0), metavar="a,b",
                    help="native support restored by --inverse")
 
-    p = sub.add_parser("analyze", parents=[common], help="FVE report plus modes")
+    p = sub.add_parser("analyze", help="FVE report plus modes")
     p.add_argument("--method", choices=["lqd", "fpca", "hs", "loghazard"], default="lqd")
     p.add_argument("--metric", choices=["l2", "wasserstein"], default="l2")
     p.add_argument("--delta", type=float, default=0.1)
@@ -104,12 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("mean", parents=[common], help="Fréchet mean density")
+    p = sub.add_parser("mean", help="Fréchet mean density")
     p.add_argument("--metric", choices=["l2", "wasserstein", "fisherrao"], default="wasserstein")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="replicated method comparison")
+    p = sub.add_parser("simulate", help="replicated method comparison")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid-points", type=int, default=512)
     p.add_argument("--setting", type=int, choices=[1, 2, 3], required=True)
     p.add_argument("--n", type=int, default=50)
@@ -122,9 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blend", type=float, default=0.5,
                    help="uniform blend inside the transform method")
     p.add_argument("--out", required=True)
-    p.add_argument("--boxplot-csv", default=None, help="FVE values per method")
 
-    p = sub.add_parser("regress", parents=[common], help="scalar-on-density regression")
+    p = sub.add_parser("regress", help="scalar-on-density regression")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=["lqd", "fpca"], default="lqd")
     p.add_argument("--K", type=int, default=2)
     p.add_argument("--folds", type=int, default=10)
@@ -211,7 +211,7 @@ def _cmd_mean(args):
         mean = fisher_rao_mean(sample)
     else:
         mean = frechet_mean(sample, _metric(args.metric))
-    fileio.write_density_csv(args.out, [mean], [f"{args.metric}_mean"])
+    fileio.write_density_csv(args.out, DensitySample(mean.values[None], mean.grid), [f"{args.metric}_mean"])
     _manifest(args, args.out, [args.infile])
 
 
@@ -226,15 +226,8 @@ def _cmd_simulate(args):
         m=args.grid_points,
     )
     k = args.K if args.K is not None else (2 if args.setting == 3 else 1)
-    methods = default_methods(args.blend)
-    result = run_comparison(spec, methods, k, _metric(args.metric), args.reps)
+    result = run_comparison(spec, default_methods(args.blend), k, _metric(args.metric), args.reps)
     fileio.write_json(args.out, result.summary())
-    if args.boxplot_csv:
-        with open(args.boxplot_csv, "w") as fh:
-            fh.write("replication," + ",".join(m.label for m in methods) + "\n")
-            table = np.column_stack([result.fve_at_k(m.label) for m in methods])
-            for r, row in enumerate(table):
-                fh.write(",".join([str(r)] + [fileio.FLOAT_FMT % v for v in row]) + "\n")
     _manifest(args, args.out, [])
 
 
@@ -246,8 +239,7 @@ def _cmd_regress(args):
         print(f"dropping {len(sample) - len(keep)} subjects without responses", file=sys.stderr)
     sample = sample[keep]
     y = np.array([responses[ids[i]] for i in keep])
-    basis = score_basis(sample, args.method, args.K)
-    model = fit_flr(project_scores(sample, basis), y)
+    model = fit_flr(fpca.fit(*score_rows(sample, args.method), k=args.K).scores, y)
     mse = cv_mse(sample, y, args.method, args.K, args.folds, args.repeats, args.seed)
     fileio.write_json(
         args.out,

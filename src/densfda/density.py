@@ -138,8 +138,8 @@ class DensitySample:
     """A sample of densities on one grid: a read-only ``(n, m)`` array.
 
     ``DensitySample(values, grid)`` checks every row as :class:`DensityFn`
-    checks one density; :meth:`of` stacks a sequence of densities into
-    one.  An integer index gives the ``DensityFn`` of that row, and a
+    checks one density; it is the only form in which the package takes a
+    sample.  An integer index gives the ``DensityFn`` of that row, and a
     slice or an index array a new sample of the selected rows; iterating
     yields ``DensityFn``s.  :meth:`cached` keeps what is computed once
     per sample (its Fréchet means, variances, metric embeddings and
@@ -154,22 +154,6 @@ class DensitySample:
         values.flags.writeable = False
         self.values, self.grid = values, grid
         self._cache = {}
-
-    @classmethod
-    def of(cls, densities) -> "DensitySample":
-        """The sample itself, or the densities stacked on their shared grid."""
-        if isinstance(densities, cls):
-            return densities
-        densities = list(densities)
-        if not densities:
-            raise EmptySampleError("empty sample")
-        supports = {f.support for f in densities}
-        if len(supports) != 1:
-            raise SupportMismatchError(f"sample mixes supports: {sorted(supports)}")
-        grid = densities[0].grid
-        if any(f.grid != grid for f in densities):
-            raise GridMismatchError("sample members live on different grids")
-        return cls(np.stack([f.values for f in densities]), grid)
 
     @property
     def support(self) -> tuple[float, float]:

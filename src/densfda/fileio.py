@@ -70,9 +70,8 @@ def _read_table(path):
     return header, data[:, 0], np.ascontiguousarray(data[:, 1:].T)
 
 
-def write_density_csv(path, sample, ids=None):
-    """Write a :class:`DensitySample` (or densities it stacks), one column per density."""
-    sample = DensitySample.of(sample)
+def write_density_csv(path, sample: DensitySample, ids=None):
+    """Write a :class:`DensitySample`, one column per density."""
     ids = ids or [f"subject_{i + 1}" for i in range(len(sample))]
     _write_table(path, "x", sample.grid.points, sample.values, ids)
 

@@ -51,8 +51,7 @@ def fit(sample, grid: Grid | None = None, k: int | None = None) -> EigenSystem:
     """Mean, eigensystem (by thin SVD of the weighted sample) and scores.
 
     ``sample`` is an ``(n, m)`` array of functions on ``grid`` or, without
-    a grid, a :class:`DensitySample` or a sequence of densities
-    (:meth:`DensitySample.of`).
+    a grid, a :class:`DensitySample`.
 
     Eigenvalues come out descending; components below ``EIGENVALUE_DROP``
     times the leading eigenvalue, or below the round-off bound (m eps)^2
@@ -65,7 +64,6 @@ def fit(sample, grid: Grid | None = None, k: int | None = None) -> EigenSystem:
     if k is not None and k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if grid is None:
-        sample = DensitySample.of(sample)
         sample, grid = sample.values, sample.grid
     data = np.asarray(sample, dtype=float)
     if data.ndim != 2 or data.shape[1] != grid.m:
@@ -103,7 +101,9 @@ def truncate(system: EigenSystem, k: int) -> np.ndarray:
 
 def mode_of_variation(system: EigenSystem, k: int, alpha: float) -> np.ndarray:
     """Mean plus alpha standard deviations along component k (1-based)."""
-    if not 1 <= k <= system.n_components:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > system.n_components:
         raise KTooLargeError(f"component {k} of {system.n_components} requested")
     return system.mean + alpha * np.sqrt(system.eigenvalues[k - 1]) * system.eigenfunctions[k - 1]
 

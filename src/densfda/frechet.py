@@ -16,16 +16,15 @@ the K-component representations of the whole sample as one ``(n, m)``
 array.  Representations and modes are valid densities for every
 truncation level and mode parameter.
 
-Every function takes a sample as a :class:`density.DensitySample` or a
-sequence of densities (:meth:`DensitySample.of`).  Its Fréchet mean,
-variance V_inf and metric embedding (once per metric) and the ``(m,)``
-Karcher mean of its square-root densities are kept in the sample's cache
-(:meth:`DensitySample.cached`), shared by every method fitted to it and
-every mean taken of it; the Karcher mean serves both the Hilbert-sphere
-method and the Fisher–Rao mean.  :func:`fve_report` is the one FVE entry
-point.  The Wasserstein mean inverts all sample CDFs, and then their
-averaged quantile function, through one batched monotone cubic kernel
-(:func:`density.pchip_rows`).
+Every function takes a sample as one :class:`density.DensitySample`.
+Its Fréchet mean, variance V_inf and metric embedding (once per metric)
+and the ``(m,)`` Karcher mean of its square-root densities are kept in
+the sample's cache (:meth:`DensitySample.cached`), shared by every
+method fitted to it and every mean taken of it; the Karcher mean serves
+both the Hilbert-sphere method and the Fisher–Rao mean.
+:func:`fve_report` is the one FVE entry point.  The Wasserstein mean
+inverts all sample CDFs, and then their averaged quantile function,
+through one batched monotone cubic kernel (:func:`density.pchip_rows`).
 """
 
 from __future__ import annotations
@@ -159,7 +158,7 @@ def _pchip_quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray
     return q
 
 
-def wasserstein_frechet_mean(sample, floor: float = DEFAULT_FLOOR) -> DensityFn:
+def wasserstein_frechet_mean(sample: DensitySample, floor: float = DEFAULT_FLOOR) -> DensityFn:
     """Fréchet mean under the Wasserstein metric (quantile synchronization).
 
     The sample quantile functions are averaged pointwise on a probability
@@ -168,47 +167,42 @@ def wasserstein_frechet_mean(sample, floor: float = DEFAULT_FLOOR) -> DensityFn:
     endpoints, then floored and renormalized.  Both inversions are
     monotone cubic and run through one batched kernel,
     :func:`pchip_rows`: all sample CDFs at once, then the one average.
-    ``sample`` is a :class:`DensitySample` or the densities of one.
     """
-    sample = DensitySample.of(sample)
+    grid = sample.grid
     if len(sample) == 1:
         return sample[0]
-    grid = sample.grid
     tgrid = unit_grid(grid.m)
     qbar = _pchip_quantile_rows(cdf_rows(sample.values, grid), grid, tgrid).mean(axis=0)
     cdf = pchip_rows(qbar, tgrid.points, grid.points)[0]
     return normalize(np.gradient(cdf, grid.spacing, edge_order=2), grid, floor)
 
 
-def frechet_mean(sample, metric: Metric, floor: float = DEFAULT_FLOOR) -> DensityFn:
+def frechet_mean(sample: DensitySample, metric: Metric, floor: float = DEFAULT_FLOOR) -> DensityFn:
     """Fréchet mean under the chosen metric.
 
     L2 gives the cross-sectional mean (densities are convex, so no
     projection is needed); Wasserstein gives the quantile-synchronized
     mean.  It is computed once per sample and kept.
     """
-    sample = DensitySample.of(sample)
     if metric is Metric.WASSERSTEIN:
         return sample.cached(("mean", metric, floor), lambda: wasserstein_frechet_mean(sample, floor))
     return sample.cached(("mean", metric), lambda: DensityFn(sample.grid, sample.values.mean(axis=0)))
 
 
-def fisher_rao_mean(sample, floor: float = DEFAULT_FLOOR) -> DensityFn:
+def fisher_rao_mean(sample: DensitySample, floor: float = DEFAULT_FLOOR) -> DensityFn:
     """Fréchet mean under the geodesic metric of the square-root embedding.
 
     The Karcher mean of the square-root densities, squared back to a
     density.  The Karcher mean is computed once per sample and kept.
     """
-    sample = DensitySample.of(sample)
     return DensityFn(sample.grid, square_back(_karcher_mean(sample)[None], sample.grid, floor)[0])
 
 
-def frechet_variance(sample, mean: DensityFn, metric: Metric) -> float:
+def frechet_variance(sample: DensitySample, mean: DensityFn, metric: Metric) -> float:
     """Average squared metric distance to the given mean.
 
     The mean must lie on the sample's grid under either metric.
     """
-    sample = DensitySample.of(sample)
     if mean.support != sample.support:
         raise SupportMismatchError(f"supports differ: {sample.support} vs {mean.support}")
     if mean.grid != sample.grid:
@@ -235,9 +229,8 @@ class FittedMethod:
 
     Every method maps the sample into L2, runs FPCA there and maps the
     FPCA output back to densities (:meth:`_to_density`); only those two
-    maps depend on the method.  The sample is held as a
-    :class:`DensitySample` (a list of densities is stacked into one), whose
-    ``(n, m)`` array ``values`` every step works on as a whole;
+    maps depend on the method.  The sample is a :class:`DensitySample`,
+    whose ``(n, m)`` array ``values`` every step works on as a whole;
     ``reconstruct`` returns such an array and ``modes`` a
     ``DensitySample``.  ``reconstruct(K)`` silently
     uses all available components when K exceeds them (trailing
@@ -246,8 +239,8 @@ class FittedMethod:
     returns its mean.
     """
 
-    def __init__(self, sample, method: MethodKind, floor: float = DEFAULT_FLOOR):
-        self.sample = DensitySample.of(sample)
+    def __init__(self, sample: DensitySample, method: MethodKind, floor: float = DEFAULT_FLOOR):
+        self.sample = sample
         self.method = method
         self.floor = floor
         self.grid, self.support, self.values = self.sample.grid, self.sample.support, self.sample.values

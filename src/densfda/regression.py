@@ -2,12 +2,12 @@
 
 A scalar response is regressed on the leading principal-component scores
 of the densities, either taken directly in density space or after the
-log-quantile-density transform.  Cross-validated prediction error
-recomputes the score basis on every training fold, so held-out subjects
-never influence the basis they are projected onto; the transform maps
-each density on its own, so it is applied once per subject.  Densities
-come in as one :class:`DensitySample` (or a sequence that
-:meth:`DensitySample.of` stacks), and folds index its rows.
+log-quantile-density transform (:func:`score_rows`), by ``fpca.fit`` and
+``fpca.scores``.  Cross-validated prediction error recomputes the score
+basis on every training fold, so held-out subjects never influence the
+basis they are projected onto; the transform maps each density on its
+own, so it is applied once per subject.  Densities come in as one
+:class:`DensitySample`, and folds index its rows.
 """
 
 from __future__ import annotations
@@ -71,39 +71,11 @@ def predict(model: FlrModel, scores: np.ndarray) -> np.ndarray:
     return model.intercept + scores[:, : model.k] @ model.coefficients
 
 
-# ---------------------------------------------------------------------------
-# Score bases
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ScoreBasis:
-    """The score method and the eigensystem (at most K components) of
-    the scored rows; new densities are scored in its mean and
-    eigenfunctions."""
-
-    method: str
-    system: fpca.EigenSystem
-
-
-def score_basis(densities, method: str, k: int) -> ScoreBasis:
-    """Fit the score basis (mean + leading eigenfunctions) on a sample."""
-    rows, grid = _score_rows(densities, method)
-    return ScoreBasis(method, fpca.fit(rows, grid, k=k))
-
-
-def project_scores(densities, basis: ScoreBasis) -> np.ndarray:
-    """Scores of (possibly unseen) densities in a previously fitted basis."""
-    rows, _ = _score_rows(densities, basis.method)
-    system = basis.system
-    return fpca.scores(rows, system.mean, system.eigenfunctions, system.grid)
-
-
-def _score_rows(densities, method: str) -> tuple[np.ndarray, Grid]:
-    """The densities, or each one's LQD transform, as an ``(n, m)`` array."""
+def score_rows(sample: DensitySample, method: str) -> tuple[np.ndarray, Grid]:
+    """The densities, or each one's LQD transform, as an ``(n, m)`` array
+    and its grid: the rows that ``fpca.fit`` and ``fpca.scores`` score."""
     if method not in SCORE_METHODS:
         raise ValueError(f"method must be one of {SCORE_METHODS}, got {method!r}")
-    sample = DensitySample.of(densities)
     if method == "fpca":
         return sample.values, sample.grid
     tgrid, xs = forward_rows(sample.values, sample.grid, LQD)
@@ -116,7 +88,7 @@ def _score_rows(densities, method: str) -> tuple[np.ndarray, Grid]:
 
 
 def cv_mse(
-    densities,
+    densities: DensitySample,
     y,
     method: str,
     k: int,
@@ -131,7 +103,6 @@ def cv_mse(
     onto the basis.  Fold assignment is a seeded shuffle with one child
     stream per repeat.
     """
-    densities = DensitySample.of(densities)
     y = np.asarray(y, dtype=float).ravel()
     n = len(densities)
     if n != y.size:
@@ -141,7 +112,7 @@ def cv_mse(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     # each density is transformed on its own, once; folds index the rows
-    rows, grid = _score_rows(densities, method)
+    rows, grid = score_rows(densities, method)
     children = np.random.SeedSequence(seed).spawn(repeats)
     total_sse = 0.0
     for child in children:

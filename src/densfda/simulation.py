@@ -186,11 +186,12 @@ class SimulationResult:
         means = [m for m in self.mean_densities[name] if m is not None]
         if not means:
             raise EmptySampleError("no successful replications to aggregate")
+        sample = DensitySample(np.stack([m.values for m in means]), self.spec.grid)
         if name == "l2":
-            return frechet_mean(means, Metric.L2, self.spec.floor)
+            return frechet_mean(sample, Metric.L2, self.spec.floor)
         if name == "wasserstein":
-            return frechet_mean(means, Metric.WASSERSTEIN, self.spec.floor)
-        return fisher_rao_mean(means, self.spec.floor)
+            return frechet_mean(sample, Metric.WASSERSTEIN, self.spec.floor)
+        return fisher_rao_mean(sample, self.spec.floor)
 
     def distances_to_target(self, name: str) -> np.ndarray:
         return np.array(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from densfda import DensityFn, Grid, forward_rows, inverse_rows, normalize, unit_grid
+from densfda import DensityFn, DensitySample, Grid, forward_rows, inverse_rows, normalize, unit_grid
 from densfda.density import integrate_rows, sq_dist_rows
 
 
@@ -18,6 +18,11 @@ def smooth_density(rng, grid: Grid, floor: float = 1e-6, amplitude: float = 0.5)
         a, b = rng.normal(size=2) * amplitude / k
         log_f += a * np.cos(np.pi * k * u) + b * np.sin(np.pi * k * u)
     return normalize(np.exp(log_f), grid, floor)
+
+
+def stack(densities) -> DensitySample:
+    """The sample of densities that share the first one's grid."""
+    return DensitySample(np.stack([f.values for f in densities]), densities[0].grid)
 
 
 def to_transform(f: DensityFn, spec) -> tuple[Grid, np.ndarray]:

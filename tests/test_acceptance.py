@@ -11,7 +11,6 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from densfda import (
-    DensityFn,
     DensitySample,
     FittedMethod,
     Grid,
@@ -31,9 +30,9 @@ from densfda import (
     gen_setting,
     inverse_rows,
     log_hazard_spec,
-    project_scores,
     run_comparison,
-    score_basis,
+    score_rows,
+    scores,
     sqrt_embed,
     truncated_normal_rows,
     cv_mse,
@@ -47,6 +46,7 @@ from conftest import (
     lqd_rank2_basis,
     roundtrip,
     smooth_density,
+    stack,
     sup_distance,
 )
 
@@ -244,7 +244,7 @@ def test_criterion_7_property_suites(rng):
     checks["eigenfn-integral<=1e-8"] = zero_dev <= 1e-8
 
     # Parseval / trace identities
-    sample = [smooth_density(rng, grid) for _ in range(12)]
+    sample = stack([smooth_density(rng, grid) for _ in range(12)])
     sys2 = fit(sample)
     parseval = max(
         abs((row**2).sum() - integrate_rows((f.values - sys2.mean) ** 2, grid))
@@ -279,11 +279,12 @@ def test_criterion_8_regression_substitute():
     noise_sd = float(np.sqrt(0.1 * mus.var()))  # 10% noise variance
     y = mus + noise_sd * rng.normal(size=n)
     # each density mixed half-and-half with the uniform density
-    blended = [DensityFn(grid, (1.0 - 0.5) * f.values + 0.5 / grid.width) for f in densities]
+    blended = DensitySample((1.0 - 0.5) * densities.values + 0.5 / grid.width, grid)
     mse_lqd = cv_mse(blended, y, "lqd", 2, folds=10, repeats=REPS, seed=5)
     mse_fpca = cv_mse(densities, y, "fpca", 2, folds=10, repeats=REPS, seed=5)
-    basis = score_basis(blended, "lqd", 2)
-    r2 = fit_flr(project_scores(blended, basis), y).r_squared
+    rows, tgrid = score_rows(blended, "lqd")
+    system = fit(rows, tgrid, k=2)
+    r2 = fit_flr(scores(rows, system.mean, system.eigenfunctions, tgrid), y).r_squared
     ok = mse_lqd < mse_fpca and r2 >= 0.9
     assert report(
         8, "scalar-on-density regression",

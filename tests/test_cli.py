@@ -35,13 +35,13 @@ from densfda.fileio import (
     write_density_csv,
 )
 
-from conftest import from_transform, lqd_rank2_basis, smooth_density, sup_distance
+from conftest import from_transform, lqd_rank2_basis, smooth_density, stack, sup_distance
 
 
 @pytest.fixture
 def density_csv(tmp_path, rng):
     grid = Grid(0.0, 1.0, 101)
-    densities = [smooth_density(rng, grid) for _ in range(6)]
+    densities = stack([smooth_density(rng, grid) for _ in range(6)])
     path = tmp_path / "densities.csv"
     write_density_csv(path, densities)
     return path, densities
@@ -73,7 +73,7 @@ class TestFileIO:
         if layout == "raw":  # columns of other than unit mass, renormalized on reading
             _write_table(path, "x", grid.points, values, ["a", "b", "c", "d"])
         else:
-            write_density_csv(path, [normalize(v, grid) for v in values])
+            write_density_csv(path, stack([normalize(v, grid) for v in values]))
         text = path.read_bytes().decode()
         lines = text.replace("\r\n", "\n").split("\n")
         text = {
@@ -106,7 +106,7 @@ class TestFileIO:
 
     def test_density_csv_roundtrip(self, tmp_path, rng):
         grid = Grid(-3.0, 3.0, 257)
-        densities = [smooth_density(rng, grid) for _ in range(3)]
+        densities = stack([smooth_density(rng, grid) for _ in range(3)])
         path = tmp_path / "d.csv"
         write_density_csv(path, densities, ids=["a", "b", "c"])
         back, ids = read_density_csv(path)
@@ -115,7 +115,7 @@ class TestFileIO:
             assert np.abs(f.values - g.values).max() <= 1e-12
 
     def test_sample_csv_roundtrip(self, tmp_path, rng):
-        sample = DensitySample.of([smooth_density(rng, Grid(-3.0, 3.0, 257)) for _ in range(3)])
+        sample = stack([smooth_density(rng, Grid(-3.0, 3.0, 257)) for _ in range(3)])
         path = tmp_path / "d.csv"
         write_density_csv(path, sample, ["a", "b", "c"])
         back, ids = read_density_csv(path)
@@ -188,7 +188,7 @@ class TestTransformCli:
     def test_tables_match_the_row_kernels(self, tmp_path, rng, kind, m):
         # one call per table: each output column is that row of the kernels, to the bit
         grid = Grid(-2.0, 3.0, m)
-        densities = [smooth_density(rng, grid) for _ in range(5)]
+        densities = stack([smooth_density(rng, grid) for _ in range(5)])
         path, fwd, back = tmp_path / "d.csv", tmp_path / "x.csv", tmp_path / "back.csv"
         write_density_csv(path, densities)
         spec = LQD if kind == "lqd" else log_hazard_spec(0.2)
@@ -252,7 +252,7 @@ class TestTransformCli:
 class TestAnalyze:
     def test_rank_one_fixture_selects_one(self, tmp_path, rng):
         tgrid, rho1, _ = lqd_rank2_basis(101)
-        densities = [from_transform(tgrid, c * rho1, LQD) for c in rng.uniform(-0.7, 0.7, 12)]
+        densities = stack([from_transform(tgrid, c * rho1, LQD) for c in rng.uniform(-0.7, 0.7, 12)])
         path = tmp_path / "rank1.csv"
         write_density_csv(path, densities)
         out = tmp_path / "report.json"
@@ -295,7 +295,7 @@ class TestAnalyze:
     def test_modes_beyond_components_exit_1(self, tmp_path, rng, capsys):
         grid = Grid(0.0, 1.0, 101)
         path = tmp_path / "d.csv"
-        write_density_csv(path, [smooth_density(rng, grid) for _ in range(8)])
+        write_density_csv(path, stack([smooth_density(rng, grid) for _ in range(8)]))
         out = tmp_path / "r.json"
         assert main(["analyze", "--modes-k", "50", "--in", str(path), "--out", str(out)]) == 1
         lines = capsys.readouterr().err.splitlines()
@@ -303,6 +303,14 @@ class TestAnalyze:
         assert json.loads(lines[0])["error"] == "KTooLargeError"
         assert not out.exists()
         assert not (tmp_path / "r_modes.csv").exists()
+
+    def test_modes_k_below_one_exits_1(self, tmp_path, density_csv, capsys):
+        path, _ = density_csv
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--modes-k", "0", "--in", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": "k must be >= 1, got 0"}
+        assert len(lines) == 1 and not out.exists()
 
     def test_modes_k_selects_the_components(self, tmp_path, density_csv):
         path, _ = density_csv
@@ -352,7 +360,7 @@ class TestAnalyze:
     def test_one_density_gets_grid_only_modes(self, tmp_path, rng):
         grid = Grid(0.0, 1.0, 101)
         path = tmp_path / "d.csv"
-        write_density_csv(path, [smooth_density(rng, grid)])
+        write_density_csv(path, stack([smooth_density(rng, grid)]))
         assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 0
         assert (tmp_path / "r_modes.csv").read_text().splitlines()[0] == "x"
 
@@ -385,18 +393,18 @@ class TestSimulate:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_boxplot_csv(self, tmp_path):
+    def test_boxplot_csv(self, tmp_path, capsys):
+        # the per-replication FVE values are in the summary, under fve.<label>.values
         out = tmp_path / "sim.json"
-        box = tmp_path / "fve.csv"
-        code = main([
-            "simulate", "--setting", "1", "--n", "10", "--reps", "2",
-            "--seed", "3", "--grid-points", "128",
-            "--out", str(out), "--boxplot-csv", str(box),
-        ])
-        assert code == 0
-        lines = box.read_text().strip().splitlines()
-        assert lines[0] == "replication,LQD,FPCA,HS"
-        assert len(lines) == 3
+        with pytest.raises(SystemExit) as err:
+            main([
+                "simulate", "--setting", "1", "--n", "10", "--reps", "2",
+                "--seed", "3", "--grid-points", "128",
+                "--out", str(out), "--boxplot-csv", str(tmp_path / "fve.csv"),
+            ])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --boxplot-csv" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_k_below_one_exits_1(self, tmp_path, capsys, k):
@@ -417,6 +425,15 @@ class TestGridPoints:
             main([command, *inputs, "--out", "o.json", "--grid-points", "7"])
         assert err.value.code == 2
         assert "unrecognized arguments: --grid-points 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "transform", "analyze", "mean"])
+    def test_seed_rejected_where_unused(self, capsys, command):
+        # only simulate and regress draw random numbers
+        inputs = ["--in", "d.csv", *(["--support", "0,1"] if command == "estimate" else [])]
+        with pytest.raises(SystemExit) as err:
+            main([command, *inputs, "--out", "o.json", "--seed", "5"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
     def test_simulate_uses_it(self, tmp_path, monkeypatch):
         from densfda import cli
@@ -460,7 +477,7 @@ class TestRegress:
         grid = Grid(0.0, 1.0, 64)
         dpath, ypath, out = tmp_path / "d.csv", tmp_path / "y.csv", tmp_path / "reg.json"
         ids = [f"s{i}" for i in range(12)]
-        write_density_csv(dpath, [smooth_density(rng, grid) for _ in ids], ids)
+        write_density_csv(dpath, stack([smooth_density(rng, grid) for _ in ids]), ids)
         ypath.write_text("subject_id,value\n" + "".join(f"{sid},{i}\n" for i, sid in enumerate(ids)))
         code = main([
             "regress", "--method", "lqd", "--K", "-1", "--folds", "3", "--repeats", "1",

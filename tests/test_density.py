@@ -34,7 +34,7 @@ from densfda.density import (
 from densfda.frechet import _pchip_quantile_rows
 from densfda.transforms import forward_rows, inverse_rows
 
-from conftest import l2_distance, smooth_density
+from conftest import l2_distance, smooth_density, stack
 
 
 class TestGrid:
@@ -165,21 +165,8 @@ class TestDensitySample:
             sample.values[0, 0] = 1.0
         assert sample.support == (0.0, 1.0) and len(sample) == 3
 
-    def test_of_stacks_densities(self, unit512, rng):
-        densities = [smooth_density(rng, unit512) for _ in range(4)]
-        sample = DensitySample.of(densities)
-        assert sample.grid == unit512
-        np.testing.assert_array_equal(sample.values, np.stack([f.values for f in densities]))
-        assert DensitySample.of(sample) is sample
-        with pytest.raises(EmptySampleError):
-            DensitySample.of(iter([]))
-        with pytest.raises(SupportMismatchError):
-            DensitySample.of([densities[0], smooth_density(rng, Grid(0.0, 2.0, 512))])
-        with pytest.raises(GridMismatchError):
-            DensitySample.of([densities[0], smooth_density(rng, unit_grid(64))])
-
     def test_indexing_and_iteration(self, unit512, rng):
-        sample = DensitySample.of([smooth_density(rng, unit512) for _ in range(5)])
+        sample = stack([smooth_density(rng, unit512) for _ in range(5)])
         for i in (0, 4, -1, np.int64(2)):
             f = sample[i]
             assert isinstance(f, DensityFn) and f.grid == unit512
@@ -283,7 +270,7 @@ class TestMetrics:
         g = normalize(np.ones(256), Grid(0.0, 1.0, 256))
         for metric in Metric:
             with pytest.raises(GridMismatchError):
-                frechet_variance([f], g, metric)
+                frechet_variance(stack([f]), g, metric)
 
     def test_wasserstein_rejects_resolution_mismatch(self, unit512):
         f = normalize(np.ones(512), unit512, floor=0.0)

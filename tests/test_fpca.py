@@ -17,7 +17,7 @@ from densfda import (
 from densfda.density import integrate_rows
 from densfda.fpca import EIGENVALUE_DROP, project_rows
 
-from conftest import smooth_density
+from conftest import smooth_density, stack
 
 M = 512
 
@@ -61,13 +61,13 @@ def _surface(system):
 class TestMean:
     def test_mean_of_identical(self, unit512, rng):
         f = smooth_density(rng, unit512)
-        mean = fit([f, f]).mean
+        mean = fit(stack([f, f])).mean
         np.testing.assert_allclose(mean, f.values, rtol=1e-14)
 
     def test_mean_is_density(self, unit512):
         f = normalize(np.ones(M), unit512, floor=0.0)
         g = normalize(2.0 * unit512.points, unit512, floor=1e-6)
-        mean = fit([f, g]).mean
+        mean = fit(stack([f, g])).mean
         np.testing.assert_allclose(mean, (f.values + g.values) / 2.0)
         assert integrate_rows(mean, unit512) == pytest.approx(1.0, abs=1e-12)
 
@@ -86,9 +86,8 @@ class TestMean:
 
     def test_grid_mismatch(self, rng):
         f = smooth_density(rng, Grid(0.0, 1.0, 128))
-        g = smooth_density(rng, Grid(0.0, 1.0, 256))
         with pytest.raises(GridMismatchError):
-            fit([f, g])
+            fit(np.stack([f.values, f.values]), Grid(0.0, 1.0, 256))
 
 
 class TestCovariance:
@@ -96,7 +95,7 @@ class TestCovariance:
 
     def test_identical_sample_zero_surface(self, unit512, rng):
         f = smooth_density(rng, unit512)
-        assert np.abs(_surface(fit([f, f, f]))).max() == 0.0
+        assert np.abs(_surface(fit(stack([f, f, f])))).max() == 0.0
 
     def test_rank_one_surface(self, unit512, rng):
         coeffs = rng.normal(0.0, 2.0, 40)
@@ -203,6 +202,14 @@ class TestTruncateAndModes:
         with pytest.raises(KTooLargeError):
             mode_of_variation(fitted, fitted.n_components + 1, 1.0)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_mode_below_one_rejected(self, system, k):
+        # too small, not too large: the error of a negative k in fit
+        fitted, _ = system
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}") as info:
+            mode_of_variation(fitted, k, 1.0)
+        assert type(info.value) is ValueError
+
     def test_mode_alpha_zero_is_mean(self, system):
         fitted, _ = system
         np.testing.assert_array_equal(mode_of_variation(fitted, 1, 0.0), fitted.mean)
@@ -247,14 +254,14 @@ class TestProjectToDensity:
 
 class TestIdentities:
     def test_parseval_at_full_rank(self, rng, unit512):
-        sample = [smooth_density(rng, unit512) for _ in range(12)]
+        sample = stack([smooth_density(rng, unit512) for _ in range(12)])
         system = fit(sample)
         for f, row in zip(sample, system.scores):
             d2 = integrate_rows((f.values - system.mean) ** 2, unit512)
             assert (row**2).sum() == pytest.approx(d2, rel=1e-6)
 
     def test_trace_identity(self, rng, unit512):
-        sample = [smooth_density(rng, unit512) for _ in range(15)]
+        sample = stack([smooth_density(rng, unit512) for _ in range(15)])
         system = fit(sample)
         avg_sq = np.mean([integrate_rows((f.values - system.mean) ** 2, unit512) for f in sample])
         assert system.eigenvalues.sum() == pytest.approx(avg_sq, rel=1e-6)

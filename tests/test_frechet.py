@@ -14,7 +14,7 @@ from densfda import (
     Metric,
     MethodKind,
     SettingSpec,
-    SupportMismatchError,
+    cv_mse,
     dist_wasserstein,
     fisher_rao_mean,
     fit,
@@ -31,7 +31,7 @@ from densfda import (
     unit_grid,
     wasserstein_frechet_mean,
 )
-from densfda import frechet
+from densfda import fileio, frechet
 from densfda.density import cdf_rows, integrate_rows, quantile_rows
 
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     l2_distance,
     lqd_rank2_basis,
     smooth_density,
+    stack,
     sup_distance,
     to_transform,
 )
@@ -53,7 +54,7 @@ def lqd_family(coeffs2, grid_m=M, support=(0.0, 1.0)):
     out = []
     for c1, c2 in coeffs2:
         out.append(from_transform(tgrid, c1 * rho1 + c2 * rho2, LQD, support))
-    return out, (rho1, rho2)
+    return stack(out), (rho1, rho2)
 
 
 def blend(f, weight):
@@ -64,14 +65,14 @@ def blend(f, weight):
 class TestWassersteinMean:
     def test_identical_sample(self, rng, unit512):
         f = smooth_density(rng, unit512)
-        mean = wasserstein_frechet_mean([f, f])
+        mean = wasserstein_frechet_mean(stack([f, f]))
         assert sup_distance(mean, f) <= 1e-3
 
     def test_median_of_mirror_pair(self, unit512):
         # Q_+(t) = (sqrt(t) + 1 - sqrt(1-t)) / 2, so the median is 0.5
         f = normalize(2.0 * unit512.points, unit512, floor=1e-6)
         g = normalize(2.0 * (1.0 - unit512.points), unit512, floor=1e-6)
-        mean = wasserstein_frechet_mean([f, g])
+        mean = wasserstein_frechet_mean(stack([f, g]))
         q = quantile_rows(cdf_rows(mean.values[None], mean.grid), mean.grid, unit_grid(M))[0]
         assert np.interp(0.5, unit_grid(M).points, q) == pytest.approx(0.5, abs=2e-3)
 
@@ -88,12 +89,6 @@ class TestWassersteinMean:
             cmean = frechet_mean(gen.densities, Metric.L2)
             wins += dist_wasserstein(wmean, target) < dist_wasserstein(cmean, target)
         assert wins == 5
-
-    def test_support_mismatch(self, rng):
-        f = smooth_density(rng, Grid(0.0, 1.0, M))
-        g = smooth_density(rng, Grid(0.0, 2.0, M))
-        with pytest.raises(SupportMismatchError):
-            wasserstein_frechet_mean([f, g])
 
     def test_matches_per_density_pchip_reference(self, rng):
         grid = Grid(-1.0, 2.0, 128)
@@ -113,14 +108,14 @@ class TestWassersteinMean:
             quantiles.append(q)
         cdf = PchipInterpolator(np.mean(quantiles, axis=0), tgrid.points)(grid.points)
         expect = normalize(np.gradient(cdf, grid.spacing, edge_order=2), grid)
-        got = wasserstein_frechet_mean(sample)
+        got = wasserstein_frechet_mean(stack(sample))
         np.testing.assert_allclose(got.values, expect.values, rtol=0, atol=1e-13)
 
 
 class TestDensitySample:
     def test_cached_embedding_is_read_only(self, rng, unit512):
         # an edit in place would change every later FVE of the sample
-        sample = DensitySample.of([smooth_density(rng, unit512) for _ in range(4)])
+        sample = stack([smooth_density(rng, unit512) for _ in range(4)])
         for metric in Metric:
             fve_report(FittedMethod(sample, MethodKind.ordinary_fpca()), metric, k_max=1)
             rows, _ = frechet._embedding(sample, metric)
@@ -129,7 +124,7 @@ class TestDensitySample:
                 rows[0, 0] = 0.0
 
     def test_statistics_computed_once(self, rng, unit512):
-        sample = DensitySample.of([smooth_density(rng, unit512) for _ in range(6)])
+        sample = stack([smooth_density(rng, unit512) for _ in range(6)])
         for metric in Metric:
             mean = frechet_mean(sample, metric)
             assert frechet_mean(sample, metric) is mean
@@ -148,39 +143,38 @@ class TestDensitySample:
         with pytest.raises(ValueError):
             FittedMethod(sample, MethodKind.hilbert_sphere()).sphere_mean[0] = 1.0
 
-    def test_list_and_sample_give_the_same_fit(self, rng, unit512):
-        densities = [smooth_density(rng, unit512) for _ in range(8)]
-        shared = DensitySample.of(densities)
-        for method in (MethodKind.lqd(0.5), MethodKind.ordinary_fpca(), MethodKind.hilbert_sphere()):
-            for metric in Metric:
-                a = fve_report(FittedMethod(densities, method), metric, k_max=3)
-                b = fve_report(FittedMethod(shared, method), metric, k_max=3)
-                np.testing.assert_array_equal(a.fve, b.fve)
-            np.testing.assert_array_equal(
-                FittedMethod(densities, method).reconstruct(2),
-                FittedMethod(shared, method).reconstruct(2),
-            )
-
-    def test_validation(self, rng):
+    def test_validation(self, rng, unit512, tmp_path):
         with pytest.raises(EmptySampleError):
-            DensitySample.of([])
-        with pytest.raises(SupportMismatchError):
-            DensitySample.of([smooth_density(rng, Grid(0.0, 1.0, M)), smooth_density(rng, Grid(0.0, 2.0, M))])
-        with pytest.raises(GridMismatchError):
-            DensitySample.of([smooth_density(rng, Grid(0.0, 1.0, M)), smooth_density(rng, Grid(0.0, 1.0, 64))])
+            DensitySample(np.empty((0, M)), unit512)
+        # a list of densities is not a sample, not even a list of one
+        for n in (1, 4):
+            densities = [smooth_density(rng, unit512) for _ in range(n)]
+            for call in (
+                lambda: FittedMethod(densities, MethodKind.lqd()),
+                lambda: frechet_mean(densities, Metric.L2),
+                lambda: wasserstein_frechet_mean(densities),
+                lambda: fisher_rao_mean(densities),
+                lambda: frechet_variance(densities, densities[0], Metric.L2),
+                lambda: fit(densities),
+                lambda: cv_mse(densities, np.arange(float(n)), "fpca", k=1, folds=2, repeats=1),
+                lambda: fileio.write_density_csv(tmp_path / "d.csv", densities),
+            ):
+                with pytest.raises(AttributeError):
+                    call()
+        assert not (tmp_path / "d.csv").exists()
 
 
 class TestFrechetMeanDispatch:
     def test_l2_is_cross_sectional(self, unit512):
         f = normalize(np.ones(M), unit512, floor=0.0)
         g = normalize(2.0 * unit512.points, unit512, floor=1e-6)
-        mean = frechet_mean([f, g], Metric.L2)
+        mean = frechet_mean(stack([f, g]), Metric.L2)
         np.testing.assert_allclose(mean.values, (f.values + g.values) / 2.0, rtol=1e-12)
 
     def test_singleton_agreement(self, rng, unit512):
         f = smooth_density(rng, unit512)
         for metric in Metric:
-            mean = frechet_mean([f], metric)
+            mean = frechet_mean(stack([f]), metric)
             assert mean.grid == f.grid
             np.testing.assert_array_equal(mean.values, f.values)
 
@@ -189,18 +183,18 @@ class TestFrechetVariance:
     def test_identical_sample_zero(self, rng, unit512):
         f = smooth_density(rng, unit512)
         for metric in Metric:
-            assert frechet_variance([f, f, f], f, metric) == 0.0
+            assert frechet_variance(stack([f, f, f]), f, metric) == 0.0
 
     def test_definition_reevaluation(self, unit512):
         f = normalize(2.0 * unit512.points, unit512, floor=1e-6)
         g = normalize(2.0 * (1.0 - unit512.points), unit512, floor=1e-6)
-        mean = wasserstein_frechet_mean([f, g])
-        got = frechet_variance([f, g], mean, Metric.WASSERSTEIN)
+        mean = wasserstein_frechet_mean(stack([f, g]))
+        got = frechet_variance(stack([f, g]), mean, Metric.WASSERSTEIN)
         expect = 0.5 * (dist_wasserstein(f, mean) ** 2 + dist_wasserstein(g, mean) ** 2)
         assert got == pytest.approx(expect, abs=1e-9)
 
     def test_matches_pairwise_distances(self, rng, unit512):
-        sample = [smooth_density(rng, unit512) for _ in range(5)]
+        sample = stack([smooth_density(rng, unit512) for _ in range(5)])
         for metric in Metric:
             mean = frechet_mean(sample, metric)
             distance = l2_distance if metric is Metric.L2 else dist_wasserstein
@@ -209,14 +203,14 @@ class TestFrechetVariance:
 
     def test_wasserstein_mean_on_finer_grid(self, rng):
         grid = Grid(0.0, 1.0, 128)
-        sample = [smooth_density(rng, grid) for _ in range(4)]
+        sample = stack([smooth_density(rng, grid) for _ in range(4)])
         mean = smooth_density(rng, Grid(0.0, 1.0, 256))
         for metric in Metric:
             with pytest.raises(GridMismatchError):
                 frechet_variance(sample, mean, metric)
 
     def test_permutation_invariant(self, rng, unit512):
-        sample = [smooth_density(rng, unit512) for _ in range(6)]
+        sample = stack([smooth_density(rng, unit512) for _ in range(6)])
         mean = frechet_mean(sample, Metric.L2)
         a = frechet_variance(sample, mean, Metric.L2)
         b = frechet_variance(sample[::-1], mean, Metric.L2)
@@ -245,7 +239,7 @@ class TestTransformationModes:
             np.testing.assert_array_equal(modes.values[5:10], fitted.modes([2], alphas).values)
 
     def test_alpha_zero_is_valid_density(self, rng, unit512):
-        sample = [smooth_density(rng, unit512) for _ in range(10)]
+        sample = stack([smooth_density(rng, unit512) for _ in range(10)])
         (mode,) = FittedMethod(sample, MethodKind.lqd()).modes([1], [0.0])
         assert integrate_rows(mode.values, unit512) == pytest.approx(1.0, abs=1e-10)
 
@@ -260,7 +254,7 @@ class TestTransformationModes:
             assert l2_distance(mode, sample[i]) <= 1e-3
 
     def test_any_alpha_valid_density(self, rng, unit512):
-        fitted = FittedMethod([smooth_density(rng, unit512) for _ in range(8)], MethodKind.lqd())
+        fitted = FittedMethod(stack([smooth_density(rng, unit512) for _ in range(8)]), MethodKind.lqd())
         for mode in fitted.modes([1], np.linspace(-3, 3, 7)):
             assert integrate_rows(mode.values, unit512) == pytest.approx(1.0, abs=1e-10)
             assert mode.values.min() > 0.0
@@ -292,7 +286,7 @@ class TestRepresent:
             (MethodKind.hilbert_sphere(), 1.0),
         )
         for method, upper in cases:
-            fitted = FittedMethod([f], method)
+            fitted = FittedMethod(stack([f]), method)
             assert fitted.n_components == 0
             (r,) = fitted.reconstruct(1)
             keep = unit512.points <= upper
@@ -302,19 +296,19 @@ class TestRepresent:
         f = smooth_density(rng, unit512)
         for method in (MethodKind.lqd(), MethodKind.log_hazard(0.1),
                        MethodKind.ordinary_fpca(), MethodKind.hilbert_sphere()):
-            fitted = FittedMethod([f] * 5, method)
+            fitted = FittedMethod(stack([f] * 5), method)
             assert fitted.n_components == 0
             assert fitted.reconstruct(2).shape == (5, M)
             with pytest.raises(KTooLargeError):
                 fitted.modes([1], [1.0])
 
     def test_k_below_one_rejected(self, rng, unit512):
-        sample = [smooth_density(rng, unit512) for _ in range(4)]
+        sample = stack([smooth_density(rng, unit512) for _ in range(4)])
         with pytest.raises(ValueError):
             FittedMethod(sample, MethodKind.lqd()).reconstruct(-1)
 
     def test_outputs_always_valid(self, rng, unit512):
-        sample = [smooth_density(rng, unit512) for _ in range(8)]
+        sample = stack([smooth_density(rng, unit512) for _ in range(8)])
         for method in (MethodKind.lqd(), MethodKind.ordinary_fpca(), MethodKind.hilbert_sphere()):
             for r in FittedMethod(sample, method).reconstruct(2):
                 assert r.min() > 0.0
@@ -324,7 +318,7 @@ class TestRepresent:
 class TestFveCurve:
     @pytest.mark.parametrize("k_max", [0, -3])
     def test_k_max_below_one_rejected(self, rng, unit512, k_max):
-        fitted = FittedMethod([smooth_density(rng, unit512) for _ in range(4)], MethodKind.lqd())
+        fitted = FittedMethod(stack([smooth_density(rng, unit512) for _ in range(4)]), MethodKind.lqd())
         with pytest.raises(ValueError, match=f"k_max must be >= 1, got {k_max}"):
             fve_report(fitted, Metric.L2, k_max=k_max)
 
@@ -336,23 +330,23 @@ class TestFveCurve:
         assert report.selected_k == 1 and report.threshold_reached
 
     def test_transform_fve_nondecreasing(self, rng, unit512):
-        sample = [smooth_density(rng, unit512) for _ in range(12)]
+        sample = stack([smooth_density(rng, unit512) for _ in range(12)])
         report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.L2, k_max=8)
         assert np.all(np.diff(report.fve) >= -1e-9)
 
     def test_full_rank_dominates(self, rng, unit512):
-        sample = [smooth_density(rng, unit512) for _ in range(10)]
+        sample = stack([smooth_density(rng, unit512) for _ in range(10)])
         report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.L2)
         assert report.fve[-1] >= report.fve.max() - 1e-9
 
     def test_wasserstein_metric_curve(self, rng, unit512):
-        sample = [smooth_density(rng, unit512) for _ in range(8)]
+        sample = stack([smooth_density(rng, unit512) for _ in range(8)])
         report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.WASSERSTEIN, k_max=3)
         assert report.metric is Metric.WASSERSTEIN
         assert np.all(report.fve <= 1.0 + 1e-12)
 
     def test_default_k_max_capped(self, rng, unit512):
-        sample = [smooth_density(rng, unit512) for _ in range(5)]
+        sample = stack([smooth_density(rng, unit512) for _ in range(5)])
         report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.L2)
         assert len(report.fve) <= min(len(sample) - 1, 20)
 
@@ -390,9 +384,9 @@ class TestBlend:
     def test_blend_roundtrip_exact(self, rng, unit512):
         # the blended method's reconstructions, blended again, are the plain
         # method's reconstructions of the blended sample: unblending is exact
-        sample = [smooth_density(rng, unit512) for _ in range(6)]
+        sample = stack([smooth_density(rng, unit512) for _ in range(6)])
         blended = FittedMethod(sample, MethodKind.lqd(0.4), floor=0.0)
-        plain = FittedMethod([blend(f, 0.4) for f in sample], MethodKind.lqd())
+        plain = FittedMethod(stack([blend(f, 0.4) for f in sample]), MethodKind.lqd())
         for k in (0, 2, 5):
             for r, want in zip(blended.reconstruct(k), plain.reconstruct(k)):
                 again = blend(DensityFn(unit512, r), 0.4).values

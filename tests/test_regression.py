@@ -11,12 +11,13 @@ from densfda import (
     fit_flr,
     gen_setting,
     predict,
-    project_scores,
-    score_basis,
+    score_rows,
     truncated_normal_rows,
 )
 from densfda import fpca
 from densfda.transforms import forward_rows
+
+from conftest import stack
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +26,13 @@ def shift_family():
     rng = np.random.default_rng(99)
     grid = Grid(-5.0, 5.0, 256)
     mus = rng.uniform(-2.0, 2.0, 60)
-    densities = list(DensitySample(truncated_normal_rows(mus, np.ones(60), grid, 1e-3), grid))
+    densities = DensitySample(truncated_normal_rows(mus, np.ones(60), grid, 1e-3), grid)
     return densities, mus
+
+
+def _project(rows, system):
+    """Scores of the rows in a fitted eigensystem, by ``fpca.scores``."""
+    return fpca.scores(rows, system.mean, system.eigenfunctions, system.grid)
 
 
 class TestFitFlr:
@@ -74,9 +80,10 @@ class TestFitFlr:
         densities, mus = shift_family
         y = mus + 0.05 * np.random.default_rng(1).normal(size=len(mus))
         r2 = []
+        rows, grid = score_rows(densities, "lqd")
         for k in (1, 2, 3):
-            basis = score_basis(densities, "lqd", k)
-            r2.append(fit_flr(project_scores(densities, basis), y).r_squared)
+            basis = fpca.fit(rows, grid, k=k)
+            r2.append(fit_flr(_project(rows, basis), y).r_squared)
         assert r2[0] <= r2[1] + 1e-12 <= r2[2] + 2e-12
 
 
@@ -84,19 +91,20 @@ class TestScoreBases:
     def test_sign_flip_invariance(self, shift_family, rng):
         densities, mus = shift_family
         y = mus + 0.05 * rng.normal(size=len(mus))
-        basis = score_basis(densities, "fpca", 2)
-        model = fit_flr(project_scores(densities, basis), y)
-        flipped = score_basis(densities, "fpca", 2)
-        flipped.system.eigenfunctions[1] *= -1.0
-        model2 = fit_flr(project_scores(densities, flipped), y)
+        rows, grid = score_rows(densities, "fpca")
+        basis = fpca.fit(rows, grid, k=2)
+        model = fit_flr(_project(rows, basis), y)
+        flipped = fpca.fit(rows, grid, k=2)
+        flipped.eigenfunctions[1] *= -1.0
+        model2 = fit_flr(_project(rows, flipped), y)
         assert model2.coefficients[1] == pytest.approx(-model.coefficients[1], abs=1e-10)
-        pred1 = predict(model, project_scores(densities, basis))
-        pred2 = predict(model2, project_scores(densities, flipped))
+        pred1 = predict(model, _project(rows, basis))
+        pred2 = predict(model2, _project(rows, flipped))
         np.testing.assert_allclose(pred1, pred2, atol=1e-10)
 
     def test_unknown_method_rejected(self, shift_family):
         with pytest.raises(ValueError):
-            score_basis(shift_family[0], "pca", 1)
+            score_rows(shift_family[0], "pca")
 
 
 def _first_fold_fit(monkeypatch, densities, y, method, k):
@@ -122,7 +130,7 @@ def _assert_no_leakage(monkeypatch, densities, y, method, k):
     corrupted, grid = list(densities), densities[0].grid
     for i in np.array_split(perm, 5)[0]:
         corrupted[i] = DensityFn(grid, truncated_normal_rows([0.0], [3.0], grid, 1e-3)[0])
-    mse2, system2 = _first_fold_fit(monkeypatch, corrupted, y, method, k)
+    mse2, system2 = _first_fold_fit(monkeypatch, stack(corrupted), y, method, k)
     np.testing.assert_array_equal(system2.mean, system.mean)
     np.testing.assert_array_equal(system2.eigenfunctions, system.eigenfunctions)
     assert mse2 != mse
@@ -144,8 +152,8 @@ class TestCvMse:
         mus = rng0.uniform(-2.0, 2.0, 100)
         densities = DensitySample(truncated_normal_rows(mus, np.ones(100), grid, 1e-3), grid)
         rng = np.random.default_rng(3)
-        basis = score_basis(densities, "lqd", 1)
-        s1 = project_scores(densities, basis)[:, 0]
+        rows, tgrid = score_rows(densities, "lqd")
+        s1 = _project(rows, fpca.fit(rows, tgrid, k=1))[:, 0]
         noise_sd = 0.1 * s1.std()
         y = 2.0 + 1.5 * s1 + noise_sd * rng.normal(size=len(s1))
         mse = cv_mse(densities, y, "lqd", 1, folds=10, repeats=3, seed=1)
@@ -185,9 +193,9 @@ class TestCvMse:
         densities = gen_setting(SettingSpec(setting=3, n=60, m=256, seed=3)).densities
         perm = np.random.default_rng(8).permutation(len(densities))
         for test_idx in np.array_split(perm, 20):
-            train = [densities[i] for i in np.setdiff1d(perm, test_idx)]
-            basis = score_basis(train, method, 3)
-            np.testing.assert_array_equal(basis.system.scores, project_scores(train, basis))
+            rows, grid = score_rows(densities[np.setdiff1d(perm, test_idx)], method)
+            system = fpca.fit(rows, grid, k=3)
+            np.testing.assert_array_equal(system.scores, _project(rows, system))
 
     @pytest.mark.parametrize("method", ["lqd", "fpca"])
     def test_matches_refit_per_fold(self, shift_family, method):
@@ -199,11 +207,10 @@ class TestCvMse:
             perm = np.random.default_rng(child).permutation(len(densities))
             for test_idx in np.array_split(perm, 5):
                 train_idx = np.setdiff1d(perm, test_idx)
-                basis = score_basis([densities[i] for i in train_idx], method, 2)
-                model = fit_flr(
-                    project_scores([densities[i] for i in train_idx], basis), y[train_idx]
-                )
-                pred = predict(model, project_scores([densities[i] for i in test_idx], basis))
+                train, grid = score_rows(densities[train_idx], method)
+                basis = fpca.fit(train, grid, k=2)
+                model = fit_flr(_project(train, basis), y[train_idx])
+                pred = predict(model, _project(score_rows(densities[test_idx], method)[0], basis))
                 sse += float(((y[test_idx] - pred) ** 2).sum())
         ref = sse / (len(densities) * 2)
         assert cv_mse(densities, y, method, 2, folds=5, repeats=2, seed=4) == pytest.approx(

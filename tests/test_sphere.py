@@ -19,7 +19,7 @@ from densfda import (
 )
 from densfda.density import integrate_rows
 
-from conftest import l2_distance, smooth_density
+from conftest import l2_distance, smooth_density, stack
 
 M = 512
 HS = MethodKind.hilbert_sphere()
@@ -190,7 +190,7 @@ class TestKarcherMean:
 class TestPga:
     def test_identical_sample_no_components(self, rng, unit512):
         f = smooth_density(rng, unit512)
-        assert FittedMethod([f, f, f], HS).n_components == 0
+        assert FittedMethod(stack([f, f, f]), HS).n_components == 0
 
     def test_geodesic_family_is_rank_one(self, rng, unit512):
         mu = embed(smooth_density(rng, unit512))
@@ -204,7 +204,7 @@ class TestPga:
         assert share >= 0.999
 
     def test_tangents_orthogonal_to_mean(self, rng, unit512):
-        densities = [smooth_density(rng, unit512) for _ in range(10)]
+        densities = stack([smooth_density(rng, unit512) for _ in range(10)])
         fitted = FittedMethod(densities, HS)
         mu = fitted.sphere_mean
         tangents = log_map(mu, embed_all(densities), unit512)
@@ -224,13 +224,13 @@ class TestRepresentations:
             assert l2_distance(f, DensityFn(unit512, r)) <= 1e-3
 
     def test_mode_alpha_zero_is_karcher_mean(self, rng, unit512):
-        densities = [smooth_density(rng, unit512) for _ in range(8)]
+        densities = stack([smooth_density(rng, unit512) for _ in range(8)])
         (mode0,) = FittedMethod(densities, HS).modes([1], [0.0])
         mean = squared(karcher_mean(embed_all(densities), unit512)[None], unit512)[0]
         assert l2_distance(mode0, mean) <= 1e-9
 
     def test_outputs_unit_mass(self, rng, unit512):
-        fitted = FittedMethod([smooth_density(rng, unit512) for _ in range(8)], HS)
+        fitted = FittedMethod(stack([smooth_density(rng, unit512) for _ in range(8)]), HS)
         for mode in fitted.modes([1], (-2.0, 1.0, 3.0)):
             assert integrate_rows(mode.values, unit512) == pytest.approx(1.0, abs=1e-10)
         for r in fitted.reconstruct(2):
@@ -238,7 +238,7 @@ class TestRepresentations:
             assert r.min() > 0
 
     def test_fisher_rao_mean_is_density(self, rng, unit512):
-        densities = [smooth_density(rng, unit512) for _ in range(6)]
+        densities = stack([smooth_density(rng, unit512) for _ in range(6)])
         mean = fisher_rao_mean(densities)
         assert integrate_rows(mean.values, unit512) == pytest.approx(1.0, abs=1e-10)
 
@@ -307,7 +307,7 @@ class TestBatchedAgainstLoop:
     @pytest.mark.parametrize("n, m", [(20, 512), (2, 512), (6, 3)], ids=["n20", "n2", "m3"])
     def test_reconstructions_and_modes(self, rng, n, m):
         grid = Grid(-2.0, 3.0, m)
-        densities = [smooth_density(rng, grid, amplitude=1.0) for _ in range(n)]
+        densities = stack([smooth_density(rng, grid, amplitude=1.0) for _ in range(n)])
         fitted = FittedMethod(densities, HS)
         system = fitted.system
         mu = fitted.sphere_mean
