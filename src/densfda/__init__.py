@@ -16,7 +16,7 @@ from .density import (
     DensitySample,
     Grid,
     dist_wasserstein,
-    normalize,
+    normalize_rows,
     unit_grid,
 )
 from .errors import (

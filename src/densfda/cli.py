@@ -211,7 +211,7 @@ def _cmd_mean(args):
         mean = fisher_rao_mean(sample)
     else:
         mean = frechet_mean(sample, _metric(args.metric))
-    fileio.write_density_csv(args.out, DensitySample(mean.values[None], mean.grid), [f"{args.metric}_mean"])
+    fileio.write_density_csv(args.out, mean, [f"{args.metric}_mean"])
     _manifest(args, args.out, [args.infile])
 
 

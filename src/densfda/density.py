@@ -2,14 +2,15 @@
 
 A density sample lives on a uniform grid over a compact support [lo, hi].
 All integrals use the trapezoidal rule on that grid, so every quantity in
-the package is reproducible from the grid alone.  A sample is one
-:class:`DensitySample`, a read-only ``(n, m)`` array of density values
-on one grid whose rows pass the checks of :class:`DensityFn` in one
-pass.  Its CDFs and quantile functions are arrays of the same shape
-(`cdf_rows`, `quantile_rows`); the log quantile density and log hazard
-transforms live in `transforms`.  Distances are squared L2 distances
-between rows (`sq_dist_rows`); the Wasserstein distance of two densities
-is the L2 distance of their quantile functions (`dist_wasserstein`).
+the package is reproducible from the grid alone.  A sample, and a single
+density, is one :class:`DensitySample`: a read-only ``(n, m)`` array of
+finite, strictly positive, unit-mass rows on one grid, which
+:func:`normalize_rows` makes from raw rows.  CDFs and quantile functions
+are arrays of the same shape (`cdf_rows`, `quantile_rows`); the log
+quantile density and log hazard transforms live in `transforms`.
+Distances are squared L2 distances between rows (`sq_dist_rows`); the
+Wasserstein distance of two densities is the L2 distance of their
+quantile functions (`dist_wasserstein`).
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ def cumulative_integral(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityFn:
-    """Strictly positive density on a grid with unit trapezoidal integral."""
+    """One row of a :class:`DensitySample`: the row view the benchmark reads,
+    which goes under ROADMAP item 4 once item 1(d) is done."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
@@ -129,7 +131,7 @@ def _check_rows(values: np.ndarray, grid: Grid):
     if not positive[i]:
         raise InvalidDensityError(
             "density values must be strictly positive; "
-            "use normalize() with a positive floor"
+            "use normalize_rows() with a positive floor"
         )
     raise InvalidDensityError(f"density integral is {float(mass[i])!r}, not 1 within {_UNIT_MASS_TOL}")
 
@@ -137,13 +139,13 @@ def _check_rows(values: np.ndarray, grid: Grid):
 class DensitySample:
     """A sample of densities on one grid: a read-only ``(n, m)`` array.
 
-    ``DensitySample(values, grid)`` checks every row as :class:`DensityFn`
-    checks one density; it is the only form in which the package takes a
-    sample.  An integer index gives the ``DensityFn`` of that row, and a
-    slice or an index array a new sample of the selected rows; iterating
-    yields ``DensityFn``s.  :meth:`cached` keeps what is computed once
-    per sample (its Fréchet means, variances, metric embeddings and
-    Karcher mean, which ``frechet`` fills in).
+    ``DensitySample(values, grid)`` checks every row; it is the only form
+    in which the package takes or returns densities.  An integer index
+    gives the :class:`DensityFn` row view, and a slice or an index array
+    a new sample of the selected rows; iterating yields row views.
+    :meth:`cached` keeps what is computed once per sample: the Fréchet
+    means, variances, embeddings and Karcher mean that ``frechet`` fills
+    in, and the regression score rows.
     """
 
     def __init__(self, values, grid: Grid):
@@ -182,42 +184,13 @@ class DensitySample:
 # ---------------------------------------------------------------------------
 
 
-def normalize(values, grid: Grid, floor: float = DEFAULT_FLOOR) -> DensityFn:
-    """Turn a nonnegative grid function into a valid density.
-
-    Values are clamped below at ``floor`` and rescaled to unit trapezoidal
-    integral.  Idempotent: normalizing a density returns it unchanged.
-
-    Parameters
-    ----------
-    values : array-like
-        Raw nonnegative function sampled on ``grid``.
-    grid : Grid
-        Support grid.
-    floor : float
-        Lower clamp applied before rescaling; must be > 0 whenever the raw
-        input touches zero, since densities are strictly positive.
-
-    Raises
-    ------
-    AllZeroError
-        If the raw input has no positive value.
-    NonFiniteError
-        If the raw input contains NaN or infinities.
-    """
-    raw = np.asarray(values, dtype=float)
-    if raw.shape != (grid.m,):
-        raise GridMismatchError("raw values must match the grid size")
-    return DensityFn(grid, normalize_rows(raw[None], grid, floor)[0])
-
-
 def normalize_rows(values, grid: Grid, floor: float = DEFAULT_FLOOR) -> np.ndarray:
-    """:func:`normalize` applied to each row of an ``(n, m)`` array.
+    """Each row of an ``(n, m)`` array of nonnegative values, clamped below
+    at ``floor`` (> 0 if a row touches zero) and rescaled to unit mass.
 
-    Returns the density values as an array, with the checks of
-    :class:`DensityFn` applied to every row.  When rows fail, the error
-    is that of the first failing row, as :func:`normalize` row by row
-    would raise it.
+    Idempotent: a density row comes back unchanged.  A row that is not
+    finite raises ``NonFiniteError``, one with no positive value
+    ``AllZeroError``; the error is that of the first failing row.
     """
     raw = np.asarray(values, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != grid.m:
@@ -230,7 +203,7 @@ def normalize_rows(values, grid: Grid, floor: float = DEFAULT_FLOOR) -> np.ndarr
     # failing rows are replaced by ones so the arithmetic below stays quiet
     clamped = np.maximum(raw if valid.all() else np.where(valid[:, None], raw, 1.0), floor)
     mass = integrate_rows(clamped, grid)
-    # rows already of unit mass are kept as they are, so normalize is idempotent
+    # rows already of unit mass are kept as they are, so the map is idempotent
     out = clamped / np.where(np.abs(mass - 1.0) < 1e-14, 1.0, mass)[:, None]
     failure = np.select([~finite, ~positive, out.min(axis=1) <= 0.0], [1, 2, 3], 0)
     first = np.flatnonzero(failure)
@@ -242,7 +215,7 @@ def normalize_rows(values, grid: Grid, floor: float = DEFAULT_FLOOR) -> np.ndarr
             raise AllZeroError("raw function has no positive mass")
         raise InvalidDensityError(
             "density values must be strictly positive; "
-            "use normalize() with a positive floor"
+            "use normalize_rows() with a positive floor"
         )
     return out
 

@@ -16,12 +16,13 @@ the K-component representations of the whole sample as one ``(n, m)``
 array.  Representations and modes are valid densities for every
 truncation level and mode parameter.
 
-Every function takes a sample as one :class:`density.DensitySample`.
-Its Fréchet mean, variance V_inf and metric embedding (once per metric)
-and the ``(m,)`` Karcher mean of its square-root densities are kept in
-the sample's cache (:meth:`DensitySample.cached`), shared by every
-method fitted to it and every mean taken of it; the Karcher mean serves
-both the Hilbert-sphere method and the Fisher–Rao mean.
+Every function takes a sample as one :class:`density.DensitySample`; the
+three Fréchet means are one-row samples.  The Fréchet mean, the variance
+V_inf about it and the metric embedding (once per metric) and the
+``(m,)`` Karcher mean of the square-root densities are kept in the
+sample's cache (:meth:`DensitySample.cached`), shared by every method
+fitted to it and every mean taken of it; the Karcher mean serves both
+the Hilbert-sphere method and the Fisher–Rao mean.
 :func:`fve_report` is the one FVE entry point.  The Wasserstein mean
 inverts all sample CDFs, and then their averaged quantile function,
 through one batched monotone cubic kernel (:func:`density.pchip_rows`).
@@ -37,17 +38,15 @@ import numpy as np
 from . import fpca
 from .density import (
     DEFAULT_FLOOR,
-    DensityFn,
     DensitySample,
     Grid,
     cdf_rows,
-    normalize,
+    normalize_rows,
     pchip_rows,
     quantile_rows,
     sq_dist_rows,
     unit_grid,
 )
-from .errors import GridMismatchError, SupportMismatchError
 from .sphere import exp_map, karcher_mean, log_map, sqrt_embed, square_back
 from .transforms import LQD, TransformSpec, forward_rows, inverse_rows, log_hazard_spec
 
@@ -158,7 +157,7 @@ def _pchip_quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray
     return q
 
 
-def wasserstein_frechet_mean(sample: DensitySample, floor: float = DEFAULT_FLOOR) -> DensityFn:
+def wasserstein_frechet_mean(sample: DensitySample, floor: float = DEFAULT_FLOOR) -> DensitySample:
     """Fréchet mean under the Wasserstein metric (quantile synchronization).
 
     The sample quantile functions are averaged pointwise on a probability
@@ -167,18 +166,20 @@ def wasserstein_frechet_mean(sample: DensitySample, floor: float = DEFAULT_FLOOR
     endpoints, then floored and renormalized.  Both inversions are
     monotone cubic and run through one batched kernel,
     :func:`pchip_rows`: all sample CDFs at once, then the one average.
+    A one-density sample is its own mean.
     """
     grid = sample.grid
     if len(sample) == 1:
-        return sample[0]
+        return sample
     tgrid = unit_grid(grid.m)
     qbar = _pchip_quantile_rows(cdf_rows(sample.values, grid), grid, tgrid).mean(axis=0)
     cdf = pchip_rows(qbar, tgrid.points, grid.points)[0]
-    return normalize(np.gradient(cdf, grid.spacing, edge_order=2), grid, floor)
+    density = normalize_rows(np.gradient(cdf, grid.spacing, edge_order=2)[None], grid, floor)
+    return DensitySample(density, grid)
 
 
-def frechet_mean(sample: DensitySample, metric: Metric, floor: float = DEFAULT_FLOOR) -> DensityFn:
-    """Fréchet mean under the chosen metric.
+def frechet_mean(sample: DensitySample, metric: Metric, floor: float = DEFAULT_FLOOR) -> DensitySample:
+    """Fréchet mean under the chosen metric, as a one-row sample.
 
     L2 gives the cross-sectional mean (densities are convex, so no
     projection is needed); Wasserstein gives the quantile-synchronized
@@ -186,30 +187,30 @@ def frechet_mean(sample: DensitySample, metric: Metric, floor: float = DEFAULT_F
     """
     if metric is Metric.WASSERSTEIN:
         return sample.cached(("mean", metric, floor), lambda: wasserstein_frechet_mean(sample, floor))
-    return sample.cached(("mean", metric), lambda: DensityFn(sample.grid, sample.values.mean(axis=0)))
+    return sample.cached(
+        ("mean", metric), lambda: DensitySample(sample.values.mean(axis=0, keepdims=True), sample.grid)
+    )
 
 
-def fisher_rao_mean(sample: DensitySample, floor: float = DEFAULT_FLOOR) -> DensityFn:
+def fisher_rao_mean(sample: DensitySample, floor: float = DEFAULT_FLOOR) -> DensitySample:
     """Fréchet mean under the geodesic metric of the square-root embedding.
 
     The Karcher mean of the square-root densities, squared back to a
-    density.  The Karcher mean is computed once per sample and kept.
+    one-row sample.  The Karcher mean is computed once per sample and kept.
     """
-    return DensityFn(sample.grid, square_back(_karcher_mean(sample)[None], sample.grid, floor)[0])
+    return DensitySample(square_back(_karcher_mean(sample)[None], sample.grid, floor), sample.grid)
 
 
-def frechet_variance(sample: DensitySample, mean: DensityFn, metric: Metric) -> float:
-    """Average squared metric distance to the given mean.
+def frechet_variance(sample: DensitySample, metric: Metric, floor: float = DEFAULT_FLOOR) -> float:
+    """V_inf: the average squared metric distance to the sample's Fréchet
+    mean (:func:`frechet_mean`), computed once per sample and kept."""
 
-    The mean must lie on the sample's grid under either metric.
-    """
-    if mean.support != sample.support:
-        raise SupportMismatchError(f"supports differ: {sample.support} vs {mean.support}")
-    if mean.grid != sample.grid:
-        raise GridMismatchError("the mean must lie on the sample's grid")
-    target, egrid = _embedding(sample, metric)
-    center, _ = metric.embed_rows(mean.values[None], mean.grid)
-    return float(np.mean(sq_dist_rows(target, center, egrid)))
+    def variance():
+        target, egrid = _embedding(sample, metric)
+        center, _ = metric.embed_rows(frechet_mean(sample, metric, floor).values, sample.grid)
+        return float(np.mean(sq_dist_rows(target, center, egrid)))
+
+    return sample.cached(("variance", metric, floor), variance)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +321,8 @@ def fve_report(
         raise ValueError("p must be in (0, 1)")
     if k_max is not None and k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    sample, floor = fitted.sample, fitted.floor
-    v_inf = sample.cached(
-        ("variance", metric, floor),
-        lambda: frechet_variance(sample, frechet_mean(sample, metric, floor), metric),
-    )
+    sample = fitted.sample
+    v_inf = frechet_variance(sample, metric, fitted.floor)
     target, egrid = _embedding(sample, metric)
     if k_max is None:
         k_max = default_k_max(fitted.system.eigenvalues, len(sample))

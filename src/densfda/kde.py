@@ -83,22 +83,21 @@ def default_bandwidth(n: int) -> float:
     return min(float(n) ** (-1.0 / 3.0), MAX_BANDWIDTH)
 
 
-def boundary_weight(x, h: float, kernel: Kernel = Kernel.GAUSSIAN):
-    """Boundary-correction weight at unit-mapped position(s) x.
+def boundary_weight(x: np.ndarray, h: float, kernel: Kernel = Kernel.GAUSSIAN) -> np.ndarray:
+    """Boundary-correction weights at an array of unit-mapped positions x.
 
     Interior points get weight 1; within one bandwidth of an endpoint the
     weight is the reciprocal of the kernel mass that remains inside the
     support, which lies in [1, 1/∫_0^1 κ].
     """
     _check_bandwidth(h)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     w = np.ones_like(x)
     left = x < h
     right = x > 1.0 - h
     w[left] = 1.0 / kernel.integral(-x[left] / h, 1.0)
     w[right] = 1.0 / kernel.integral(-1.0, (1.0 - x[right]) / h)
-    return float(w[0]) if scalar else w
+    return w
 
 
 def estimate_rows(samples, cfg: KdeConfig) -> np.ndarray:

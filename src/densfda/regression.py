@@ -6,8 +6,8 @@ log-quantile-density transform (:func:`score_rows`), by ``fpca.fit`` and
 ``fpca.scores``.  Cross-validated prediction error recomputes the score
 basis on every training fold, so held-out subjects never influence the
 basis they are projected onto; the transform maps each density on its
-own, so it is applied once per subject.  Densities come in as one
-:class:`DensitySample`, and folds index its rows.
+own, so it is applied once per sample and kept in the sample's cache.
+Densities come in as one :class:`DensitySample`; folds index its rows.
 """
 
 from __future__ import annotations
@@ -72,13 +72,15 @@ def predict(model: FlrModel, scores: np.ndarray) -> np.ndarray:
 
 
 def score_rows(sample: DensitySample, method: str) -> tuple[np.ndarray, Grid]:
-    """The densities, or each one's LQD transform, as an ``(n, m)`` array
-    and its grid: the rows that ``fpca.fit`` and ``fpca.scores`` score."""
+    """The densities, or each one's LQD transform, as a read-only
+    ``(n, m)`` array and its grid: the rows that ``fpca.fit`` and
+    ``fpca.scores`` score.  The transform is kept in the sample's cache."""
     if method not in SCORE_METHODS:
         raise ValueError(f"method must be one of {SCORE_METHODS}, got {method!r}")
     if method == "fpca":
         return sample.values, sample.grid
-    tgrid, xs = forward_rows(sample.values, sample.grid, LQD)
+    tgrid, xs = sample.cached(("score_rows", method), lambda: forward_rows(sample.values, sample.grid, LQD))
+    xs.flags.writeable = False
     return xs, tgrid
 
 

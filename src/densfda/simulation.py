@@ -7,7 +7,8 @@ variation (random location on [-5, 5]) and the combination of both.
 (mu, sigma) pair; its standard normal row is the target of the means.
 The harness runs seeded replications, computes FVE per method at a fixed
 truncation K, and collects the Fréchet means of every replication under
-the L2, Wasserstein and sphere-geodesic metrics, aggregated across
+the L2, Wasserstein and sphere-geodesic metrics (``MEAN_METRICS``, each a
+one-row sample whose row the result keeps), aggregated across
 replications by another Fréchet mean under the same metric.
 
 Replications draw their randomness from child streams spawned off the
@@ -55,7 +56,6 @@ class SettingSpec:
     bandwidth: float = 0.2  # in support units (native scale)
     seed: int = 0
     m: int = 512
-    floor: float = SIMULATION_FLOOR
 
     def __post_init__(self):
         if self.setting not in SETTING_SUPPORT:
@@ -104,7 +104,6 @@ class GeneratedSetting:
 
     spec: SettingSpec
     densities: DensitySample  # what gets analyzed (estimates when observed='sampled')
-    true_densities: DensitySample
     raw_samples: np.ndarray | None  # (n, n_obs) draws when observed="sampled"
     mus: np.ndarray
     sigmas: np.ndarray
@@ -137,13 +136,13 @@ def gen_setting(spec: SettingSpec, rng=None) -> GeneratedSetting:
         rng = np.random.default_rng(spec.seed)
     mus, sigmas = _draw_parameters(spec, rng)
     grid = spec.grid
-    true = DensitySample(truncated_normal_rows(mus, sigmas, grid, spec.floor), grid)
     if spec.observed == "full":
-        return GeneratedSetting(spec, true, true, None, mus, sigmas)
-    cfg = KdeConfig(spec.unit_bandwidth, Kernel.GAUSSIAN, grid, spec.floor)
+        true = DensitySample(truncated_normal_rows(mus, sigmas, grid), grid)
+        return GeneratedSetting(spec, true, None, mus, sigmas)
+    cfg = KdeConfig(spec.unit_bandwidth, Kernel.GAUSSIAN, grid, SIMULATION_FLOOR)
     samples = _inverse_cdf_samples(mus, sigmas, grid, spec.n_obs, rng)
     estimated = DensitySample(estimate_rows(samples, cfg), grid)
-    return GeneratedSetting(spec, estimated, true, samples, mus, sigmas)
+    return GeneratedSetting(spec, estimated, samples, mus, sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -167,39 +166,27 @@ class SimulationResult:
     """Per-replication FVE values and Fréchet-mean summaries."""
 
     spec: SettingSpec
-    methods: list
     k: int
     metric: Metric
     reps: int
     fve_curves: dict  # label -> list of per-replication FVE arrays (K entries)
-    mean_densities: dict  # metric name -> list of per-replication DensityFn
+    mean_densities: dict  # metric name -> per-replication mean rows, None where failed
     target: DensityFn
     failures: list = field(default_factory=list)
 
     def fve_at_k(self, label: str) -> np.ndarray:
-        return np.array(
-            [c[-1] if c is not None else np.nan for c in self.fve_curves[label]]
-        )
+        return np.array([c[-1] if c is not None else np.nan for c in self.fve_curves[label]])
 
     def aggregated_mean(self, name: str) -> DensityFn:
         """Fréchet mean of the per-replication Fréchet means, same metric."""
         means = [m for m in self.mean_densities[name] if m is not None]
         if not means:
             raise EmptySampleError("no successful replications to aggregate")
-        sample = DensitySample(np.stack([m.values for m in means]), self.spec.grid)
-        if name == "l2":
-            return frechet_mean(sample, Metric.L2, self.spec.floor)
-        if name == "wasserstein":
-            return frechet_mean(sample, Metric.WASSERSTEIN, self.spec.floor)
-        return fisher_rao_mean(sample, self.spec.floor)
+        return _mean(name, DensitySample(np.stack([m.values for m in means]), self.spec.grid))[0]
 
     def distances_to_target(self, name: str) -> np.ndarray:
-        return np.array(
-            [
-                dist_wasserstein(m, self.target) if m is not None else np.nan
-                for m in self.mean_densities[name]
-            ]
-        )
+        means = self.mean_densities[name]
+        return np.array([dist_wasserstein(m, self.target) if m is not None else np.nan for m in means])
 
     def summary(self) -> dict:
         out = {
@@ -242,20 +229,22 @@ class SimulationResult:
         return out
 
 
-def _run_one(spec: SettingSpec, child_seed, methods, k, metric, floor):
+def _mean(name: str, sample: DensitySample) -> DensitySample:
+    """The Fréchet mean named in ``MEAN_METRICS``, as a one-row sample."""
+    if name == "fisher_rao":
+        return fisher_rao_mean(sample, SIMULATION_FLOOR)
+    return frechet_mean(sample, Metric(name), SIMULATION_FLOOR)
+
+
+def _run_one(spec: SettingSpec, child_seed, methods, k, metric):
     rng = np.random.default_rng(child_seed)
     # the methods and the means share one sample and its statistics
     sample = gen_setting(spec, rng).densities
     fve = {}
     for method in methods:
-        report = fve_report(FittedMethod(sample, method, floor), metric, k_max=k)
+        report = fve_report(FittedMethod(sample, method, SIMULATION_FLOOR), metric, k_max=k)
         fve[method.label] = report.fve
-    means = {
-        "l2": frechet_mean(sample, Metric.L2, floor),
-        "wasserstein": frechet_mean(sample, Metric.WASSERSTEIN, floor),
-        "fisher_rao": fisher_rao_mean(sample, floor),
-    }
-    return fve, means
+    return fve, {name: _mean(name, sample)[0] for name in MEAN_METRICS}
 
 
 def run_comparison(
@@ -283,7 +272,7 @@ def run_comparison(
     failures = []
     for r, child in enumerate(children):
         try:
-            fve, means = _run_one(spec, child, methods, k, metric, spec.floor)
+            fve, means = _run_one(spec, child, methods, k, metric)
         except Exception as exc:  # noqa: BLE001 - recorded, not dropped
             failures.append((r, repr(exc)))
             continue
@@ -292,8 +281,6 @@ def run_comparison(
         for name, dens in means.items():
             mean_densities[name][r] = dens
 
-    target = DensityFn(spec.grid, truncated_normal_rows([0.0], [1.0], spec.grid, spec.floor)[0])
-    return SimulationResult(
-        spec, methods, k, metric, reps, fve_curves, mean_densities, target, failures
-    )
+    target = DensitySample(truncated_normal_rows([0.0], [1.0], spec.grid), spec.grid)[0]
+    return SimulationResult(spec, k, metric, reps, fve_curves, mean_densities, target, failures)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from densfda import DensityFn, DensitySample, Grid, forward_rows, inverse_rows, normalize, unit_grid
+from densfda import DensityFn, DensitySample, Grid, forward_rows, inverse_rows, normalize_rows, unit_grid
 from densfda.density import integrate_rows, sq_dist_rows
 
 
@@ -17,7 +17,7 @@ def smooth_density(rng, grid: Grid, floor: float = 1e-6, amplitude: float = 0.5)
     for k in range(1, 4):
         a, b = rng.normal(size=2) * amplitude / k
         log_f += a * np.cos(np.pi * k * u) + b * np.sin(np.pi * k * u)
-    return normalize(np.exp(log_f), grid, floor)
+    return DensitySample(normalize_rows(np.exp(log_f)[None], grid, floor), grid)[0]
 
 
 def stack(densities) -> DensitySample:

@@ -20,7 +20,7 @@ from densfda import (
     forward_rows,
     inverse_rows,
     log_hazard_spec,
-    normalize,
+    normalize_rows,
     truncated_normal_rows,
     unit_grid,
 )
@@ -73,7 +73,7 @@ class TestFileIO:
         if layout == "raw":  # columns of other than unit mass, renormalized on reading
             _write_table(path, "x", grid.points, values, ["a", "b", "c", "d"])
         else:
-            write_density_csv(path, stack([normalize(v, grid) for v in values]))
+            write_density_csv(path, DensitySample(normalize_rows(np.stack(values), grid), grid))
         text = path.read_bytes().decode()
         lines = text.replace("\r\n", "\n").split("\n")
         text = {
@@ -93,7 +93,7 @@ class TestFileIO:
         assert ids == ref_header[1:]
         for f, col in zip(densities, ref_columns):
             assert f.grid == grid
-            np.testing.assert_array_equal(f.values, normalize(col, grid, DEFAULT_FLOOR).values)
+            np.testing.assert_array_equal(f.values, normalize_rows(col[None], grid, DEFAULT_FLOOR)[0])
 
     def test_writer_matches_csv_writer(self, tmp_path, rng):
         points = Grid(-1.0, 1.0, 33).points
@@ -472,6 +472,28 @@ class TestRegress:
         payload = json.loads(out.read_text())
         assert payload["r_squared"] > 0.5
         assert payload["cv_mse"] > 0
+
+    def test_transforms_the_sample_once(self, tmp_path, rng, monkeypatch):
+        # the in-sample fit and the cross validation share one LQD transform
+        from densfda import regression
+
+        rows = []
+
+        def counting(values, grid, spec):
+            rows.append(len(values))
+            return forward_rows(values, grid, spec)
+
+        monkeypatch.setattr(regression, "forward_rows", counting)
+        grid = Grid(0.0, 1.0, 64)
+        dpath, ypath, out = tmp_path / "d.csv", tmp_path / "y.csv", tmp_path / "reg.json"
+        ids = [f"s{i}" for i in range(12)]
+        write_density_csv(dpath, stack([smooth_density(rng, grid) for _ in ids]), ids)
+        ypath.write_text("subject_id,value\n" + "".join(f"{sid},{i}\n" for i, sid in enumerate(ids)))
+        assert main([
+            "regress", "--method", "lqd", "--K", "1", "--folds", "3", "--repeats", "2",
+            "--densities", str(dpath), "--y", str(ypath), "--out", str(out),
+        ]) == 0
+        assert rows == [12]
 
     def test_negative_k_exits_1(self, tmp_path, rng, capsys):
         grid = Grid(0.0, 1.0, 64)

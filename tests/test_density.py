@@ -16,11 +16,8 @@ from densfda import (
     NonFiniteError,
     NotInvertibleError,
     SupportMismatchError,
-    Metric,
     dist_wasserstein,
-    frechet_variance,
     log_hazard_spec,
-    normalize,
     unit_grid,
 )
 from densfda.density import (
@@ -55,31 +52,31 @@ class TestGrid:
 
 class TestNormalize:
     def test_constant_rescale(self, unit512):
-        f = normalize(np.full(512, 2.0), unit512, floor=0.0)
-        np.testing.assert_array_equal(f.values, np.ones(512))
+        f = normalize_rows(np.full((1, 512), 2.0), unit512, floor=0.0)
+        np.testing.assert_array_equal(f, np.ones((1, 512)))
 
     def test_clipped_triangle(self, unit512):
         # oracle: integral of max(1 - 2x, 0) over [0, 1] is 1/4, so the
         # positive part rescales by ~4 and the floored part sits near 4e-6
         x = unit512.points
-        f = normalize(np.maximum(1.0 - 2.0 * x, 0.0), unit512, floor=1e-6)
-        np.testing.assert_allclose(f.values[x < 0.49], 4.0 * (1.0 - 2.0 * x[x < 0.49]), rtol=1e-3)
-        assert f.values[x > 0.51].max() < 1e-5
-        assert integrate_rows(f.values, unit512) == pytest.approx(1.0, abs=1e-10)
+        f = normalize_rows(np.maximum(1.0 - 2.0 * x, 0.0)[None], unit512, floor=1e-6)[0]
+        np.testing.assert_allclose(f[x < 0.49], 4.0 * (1.0 - 2.0 * x[x < 0.49]), rtol=1e-3)
+        assert f[x > 0.51].max() < 1e-5
+        assert integrate_rows(f, unit512) == pytest.approx(1.0, abs=1e-10)
 
     def test_all_zero_raises(self, unit512):
         with pytest.raises(AllZeroError):
-            normalize(np.zeros(512), unit512)
+            normalize_rows(np.zeros((1, 512)), unit512)
 
     def test_non_finite_raises(self, unit512):
         raw = np.ones(512)
         raw[5] = np.nan
         with pytest.raises(NonFiniteError):
-            normalize(raw, unit512)
+            normalize_rows(raw[None], unit512)
 
     def test_rows_raise_first_failing_row(self, unit512):
-        # each row fails a different check; the batch fails as row-by-row
-        # normalize would, on the first failing row
+        # each row fails a different check; the batch fails as the rows
+        # one at a time would, on the first failing row
         ones, zeros, nan = np.ones(512), np.zeros(512), np.full(512, np.nan)
         gap = np.where(unit512.points < 0.5, 1.0, 0.0)
         for rows, error in [
@@ -93,8 +90,8 @@ class TestNormalize:
 
     def test_idempotent_exactly(self, unit512, rng):
         f = smooth_density(rng, unit512)
-        again = normalize(f.values, unit512, floor=1e-6)
-        np.testing.assert_array_equal(again.values, f.values)
+        again = normalize_rows(f.values[None], unit512, floor=1e-6)
+        np.testing.assert_array_equal(again[0], f.values)
 
     def test_density_requires_positive(self, unit512):
         vals = np.ones(512)
@@ -113,10 +110,10 @@ class TestNormalize:
             elif case == "mass":
                 DensityFn(unit512, np.full(512, 2.0))
             else:
-                normalize(with_zero, unit512, floor=0.0)
+                normalize_rows(with_zero[None], unit512, floor=0.0)
 
     def test_values_frozen(self, unit512):
-        f = normalize(np.ones(512), unit512)
+        f = DensitySample(normalize_rows(np.ones(512)[None], unit512), unit512)[0]
         with pytest.raises(ValueError):
             f.values[0] = 2.0
 
@@ -192,35 +189,35 @@ def _quantile(f, tgrid):
 
 class TestConversions:
     def test_uniform_cdf_is_identity(self, unit512):
-        f = normalize(np.ones(512), unit512, floor=0.0)
+        f = DensitySample(normalize_rows(np.ones(512)[None], unit512, floor=0.0), unit512)[0]
         F = _cdf(f)
         np.testing.assert_allclose(F, unit512.points, atol=1e-12)
         assert F[0] == 0.0 and F[-1] == 1.0
 
     def test_linear_density_cdf(self, unit512):
         # analytic F(x) = x^2
-        f = normalize(2.0 * unit512.points, unit512, floor=1e-6)
+        f = DensitySample(normalize_rows((2.0 * unit512.points)[None], unit512, floor=1e-6), unit512)[0]
         assert np.interp(0.5, unit512.points, _cdf(f)) == pytest.approx(0.25, abs=1e-4)
 
     def test_wide_support_cdf(self):
         g = Grid(0.0, 2.0, 512)
-        f = normalize(np.full(512, 0.5), g, floor=0.0)
+        f = DensitySample(normalize_rows(np.full(512, 0.5)[None], g, floor=0.0), g)[0]
         assert np.interp(1.0, g.points, _cdf(f)) == pytest.approx(0.5, abs=1e-12)
 
     def test_quantile_identity(self, unit512):
-        f = normalize(np.ones(512), unit512, floor=0.0)
+        f = DensitySample(normalize_rows(np.ones(512)[None], unit512, floor=0.0), unit512)[0]
         q = _quantile(f, unit_grid(512))
         np.testing.assert_allclose(q, unit_grid(512).points, atol=1e-12)
 
     def test_quantile_of_square_cdf(self, unit512):
         # F(x) = x^2 inverts to Q(t) = sqrt(t)
-        f = normalize(2.0 * unit512.points, unit512, floor=1e-6)
+        f = DensitySample(normalize_rows((2.0 * unit512.points)[None], unit512, floor=1e-6), unit512)[0]
         q = _quantile(f, unit_grid(512))
         assert np.interp(0.25, unit_grid(512).points, q) == pytest.approx(0.5, abs=1e-3)
 
     def test_quantile_symmetry(self):
         g = Grid(0.0, 2.0, 512)
-        f = normalize(np.full(512, 0.5), g, floor=0.0)
+        f = DensitySample(normalize_rows(np.full(512, 0.5)[None], g, floor=0.0), g)[0]
         q = _quantile(f, unit_grid(512))
         assert np.interp(0.5, unit_grid(512).points, q) == pytest.approx(1.0, abs=1e-9)
         assert q[0] == 0.0 and q[-1] == 2.0
@@ -237,7 +234,7 @@ class TestConversions:
         errors = []
         for m in (256, 512):
             g = Grid(0.0, 1.0, m)
-            f = normalize(np.exp(np.sin(2 * np.pi * g.points)), g, 1e-6)
+            f = DensitySample(normalize_rows(np.exp(np.sin(2 * np.pi * g.points))[None], g, 1e-6), g)[0]
             q = _quantile(f, unit_grid(m))
             # reconstruct f(Q(t)) = 1/q'(t) by central differences
             qd = np.gradient(q, unit_grid(m).spacing)
@@ -254,27 +251,20 @@ class TestMetrics:
         assert dist_wasserstein(f, f) == 0.0
 
     def test_l2_analytic(self, unit512):
-        f = normalize(np.ones(512), unit512, floor=0.0)
-        g = normalize(2.0 * unit512.points, unit512, floor=1e-6)
+        f = DensitySample(normalize_rows(np.ones(512)[None], unit512, floor=0.0), unit512)[0]
+        g = DensitySample(normalize_rows((2.0 * unit512.points)[None], unit512, floor=1e-6), unit512)[0]
         assert l2_distance(f, g) == pytest.approx(np.sqrt(1.0 / 3.0), abs=1e-3)
 
     def test_wasserstein_analytic(self, unit512):
         # oracle: int_0^1 (t - sqrt(t))^2 dt = 1/30
-        f = normalize(np.ones(512), unit512, floor=0.0)
-        g = normalize(2.0 * unit512.points, unit512, floor=1e-6)
+        f = DensitySample(normalize_rows(np.ones(512)[None], unit512, floor=0.0), unit512)[0]
+        g = DensitySample(normalize_rows((2.0 * unit512.points)[None], unit512, floor=1e-6), unit512)[0]
         assert dist_wasserstein(f, g) == pytest.approx(np.sqrt(1.0 / 30.0), abs=1e-3)
 
-    def test_grid_mismatch(self, unit512):
-        # the Fréchet variance needs the mean on the sample's grid under both metrics
-        f = normalize(np.ones(512), unit512)
-        g = normalize(np.ones(256), Grid(0.0, 1.0, 256))
-        for metric in Metric:
-            with pytest.raises(GridMismatchError):
-                frechet_variance(stack([f]), g, metric)
-
     def test_wasserstein_rejects_resolution_mismatch(self, unit512):
-        f = normalize(np.ones(512), unit512, floor=0.0)
-        g = normalize(np.ones(256), Grid(0.0, 1.0, 256), floor=0.0)
+        f = DensitySample(normalize_rows(np.ones(512)[None], unit512, floor=0.0), unit512)[0]
+        coarse = Grid(0.0, 1.0, 256)
+        g = DensitySample(normalize_rows(np.ones(256)[None], coarse, floor=0.0), coarse)[0]
         with pytest.raises(GridMismatchError):
             dist_wasserstein(f, g)
 
@@ -289,8 +279,8 @@ class TestMetrics:
             assert dist_wasserstein(f, g) == want
 
     def test_support_mismatch(self):
-        f = normalize(np.ones(128), Grid(0.0, 1.0, 128))
-        g = normalize(np.ones(128), Grid(0.0, 2.0, 128))
+        f = DensitySample(normalize_rows(np.ones(128)[None], Grid(0.0, 1.0, 128)), Grid(0.0, 1.0, 128))[0]
+        g = DensitySample(normalize_rows(np.ones(128)[None], Grid(0.0, 2.0, 128)), Grid(0.0, 2.0, 128))[0]
         with pytest.raises(SupportMismatchError):
             dist_wasserstein(f, g)
 

@@ -3,6 +3,7 @@ import pytest
 
 from densfda import (
     AllZeroError,
+    DensitySample,
     EmptySampleError,
     Grid,
     GridMismatchError,
@@ -11,7 +12,7 @@ from densfda import (
     fit,
     gen_setting,
     mode_of_variation,
-    normalize,
+    normalize_rows,
     truncate,
 )
 from densfda.density import integrate_rows
@@ -65,8 +66,8 @@ class TestMean:
         np.testing.assert_allclose(mean, f.values, rtol=1e-14)
 
     def test_mean_is_density(self, unit512):
-        f = normalize(np.ones(M), unit512, floor=0.0)
-        g = normalize(2.0 * unit512.points, unit512, floor=1e-6)
+        f = DensitySample(normalize_rows(np.ones(M)[None], unit512, floor=0.0), unit512)[0]
+        g = DensitySample(normalize_rows((2.0 * unit512.points)[None], unit512, floor=1e-6), unit512)[0]
         mean = fit(stack([f, g])).mean
         np.testing.assert_allclose(mean, (f.values + g.values) / 2.0)
         assert integrate_rows(mean, unit512) == pytest.approx(1.0, abs=1e-12)

@@ -3,12 +3,12 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from densfda import (
+    SIMULATION_FLOOR,
     DensityFn,
     DensitySample,
     EmptySampleError,
     FittedMethod,
     Grid,
-    GridMismatchError,
     KTooLargeError,
     LQD,
     Metric,
@@ -24,7 +24,7 @@ from densfda import (
     gen_setting,
     karcher_mean,
     mode_of_variation,
-    normalize,
+    normalize_rows,
     sqrt_embed,
     square_back,
     truncated_normal_rows,
@@ -66,28 +66,27 @@ class TestWassersteinMean:
     def test_identical_sample(self, rng, unit512):
         f = smooth_density(rng, unit512)
         mean = wasserstein_frechet_mean(stack([f, f]))
-        assert sup_distance(mean, f) <= 1e-3
+        assert sup_distance(mean[0], f) <= 1e-3
 
     def test_median_of_mirror_pair(self, unit512):
         # Q_+(t) = (sqrt(t) + 1 - sqrt(1-t)) / 2, so the median is 0.5
-        f = normalize(2.0 * unit512.points, unit512, floor=1e-6)
-        g = normalize(2.0 * (1.0 - unit512.points), unit512, floor=1e-6)
+        f = DensitySample(normalize_rows((2.0 * unit512.points)[None], unit512, floor=1e-6), unit512)[0]
+        g = DensitySample(normalize_rows((2.0 * (1.0 - unit512.points))[None], unit512, floor=1e-6), unit512)[0]
         mean = wasserstein_frechet_mean(stack([f, g]))
-        q = quantile_rows(cdf_rows(mean.values[None], mean.grid), mean.grid, unit_grid(M))[0]
+        q = quantile_rows(cdf_rows(mean.values, mean.grid), mean.grid, unit_grid(M))[0]
         assert np.interp(0.5, unit_grid(M).points, q) == pytest.approx(0.5, abs=2e-3)
 
     def test_beats_cross_sectional_on_shifted_normals(self):
         # location families: quantile averaging recovers the shape, the
         # cross-sectional mean smears it
-        spec = SettingSpec(setting=2, n=50, seed=21)
         wins = 0
         for seed in range(5):
             gen = gen_setting(SettingSpec(setting=2, n=50, seed=31 + seed))
             grid = gen.densities.grid
-            target = DensityFn(grid, truncated_normal_rows([0.0], [1.0], grid, spec.floor)[0])
-            wmean = wasserstein_frechet_mean(gen.densities, spec.floor)
+            target = DensityFn(grid, truncated_normal_rows([0.0], [1.0], grid, SIMULATION_FLOOR)[0])
+            wmean = wasserstein_frechet_mean(gen.densities, SIMULATION_FLOOR)
             cmean = frechet_mean(gen.densities, Metric.L2)
-            wins += dist_wasserstein(wmean, target) < dist_wasserstein(cmean, target)
+            wins += dist_wasserstein(wmean[0], target) < dist_wasserstein(cmean[0], target)
         assert wins == 5
 
     def test_matches_per_density_pchip_reference(self, rng):
@@ -95,7 +94,7 @@ class TestWassersteinMean:
         sample = [smooth_density(rng, grid) for _ in range(5)]
         raw = np.exp(np.cos(grid.points))
         raw[60:62] = 1e-300  # one flat CDF step: that density inverts linearly
-        sample.append(normalize(raw, grid, floor=1e-300))
+        sample.append(DensitySample(normalize_rows(raw[None], grid, floor=1e-300), grid)[0])
         tgrid = unit_grid(grid.m)
         quantiles = []
         for f in sample:
@@ -107,9 +106,9 @@ class TestWassersteinMean:
                 q = quantile_rows(cdf, grid, tgrid)[0]
             quantiles.append(q)
         cdf = PchipInterpolator(np.mean(quantiles, axis=0), tgrid.points)(grid.points)
-        expect = normalize(np.gradient(cdf, grid.spacing, edge_order=2), grid)
+        expect = normalize_rows(np.gradient(cdf, grid.spacing, edge_order=2)[None], grid)
         got = wasserstein_frechet_mean(stack(sample))
-        np.testing.assert_allclose(got.values, expect.values, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got.values, expect, rtol=0, atol=1e-13)
 
 
 class TestDensitySample:
@@ -130,12 +129,12 @@ class TestDensitySample:
             assert frechet_mean(sample, metric) is mean
             assert frechet._embedding(sample, metric)[0] is frechet._embedding(sample, metric)[0]
             report = fve_report(FittedMethod(sample, MethodKind.ordinary_fpca()), metric, k_max=1)
-            assert report.v_infinity == frechet_variance(sample, mean, metric)
+            assert report.v_infinity == frechet_variance(sample, metric)
         assert frechet._karcher_mean(sample) is frechet._karcher_mean(sample)
         # the same bits as the Karcher mean of each density embedded on its own
         roots = np.concatenate([sqrt_embed(f.values[None], unit512) for f in sample])
         per_density = square_back(karcher_mean(roots, unit512)[None], unit512)[0]
-        np.testing.assert_array_equal(fisher_rao_mean(sample).values, per_density)
+        np.testing.assert_array_equal(fisher_rao_mean(sample)[0].values, per_density)
         # a sub-sample has statistics of its own
         assert frechet_mean(sample[:3], Metric.L2) is not frechet_mean(sample, Metric.L2)
         with pytest.raises(ValueError):
@@ -154,7 +153,7 @@ class TestDensitySample:
                 lambda: frechet_mean(densities, Metric.L2),
                 lambda: wasserstein_frechet_mean(densities),
                 lambda: fisher_rao_mean(densities),
-                lambda: frechet_variance(densities, densities[0], Metric.L2),
+                lambda: frechet_variance(densities, Metric.L2),
                 lambda: fit(densities),
                 lambda: cv_mse(densities, np.arange(float(n)), "fpca", k=1, folds=2, repeats=1),
                 lambda: fileio.write_density_csv(tmp_path / "d.csv", densities),
@@ -166,54 +165,63 @@ class TestDensitySample:
 
 class TestFrechetMeanDispatch:
     def test_l2_is_cross_sectional(self, unit512):
-        f = normalize(np.ones(M), unit512, floor=0.0)
-        g = normalize(2.0 * unit512.points, unit512, floor=1e-6)
+        f = DensitySample(normalize_rows(np.ones(M)[None], unit512, floor=0.0), unit512)[0]
+        g = DensitySample(normalize_rows((2.0 * unit512.points)[None], unit512, floor=1e-6), unit512)[0]
         mean = frechet_mean(stack([f, g]), Metric.L2)
-        np.testing.assert_allclose(mean.values, (f.values + g.values) / 2.0, rtol=1e-12)
+        np.testing.assert_allclose(mean[0].values, (f.values + g.values) / 2.0, rtol=1e-12)
 
     def test_singleton_agreement(self, rng, unit512):
         f = smooth_density(rng, unit512)
         for metric in Metric:
             mean = frechet_mean(stack([f]), metric)
             assert mean.grid == f.grid
-            np.testing.assert_array_equal(mean.values, f.values)
+            np.testing.assert_array_equal(mean[0].values, f.values)
+
+
+class TestMeansAreSamples:
+    def test_one_row_samples_equal_to_references(self, rng, unit512):
+        sample = stack([smooth_density(rng, unit512) for _ in range(5)])
+        l2 = frechet_mean(sample, Metric.L2)
+        fisher_rao = fisher_rao_mean(sample)
+        roots = sqrt_embed(sample.values, unit512)
+        for mean, want in [
+            (l2, sample.values.mean(axis=0)),
+            (fisher_rao, square_back(karcher_mean(roots, unit512)[None], unit512)[0]),
+        ]:
+            assert isinstance(mean, DensitySample) and len(mean) == 1 and mean.grid == unit512
+            assert np.array_equal(mean.values[0], want)
+        one = sample[2:3]
+        assert wasserstein_frechet_mean(one) is one
+        assert frechet_mean(one, Metric.WASSERSTEIN) is one
 
 
 class TestFrechetVariance:
     def test_identical_sample_zero(self, rng, unit512):
+        # one density is its own mean under both metrics
         f = smooth_density(rng, unit512)
         for metric in Metric:
-            assert frechet_variance(stack([f, f, f]), f, metric) == 0.0
+            assert frechet_variance(stack([f]), metric) == 0.0
 
     def test_definition_reevaluation(self, unit512):
-        f = normalize(2.0 * unit512.points, unit512, floor=1e-6)
-        g = normalize(2.0 * (1.0 - unit512.points), unit512, floor=1e-6)
-        mean = wasserstein_frechet_mean(stack([f, g]))
-        got = frechet_variance(stack([f, g]), mean, Metric.WASSERSTEIN)
+        f = DensitySample(normalize_rows((2.0 * unit512.points)[None], unit512, floor=1e-6), unit512)[0]
+        g = DensitySample(normalize_rows((2.0 * (1.0 - unit512.points))[None], unit512, floor=1e-6), unit512)[0]
+        mean = wasserstein_frechet_mean(stack([f, g]))[0]
+        got = frechet_variance(stack([f, g]), Metric.WASSERSTEIN)
         expect = 0.5 * (dist_wasserstein(f, mean) ** 2 + dist_wasserstein(g, mean) ** 2)
         assert got == pytest.approx(expect, abs=1e-9)
 
     def test_matches_pairwise_distances(self, rng, unit512):
         sample = stack([smooth_density(rng, unit512) for _ in range(5)])
         for metric in Metric:
-            mean = frechet_mean(sample, metric)
+            mean = frechet_mean(sample, metric)[0]
             distance = l2_distance if metric is Metric.L2 else dist_wasserstein
             expect = np.mean([distance(f, mean) ** 2 for f in sample])
-            assert frechet_variance(sample, mean, metric) == pytest.approx(expect, rel=1e-12)
-
-    def test_wasserstein_mean_on_finer_grid(self, rng):
-        grid = Grid(0.0, 1.0, 128)
-        sample = stack([smooth_density(rng, grid) for _ in range(4)])
-        mean = smooth_density(rng, Grid(0.0, 1.0, 256))
-        for metric in Metric:
-            with pytest.raises(GridMismatchError):
-                frechet_variance(sample, mean, metric)
+            assert frechet_variance(sample, metric) == pytest.approx(expect, rel=1e-12)
 
     def test_permutation_invariant(self, rng, unit512):
         sample = stack([smooth_density(rng, unit512) for _ in range(6)])
-        mean = frechet_mean(sample, Metric.L2)
-        a = frechet_variance(sample, mean, Metric.L2)
-        b = frechet_variance(sample[::-1], mean, Metric.L2)
+        a = frechet_variance(sample, Metric.L2)
+        b = frechet_variance(sample[::-1], Metric.L2)
         assert a == pytest.approx(b, abs=1e-15)
 
 

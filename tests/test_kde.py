@@ -5,9 +5,11 @@ import pytest
 from scipy.stats import norm
 
 from densfda import (
+    SIMULATION_FLOOR,
     BadBandwidthError,
     DensfdaError,
     DensityFn,
+    DensitySample,
     Grid,
     InvalidDensityError,
     KdeConfig,
@@ -21,7 +23,7 @@ from densfda import (
     default_bandwidth,
     estimate_rows,
     gen_setting,
-    normalize,
+    normalize_rows,
 )
 from densfda.density import integrate_rows
 
@@ -36,17 +38,17 @@ def _estimate(draws, cfg) -> DensityFn:
 class TestBoundaryWeight:
     def test_interior_is_one(self):
         for kernel in Kernel:
-            assert boundary_weight(0.5, 0.1, kernel) == 1.0
+            assert boundary_weight(np.array([0.5]), 0.1, kernel) == 1.0
 
     def test_left_edge_gaussian(self):
         # oracle: (Phi(1) - Phi(0))^-1
         expect = 1.0 / (norm.cdf(1.0) - norm.cdf(0.0))
-        assert boundary_weight(0.0, 0.1, Kernel.GAUSSIAN) == pytest.approx(expect, abs=1e-3)
+        assert boundary_weight(np.array([0.0]), 0.1, Kernel.GAUSSIAN) == pytest.approx(expect, abs=1e-3)
 
     def test_edges_symmetric(self):
         for kernel in Kernel:
-            left = boundary_weight(0.0, 0.1, kernel)
-            right = boundary_weight(1.0, 0.1, kernel)
+            left = boundary_weight(np.array([0.0]), 0.1, kernel)
+            right = boundary_weight(np.array([1.0]), 0.1, kernel)
             assert left == pytest.approx(right, rel=1e-12)
 
     def test_weight_bounds(self, rng):
@@ -55,13 +57,13 @@ class TestBoundaryWeight:
             x = rng.random(1000)
             h = rng.uniform(1e-3, 0.499, 1000)
             for xi, hi in zip(x, h):
-                w = boundary_weight(xi, hi, kernel)
+                w = boundary_weight(np.array([xi]), hi, kernel)
                 assert 1.0 - 1e-12 <= w <= c_kappa + 1e-12
 
     @pytest.mark.parametrize("h", [0.0, 0.5, 0.7, -0.1])
     def test_bad_bandwidth(self, h):
         with pytest.raises(BadBandwidthError):
-            boundary_weight(0.3, h)
+            boundary_weight(np.array([0.3]), h)
 
 
 class TestDefaultBandwidth:
@@ -94,7 +96,7 @@ class TestEstimateDensity:
         samples = rng.random(n)
         cfg = KdeConfig(default_bandwidth(n), Kernel.EPANECHNIKOV, Grid(0.0, 1.0, 512))
         f = _estimate(samples, cfg)
-        uniform = normalize(np.ones(512), f.grid, 0.0)
+        uniform = DensitySample(normalize_rows(np.ones(512)[None], f.grid, 0.0), f.grid)[0]
         assert l2_distance(f, uniform) <= 0.05
 
     def test_uniform_recovery_gaussian_interior(self, rng):
@@ -183,7 +185,7 @@ def _reference_density(draws, cfg):
             k = cfg.kernel.pdf(z)
     raw = k.sum(axis=1) * boundary_weight(x, cfg.bandwidth, cfg.kernel)
     mass = integrate_rows(raw, Grid(0.0, 1.0, grid.m))
-    return normalize(raw / (mass * grid.width), grid, cfg.floor).values
+    return normalize_rows((raw / (mass * grid.width))[None], grid, cfg.floor)[0]
 
 
 def _first_row_error(rows, cfg):
@@ -280,7 +282,7 @@ class TestEstimateRows:
     def test_gen_setting_estimates_each_row(self, setting):
         spec = SettingSpec(setting=setting, n=6, m=128, observed="sampled", n_obs=40, seed=5)
         gen = gen_setting(spec)
-        cfg = KdeConfig(spec.unit_bandwidth, Kernel.GAUSSIAN, spec.grid, spec.floor)
+        cfg = KdeConfig(spec.unit_bandwidth, Kernel.GAUSSIAN, spec.grid, SIMULATION_FLOOR)
         assert gen.raw_samples.shape == (6, 40)
         expect = np.stack([estimate_rows(w[None], cfg)[0] for w in gen.raw_samples])
         assert np.array_equal(gen.densities.values, expect)

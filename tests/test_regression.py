@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from densfda import (
+    LQD,
     DensityFn,
     DensitySample,
     Grid,
@@ -106,6 +107,15 @@ class TestScoreBases:
         with pytest.raises(ValueError):
             score_rows(shift_family[0], "pca")
 
+    def test_lqd_rows_kept_read_only(self, shift_family):
+        # one transform per sample, which no caller may edit in place
+        densities = shift_family[0][:]
+        rows, tgrid = score_rows(densities, "lqd")
+        assert score_rows(densities, "lqd")[0] is rows
+        np.testing.assert_array_equal(rows, forward_rows(densities.values, densities.grid, LQD)[1])
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
+
 
 def _first_fold_fit(monkeypatch, densities, y, method, k):
     """The MSE of a 5-fold ``cv_mse`` run and the eigensystem its first fold fits."""
@@ -183,6 +193,7 @@ class TestCvMse:
 
         monkeypatch.setattr(regression, "forward_rows", counting)
         densities, mus = shift_family
+        densities = densities[:]  # a new sample, whose cache holds no transform yet
         cv_mse(densities, mus, "lqd", 2, folds=5, repeats=3, seed=2)
         assert rows == [len(densities)]
 

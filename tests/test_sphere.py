@@ -12,7 +12,7 @@ from densfda import (
     fisher_rao_mean,
     karcher_mean,
     log_map,
-    normalize,
+    normalize_rows,
     sqrt_embed,
     square_back,
     truncate,
@@ -57,7 +57,7 @@ def squared(points, grid):
 
 class TestEmbedding:
     def test_uniform_embeds_to_one(self, unit512):
-        p = embed(normalize(np.ones(M), unit512, floor=0.0))
+        p = embed(DensitySample(normalize_rows(np.ones(M)[None], unit512, floor=0.0), unit512)[0])
         np.testing.assert_allclose(p, 1.0, atol=1e-12)
 
     def test_roundtrip_exact(self, rng, unit512):
@@ -92,8 +92,8 @@ class TestGeodesicDistance:
 
     def test_analytic_value(self, unit512):
         # <sqrt(1), sqrt(2x)> = int sqrt(2x) dx = 2 sqrt(2) / 3
-        p = embed(normalize(np.ones(M), unit512, floor=0.0))
-        q = embed(normalize(2.0 * unit512.points, unit512, floor=1e-9))
+        p = embed(DensitySample(normalize_rows(np.ones(M)[None], unit512, floor=0.0), unit512)[0])
+        q = embed(DensitySample(normalize_rows((2.0 * unit512.points)[None], unit512, floor=1e-9), unit512)[0])
         assert geodesic_distance(p, q, unit512) == pytest.approx(np.arccos(2.0 * np.sqrt(2.0) / 3.0), abs=1e-3)
 
     def test_symmetric(self, rng, unit512):

@@ -3,6 +3,7 @@ import pytest
 
 from densfda import (
     DensityFn,
+    DensitySample,
     FittedMethod,
     Grid,
     GridMismatchError,
@@ -15,7 +16,7 @@ from densfda import (
     gen_setting,
     inverse_rows,
     log_hazard_spec,
-    normalize,
+    normalize_rows,
     truncated_normal_rows,
     unit_grid,
 )
@@ -46,7 +47,7 @@ EPS = np.finfo(float).eps
 
 @pytest.fixture
 def uniform(unit512):
-    return normalize(np.ones(M), unit512, floor=0.0)
+    return DensitySample(normalize_rows(np.ones(M)[None], unit512, floor=0.0), unit512)[0]
 
 
 class TestLqdForward:
@@ -56,13 +57,15 @@ class TestLqdForward:
 
     def test_linear_density_analytic(self, unit512):
         # f = 2(1+x)/3: Q(t) = -1 + sqrt(1+3t), f(Q(t)) = 2 sqrt(1+3t)/3
-        f = normalize(2.0 * (1.0 + unit512.points) / 3.0, unit512, floor=0.0)
+        raw = 2.0 * (1.0 + unit512.points) / 3.0
+        f = DensitySample(normalize_rows(raw[None], unit512, floor=0.0), unit512)[0]
         _, x = to_transform(f, LQD)
         assert x[0] == pytest.approx(np.log(1.5), abs=1e-3)
         assert x[-1] == pytest.approx(np.log(1.5) - 0.5 * np.log(4.0), abs=1e-3)
 
     def test_affine_mapped_uniform(self):
-        f = normalize(np.full(M, 0.5), Grid(0.0, 2.0, M), floor=0.0)
+        grid = Grid(0.0, 2.0, M)
+        f = DensitySample(normalize_rows(np.full(M, 0.5)[None], grid, floor=0.0), grid)[0]
         tgrid, x = to_transform(f, LQD)
         assert np.abs(x).max() <= 1e-12
         assert tgrid == unit_grid(M)
@@ -78,7 +81,8 @@ class TestLqdInverse:
         np.testing.assert_allclose(f.values, 1.0, atol=1e-10)
 
     def test_roundtrip_linear_density(self, unit512):
-        f = normalize(2.0 * (1.0 + unit512.points) / 3.0, unit512, floor=0.0)
+        raw = 2.0 * (1.0 + unit512.points) / 3.0
+        f = DensitySample(normalize_rows(raw[None], unit512, floor=0.0), unit512)[0]
         assert sup_distance(f, roundtrip(f, LQD)) <= 1e-3
 
     def test_roundtrip_restores_native_support(self, rng):
@@ -182,7 +186,7 @@ class TestRoundTrips:
         errs = []
         for m in (128, 512):
             g = Grid(0.0, 1.0, m)
-            f = normalize(np.exp(np.sin(2 * np.pi * g.points)), g, 1e-6)
+            f = DensitySample(normalize_rows(np.exp(np.sin(2 * np.pi * g.points))[None], g, 1e-6), g)[0]
             errs.append(sup_distance(f, roundtrip(f, LQD)))
         assert errs[1] < errs[0]
 
@@ -471,7 +475,7 @@ def _log_hazard_inverse_loop(x, delta):
     values01 = np.empty(m)
     values01[interior] = np.exp(np.interp(s[interior], t, x) - cumhaz(s[interior]))
     values01[~interior] = np.exp(-float(cumhaz(1.0 - delta))) / delta
-    return normalize(values01, unit_grid(m), floor=0.0).values
+    return normalize_rows(values01[None], unit_grid(m), floor=0.0)[0]
 
 
 class TestLogHazardKernelsProperty:
