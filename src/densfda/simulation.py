@@ -25,7 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .density import DensityFn, DensitySample, Grid, cdf_rows, dist_wasserstein, normalize_rows
+from .density import (
+    DensityFn,
+    DensitySample,
+    Grid,
+    cdf_rows,
+    normalize_rows,
+    quantile_rows,
+    sq_dist_rows,
+    unit_grid,
+)
 from .errors import DegenerateSigmaError, EmptySampleError
 from .frechet import FittedMethod, Metric, MethodKind, fisher_rao_mean, frechet_mean, fve_report
 from .kde import KdeConfig, Kernel, estimate_rows
@@ -185,8 +194,28 @@ class SimulationResult:
         return _mean(name, DensitySample(np.stack([m.values for m in means]), self.spec.grid))[0]
 
     def distances_to_target(self, name: str) -> np.ndarray:
-        means = self.mean_densities[name]
-        return np.array([dist_wasserstein(m, self.target) if m is not None else np.nan for m in means])
+        """Wasserstein distance of each replication's mean to the target,
+        NaN where the replication failed."""
+        return self._distances([name], aggregate=False)[0][name]
+
+    def _distances(self, names, aggregate: bool) -> tuple[dict, dict]:
+        """Wasserstein distances to the target, per metric in ``names``: of
+        each replication's mean (NaN where it failed) and, with
+        ``aggregate``, of the aggregated mean where one exists.  All these
+        rows and the target are inverted in one call."""
+        means = {name: self.mean_densities[name] for name in names}
+        ok = {name: [r for r, f in enumerate(means[name]) if f is not None] for name in names}
+        rows = [means[name][r].values for name in names for r in ok[name]]
+        aggregated = [name for name in names if aggregate and ok[name]]
+        rows += [self.aggregated_mean(name).values for name in aggregated]
+        grid, tgrid = self.spec.grid, unit_grid(self.spec.grid.m)
+        q = quantile_rows(cdf_rows(np.stack(rows + [self.target.values]), grid), grid, tgrid)
+        dist = iter(np.sqrt(sq_dist_rows(q[:-1], q[-1:], tgrid)))
+        per_rep = {name: np.full(self.reps, np.nan) for name in names}
+        for name in names:
+            for r in ok[name]:
+                per_rep[name][r] = next(dist)
+        return per_rep, {name: next(dist) for name in aggregated}
 
     def summary(self) -> dict:
         out = {
@@ -211,17 +240,14 @@ class SimulationResult:
                 "q3": float(q3),
                 "values": [float(v) for v in values],
             }
+        dist, aggregated = self._distances(MEAN_METRICS, aggregate=True)
         for name in MEAN_METRICS:
-            dist = self.distances_to_target(name)
-            ok = dist[~np.isnan(dist)]
+            ok = dist[name][~np.isnan(dist[name])]
             out["mean_distance_to_target"][name] = {
                 "per_replication_median": float(np.median(ok)) if ok.size else np.nan,
-                "aggregated": float(
-                    dist_wasserstein(self.aggregated_mean(name), self.target)
-                ) if ok.size else np.nan,
+                "aggregated": float(aggregated[name]) if ok.size else np.nan,
             }
-        wass = self.distances_to_target("wasserstein")
-        cross = self.distances_to_target("l2")
+        wass, cross = dist["wasserstein"], dist["l2"]
         good = ~(np.isnan(wass) | np.isnan(cross))
         out["wasserstein_beats_cross_sectional"] = float(
             np.mean(wass[good] < cross[good])

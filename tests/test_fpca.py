@@ -8,6 +8,7 @@ from densfda import (
     Grid,
     GridMismatchError,
     KTooLargeError,
+    NonFiniteError,
     SettingSpec,
     fit,
     gen_setting,
@@ -54,6 +55,22 @@ def _eigendecompose(cov, grid):
     return vals[keep], funcs[keep]
 
 
+def _thin_svd(data, grid):
+    """Reference: eigenvalues, eigenfunctions and scores from the thin SVD
+    of the weighted, centred sample (X - mean) sqrt(w) / sqrt(n) = U S V^T.
+
+    The eigenvalues are S^2 and the eigenfunctions the rows of
+    V^T / sqrt(w), all min(n, m) of them, nothing dropped; each
+    eigenfunction keeps the sign the SVD gives it.
+    """
+    w = grid.trapezoid_weights()
+    sw = np.sqrt(w)
+    centered = data - data.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered * (sw / np.sqrt(len(data))), full_matrices=False)
+    funcs = vt / sw
+    return s**2, funcs, centered @ (funcs * w).T
+
+
 def _surface(system):
     """The covariance surface spanned by a fitted eigensystem."""
     return (system.eigenfunctions.T * system.eigenvalues) @ system.eigenfunctions
@@ -89,6 +106,13 @@ class TestMean:
         f = smooth_density(rng, Grid(0.0, 1.0, 128))
         with pytest.raises(GridMismatchError):
             fit(np.stack([f.values, f.values]), Grid(0.0, 1.0, 256))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, rng, bad):
+        data = rng.normal(size=(10, 64))
+        data[3, 17] = bad
+        with pytest.raises(NonFiniteError):
+            fit(data, Grid(0.0, 1.0, 64))
 
 
 class TestCovariance:
@@ -283,8 +307,10 @@ def _separated_sample(rng, grid, n, variances):
 
 
 class TestThinSvdAgainstSurface:
-    """fit (thin SVD of the weighted sample) against a weighted eigensolver
-    of the covariance surface, the reference path."""
+    """fit (an eigensolve of the smaller Gram matrix) against its two
+    references: a weighted eigensolver of the covariance surface, and the
+    thin SVD of the weighted sample, which never squares its condition
+    number."""
 
     @pytest.mark.parametrize(
         "n, m, variances",
@@ -310,6 +336,89 @@ class TestThinSvdAgainstSurface:
         assert system.n_components == 4
         np.testing.assert_allclose(system.eigenvalues.sum(), np.mean(
             [integrate_rows((row - system.mean) ** 2, grid) for row in sample]), rtol=1e-12)
+
+    @pytest.mark.parametrize("m", [64, 3])
+    def test_square_sample(self, rng, m):
+        # n = m takes the m x m Gram matrix; centering leaves rank n - 1
+        grid = Grid(-1.0, 2.0, m)
+        data = rng.normal(size=(m, m))
+        system = fit(data, grid)
+        vals, _, _ = _thin_svd(data, grid)
+        assert system.n_components == m - 1
+        np.testing.assert_allclose(system.eigenvalues, vals[: m - 1], rtol=1e-10)
+
+    @pytest.mark.parametrize("r, copies, m", [(4, 5, 512), (6, 3, 16), (5, 4, 5)])
+    def test_repeated_rows_have_rank_minus_one_components(self, rng, r, copies, m):
+        # copies of a row centre to bitwise equal rows, so the Gram matrix
+        # has exact rank r; the r-th direction, lost to centering, and the
+        # rest come out at the round-off level under the relative rule
+        grid = Grid(0.0, 1.0, m)
+        data = np.tile(rng.normal(size=(r, m)), (copies, 1))
+        system = fit(data, grid)
+        assert system.n_components == r - 1
+        vals, _, _ = _thin_svd(data, grid)
+        np.testing.assert_allclose(system.eigenvalues, vals[: r - 1], rtol=1e-10)
+
+    def test_matches_thin_svd_on_random_shapes(self):
+        """Eigenvalues, eigenfunctions, mean and scores against the thin SVD.
+
+        Bounds, with eps the unit round-off, A the weighted centred sample
+        and G the Gram matrix fit solves (A A^T for n < m, else A^T A):
+        - Forming G perturbs it by at most about m eps |a_i| |a_j| per
+          entry, so by m eps tr(G) in norm; a backward-stable eigh adds
+          c n eps ||G|| <= c n eps tr(G), c a small constant.  By Weyl,
+          each eigenvalue is then off by at most
+          E = 4 (n + m) eps tr(G), taking c <= 4 (the largest error
+          seen, at n = m = 3, is about E / 4); the SVD reference is off by
+          eps sqrt(lam_0 lam_k), below that.  Hence the relative bound
+          |lam - ref| / ref <= E / ref, checked for every eigenvalue above
+          1e-8 lam_0.
+        - By Davis-Kahan, an eigenvector of G turns by at most E over the
+          eigengap, gap_k = min |lam_k - lam_j|.  For n < m the
+          eigenfunction is A^T u / sqrt(lam_k), which scales the turn by
+          at most sqrt(lam_0 / lam_k); so its L2 distance to the
+          reference, up to sign, is at most
+          E / gap_k * sqrt(lam_0 / lam_k),
+          checked where gap_k > 1e-6 lam_0 and lam_k > 1e-8 lam_0.
+        - A score is an L2 inner product of a centred row with the
+          eigenfunction: off by at most the row's norm times that bound.
+        - The mean is the column mean of the data, bit for bit.
+        """
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        eps = np.finfo(float).eps
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(
+            st.integers(1, 60), st.integers(3, 128), st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1)
+        )
+        def check(n, m, decay, seed):
+            # a spectrum falling like decay^(2j), with a non-zero mean
+            gen = np.random.default_rng(seed)
+            grid = Grid(-1.0, 2.0, m)
+            r = min(n, m)
+            data = 1.0 + (gen.normal(size=(n, r)) * decay ** np.arange(r)) @ gen.normal(size=(r, m))
+            system = fit(data, grid)
+            vals, funcs, scores = _thin_svd(data, grid)
+            np.testing.assert_array_equal(system.mean, data.mean(axis=0))
+            shown = int(np.sum(vals > 1e-8 * vals[0]))
+            assert system.n_components >= shown
+            perturbation = 4.0 * (n + m) * eps * vals.sum()
+            got = system.eigenvalues[:shown]
+            assert np.all(np.abs(got - vals[:shown]) <= perturbation)
+            w = grid.trapezoid_weights()
+            norms = np.sqrt((data - data.mean(axis=0)) ** 2 @ w)
+            for k in range(shown):
+                gap = np.min(np.abs(np.delete(vals, k) - vals[k]))
+                if gap <= 1e-6 * vals[0]:
+                    continue
+                bound = perturbation / gap * np.sqrt(vals[0] / vals[k])
+                phi = system.eigenfunctions[k]
+                sign = 1.0 if (phi * funcs[k] * w).sum() >= 0 else -1.0
+                assert np.sqrt((phi - sign * funcs[k]) ** 2 @ w) <= bound
+                assert np.all(np.abs(system.scores[:, k] - sign * scores[:, k]) <= norms * bound)
+
+        check()
 
 
 class TestFitSingleton:

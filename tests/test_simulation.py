@@ -9,6 +9,7 @@ from densfda import (
     MethodKind,
     SettingSpec,
     default_methods,
+    dist_wasserstein,
     gen_setting,
     run_comparison,
     truncated_normal_rows,
@@ -115,6 +116,34 @@ class TestRunComparison:
         assert len(s["fve"]["LQD"]["values"]) == 4
         assert "wasserstein" in s["mean_distance_to_target"]
         assert s["failures"] == []
+
+    def test_summary_inverts_each_row_once(self, small_run, monkeypatch):
+        import densfda.simulation as sim
+
+        inverted = []
+        original = sim.quantile_rows
+
+        def counting(cdf, grid, tgrid):
+            inverted.append(len(cdf))
+            return original(cdf, grid, tgrid)
+
+        monkeypatch.setattr(sim, "quantile_rows", counting)
+        summary = small_run.summary()
+        # one call: 4 replications x 3 metrics, the 3 aggregated means, the target
+        assert inverted == [4 * 3 + 3 + 1]
+        monkeypatch.undo()
+        # the values of one dist_wasserstein call per (mean, target) pair
+        target = small_run.target
+        dist = {}
+        for name in sim.MEAN_METRICS:
+            dist[name] = [dist_wasserstein(f, target) for f in small_run.mean_densities[name]]
+            assert summary["mean_distance_to_target"][name] == {
+                "per_replication_median": float(np.median(dist[name])),
+                "aggregated": dist_wasserstein(small_run.aggregated_mean(name), target),
+            }
+            np.testing.assert_array_equal(small_run.distances_to_target(name), dist[name])
+        wins = np.mean(np.array(dist["wasserstein"]) < np.array(dist["l2"]))
+        assert summary["wasserstein_beats_cross_sectional"] == wins
 
     def test_golden_replication(self):
         # frozen regression fixture: one replication, fixed seed
