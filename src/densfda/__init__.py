@@ -49,16 +49,20 @@ from .fpca import (
 from .frechet import (
     FittedMethod,
     FrechetReport,
+    HilbertSphere,
     Metric,
-    MethodKind,
+    OrdinaryFpca,
+    TransformMethod,
+    embedding,
     fisher_rao_mean,
     frechet_mean,
     frechet_variance,
     fve_report,
+    method_named,
     wasserstein_frechet_mean,
 )
 from .kde import KdeConfig, Kernel, boundary_weight, default_bandwidth, estimate_rows
-from .regression import FlrModel, cv_mse, fit_flr, predict, score_rows
+from .regression import FlrModel, cv_mse, fit_flr, predict
 from .simulation import (
     SIMULATION_BLEND,
     SIMULATION_FLOOR,

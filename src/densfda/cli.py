@@ -28,13 +28,14 @@ from .errors import DensfdaError
 from .frechet import (
     FittedMethod,
     Metric,
-    MethodKind,
+    embedding,
     fisher_rao_mean,
     frechet_mean,
     fve_report,
+    method_named,
 )
 from .kde import KdeConfig, Kernel, default_bandwidth, estimate_rows
-from .regression import cv_mse, fit_flr, score_rows
+from .regression import cv_mse, fit_flr
 from .simulation import SettingSpec, default_methods, run_comparison
 from .transforms import LQD, forward_rows, inverse_rows, log_hazard_spec
 
@@ -50,20 +51,6 @@ def _alphas(text: str) -> list[float]:
 
 def _ks(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
-
-
-def _method(name: str, delta: float) -> MethodKind:
-    """The named method; only the log hazard method reads ``delta``."""
-    return {
-        "lqd": MethodKind.lqd,
-        "fpca": MethodKind.ordinary_fpca,
-        "hs": MethodKind.hilbert_sphere,
-        "loghazard": lambda: MethodKind.log_hazard(delta),
-    }[name]()
-
-
-def _metric(name: str) -> Metric:
-    return Metric.L2 if name == "l2" else Metric.WASSERSTEIN
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,8 +175,8 @@ def _report_payload(report, fitted):
 
 def _cmd_analyze(args):
     sample, _ = fileio.read_density_csv(args.infile)
-    fitted = FittedMethod(sample, _method(args.method, args.delta))
-    report = fve_report(fitted, _metric(args.metric), args.kmax, args.p)
+    fitted = FittedMethod(sample, method_named(args.method, args.delta))
+    report = fve_report(fitted, Metric(args.metric), args.kmax, args.p)
     ks = args.modes_k or range(1, min(report.selected_k, 2, fitted.n_components) + 1)
     # modes first: a component beyond the fit fails before any output is written
     _write_modes(f"{os.path.splitext(args.out)[0]}_modes.csv", fitted, ks, args.modes_alpha)
@@ -210,7 +197,7 @@ def _cmd_mean(args):
     if args.metric == "fisherrao":
         mean = fisher_rao_mean(sample)
     else:
-        mean = frechet_mean(sample, _metric(args.metric))
+        mean = frechet_mean(sample, Metric(args.metric))
     fileio.write_density_csv(args.out, mean, [f"{args.metric}_mean"])
     _manifest(args, args.out, [args.infile])
 
@@ -226,7 +213,7 @@ def _cmd_simulate(args):
         m=args.grid_points,
     )
     k = args.K if args.K is not None else (2 if args.setting == 3 else 1)
-    result = run_comparison(spec, default_methods(args.blend), k, _metric(args.metric), args.reps)
+    result = run_comparison(spec, default_methods(args.blend), k, Metric(args.metric), args.reps)
     fileio.write_json(args.out, result.summary())
     _manifest(args, args.out, [])
 
@@ -239,7 +226,7 @@ def _cmd_regress(args):
         print(f"dropping {len(sample) - len(keep)} subjects without responses", file=sys.stderr)
     sample = sample[keep]
     y = np.array([responses[ids[i]] for i in keep])
-    model = fit_flr(fpca.fit(*score_rows(sample, args.method), k=args.K).scores, y)
+    model = fit_flr(fpca.fit(*embedding(sample, method_named(args.method)), k=args.K).scores, y)
     mse = cv_mse(sample, y, args.method, args.K, args.folds, args.repeats, args.seed)
     fileio.write_json(
         args.out,

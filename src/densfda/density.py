@@ -144,8 +144,8 @@ class DensitySample:
     gives the :class:`DensityFn` row view, and a slice or an index array
     a new sample of the selected rows; iterating yields row views.
     :meth:`cached` keeps what is computed once per sample: the Fréchet
-    means, variances, embeddings and Karcher mean that ``frechet`` fills
-    in, and the regression score rows.
+    means, variances and Karcher mean that ``frechet`` fills in, and the
+    embedding of each metric and method, which regression shares.
     """
 
     def __init__(self, values, grid: Grid):

@@ -85,6 +85,11 @@ def fit(sample, grid: Grid | None = None, k: int | None = None) -> EigenSystem:
     a grid, a :class:`DensitySample`.  A NaN or infinite value raises
     ``NonFiniteError``.  The Gram matrix is n x n for n < m and m x m
     otherwise; see the module notes for the cost and accuracy of each.
+    The sample is divided by the power of two at or just below its
+    largest magnitude, which is exact, and the mean, scores and
+    eigenvalues are scaled back, so values near 1e160 fit as well as
+    values near 1.  An eigenvalue that overflows on the way back raises
+    ``NonFiniteError``.
 
     Eigenvalues come out descending, with round-off negatives clamped to
     0; components below ``EIGENVALUE_DROP`` times the leading eigenvalue,
@@ -103,18 +108,22 @@ def fit(sample, grid: Grid | None = None, k: int | None = None) -> EigenSystem:
         raise GridMismatchError("array columns do not match the grid")
     if len(data) == 0:
         raise EmptySampleError("cannot fit an empty sample")
-    if not np.isfinite(data).all():
+    peak = max(data.max(), -data.min())
+    if not np.isfinite(peak):
         raise NonFiniteError("sample contains NaN or infinite values")
     n = len(data)
-    mean = data.mean(axis=0)
+    # a power of two scales exactly, and keeps the squares below overflow
+    scale = np.ldexp(1.0, max(np.frexp(peak)[1] - 1, -1022))
+    scaled = data * (1.0 / scale)
+    mean = scaled.mean(axis=0)
     w = grid.trapezoid_weights()
     sw = np.sqrt(w)
-    centered = data - mean
+    # identical rows leave only round-off, which the relative rule keeps
+    roundoff = (grid.m * np.finfo(float).eps) ** 2 * np.mean(scaled**2 @ w)
+    centered = np.subtract(scaled, mean, out=scaled)
     a = centered * (sw / np.sqrt(n))
     vals, vecs = np.linalg.eigh(a @ a.T if n < grid.m else a.T @ a)
     vals, vecs = np.maximum(vals[::-1], 0.0), vecs.T[::-1]
-    # identical rows leave only round-off, which the relative rule keeps
-    roundoff = (grid.m * np.finfo(float).eps) ** 2 * np.mean(data**2 @ w)
     keep = vals > max(EIGENVALUE_DROP * vals[0], roundoff)
     vals, vecs = vals[keep][:k], vecs[keep][:k]
     if n < grid.m:  # eigenvectors of A A^T map to those of A^T A through A
@@ -123,7 +132,11 @@ def fit(sample, grid: Grid | None = None, k: int | None = None) -> EigenSystem:
     funcs /= np.sqrt(np.einsum("km,m,km->k", funcs, w, funcs))[:, None]
     flip = funcs[np.arange(len(funcs)), np.abs(funcs).argmax(axis=1)] < 0
     funcs[flip] *= -1.0
-    return EigenSystem(grid, mean, vals, funcs, centered @ (funcs * w).T)
+    with np.errstate(over="ignore"):
+        vals = vals * scale * scale
+    if not np.isfinite(vals).all():
+        raise NonFiniteError("eigenvalues overflow: the sample's variance is not representable")
+    return EigenSystem(grid, mean * scale, vals, funcs, centered @ (funcs * w).T * scale)
 
 
 def truncate(system: EigenSystem, k: int) -> np.ndarray:

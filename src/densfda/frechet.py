@@ -3,26 +3,25 @@
 Total variation of a density sample is measured by the Fréchet variance
 under a chosen metric (L2 or Wasserstein), and the quality of a
 K-component representation by the fraction of that variance it explains
-(FVE).  The three representation methods are three maps into L2, each
-with its way back, behind one :class:`FittedMethod` that runs FPCA in
-between: ordinary FPCA takes the densities as they are and projects
-back onto density space; a transform method (log quantile density or
+(FVE).  A representation method maps the sample into L2 and back, and
+each of the three is a small frozen type that owns both maps:
+:class:`OrdinaryFpca` takes the densities as they are and projects back
+onto density space; :class:`TransformMethod` (log quantile density or
 log hazard) maps each density through the transform and back through
-its inverse; the Hilbert-sphere method log-maps the square-root
-densities at their Karcher mean and maps back by the exp map and
-squaring through the row kernels of :mod:`sphere`, which check that
-mean's unit norm as it enters.  ``FittedMethod.reconstruct(K)`` returns
+its inverse; :class:`HilbertSphere` log-maps the square-root densities
+at their Karcher mean and maps back by the exp map and squaring.
+:class:`FittedMethod` runs FPCA in between; ``reconstruct(K)`` returns
 the K-component representations of the whole sample as one ``(n, m)``
-array.  Representations and modes are valid densities for every
-truncation level and mode parameter.
+array, and they and the modes are valid densities for every K and mode
+parameter.  :func:`method_named` is the one table of method names.
 
 Every function takes a sample as one :class:`density.DensitySample`; the
-three Fréchet means are one-row samples.  The Fréchet mean, the variance
-V_inf about it and the metric embedding (once per metric) and the
-``(m,)`` Karcher mean of the square-root densities are kept in the
-sample's cache (:meth:`DensitySample.cached`), shared by every method
-fitted to it and every mean taken of it; the Karcher mean serves both
-the Hilbert-sphere method and the Fisher–Rao mean.
+three Fréchet means are one-row samples.  The sample's cache
+(:meth:`DensitySample.cached`) keeps its Fréchet means, the variance
+V_inf, the ``(m,)`` Karcher mean of the square-root densities (for the
+Hilbert-sphere method and the Fisher–Rao mean) and, per metric or
+method, its read-only :func:`embedding`, which every method fitted to
+it, every FVE curve and the regression scores share.
 :func:`fve_report` is the one FVE entry point.  The Wasserstein mean
 inverts all sample CDFs, and then their averaged quantile function,
 through one batched monotone cubic kernel (:func:`density.pchip_rows`).
@@ -68,51 +67,8 @@ class Metric(Enum):
         tgrid = unit_grid(grid.m)
         return quantile_rows(cdf_rows(values, grid), grid, tgrid), tgrid
 
-
-@dataclass(frozen=True)
-class MethodKind:
-    """Representation method: ordinary FPCA, a transform, or the sphere.
-
-    ``blend`` mixes each density with the uniform density on its support
-    before the forward transform and removes the mixture exactly after
-    inversion.  It bounds the transformed functions when densities run
-    very close to zero near the support boundary (where the inverse map
-    amplifies errors exponentially) and leaves the method unchanged at 0.
-    """
-
-    kind: str  # "fpca" | "transform" | "hs"
-    transform: TransformSpec | None = None
-    blend: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.blend < 1.0):
-            raise ValueError(f"blend must be in [0, 1), got {self.blend}")
-        if self.blend > 0 and self.kind != "transform":
-            raise ValueError("blend only applies to transform methods")
-
-    @staticmethod
-    def ordinary_fpca() -> "MethodKind":
-        return MethodKind("fpca")
-
-    @staticmethod
-    def lqd(blend: float = 0.0) -> "MethodKind":
-        return MethodKind("transform", LQD, blend)
-
-    @staticmethod
-    def log_hazard(delta: float = 0.1) -> "MethodKind":
-        return MethodKind("transform", log_hazard_spec(delta))
-
-    @staticmethod
-    def hilbert_sphere() -> "MethodKind":
-        return MethodKind("hs")
-
-    @property
-    def label(self) -> str:
-        if self.kind == "fpca":
-            return "FPCA"
-        if self.kind == "hs":
-            return "HS"
-        return "LQD" if self.transform == LQD else f"LH({self.transform.delta:g})"
+    def embed(self, sample: DensitySample) -> tuple[np.ndarray, Grid]:
+        return self.embed_rows(sample.values, sample.grid)
 
 
 @dataclass
@@ -126,12 +82,14 @@ class FrechetReport:
     selected_k: int
     threshold_reached: bool
     p: float
-    method: MethodKind | None = None
+    method: Method
 
 
-def _embedding(sample: DensitySample, metric: Metric) -> tuple[np.ndarray, Grid]:
-    """:meth:`Metric.embed_rows` of the sample, kept read-only."""
-    rows, egrid = sample.cached(("embedding", metric), lambda: metric.embed_rows(sample.values, sample.grid))
+def embedding(sample: DensitySample, how) -> tuple[np.ndarray, Grid]:
+    """``how.embed(sample)`` for a :class:`Metric` or a method: the sample's
+    rows in the space it works in and their grid, computed once per sample
+    and kept read-only."""
+    rows, egrid = sample.cached(("embedding", how), lambda: how.embed(sample))
     rows.flags.writeable = False
     return rows, egrid
 
@@ -206,7 +164,7 @@ def frechet_variance(sample: DensitySample, metric: Metric, floor: float = DEFAU
     mean (:func:`frechet_mean`), computed once per sample and kept."""
 
     def variance():
-        target, egrid = _embedding(sample, metric)
+        target, egrid = embedding(sample, metric)
         center, _ = metric.embed_rows(frechet_mean(sample, metric, floor).values, sample.grid)
         return float(np.mean(sq_dist_rows(target, center, egrid)))
 
@@ -214,51 +172,101 @@ def frechet_variance(sample: DensitySample, metric: Metric, floor: float = DEFAU
 
 
 # ---------------------------------------------------------------------------
-# Fitted representation methods
+# Representation methods
 # ---------------------------------------------------------------------------
 
 
-def _unblend_rows(values: np.ndarray, grid: Grid, weight: float, floor: float) -> np.ndarray:
-    if weight == 0.0:
-        return values
-    raw = (values - weight / grid.width) / (1.0 - weight)
-    return fpca.project_rows(raw, grid, floor)
+@dataclass(frozen=True)
+class OrdinaryFpca:
+    """Ordinary FPCA: the densities as they are, mapped back by the
+    positive-part projection (:func:`fpca.project_rows`)."""
+
+    label = "FPCA"
+
+    def embed(self, sample: DensitySample) -> tuple[np.ndarray, Grid]:
+        return sample.values, sample.grid
+
+    def to_density(self, rows: np.ndarray, grid: Grid, sample: DensitySample, floor: float) -> np.ndarray:
+        return fpca.project_rows(rows, grid, floor)
+
+
+@dataclass(frozen=True)
+class TransformMethod:
+    """The log quantile density (the default) or log hazard map, and back.
+
+    ``blend`` mixes each density with the uniform density on its support
+    before the forward transform and removes the mixture exactly after
+    inversion.  It bounds the transformed functions when densities run
+    very close to zero near the support boundary (where the inverse map
+    amplifies errors exponentially) and leaves the method unchanged at 0.
+    """
+
+    transform: TransformSpec = LQD
+    blend: float = 0.0
+
+    def __post_init__(self):
+        if not (0.0 <= self.blend < 1.0):
+            raise ValueError(f"blend must be in [0, 1), got {self.blend}")
+
+    @property
+    def label(self) -> str:
+        return "LQD" if self.transform == LQD else f"LH({self.transform.delta:g})"
+
+    def embed(self, sample: DensitySample) -> tuple[np.ndarray, Grid]:
+        blended = (1.0 - self.blend) * sample.values + self.blend / sample.grid.width
+        tgrid, xs = forward_rows(blended, sample.grid, self.transform)
+        return xs, tgrid
+
+    def to_density(self, rows: np.ndarray, grid: Grid, sample: DensitySample, floor: float) -> np.ndarray:
+        dens = inverse_rows(rows, grid, self.transform, sample.support)
+        if self.blend == 0.0:
+            return dens
+        raw = (dens - self.blend / sample.grid.width) / (1.0 - self.blend)
+        return fpca.project_rows(raw, sample.grid, floor)
+
+
+@dataclass(frozen=True)
+class HilbertSphere:
+    """The Hilbert sphere: the log map of the square-root densities at
+    their kept Karcher mean, and back by the exp map and squaring."""
+
+    label = "HS"
+
+    def embed(self, sample: DensitySample) -> tuple[np.ndarray, Grid]:
+        return log_map(_karcher_mean(sample), sqrt_embed(sample.values, sample.grid), sample.grid), sample.grid
+
+    def to_density(self, rows: np.ndarray, grid: Grid, sample: DensitySample, floor: float) -> np.ndarray:
+        return square_back(exp_map(_karcher_mean(sample), rows, grid), grid, floor)
+
+
+Method = OrdinaryFpca | TransformMethod | HilbertSphere
+
+
+def method_named(name: str, delta: float = 0.1) -> Method:
+    """The method the command line calls ``name``; only ``"loghazard"``
+    reads ``delta``.  Raises ``ValueError`` for any other name."""
+    methods = {"lqd": TransformMethod, "fpca": OrdinaryFpca, "hs": HilbertSphere,
+               "loghazard": lambda: TransformMethod(log_hazard_spec(delta))}
+    if name not in methods:
+        raise ValueError(f"method must be one of {tuple(methods)}, got {name!r}")
+    return methods[name]()
 
 
 class FittedMethod:
     """One method fitted to a sample, reusable across truncation levels K.
 
-    Every method maps the sample into L2, runs FPCA there and maps the
-    FPCA output back to densities (:meth:`_to_density`); only those two
-    maps depend on the method.  The sample is a :class:`DensitySample`,
-    whose ``(n, m)`` array ``values`` every step works on as a whole;
-    ``reconstruct`` returns such an array and ``modes`` a
-    ``DensitySample``.  ``reconstruct(K)`` silently
-    uses all available components when K exceeds them (trailing
-    components carry no variance), which also covers the degenerate
-    single-subject sample: it has no components, and every method
-    returns its mean.
+    FPCA runs on the method's :func:`embedding` of the sample, and its
+    output goes back to densities through the method's ``to_density``.
+    ``reconstruct`` returns an ``(n, m)`` array of density values and
+    ``modes`` a ``DensitySample``.  ``reconstruct(K)`` silently uses all
+    available components when K exceeds them (trailing components carry
+    no variance), which also covers the degenerate single-subject sample:
+    it has no components, and every method returns its mean.
     """
 
-    def __init__(self, sample: DensitySample, method: MethodKind, floor: float = DEFAULT_FLOOR):
-        self.sample = sample
-        self.method = method
-        self.floor = floor
-        self.grid, self.support, self.values = self.sample.grid, self.sample.support, self.sample.values
-        self.sphere_mean = None
-        if method.kind == "hs":
-            # tangent space at the Karcher mean of the square-root densities
-            self.sphere_mean = _karcher_mean(self.sample)
-            tangents = log_map(self.sphere_mean, sqrt_embed(self.values, self.grid), self.grid)
-            self.system = fpca.fit(tangents, self.grid)
-        elif method.kind == "transform":
-            blended = (1.0 - method.blend) * self.values + method.blend / self.grid.width
-            self._tgrid, xs = forward_rows(blended, self.grid, method.transform)
-            self.system = fpca.fit(xs, self._tgrid)
-        elif method.kind == "fpca":
-            self.system = fpca.fit(self.values, self.grid)
-        else:
-            raise ValueError(f"unknown method kind {method.kind!r}")
+    def __init__(self, sample: DensitySample, method: Method, floor: float = DEFAULT_FLOOR):
+        self.sample, self.method, self.floor, self.grid = sample, method, floor, sample.grid
+        self.system = fpca.fit(*embedding(sample, method))
 
     @property
     def n_components(self) -> int:
@@ -277,13 +285,7 @@ class FittedMethod:
         return DensitySample(self._to_density(np.stack(rows)), self.grid)
 
     def _to_density(self, rows: np.ndarray) -> np.ndarray:
-        """Density values for rows of the space the method's FPCA works in."""
-        if self.method.kind == "fpca":
-            return fpca.project_rows(rows, self.grid, self.floor)
-        if self.method.kind == "hs":
-            return square_back(exp_map(self.sphere_mean, rows, self.grid), self.grid, self.floor)
-        dens = inverse_rows(rows, self._tgrid, self.method.transform, self.support)
-        return _unblend_rows(dens, self.grid, self.method.blend, self.floor)
+        return self.method.to_density(rows, self.system.grid, self.sample, self.floor)
 
 
 def default_k_max(eigenvalues: np.ndarray, n: int) -> int:
@@ -323,7 +325,7 @@ def fve_report(
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     sample = fitted.sample
     v_inf = frechet_variance(sample, metric, fitted.floor)
-    target, egrid = _embedding(sample, metric)
+    target, egrid = embedding(sample, metric)
     if k_max is None:
         k_max = default_k_max(fitted.system.eigenvalues, len(sample))
     v_k = np.empty(k_max)

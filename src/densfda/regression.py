@@ -1,13 +1,13 @@
 """Scalar-on-density linear regression via FPC scores.
 
 A scalar response is regressed on the leading principal-component scores
-of the densities, either taken directly in density space or after the
-log-quantile-density transform (:func:`score_rows`), by ``fpca.fit`` and
-``fpca.scores``.  Cross-validated prediction error recomputes the score
-basis on every training fold, so held-out subjects never influence the
-basis they are projected onto; the transform maps each density on its
-own, so it is applied once per sample and kept in the sample's cache.
-Densities come in as one :class:`DensitySample`; folds index its rows.
+of the densities, taken directly or after the log-quantile-density
+transform: the :func:`frechet.embedding` of ordinary FPCA or of LQD,
+scored by ``fpca.fit`` and ``fpca.scores``.  Cross-validated prediction
+error recomputes the score basis on every training fold, so held-out
+subjects never influence the basis they are projected onto; both maps
+take each density on its own, so the embedding is computed once per
+sample and kept.  Densities come in as one :class:`DensitySample`.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fpca
-from .density import DensitySample, Grid
-from .errors import RankDeficientWarning
-from .transforms import LQD, forward_rows
+from .density import DensitySample
+from .errors import NonFiniteError, RankDeficientWarning
+from .frechet import embedding, method_named
 
 SCORE_METHODS = ("fpca", "lqd")
 
@@ -42,10 +42,13 @@ def fit_flr(scores: np.ndarray, y: np.ndarray) -> FlrModel:
     """Ordinary least squares of y on the score columns plus an intercept.
 
     A singular design triggers a ``RankDeficientWarning`` and trailing
-    score columns are dropped until the fit is full rank.
+    score columns are dropped until the fit is full rank.  A NaN or
+    infinite response or score raises ``NonFiniteError``.
     """
     scores = np.asarray(scores, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
+    if not (np.isfinite(y).all() and np.isfinite(scores).all()):
+        raise NonFiniteError("responses and scores must be finite")
     n, k = scores.shape
     if n <= k + 1:
         raise ValueError(f"need n > K + 1 subjects, got n={n}, K={k}")
@@ -71,19 +74,6 @@ def predict(model: FlrModel, scores: np.ndarray) -> np.ndarray:
     return model.intercept + scores[:, : model.k] @ model.coefficients
 
 
-def score_rows(sample: DensitySample, method: str) -> tuple[np.ndarray, Grid]:
-    """The densities, or each one's LQD transform, as a read-only
-    ``(n, m)`` array and its grid: the rows that ``fpca.fit`` and
-    ``fpca.scores`` score.  The transform is kept in the sample's cache."""
-    if method not in SCORE_METHODS:
-        raise ValueError(f"method must be one of {SCORE_METHODS}, got {method!r}")
-    if method == "fpca":
-        return sample.values, sample.grid
-    tgrid, xs = sample.cached(("score_rows", method), lambda: forward_rows(sample.values, sample.grid, LQD))
-    xs.flags.writeable = False
-    return xs, tgrid
-
-
 # ---------------------------------------------------------------------------
 # Cross validation
 # ---------------------------------------------------------------------------
@@ -100,6 +90,8 @@ def cv_mse(
 ) -> float:
     """Repeated K-fold cross-validated mean squared prediction error.
 
+    ``method`` is ``"fpca"`` or ``"lqd"`` (``ValueError`` otherwise: the
+    Hilbert-sphere embedding depends on the whole sample's Karcher mean).
     Every fold refits the score basis on its training subjects only,
     regresses on that fit's scores and projects the held-out densities
     onto the basis.  Fold assignment is a seeded shuffle with one child
@@ -113,8 +105,10 @@ def cv_mse(
         raise ValueError("folds must be >= 2")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    # each density is transformed on its own, once; folds index the rows
-    rows, grid = score_rows(densities, method)
+    if method not in SCORE_METHODS:
+        raise ValueError(f"method must be one of {SCORE_METHODS}, got {method!r}")
+    # each density is embedded on its own, once; folds index the rows
+    rows, grid = embedding(densities, method_named(method))
     children = np.random.SeedSequence(seed).spawn(repeats)
     total_sse = 0.0
     for child in children:

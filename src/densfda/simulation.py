@@ -36,7 +36,16 @@ from .density import (
     unit_grid,
 )
 from .errors import DegenerateSigmaError, EmptySampleError
-from .frechet import FittedMethod, Metric, MethodKind, fisher_rao_mean, frechet_mean, fve_report
+from .frechet import (
+    FittedMethod,
+    HilbertSphere,
+    Metric,
+    OrdinaryFpca,
+    TransformMethod,
+    fisher_rao_mean,
+    frechet_mean,
+    fve_report,
+)
 from .kde import KdeConfig, Kernel, estimate_rows
 
 # truncated normals can run below 1e-40 near the support boundary, which
@@ -163,11 +172,7 @@ MEAN_METRICS = ("l2", "wasserstein", "fisher_rao")
 
 def default_methods(blend: float = SIMULATION_BLEND) -> list:
     """The standard comparison trio: transform method, ordinary FPCA, sphere."""
-    return [
-        MethodKind.lqd(blend),
-        MethodKind.ordinary_fpca(),
-        MethodKind.hilbert_sphere(),
-    ]
+    return [TransformMethod(blend=blend), OrdinaryFpca(), HilbertSphere()]
 
 
 @dataclass

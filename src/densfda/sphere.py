@@ -18,11 +18,12 @@ their base and :func:`karcher_mean` its rows, raising ``ValueError`` for
 a squared norm off 1 by more than 1e-9 and ``GridMismatchError`` for a
 column count other than the grid's.
 
-The Hilbert-sphere method (``frechet.FittedMethod``) maps the embedded
-sample into L2 by the log map at its Karcher mean and maps FPCA output
-back by the exp map followed by squaring; ``frechet`` computes that
-Karcher mean once per ``DensitySample`` and shares it with the
-Fisher–Rao mean (``frechet.fisher_rao_mean``).
+The Hilbert-sphere method (``frechet.HilbertSphere``) embeds a sample
+in L2 by the log map at its Karcher mean and maps FPCA output back by
+the exp map followed by squaring; ``frechet`` computes that Karcher mean
+once per ``DensitySample`` and shares it with the Fisher–Rao mean
+(``frechet.fisher_rao_mean``), and keeps the embedded sample in the
+sample's cache (``frechet.embedding``).
 """
 
 from __future__ import annotations

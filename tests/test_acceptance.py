@@ -18,10 +18,11 @@ from densfda import (
     Kernel,
     LQD,
     Metric,
-    MethodKind,
     SettingSpec,
+    TransformMethod,
     default_methods,
     dist_wasserstein,
+    embedding,
     estimate_rows,
     fit,
     fit_flr,
@@ -31,7 +32,6 @@ from densfda import (
     inverse_rows,
     log_hazard_spec,
     run_comparison,
-    score_rows,
     scores,
     sqrt_embed,
     truncated_normal_rows,
@@ -157,7 +157,7 @@ def test_criterion_5_mode_convergence_rate():
         x = c1[:, None] * rho1 + c2[:, None] * rho2
         sample = DensitySample(inverse_rows(x, tgrid, LQD, (0.0, 1.0)), Grid(0.0, 1.0, tgrid.m))
         # the 10 modes in one call, k-major as true_modes is keyed
-        modes = FittedMethod(sample, MethodKind.lqd()).modes((1, 2), alphas)
+        modes = FittedMethod(sample, TransformMethod()).modes((1, 2), alphas)
         return max(dist_wasserstein(truth, mode) for truth, mode in zip(true_modes.values(), modes))
 
     ns = np.array([50, 100, 200, 400, 800])
@@ -227,7 +227,7 @@ def test_criterion_7_property_suites(rng):
         for r in fitted.reconstruct(2):
             mass_dev = max(mass_dev, abs(integrate_rows(r, fitted.grid) - 1.0))
             min_val = min(min_val, r.min())
-    lqd = FittedMethod(gen.densities, MethodKind.lqd(0.5), floor=1e-3)
+    lqd = FittedMethod(gen.densities, TransformMethod(blend=0.5), floor=1e-3)
     for mode in lqd.modes([1], (-2.0, 0.0, 2.0)):
         mass_dev = max(mass_dev, abs(integrate_rows(mode.values, mode.grid) - 1.0))
         min_val = min(min_val, mode.values.min())
@@ -282,7 +282,7 @@ def test_criterion_8_regression_substitute():
     blended = DensitySample((1.0 - 0.5) * densities.values + 0.5 / grid.width, grid)
     mse_lqd = cv_mse(blended, y, "lqd", 2, folds=10, repeats=REPS, seed=5)
     mse_fpca = cv_mse(densities, y, "fpca", 2, folds=10, repeats=REPS, seed=5)
-    rows, tgrid = score_rows(blended, "lqd")
+    rows, tgrid = embedding(blended, TransformMethod())
     system = fit(rows, tgrid, k=2)
     r2 = fit_flr(scores(rows, system.mean, system.eigenfunctions, tgrid), y).r_squared
     ok = mse_lqd < mse_fpca and r2 >= 0.9

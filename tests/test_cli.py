@@ -14,7 +14,7 @@ from densfda import (
     Grid,
     KdeConfig,
     Kernel,
-    MethodKind,
+    TransformMethod,
     default_bandwidth,
     estimate_rows,
     forward_rows,
@@ -320,7 +320,7 @@ class TestAnalyze:
         ids = [f"mode{k}_alpha{a:g}" for k in (1, 3) for a in alphas]
         assert ids[0] == "mode1_alpha-2" and ids[-1] == "mode3_alpha2"
         sample, _ = read_density_csv(path)
-        write_density_csv(want, FittedMethod(sample, MethodKind.lqd()).modes([1, 3], alphas), ids)
+        write_density_csv(want, FittedMethod(sample, TransformMethod()).modes([1, 3], alphas), ids)
         assert (tmp_path / "r_modes.csv").read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("kmax", ["0", "-3"])
@@ -475,7 +475,7 @@ class TestRegress:
 
     def test_transforms_the_sample_once(self, tmp_path, rng, monkeypatch):
         # the in-sample fit and the cross validation share one LQD transform
-        from densfda import regression
+        from densfda import frechet
 
         rows = []
 
@@ -483,7 +483,7 @@ class TestRegress:
             rows.append(len(values))
             return forward_rows(values, grid, spec)
 
-        monkeypatch.setattr(regression, "forward_rows", counting)
+        monkeypatch.setattr(frechet, "forward_rows", counting)
         grid = Grid(0.0, 1.0, 64)
         dpath, ypath, out = tmp_path / "d.csv", tmp_path / "y.csv", tmp_path / "reg.json"
         ids = [f"s{i}" for i in range(12)]
@@ -494,6 +494,24 @@ class TestRegress:
             "--densities", str(dpath), "--y", str(ypath), "--out", str(out),
         ]) == 0
         assert rows == [12]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_response_exits_1(self, tmp_path, rng, capsys, bad):
+        grid = Grid(0.0, 1.0, 64)
+        dpath, ypath, out = tmp_path / "d.csv", tmp_path / "y.csv", tmp_path / "reg.json"
+        ids = [f"s{i}" for i in range(12)]
+        write_density_csv(dpath, stack([smooth_density(rng, grid) for _ in ids]), ids)
+        values = [bad] + [str(i) for i in range(1, 12)]
+        ypath.write_text("subject_id,value\n" + "".join(f"{sid},{v}\n" for sid, v in zip(ids, values)))
+        code = main([
+            "regress", "--method", "lqd", "--K", "1", "--folds", "3", "--repeats", "1",
+            "--densities", str(dpath), "--y", str(ypath), "--out", str(out),
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NonFiniteError"
+        assert not out.exists()
 
     def test_negative_k_exits_1(self, tmp_path, rng, capsys):
         grid = Grid(0.0, 1.0, 64)

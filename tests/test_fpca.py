@@ -114,6 +114,20 @@ class TestMean:
         with pytest.raises(NonFiniteError):
             fit(data, Grid(0.0, 1.0, 64))
 
+    def test_support_width_leaves_component_count(self):
+        # densities on a support of width 1e-160 reach 1e160, whose squares overflow
+        sample = gen_setting(SettingSpec(setting=3, n=20, m=128, seed=0)).densities
+        counts = [
+            fit(DensitySample(sample.values * (sample.grid.width / width), Grid(0.0, width, 128))).n_components
+            for width in (1.0, 1e-100, 1e-160, 1e-200)
+        ]
+        assert counts[0] > 0 and counts == [counts[0]] * 4
+
+    def test_overflowing_eigenvalues_rejected(self, rng):
+        # a variance near 1e310 has no binary64 value
+        with pytest.raises(NonFiniteError):
+            fit(1e155 * rng.normal(size=(10, 64)), Grid(0.0, 1.0, 64))
+
 
 class TestCovariance:
     """The covariance surface that fit's eigensystem spans."""

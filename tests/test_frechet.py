@@ -9,11 +9,13 @@ from densfda import (
     EmptySampleError,
     FittedMethod,
     Grid,
+    HilbertSphere,
     KTooLargeError,
     LQD,
     Metric,
-    MethodKind,
+    OrdinaryFpca,
     SettingSpec,
+    TransformMethod,
     cv_mse,
     dist_wasserstein,
     fisher_rao_mean,
@@ -23,6 +25,8 @@ from densfda import (
     fve_report,
     gen_setting,
     karcher_mean,
+    log_hazard_spec,
+    method_named,
     mode_of_variation,
     normalize_rows,
     sqrt_embed,
@@ -116,8 +120,8 @@ class TestDensitySample:
         # an edit in place would change every later FVE of the sample
         sample = stack([smooth_density(rng, unit512) for _ in range(4)])
         for metric in Metric:
-            fve_report(FittedMethod(sample, MethodKind.ordinary_fpca()), metric, k_max=1)
-            rows, _ = frechet._embedding(sample, metric)
+            fve_report(FittedMethod(sample, OrdinaryFpca()), metric, k_max=1)
+            rows, _ = frechet.embedding(sample, metric)
             assert not rows.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 rows[0, 0] = 0.0
@@ -127,8 +131,8 @@ class TestDensitySample:
         for metric in Metric:
             mean = frechet_mean(sample, metric)
             assert frechet_mean(sample, metric) is mean
-            assert frechet._embedding(sample, metric)[0] is frechet._embedding(sample, metric)[0]
-            report = fve_report(FittedMethod(sample, MethodKind.ordinary_fpca()), metric, k_max=1)
+            assert frechet.embedding(sample, metric)[0] is frechet.embedding(sample, metric)[0]
+            report = fve_report(FittedMethod(sample, OrdinaryFpca()), metric, k_max=1)
             assert report.v_infinity == frechet_variance(sample, metric)
         assert frechet._karcher_mean(sample) is frechet._karcher_mean(sample)
         # the same bits as the Karcher mean of each density embedded on its own
@@ -139,8 +143,20 @@ class TestDensitySample:
         assert frechet_mean(sample[:3], Metric.L2) is not frechet_mean(sample, Metric.L2)
         with pytest.raises(ValueError):
             sample.values[0, 0] = 1.0
+        FittedMethod(sample, HilbertSphere())
         with pytest.raises(ValueError):
-            FittedMethod(sample, MethodKind.hilbert_sphere()).sphere_mean[0] = 1.0
+            frechet._karcher_mean(sample)[0] = 1.0
+
+    def test_method_embeddings_kept_read_only(self, rng, unit512):
+        # one embedding per sample and method, which no caller may edit in place
+        sample = stack([smooth_density(rng, unit512) for _ in range(5)])
+        for name in ("lqd", "fpca", "hs", "loghazard"):
+            method = method_named(name)
+            rows, grid = frechet.embedding(sample, method)
+            assert frechet.embedding(sample, method_named(name))[0] is rows
+            assert FittedMethod(sample, method).system.grid == grid
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 0.0
 
     def test_validation(self, rng, unit512, tmp_path):
         with pytest.raises(EmptySampleError):
@@ -149,7 +165,7 @@ class TestDensitySample:
         for n in (1, 4):
             densities = [smooth_density(rng, unit512) for _ in range(n)]
             for call in (
-                lambda: FittedMethod(densities, MethodKind.lqd()),
+                lambda: FittedMethod(densities, TransformMethod()),
                 lambda: frechet_mean(densities, Metric.L2),
                 lambda: wasserstein_frechet_mean(densities),
                 lambda: fisher_rao_mean(densities),
@@ -237,8 +253,8 @@ class TestTransformationModes:
     def test_modes_equal_the_loop(self, setting):
         sample = gen_setting(SettingSpec(setting=setting, n=30, m=256, seed=setting)).densities
         ks, alphas = (1, 2, 3), (-2.0, -0.5, 0.0, 1.0, 2.0)
-        for method in (MethodKind.lqd(), MethodKind.lqd(0.5), MethodKind.ordinary_fpca(),
-                       MethodKind.hilbert_sphere(), MethodKind.log_hazard(0.1)):
+        for method in (TransformMethod(), TransformMethod(blend=0.5), OrdinaryFpca(),
+                       HilbertSphere(), TransformMethod(log_hazard_spec(0.1))):
             fitted = FittedMethod(sample, method, floor=1e-3)
             modes = fitted.modes(ks, alphas)
             assert modes.grid == sample.grid
@@ -248,13 +264,13 @@ class TestTransformationModes:
 
     def test_alpha_zero_is_valid_density(self, rng, unit512):
         sample = stack([smooth_density(rng, unit512) for _ in range(10)])
-        (mode,) = FittedMethod(sample, MethodKind.lqd()).modes([1], [0.0])
+        (mode,) = FittedMethod(sample, TransformMethod()).modes([1], [0.0])
         assert integrate_rows(mode.values, unit512) == pytest.approx(1.0, abs=1e-10)
 
     def test_rank_one_family_reproduced_at_score_alpha(self, rng):
         cs = rng.uniform(-0.8, 0.8, 20)
         sample, _ = lqd_family(np.column_stack([cs, np.zeros_like(cs)]))
-        fitted = FittedMethod(sample, MethodKind.lqd())
+        fitted = FittedMethod(sample, TransformMethod())
         tau1 = fitted.system.eigenvalues[0]
         rows = (0, 7, 13)
         modes = fitted.modes([1], [(cs[i] - cs.mean()) / np.sqrt(tau1) for i in rows])
@@ -262,7 +278,7 @@ class TestTransformationModes:
             assert l2_distance(mode, sample[i]) <= 1e-3
 
     def test_any_alpha_valid_density(self, rng, unit512):
-        fitted = FittedMethod(stack([smooth_density(rng, unit512) for _ in range(8)]), MethodKind.lqd())
+        fitted = FittedMethod(stack([smooth_density(rng, unit512) for _ in range(8)]), TransformMethod())
         for mode in fitted.modes([1], np.linspace(-3, 3, 7)):
             assert integrate_rows(mode.values, unit512) == pytest.approx(1.0, abs=1e-10)
             assert mode.values.min() > 0.0
@@ -272,7 +288,7 @@ class TestRepresent:
     def test_full_rank_transform_recovery(self, rng):
         cs = np.column_stack([rng.uniform(-0.5, 0.5, 15), rng.uniform(-0.2, 0.2, 15)])
         sample, _ = lqd_family(cs)
-        recon = FittedMethod(sample, MethodKind.lqd()).reconstruct(10)
+        recon = FittedMethod(sample, TransformMethod()).reconstruct(10)
         for f, r in zip(sample, recon):
             assert l2_distance(f, DensityFn(f.grid, r)) <= 1e-3
 
@@ -280,18 +296,18 @@ class TestRepresent:
         gen = gen_setting(SettingSpec(setting=2, n=30, seed=9))
         lqd, fpca = (
             fve_report(FittedMethod(gen.densities, method, floor=1e-3), Metric.L2, k_max=1)
-            for method in (MethodKind.lqd(0.5), MethodKind.ordinary_fpca())
+            for method in (TransformMethod(blend=0.5), OrdinaryFpca())
         )
         assert lqd.fve[0] > fpca.fve[0]
 
     def test_singleton_returns_the_density(self, rng, unit512):
         f = smooth_density(rng, unit512)
         cases = (
-            (MethodKind.lqd(), 1.0),
+            (TransformMethod(), 1.0),
             # the log hazard keeps [0, 1 - delta]; its inverse spreads the rest uniformly
-            (MethodKind.log_hazard(0.1), 0.9),
-            (MethodKind.ordinary_fpca(), 1.0),
-            (MethodKind.hilbert_sphere(), 1.0),
+            (TransformMethod(log_hazard_spec(0.1)), 0.9),
+            (OrdinaryFpca(), 1.0),
+            (HilbertSphere(), 1.0),
         )
         for method, upper in cases:
             fitted = FittedMethod(stack([f]), method)
@@ -302,8 +318,8 @@ class TestRepresent:
 
     def test_identical_sample_has_no_components(self, rng, unit512):
         f = smooth_density(rng, unit512)
-        for method in (MethodKind.lqd(), MethodKind.log_hazard(0.1),
-                       MethodKind.ordinary_fpca(), MethodKind.hilbert_sphere()):
+        for method in (TransformMethod(), TransformMethod(log_hazard_spec(0.1)),
+                       OrdinaryFpca(), HilbertSphere()):
             fitted = FittedMethod(stack([f] * 5), method)
             assert fitted.n_components == 0
             assert fitted.reconstruct(2).shape == (5, M)
@@ -313,11 +329,11 @@ class TestRepresent:
     def test_k_below_one_rejected(self, rng, unit512):
         sample = stack([smooth_density(rng, unit512) for _ in range(4)])
         with pytest.raises(ValueError):
-            FittedMethod(sample, MethodKind.lqd()).reconstruct(-1)
+            FittedMethod(sample, TransformMethod()).reconstruct(-1)
 
     def test_outputs_always_valid(self, rng, unit512):
         sample = stack([smooth_density(rng, unit512) for _ in range(8)])
-        for method in (MethodKind.lqd(), MethodKind.ordinary_fpca(), MethodKind.hilbert_sphere()):
+        for method in (TransformMethod(), OrdinaryFpca(), HilbertSphere()):
             for r in FittedMethod(sample, method).reconstruct(2):
                 assert r.min() > 0.0
                 assert integrate_rows(r, unit512) == pytest.approx(1.0, abs=1e-10)
@@ -326,36 +342,36 @@ class TestRepresent:
 class TestFveCurve:
     @pytest.mark.parametrize("k_max", [0, -3])
     def test_k_max_below_one_rejected(self, rng, unit512, k_max):
-        fitted = FittedMethod(stack([smooth_density(rng, unit512) for _ in range(4)]), MethodKind.lqd())
+        fitted = FittedMethod(stack([smooth_density(rng, unit512) for _ in range(4)]), TransformMethod())
         with pytest.raises(ValueError, match=f"k_max must be >= 1, got {k_max}"):
             fve_report(fitted, Metric.L2, k_max=k_max)
 
     def test_rank_one_family_first_component_explains_all(self, rng):
         cs = rng.uniform(-0.8, 0.8, 25)
         sample, _ = lqd_family(np.column_stack([cs, np.zeros_like(cs)]))
-        report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.L2, k_max=1)
+        report = fve_report(FittedMethod(sample, TransformMethod()), Metric.L2, k_max=1)
         assert report.fve[0] >= 0.999
         assert report.selected_k == 1 and report.threshold_reached
 
     def test_transform_fve_nondecreasing(self, rng, unit512):
         sample = stack([smooth_density(rng, unit512) for _ in range(12)])
-        report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.L2, k_max=8)
+        report = fve_report(FittedMethod(sample, TransformMethod()), Metric.L2, k_max=8)
         assert np.all(np.diff(report.fve) >= -1e-9)
 
     def test_full_rank_dominates(self, rng, unit512):
         sample = stack([smooth_density(rng, unit512) for _ in range(10)])
-        report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.L2)
+        report = fve_report(FittedMethod(sample, TransformMethod()), Metric.L2)
         assert report.fve[-1] >= report.fve.max() - 1e-9
 
     def test_wasserstein_metric_curve(self, rng, unit512):
         sample = stack([smooth_density(rng, unit512) for _ in range(8)])
-        report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.WASSERSTEIN, k_max=3)
+        report = fve_report(FittedMethod(sample, TransformMethod()), Metric.WASSERSTEIN, k_max=3)
         assert report.metric is Metric.WASSERSTEIN
         assert np.all(report.fve <= 1.0 + 1e-12)
 
     def test_default_k_max_capped(self, rng, unit512):
         sample = stack([smooth_density(rng, unit512) for _ in range(5)])
-        report = fve_report(FittedMethod(sample, MethodKind.lqd()), Metric.L2)
+        report = fve_report(FittedMethod(sample, TransformMethod()), Metric.L2)
         assert len(report.fve) <= min(len(sample) - 1, 20)
 
 
@@ -363,7 +379,7 @@ class TestSelectK:
     @pytest.fixture(scope="class")
     def fitted(self):
         gen = gen_setting(SettingSpec(setting=3, n=12, m=128, seed=5))
-        return FittedMethod(gen.densities, MethodKind.ordinary_fpca())
+        return FittedMethod(gen.densities, OrdinaryFpca())
 
     def test_threshold_scan(self, fitted):
         fve = fve_report(fitted, Metric.L2, k_max=4).fve
@@ -388,13 +404,39 @@ class TestSelectK:
                 fve_report(fitted, Metric.L2, k_max=2, p=p)
 
 
+class TestMethods:
+    def test_equal_methods_hash_equal(self):
+        # methods key the sample cache, so equal ones must find the same entry
+        pairs = (
+            (TransformMethod(), method_named("lqd")),
+            (TransformMethod(LQD, 0.0), TransformMethod()),
+            (TransformMethod(log_hazard_spec(0.1)), method_named("loghazard")),
+            (TransformMethod(log_hazard_spec(0.2), 0.5), TransformMethod(log_hazard_spec(0.2), 0.5)),
+            (OrdinaryFpca(), method_named("fpca")),
+            (HilbertSphere(), method_named("hs")),
+        )
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+        distinct = {TransformMethod(), TransformMethod(blend=0.5), TransformMethod(log_hazard_spec(0.1)),
+                    OrdinaryFpca(), HilbertSphere(), *(pair[1] for pair in pairs)}
+        assert len(distinct) == 6
+
+    def test_labels(self):
+        labels = {name: method_named(name).label for name in ("lqd", "fpca", "hs", "loghazard")}
+        assert labels == {"lqd": "LQD", "fpca": "FPCA", "hs": "HS", "loghazard": "LH(0.1)"}
+        assert method_named("loghazard", 0.25).label == "LH(0.25)"
+        assert TransformMethod(blend=0.5).label == "LQD"
+        with pytest.raises(ValueError, match="method must be one of"):
+            method_named("pca")
+
+
 class TestBlend:
     def test_blend_roundtrip_exact(self, rng, unit512):
         # the blended method's reconstructions, blended again, are the plain
         # method's reconstructions of the blended sample: unblending is exact
         sample = stack([smooth_density(rng, unit512) for _ in range(6)])
-        blended = FittedMethod(sample, MethodKind.lqd(0.4), floor=0.0)
-        plain = FittedMethod(stack([blend(f, 0.4) for f in sample]), MethodKind.lqd())
+        blended = FittedMethod(sample, TransformMethod(blend=0.4), floor=0.0)
+        plain = FittedMethod(stack([blend(f, 0.4) for f in sample]), TransformMethod())
         for k in (0, 2, 5):
             for r, want in zip(blended.reconstruct(k), plain.reconstruct(k)):
                 again = blend(DensityFn(unit512, r), 0.4).values
@@ -411,5 +453,9 @@ class TestBlend:
         assert blended.max() <= np.log(2.0 * f.grid.width) + 1e-9
 
     def test_blend_only_for_transforms(self):
-        with pytest.raises(ValueError):
-            MethodKind("fpca", None, 0.3)
+        # ordinary FPCA has no blend to set; a transform's lies in [0, 1)
+        with pytest.raises(TypeError):
+            OrdinaryFpca(blend=0.3)
+        for weight in (-0.1, 1.0):
+            with pytest.raises(ValueError, match="blend must be in"):
+                TransformMethod(blend=weight)

@@ -5,17 +5,22 @@ from densfda import (
     LQD,
     DensityFn,
     DensitySample,
+    FittedMethod,
     Grid,
+    NonFiniteError,
+    OrdinaryFpca,
     RankDeficientWarning,
     SettingSpec,
+    TransformMethod,
     cv_mse,
+    embedding,
     fit_flr,
     gen_setting,
+    method_named,
     predict,
-    score_rows,
     truncated_normal_rows,
 )
-from densfda import fpca
+from densfda import fpca, frechet
 from densfda.transforms import forward_rows
 
 from conftest import stack
@@ -73,6 +78,24 @@ class TestFitFlr:
             model = fit_flr(scores, y)
         assert model.k == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, rng, bad):
+        scores, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+        y[4] = bad
+        with pytest.raises(NonFiniteError):
+            fit_flr(scores, y)
+        y[4], scores[7, 1] = 0.0, bad
+        with pytest.raises(NonFiniteError):
+            fit_flr(scores, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_response_rejected_by_cv(self, shift_family, bad):
+        densities, mus = shift_family
+        y = mus.copy()
+        y[0] = bad
+        with pytest.raises(NonFiniteError):
+            cv_mse(densities, y, "fpca", 1, folds=5, repeats=1)
+
     def test_needs_enough_subjects(self, rng):
         with pytest.raises(ValueError):
             fit_flr(rng.normal(size=(4, 3)), rng.normal(size=4))
@@ -81,7 +104,7 @@ class TestFitFlr:
         densities, mus = shift_family
         y = mus + 0.05 * np.random.default_rng(1).normal(size=len(mus))
         r2 = []
-        rows, grid = score_rows(densities, "lqd")
+        rows, grid = embedding(densities, TransformMethod())
         for k in (1, 2, 3):
             basis = fpca.fit(rows, grid, k=k)
             r2.append(fit_flr(_project(rows, basis), y).r_squared)
@@ -92,7 +115,7 @@ class TestScoreBases:
     def test_sign_flip_invariance(self, shift_family, rng):
         densities, mus = shift_family
         y = mus + 0.05 * rng.normal(size=len(mus))
-        rows, grid = score_rows(densities, "fpca")
+        rows, grid = embedding(densities, OrdinaryFpca())
         basis = fpca.fit(rows, grid, k=2)
         model = fit_flr(_project(rows, basis), y)
         flipped = fpca.fit(rows, grid, k=2)
@@ -105,13 +128,17 @@ class TestScoreBases:
 
     def test_unknown_method_rejected(self, shift_family):
         with pytest.raises(ValueError):
-            score_rows(shift_family[0], "pca")
+            method_named("pca")
+        # the Hilbert-sphere embedding depends on every subject: not for cross validation
+        for method in ("pca", "hs", "loghazard"):
+            with pytest.raises(ValueError, match="method must be one of"):
+                cv_mse(*shift_family, method, 1)
 
     def test_lqd_rows_kept_read_only(self, shift_family):
         # one transform per sample, which no caller may edit in place
         densities = shift_family[0][:]
-        rows, tgrid = score_rows(densities, "lqd")
-        assert score_rows(densities, "lqd")[0] is rows
+        rows, tgrid = embedding(densities, TransformMethod())
+        assert embedding(densities, TransformMethod())[0] is rows
         np.testing.assert_array_equal(rows, forward_rows(densities.values, densities.grid, LQD)[1])
         with pytest.raises(ValueError, match="read-only"):
             rows[0, 0] = 0.0
@@ -162,7 +189,7 @@ class TestCvMse:
         mus = rng0.uniform(-2.0, 2.0, 100)
         densities = DensitySample(truncated_normal_rows(mus, np.ones(100), grid, 1e-3), grid)
         rng = np.random.default_rng(3)
-        rows, tgrid = score_rows(densities, "lqd")
+        rows, tgrid = embedding(densities, TransformMethod())
         s1 = _project(rows, fpca.fit(rows, tgrid, k=1))[:, 0]
         noise_sd = 0.1 * s1.std()
         y = 2.0 + 1.5 * s1 + noise_sd * rng.normal(size=len(s1))
@@ -183,18 +210,31 @@ class TestCvMse:
         _assert_no_leakage(monkeypatch, *shift_family, "lqd", 2)
 
     def test_transforms_each_density_once(self, shift_family, monkeypatch):
-        from densfda import regression
-
         rows = []
 
         def counting(values, grid, spec):
             rows.append(len(values))
             return forward_rows(values, grid, spec)
 
-        monkeypatch.setattr(regression, "forward_rows", counting)
+        monkeypatch.setattr(frechet, "forward_rows", counting)
         densities, mus = shift_family
         densities = densities[:]  # a new sample, whose cache holds no transform yet
         cv_mse(densities, mus, "lqd", 2, folds=5, repeats=3, seed=2)
+        assert rows == [len(densities)]
+
+    def test_shares_the_transform_with_fitted_method(self, shift_family, monkeypatch):
+        # a fitted LQD method and the cross validation embed the sample once
+        rows = []
+
+        def counting(values, grid, spec):
+            rows.append(len(values))
+            return forward_rows(values, grid, spec)
+
+        monkeypatch.setattr(frechet, "forward_rows", counting)
+        densities, mus = shift_family
+        densities = densities[:]
+        FittedMethod(densities, TransformMethod())
+        cv_mse(densities, mus, "lqd", 2, folds=5, repeats=1, seed=2)
         assert rows == [len(densities)]
 
     @pytest.mark.parametrize("method", ["lqd", "fpca"])
@@ -204,7 +244,7 @@ class TestCvMse:
         densities = gen_setting(SettingSpec(setting=3, n=60, m=256, seed=3)).densities
         perm = np.random.default_rng(8).permutation(len(densities))
         for test_idx in np.array_split(perm, 20):
-            rows, grid = score_rows(densities[np.setdiff1d(perm, test_idx)], method)
+            rows, grid = embedding(densities[np.setdiff1d(perm, test_idx)], method_named(method))
             system = fpca.fit(rows, grid, k=3)
             np.testing.assert_array_equal(system.scores, _project(rows, system))
 
@@ -218,10 +258,11 @@ class TestCvMse:
             perm = np.random.default_rng(child).permutation(len(densities))
             for test_idx in np.array_split(perm, 5):
                 train_idx = np.setdiff1d(perm, test_idx)
-                train, grid = score_rows(densities[train_idx], method)
+                train, grid = embedding(densities[train_idx], method_named(method))
                 basis = fpca.fit(train, grid, k=2)
                 model = fit_flr(_project(train, basis), y[train_idx])
-                pred = predict(model, _project(score_rows(densities[test_idx], method)[0], basis))
+                held_out, _ = embedding(densities[test_idx], method_named(method))
+                pred = predict(model, _project(held_out, basis))
                 sse += float(((y[test_idx] - pred) ** 2).sum())
         ref = sse / (len(densities) * 2)
         assert cv_mse(densities, y, method, 2, folds=5, repeats=2, seed=4) == pytest.approx(

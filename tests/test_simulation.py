@@ -6,8 +6,8 @@ from densfda import (
     DegenerateSigmaError,
     Grid,
     Metric,
-    MethodKind,
     SettingSpec,
+    TransformMethod,
     default_methods,
     dist_wasserstein,
     gen_setting,
@@ -148,7 +148,7 @@ class TestRunComparison:
     def test_golden_replication(self):
         # frozen regression fixture: one replication, fixed seed
         spec = SettingSpec(setting=1, n=15, seed=2024, m=256)
-        res = run_comparison(spec, [MethodKind.lqd(0.5)], 1, Metric.L2, reps=1)
+        res = run_comparison(spec, [TransformMethod(blend=0.5)], 1, Metric.L2, reps=1)
         got = res.fve_at_k("LQD")[0]
         assert got == pytest.approx(0.993164736620273, abs=1e-12)
 
@@ -166,7 +166,7 @@ class TestRunComparison:
 
         monkeypatch.setattr(sim, "gen_setting", flaky)
         spec = SettingSpec(setting=1, n=10, seed=5, m=128)
-        res = sim.run_comparison(spec, [MethodKind.lqd(0.5)], 1, Metric.L2, reps=3)
+        res = sim.run_comparison(spec, [TransformMethod(blend=0.5)], 1, Metric.L2, reps=3)
         assert len(res.failures) == 1 and res.failures[0][0] == 1
         assert res.fve_curves["LQD"][1] is None
         values = res.fve_at_k("LQD")
@@ -233,7 +233,7 @@ class TestRunComparison:
 
     def test_reps_validated(self):
         with pytest.raises(ValueError):
-            run_comparison(SettingSpec(setting=1), [MethodKind.lqd()], 1, Metric.L2, reps=0)
+            run_comparison(SettingSpec(setting=1), [TransformMethod()], 1, Metric.L2, reps=0)
 
     @pytest.mark.parametrize("k", [0, -2])
     def test_k_below_one_rejected_before_any_replication(self, monkeypatch, k):
@@ -242,5 +242,5 @@ class TestRunComparison:
         calls = []
         monkeypatch.setattr(sim, "gen_setting", lambda spec, rng=None: calls.append(spec))
         with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
-            sim.run_comparison(SettingSpec(setting=1), [MethodKind.lqd()], k, Metric.L2, reps=2)
+            sim.run_comparison(SettingSpec(setting=1), [TransformMethod()], k, Metric.L2, reps=2)
         assert calls == []

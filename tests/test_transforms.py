@@ -8,9 +8,9 @@ from densfda import (
     Grid,
     GridMismatchError,
     LQD,
-    MethodKind,
     NonFiniteError,
     SettingSpec,
+    TransformMethod,
     TransformOverflowError,
     TransformSpec,
     gen_setting,
@@ -526,7 +526,7 @@ class TestLogHazardKernelsProperty:
     def test_fitted_method_outputs_are_densities(self, setting):
         # DensityFn checks finiteness, strict positivity and unit mass
         sample = gen_setting(SettingSpec(setting=setting, n=20, m=256, seed=setting)).densities
-        fitted = FittedMethod(sample, MethodKind.log_hazard(0.1))
+        fitted = FittedMethod(sample, TransformMethod(log_hazard_spec(0.1)))
         for k in range(min(fitted.n_components, 3) + 1):
             recon = fitted.reconstruct(k)
             assert recon.shape == (len(sample), fitted.grid.m)
