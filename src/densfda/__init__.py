@@ -74,7 +74,7 @@ from .simulation import (
     run_comparison,
     truncated_normal_rows,
 )
-from .sphere import exp_map, karcher_mean, log_map, sqrt_embed, square_back
+from .sphere import exp_map, karcher_mean, log_map, sqrt_embed
 from .transforms import (
     LQD,
     TransformKind,

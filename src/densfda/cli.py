@@ -67,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=float, default=None, help="default n**(-1/3)")
     p.add_argument("--kernel", choices=[k.value for k in Kernel], default="gaussian")
     p.add_argument("--support", type=_support, required=True, metavar="a,b")
-    p.add_argument("--floor", type=float, default=DEFAULT_FLOOR)
+    p.add_argument("--floor", type=float, default=DEFAULT_FLOOR,
+                   help="lower bound of the density values, in absolute units: "
+                   "on a wide support it flattens the estimates")
 
     p = sub.add_parser("transform", help="apply or invert a transform")
     p.add_argument("--kind", choices=["lqd", "loghazard"], default="lqd")

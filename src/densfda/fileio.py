@@ -79,7 +79,9 @@ def write_density_csv(path, sample: DensitySample, ids=None):
 def read_density_csv(path) -> tuple[DensitySample, list]:
     """The sample of a density table and its column ids, each column
     floored at ``DEFAULT_FLOOR`` (as ``estimate`` writes them) and
-    renormalized to the grid quadrature."""
+    renormalized to the grid quadrature.  The floor is absolute, so a
+    table on a wide support, whose values are small, does not read back
+    as written (see :func:`density.normalize_rows`)."""
     header, points, columns = _read_table(path)
     grid = _uniform_grid_from(points)
     return DensitySample(normalize_rows(columns, grid), grid), header[1:]

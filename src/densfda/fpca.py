@@ -41,6 +41,10 @@ from lam_k to the nearest other eigenvalue (Davis-Kahan); for n < m the
 map through A scales that by sqrt(lam_0 / lam_k).  The leading
 components, which carry the FVE, the modes and the scores, keep
 round-off accuracy.
+
+The module works on plain arrays and knows nothing of densities: the map
+of its output back to density space belongs to each method in
+``frechet``, through :func:`density.normalize_rows`.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DEFAULT_FLOOR, DensitySample, Grid, normalize_rows
+from .density import DensitySample, Grid
 from .errors import EmptySampleError, GridMismatchError, KTooLargeError, NonFiniteError
 
 EIGENVALUE_DROP = 1e-12  # relative to the leading eigenvalue
@@ -158,12 +162,3 @@ def mode_of_variation(system: EigenSystem, k: int, alpha: float) -> np.ndarray:
     if k > system.n_components:
         raise KTooLargeError(f"component {k} of {system.n_components} requested")
     return system.mean + alpha * np.sqrt(system.eigenvalues[k - 1]) * system.eigenfunctions[k - 1]
-
-
-def project_rows(values: np.ndarray, grid: Grid, floor: float = DEFAULT_FLOOR) -> np.ndarray:
-    """Positive part of each row of an ``(n, m)`` array, floored and
-    renormalized to a density.
-
-    Raises ``AllZeroError`` when a row's positive part carries no mass.
-    """
-    return normalize_rows(np.maximum(values, 0.0), grid, floor)

@@ -3,13 +3,17 @@
 Total variation of a density sample is measured by the Fréchet variance
 under a chosen metric (L2 or Wasserstein), and the quality of a
 K-component representation by the fraction of that variance it explains
-(FVE).  A representation method maps the sample into L2 and back, and
-each of the three is a small frozen type that owns both maps:
-:class:`OrdinaryFpca` takes the densities as they are and projects back
-onto density space; :class:`TransformMethod` (log quantile density or
-log hazard) maps each density through the transform and back through
-its inverse; :class:`HilbertSphere` log-maps the square-root densities
-at their Karcher mean and maps back by the exp map and squaring.
+(FVE).  The metrics are :class:`density.Metric`, imported from there.
+A representation method maps the sample into L2 and back, and each of
+the three is a small frozen type that owns both maps:
+:class:`OrdinaryFpca` takes the densities as they are;
+:class:`TransformMethod` (log quantile density or log hazard) maps each
+density through the transform and back through its inverse;
+:class:`HilbertSphere` log-maps the square-root densities at their
+Karcher mean and maps back by the exp map and squaring.  Whatever is
+left outside density space (negative values of ordinary FPCA, the
+transform output once its uniform blend is removed, squared sphere
+points) goes back through the one map :func:`density.normalize_rows`.
 :class:`FittedMethod` runs FPCA in between; ``reconstruct(K)`` returns
 the K-component representations of the whole sample as one ``(n, m)``
 array, and they and the modes are valid densities for every K and mode
@@ -30,7 +34,6 @@ through one batched monotone cubic kernel (:func:`density.pchip_rows`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .density import (
     DEFAULT_FLOOR,
     DensitySample,
     Grid,
+    Metric,
     cdf_rows,
     normalize_rows,
     pchip_rows,
@@ -46,29 +50,11 @@ from .density import (
     sq_dist_rows,
     unit_grid,
 )
-from .sphere import exp_map, karcher_mean, log_map, sqrt_embed, square_back
+from .sphere import exp_map, karcher_mean, log_map, sqrt_embed
 from .transforms import LQD, TransformSpec, forward_rows, inverse_rows, log_hazard_spec
 
 K_MAX_CAP = 20
 EXPLAINED_TAIL = 1e-8  # eigenvalue mass allowed beyond the default K_max
-
-
-class Metric(Enum):
-    L2 = "l2"
-    WASSERSTEIN = "wasserstein"
-
-    def embed_rows(self, values: np.ndarray, grid: Grid) -> tuple[np.ndarray, Grid]:
-        """Rows whose L2 distances are this metric's distances between the
-        density rows of ``values``: the densities themselves for L2, their
-        quantile functions for Wasserstein, on a probability grid of
-        ``grid.m`` points, as in :func:`dist_wasserstein`."""
-        if self is Metric.L2:
-            return values, grid
-        tgrid = unit_grid(grid.m)
-        return quantile_rows(cdf_rows(values, grid), grid, tgrid), tgrid
-
-    def embed(self, sample: DensitySample) -> tuple[np.ndarray, Grid]:
-        return self.embed_rows(sample.values, sample.grid)
 
 
 @dataclass
@@ -124,15 +110,21 @@ def wasserstein_frechet_mean(sample: DensitySample, floor: float = DEFAULT_FLOOR
     endpoints, then floored and renormalized.  Both inversions are
     monotone cubic and run through one batched kernel,
     :func:`pchip_rows`: all sample CDFs at once, then the one average.
-    A one-density sample is its own mean.
+    A one-density sample is its own mean.  The second inversion works with
+    cubes of the support width and of its inverse, so on supports
+    narrower than about 1e-102 or wider than about 3e103 it overflows and
+    the mean raises ``NonFiniteError``.
     """
     grid = sample.grid
     if len(sample) == 1:
         return sample
     tgrid = unit_grid(grid.m)
-    qbar = _pchip_quantile_rows(cdf_rows(sample.values, grid), grid, tgrid).mean(axis=0)
-    cdf = pchip_rows(qbar, tgrid.points, grid.points)[0]
-    density = normalize_rows(np.gradient(cdf, grid.spacing, edge_order=2)[None], grid, floor)
+    # on extreme supports the cubics overflow; normalize_rows reports the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        qbar = _pchip_quantile_rows(cdf_rows(sample.values, grid), grid, tgrid).mean(axis=0)
+        cdf = pchip_rows(qbar, tgrid.points, grid.points)[0]
+        raw = np.gradient(cdf, grid.spacing, edge_order=2)
+    density = normalize_rows(raw[None], grid, floor)
     return DensitySample(density, grid)
 
 
@@ -156,7 +148,7 @@ def fisher_rao_mean(sample: DensitySample, floor: float = DEFAULT_FLOOR) -> Dens
     The Karcher mean of the square-root densities, squared back to a
     one-row sample.  The Karcher mean is computed once per sample and kept.
     """
-    return DensitySample(square_back(_karcher_mean(sample)[None], sample.grid, floor), sample.grid)
+    return DensitySample(normalize_rows(_karcher_mean(sample)[None] ** 2, sample.grid, floor), sample.grid)
 
 
 def frechet_variance(sample: DensitySample, metric: Metric, floor: float = DEFAULT_FLOOR) -> float:
@@ -178,8 +170,8 @@ def frechet_variance(sample: DensitySample, metric: Metric, floor: float = DEFAU
 
 @dataclass(frozen=True)
 class OrdinaryFpca:
-    """Ordinary FPCA: the densities as they are, mapped back by the
-    positive-part projection (:func:`fpca.project_rows`)."""
+    """Ordinary FPCA: the densities as they are, mapped back by flooring
+    and renormalizing (:func:`density.normalize_rows`)."""
 
     label = "FPCA"
 
@@ -187,7 +179,7 @@ class OrdinaryFpca:
         return sample.values, sample.grid
 
     def to_density(self, rows: np.ndarray, grid: Grid, sample: DensitySample, floor: float) -> np.ndarray:
-        return fpca.project_rows(rows, grid, floor)
+        return normalize_rows(rows, grid, floor)
 
 
 @dataclass(frozen=True)
@@ -222,7 +214,7 @@ class TransformMethod:
         if self.blend == 0.0:
             return dens
         raw = (dens - self.blend / sample.grid.width) / (1.0 - self.blend)
-        return fpca.project_rows(raw, sample.grid, floor)
+        return normalize_rows(raw, sample.grid, floor)
 
 
 @dataclass(frozen=True)
@@ -236,7 +228,7 @@ class HilbertSphere:
         return log_map(_karcher_mean(sample), sqrt_embed(sample.values, sample.grid), sample.grid), sample.grid
 
     def to_density(self, rows: np.ndarray, grid: Grid, sample: DensitySample, floor: float) -> np.ndarray:
-        return square_back(exp_map(_karcher_mean(sample), rows, grid), grid, floor)
+        return normalize_rows(exp_map(_karcher_mean(sample), rows, grid) ** 2, grid, floor)
 
 
 Method = OrdinaryFpca | TransformMethod | HilbertSphere

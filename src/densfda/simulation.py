@@ -29,17 +29,15 @@ from .density import (
     DensityFn,
     DensitySample,
     Grid,
+    Metric,
     cdf_rows,
     normalize_rows,
-    quantile_rows,
     sq_dist_rows,
-    unit_grid,
 )
 from .errors import DegenerateSigmaError, EmptySampleError
 from .frechet import (
     FittedMethod,
     HilbertSphere,
-    Metric,
     OrdinaryFpca,
     TransformMethod,
     fisher_rao_mean,
@@ -213,8 +211,7 @@ class SimulationResult:
         rows = [means[name][r].values for name in names for r in ok[name]]
         aggregated = [name for name in names if aggregate and ok[name]]
         rows += [self.aggregated_mean(name).values for name in aggregated]
-        grid, tgrid = self.spec.grid, unit_grid(self.spec.grid.m)
-        q = quantile_rows(cdf_rows(np.stack(rows + [self.target.values]), grid), grid, tgrid)
+        q, tgrid = Metric.WASSERSTEIN.embed_rows(np.stack(rows + [self.target.values]), self.spec.grid)
         dist = iter(np.sqrt(sq_dist_rows(q[:-1], q[-1:], tgrid)))
         per_rep = {name: np.full(self.reps, np.nan) for name in names}
         for name in names:

@@ -7,7 +7,9 @@ space at the mean (linearized principal geodesic analysis).  Strictly
 positive densities share an orthant, so all pairwise angles stay below
 pi/2 and the iteration is well behaved.  Geodesic operations (exp maps
 with large tangents, modes at large parameters) may leave that orthant;
-squaring back to densities folds the sign away again.
+squaring back to densities folds the sign away again.  The module stays
+on the sphere: squaring, flooring and renormalizing a point back to a
+density is :func:`density.normalize_rows` of its square, in ``frechet``.
 
 Points on the sphere are plain arrays on one grid: a sample is the
 ``(n, m)`` array of its unit-norm rows, a base point one ``(m,)`` row.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import DEFAULT_FLOOR, Grid, integrate_rows, normalize_rows
+from .density import Grid, integrate_rows
 from .errors import GridMismatchError, NoConvergenceError
 
 KARCHER_TOL = 1e-9
@@ -53,11 +55,6 @@ def sqrt_embed(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Unit-norm square roots of each row of an ``(n, m)`` array of densities."""
     v = np.sqrt(values)
     return v / np.sqrt(integrate_rows(v * v, grid))[:, None]
-
-
-def square_back(points: np.ndarray, grid: Grid, floor: float = DEFAULT_FLOOR) -> np.ndarray:
-    """Densities (squared, floored, renormalized) of the rows of ``points``."""
-    return normalize_rows(points**2, grid, floor)
 
 
 def log_map(base: np.ndarray, data: np.ndarray, grid: Grid) -> np.ndarray:

@@ -20,13 +20,16 @@ from densfda import (
     log_hazard_spec,
     unit_grid,
 )
+from densfda import frechet
 from densfda.density import (
+    Metric,
     cdf_rows,
     cumulative_integral,
     integrate_rows,
     normalize_rows,
     pchip_rows,
     quantile_rows,
+    sq_dist_rows,
 )
 from densfda.frechet import _pchip_quantile_rows
 from densfda.transforms import forward_rows, inverse_rows
@@ -73,6 +76,34 @@ class TestNormalize:
         raw[5] = np.nan
         with pytest.raises(NonFiniteError):
             normalize_rows(raw[None], unit512)
+
+    def test_negative_infinity_raises(self, unit512):
+        raw = np.ones(512)
+        raw[5] = -np.inf
+        with pytest.raises(NonFiniteError):
+            normalize_rows(raw[None], unit512)
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-6, 1e-3])
+    def test_signed_rows_as_their_positive_part(self, rng, floor):
+        # negative values clamp to the floor as zeros do: mapping a signed
+        # function back to densities needs no positive-part step first
+        grid = Grid(-1.0, 2.0, 64)
+
+        def outcome(raw):
+            try:
+                return normalize_rows(raw, grid, floor)
+            except DensfdaError as exc:
+                return type(exc)
+
+        blocks = [rng.normal(size=(3, 64)) + rng.uniform(-1.0, 4.0) for _ in range(200)]
+        blocks.append(np.stack([np.ones(64), -1.0 - rng.random(64)]))  # one all-negative row
+        for raw in blocks:
+            got, want = outcome(raw), outcome(np.maximum(raw, 0.0))
+            if isinstance(want, type):
+                assert got is want
+            else:
+                np.testing.assert_array_equal(got, want)
+        assert outcome(blocks[-1]) is AllZeroError
 
     def test_rows_raise_first_failing_row(self, unit512):
         # each row fails a different check; the batch fails as the rows
@@ -277,6 +308,14 @@ class TestMetrics:
             qf, qg = (quantile_rows(cdf_rows(h.values[None], grid), grid, tgrid) for h in (f, g))
             want = float(np.sqrt(np.maximum(integrate_rows((qf - qg) ** 2, tgrid), 0.0)[0]))
             assert dist_wasserstein(f, g) == want
+
+    def test_wasserstein_is_the_metric_embedding(self, rng):
+        assert frechet.Metric is Metric
+        grid = Grid(-2.0, 3.0, 128)
+        for _ in range(10):
+            f, g = smooth_density(rng, grid, amplitude=1.0), smooth_density(rng, grid, amplitude=1.0)
+            q, tgrid = Metric.WASSERSTEIN.embed_rows(np.stack([f.values, g.values]), grid)
+            assert dist_wasserstein(f, g) == float(np.sqrt(sq_dist_rows(q[:1], q[1:], tgrid)[0]))
 
     def test_support_mismatch(self):
         f = DensitySample(normalize_rows(np.ones(128)[None], Grid(0.0, 1.0, 128)), Grid(0.0, 1.0, 128))[0]

@@ -17,7 +17,7 @@ from densfda import (
     truncate,
 )
 from densfda.density import integrate_rows
-from densfda.fpca import EIGENVALUE_DROP, project_rows
+from densfda.fpca import EIGENVALUE_DROP
 
 from conftest import smooth_density, stack
 
@@ -278,17 +278,17 @@ class TestTruncateAndModes:
 class TestProjectToDensity:
     def test_idempotent_on_densities(self, rng, unit512):
         f = smooth_density(rng, unit512)
-        np.testing.assert_array_equal(project_rows(f.values[None], unit512)[0], f.values)
+        np.testing.assert_array_equal(normalize_rows(f.values[None], unit512)[0], f.values)
 
     def test_signed_function_projected(self, unit512):
         x = unit512.points
-        out = project_rows((1.0 - 2.0 * x)[None], unit512, floor=1e-6)[0]
+        out = normalize_rows((1.0 - 2.0 * x)[None], unit512, floor=1e-6)[0]
         keep = x < 0.49
         np.testing.assert_allclose(out[keep], 4.0 * (1.0 - 2.0 * x[keep]), rtol=1e-3)
 
     def test_nonpositive_raises(self, unit512):
         with pytest.raises(AllZeroError):
-            project_rows(-np.ones((1, M)), unit512)
+            normalize_rows(-np.ones((1, M)), unit512)
 
 
 class TestIdentities:

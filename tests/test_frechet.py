@@ -13,6 +13,7 @@ from densfda import (
     KTooLargeError,
     LQD,
     Metric,
+    NonFiniteError,
     OrdinaryFpca,
     SettingSpec,
     TransformMethod,
@@ -30,7 +31,6 @@ from densfda import (
     mode_of_variation,
     normalize_rows,
     sqrt_embed,
-    square_back,
     truncated_normal_rows,
     unit_grid,
     wasserstein_frechet_mean,
@@ -64,6 +64,45 @@ def lqd_family(coeffs2, grid_m=M, support=(0.0, 1.0)):
 def blend(f, weight):
     """Mixture (1 - weight) * f + weight * uniform on the same support."""
     return DensityFn(f.grid, (1.0 - weight) * f.values + weight / f.grid.width)
+
+
+def moved(sample, k):
+    """``sample`` on a support 2**k times as wide, its values 2**-k times
+    as high; both scalings are exact."""
+    g = sample.grid
+    return DensitySample(np.ldexp(sample.values, -k), Grid(np.ldexp(g.lo, k), np.ldexp(g.hi, k), g.m))
+
+
+class TestExtremeSupports:
+    @pytest.fixture(scope="class")
+    def sample(self):
+        return gen_setting(SettingSpec(setting=3, n=20, m=128)).densities
+
+    @staticmethod
+    def l2_curve(sample, method):
+        return fve_report(FittedMethod(sample, method), Metric.L2, k_max=5).fve
+
+    @pytest.mark.parametrize("k", [-660, -530, 530, 660])
+    def test_transform_curve_is_scale_free(self, sample, k):
+        # no floor acts, so the L2 FVE of the moved sample has the same bits
+        want = self.l2_curve(sample, TransformMethod())
+        np.testing.assert_array_equal(self.l2_curve(moved(sample, k), TransformMethod()), want)
+
+    @pytest.mark.parametrize("k", [-660, -530])
+    @pytest.mark.parametrize(
+        "method", [OrdinaryFpca(), TransformMethod(blend=0.5), HilbertSphere()], ids=["fpca", "lqd-blend", "hs"]
+    )
+    def test_floored_methods_on_narrow_supports(self, sample, method, k):
+        # the absolute floor is all that differs on a narrow support
+        got = self.l2_curve(moved(sample, k), method)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, self.l2_curve(sample, method), rtol=0.0, atol=3e-6)
+
+    @pytest.mark.parametrize("k", [-530, 530])
+    def test_wasserstein_mean_fails_without_warnings(self, sample, k):
+        # its cubic inversion overflows here; the suite turns warnings into errors
+        with pytest.raises(NonFiniteError):
+            frechet_mean(moved(sample, k), Metric.WASSERSTEIN)
 
 
 class TestWassersteinMean:
@@ -137,7 +176,7 @@ class TestDensitySample:
         assert frechet._karcher_mean(sample) is frechet._karcher_mean(sample)
         # the same bits as the Karcher mean of each density embedded on its own
         roots = np.concatenate([sqrt_embed(f.values[None], unit512) for f in sample])
-        per_density = square_back(karcher_mean(roots, unit512)[None], unit512)[0]
+        per_density = normalize_rows(karcher_mean(roots, unit512)[None] ** 2, unit512)[0]
         np.testing.assert_array_equal(fisher_rao_mean(sample)[0].values, per_density)
         # a sub-sample has statistics of its own
         assert frechet_mean(sample[:3], Metric.L2) is not frechet_mean(sample, Metric.L2)
@@ -202,7 +241,7 @@ class TestMeansAreSamples:
         roots = sqrt_embed(sample.values, unit512)
         for mean, want in [
             (l2, sample.values.mean(axis=0)),
-            (fisher_rao, square_back(karcher_mean(roots, unit512)[None], unit512)[0]),
+            (fisher_rao, normalize_rows(karcher_mean(roots, unit512)[None] ** 2, unit512)[0]),
         ]:
             assert isinstance(mean, DensitySample) and len(mean) == 1 and mean.grid == unit512
             assert np.array_equal(mean.values[0], want)

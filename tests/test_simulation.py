@@ -118,16 +118,17 @@ class TestRunComparison:
         assert s["failures"] == []
 
     def test_summary_inverts_each_row_once(self, small_run, monkeypatch):
+        import densfda.density as density
         import densfda.simulation as sim
 
         inverted = []
-        original = sim.quantile_rows
+        original = density.quantile_rows
 
         def counting(cdf, grid, tgrid):
             inverted.append(len(cdf))
             return original(cdf, grid, tgrid)
 
-        monkeypatch.setattr(sim, "quantile_rows", counting)
+        monkeypatch.setattr(density, "quantile_rows", counting)
         summary = small_run.summary()
         # one call: 4 replications x 3 metrics, the 3 aggregated means, the target
         assert inverted == [4 * 3 + 3 + 1]

@@ -14,7 +14,6 @@ from densfda import (
     log_map,
     normalize_rows,
     sqrt_embed,
-    square_back,
     truncate,
 )
 from densfda.density import integrate_rows
@@ -52,7 +51,7 @@ def exp1(base, v, grid):
 
 def squared(points, grid):
     """The densities of the rows of ``points`` as a sample."""
-    return DensitySample(square_back(points, grid), grid)
+    return DensitySample(normalize_rows(points**2, grid), grid)
 
 
 class TestEmbedding:
@@ -294,7 +293,7 @@ class TestBatchedAgainstLoop:
         base = points[0]
         tangents = log_map(base, points, grid)
         ends = exp_map(base, 0.7 * tangents, grid)
-        backs = square_back(ends, grid)
+        backs = normalize_rows(ends**2, grid)
         for f, p, v, q, back in zip(densities, points, tangents, ends, backs):
             root = np.sqrt(f.values)
             np.testing.assert_allclose(
