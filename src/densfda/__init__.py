@@ -8,6 +8,13 @@ the L2 and Wasserstein metrics quantify how much variation a truncated
 representation explains, with a Hilbert-sphere baseline, a
 boundary-corrected kernel density estimator for raw samples, a
 simulation harness, and scalar-on-density regression.
+
+Importing densfda loads NumPy only.  Three functions load SciPy, on
+their first call: :func:`transforms.log_hazard_inverse_rows` (a cubic
+spline), the Gaussian :meth:`Kernel.integral` and
+:func:`truncated_normal_rows` (the normal CDF).  So the log-hazard
+inverse, Gaussian kernel estimates and the simulations need SciPy; LQD,
+ordinary FPCA, the Hilbert sphere, the Fréchet means and regression do not.
 """
 
 from .density import (

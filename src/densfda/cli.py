@@ -8,9 +8,9 @@ min(selected K, 2, components).
 
 Every command writes its outputs plus a ``<output>.manifest.json``
 recording the argv, seed (null but for ``simulate`` and ``regress``),
-input digests and artifact version.  Exit codes: 0 on success, 2 on
-usage errors (argparse), 1 on computation errors, which are also
-reported as a JSON object on stderr.
+input digests, artifact version and the Python, NumPy and SciPy
+versions.  Exit codes: 0 on success, 2 on usage errors (argparse), 1 on
+computation errors, which are also reported as a JSON object on stderr.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ Tables move as arrays.  A read checks the shape line by line (an empty
 file, no data rows, fewer than two columns or a row of the wrong field
 count raise ``CsvFormatError``), skipping blank lines, then parses the
 body with one ``np.loadtxt``; a field that is no number raises
-``ValueError``.  A write formats the body with one format string per
-row, the same bytes as ``csv.writer`` (CRLF line ends).
+``ValueError``.  A write formats and writes the body one row at a time
+with one format string, the same bytes as ``csv.writer`` (CRLF line
+ends).
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import platform
 import time
 from dataclasses import asdict, dataclass, field
+from importlib import metadata
 
 import numpy as np
 
@@ -42,11 +45,12 @@ def _uniform_grid_from(points: np.ndarray) -> Grid:
 
 
 def _write_table(path, first_name: str, points: np.ndarray, columns, ids):
-    rows = np.column_stack([points, *columns]).tolist()
+    table = np.column_stack([points, *columns])
     line = ",".join([FLOAT_FMT] * (len(ids) + 1)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow([first_name, *ids])
-        fh.write("".join(line % tuple(row) for row in rows))
+        for row in table:  # one line at a time: the text of the whole table is never held
+            fh.write(line % tuple(row.tolist()))
 
 
 def _read_table(path):
@@ -155,6 +159,10 @@ class RunManifest:
     inputs: dict = field(default_factory=dict)  # path -> sha256 of bytes
     artifact_version: str = ARTIFACT_VERSION
     timestamp: str = ""
+    python_version: str = field(init=False, default=platform.python_version())
+    numpy_version: str = field(init=False, default=np.__version__)
+    # read from the installed metadata: importing SciPy here would load it on every command
+    scipy_version: str = field(init=False, default_factory=lambda: metadata.version("scipy"))
 
     def write(self, out_path):
         self.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")

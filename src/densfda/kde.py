@@ -7,6 +7,10 @@ integral, which removes the boundary bias of the plain kernel estimator.
 Bandwidths are expressed on the unit-mapped support and must stay below
 one half.  :func:`estimate_rows` is the one estimator, for an ``(n, k)``
 array of draws; one sample of draws is the row of a ``(1, k)`` array.
+
+Only the Gaussian branch of :meth:`Kernel.integral` uses SciPy, the
+normal CDF, and imports it on its first call; importing this module
+loads NumPy only.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr
 
 from .density import DEFAULT_FLOOR, Grid, integrate_rows, normalize_rows
 from .errors import BadBandwidthError, NonFiniteError, OutOfSupportError, SampleShapeError, TooFewSamplesError
@@ -45,6 +48,8 @@ class Kernel(Enum):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if self is Kernel.GAUSSIAN:
+            # SciPy costs about 50 MB and 0.6 s at import, and only this path uses it
+            from scipy.special import ndtr
             return ndtr(b) - ndtr(a)
         lo = np.clip(a, -1.0, 1.0)
         hi = np.clip(b, -1.0, 1.0)

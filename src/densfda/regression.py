@@ -95,7 +95,7 @@ def cv_mse(
     Every fold refits the score basis on its training subjects only,
     regresses on that fit's scores and projects the held-out densities
     onto the basis.  Fold assignment is a seeded shuffle with one child
-    stream per repeat.
+    stream per repeat.  Raises ``ValueError`` unless 2 <= folds <= n.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = len(densities)
@@ -109,6 +109,8 @@ def cv_mse(
         raise ValueError(f"method must be one of {SCORE_METHODS}, got {method!r}")
     # each density is embedded on its own, once; folds index the rows
     rows, grid = embedding(densities, method_named(method))
+    if folds > n:  # a fold beyond n subjects would be empty
+        raise ValueError(f"folds must be <= n = {n} subjects, got {folds}")
     children = np.random.SeedSequence(seed).spawn(repeats)
     total_sse = 0.0
     for child in children:

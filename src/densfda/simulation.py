@@ -16,6 +16,10 @@ spec seed (one child per replication).  A replication's densities come
 out of the generator as one :class:`DensitySample`, which the methods
 and the means of that replication then share.  Sampled observation
 draws one ``(n, n_obs)`` array and estimates all its rows in one call.
+
+Only :func:`truncated_normal_rows` uses SciPy, the normal CDF, and
+imports it on its first call; importing this module loads NumPy only.
+Every generator goes through it, so generating a setting loads SciPy.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .density import (
     DensityFn,
@@ -101,6 +104,8 @@ class SettingSpec:
 def truncated_normal_rows(mus, sigmas, grid: Grid, floor: float = SIMULATION_FLOOR) -> np.ndarray:
     """Normal(mu, sigma^2) truncated to the grid support, floored and
     renormalized to the grid quadrature: one row for each (mu, sigma) pair."""
+    # SciPy costs about 50 MB and 0.6 s at import, and only this path uses it
+    from scipy.special import ndtr
     mus, sigmas = np.asarray(mus, dtype=float), np.asarray(sigmas, dtype=float)
     bad = ~(sigmas > 0)
     if bad.any():

@@ -22,6 +22,9 @@ is affine too, so the composition is the interpolant through the knots
 of the inner one with the outer one's values.  This is exact up to
 round-off, and has less of it than two steps, which place the
 intermediate point only to about m machine epsilons of a grid cell.
+
+Only :func:`log_hazard_inverse_rows` uses SciPy, a cubic spline, and
+imports it on its first call; importing this module loads NumPy only.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .density import (
     Grid,
@@ -158,6 +160,8 @@ def log_hazard_inverse_rows(x: np.ndarray, delta: float) -> np.ndarray:
     resolution.  As in :func:`lqd_inverse_rows`, overflow ends in a
     ``DensfdaError``.
     """
+    # SciPy costs about 50 MB and 0.6 s at import, and only this path uses it
+    from scipy.interpolate import CubicSpline
     _guard_exp(x)
     m = x.shape[1]
     upper = 1.0 - delta

@@ -1,7 +1,10 @@
 import csv
 import json
+import platform
 import subprocess
 import sys
+import tracemalloc
+from importlib import metadata
 
 import numpy as np
 import pytest
@@ -104,6 +107,20 @@ class TestFileIO:
         _write_table_reference(tmp_path / "want.csv", "x", points, columns, ids)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    def test_writer_holds_less_than_the_file(self, tmp_path, rng):
+        # the analyze benchmark's table size: 200 densities on 1024 points
+        grid = Grid(-5.0, 5.0, 1024)
+        columns = rng.uniform(0.0, 1.0, (200, grid.m))
+        ids = [f"subject_{i + 1}" for i in range(200)]
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            _write_table(path, "x", grid.points, columns, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+
     def test_density_csv_roundtrip(self, tmp_path, rng):
         grid = Grid(-3.0, 3.0, 257)
         densities = stack([smooth_density(rng, grid) for _ in range(3)])
@@ -148,7 +165,10 @@ class TestEstimate:
         densities, ids = read_density_csv(out)
         assert ids == ["s1", "s2"]
         assert densities[0].grid.m == 201
-        assert (tmp_path / "dens.csv.manifest.json").exists()
+        manifest = json.loads((tmp_path / "dens.csv.manifest.json").read_text())
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == metadata.version("scipy")
 
     def test_writes_the_row_kernel_per_subject(self, tmp_path, rng):
         # subjects with unequal draw counts get their own default bandwidth
@@ -527,6 +547,24 @@ class TestRegress:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "ValueError", "message": "k must be >= 0, got -1"}
+        assert not out.exists()
+
+    def test_more_folds_than_subjects_exits_1(self, tmp_path, rng, capsys):
+        grid = Grid(0.0, 1.0, 64)
+        dpath, ypath, out = tmp_path / "d.csv", tmp_path / "y.csv", tmp_path / "reg.json"
+        ids = [f"s{i}" for i in range(12)]
+        write_density_csv(dpath, stack([smooth_density(rng, grid) for _ in ids]), ids)
+        ypath.write_text("subject_id,value\n" + "".join(f"{sid},{i}\n" for i, sid in enumerate(ids)))
+        code = main([
+            "regress", "--method", "lqd", "--K", "1", "--folds", "13", "--repeats", "1",
+            "--densities", str(dpath), "--y", str(ypath), "--out", str(out),
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "ValueError", "message": "folds must be <= n = 12 subjects, got 13",
+        }
         assert not out.exists()
 
 

@@ -205,6 +205,10 @@ class TestCvMse:
             cv_mse(densities, mus, "lqd", 1, folds=1)
         with pytest.raises(ValueError):
             cv_mse(densities, mus[:-1], "lqd", 1)
+        # 12 folds of 12 subjects is leave-one-out; a 13th fold would be empty
+        cv_mse(densities[:12], mus[:12], "fpca", 1, folds=12, repeats=1)
+        with pytest.raises(ValueError, match="folds must be <= n = 12"):
+            cv_mse(densities[:12], mus[:12], "fpca", 1, folds=13, repeats=1)
 
     def test_lqd_no_leakage_training_basis_bit_identical(self, shift_family, monkeypatch):
         _assert_no_leakage(monkeypatch, *shift_family, "lqd", 2)
