@@ -7,6 +7,10 @@ integral, which removes the boundary bias of the plain kernel estimator.
 Bandwidths are expressed on the unit-mapped support and must stay below
 one half.  :func:`estimate_rows` is the one estimator, for an ``(n, k)``
 array of draws; one sample of draws is the row of a ``(1, k)`` array.
+It sums each kernel without its constant factor (the Gaussian's
+1/√(2π), the Epanechnikov's 3/4, the uniform's 1/2): dividing by the
+sum's own integral cancels any constant, so the estimate is the same
+up to rounding.
 
 Only the Gaussian branch of :meth:`Kernel.integral` uses SciPy, the
 normal CDF, and imports it on its first call; importing this module
@@ -32,16 +36,6 @@ class Kernel(Enum):
     GAUSSIAN = "gaussian"
     EPANECHNIKOV = "epanechnikov"
     UNIFORM = "uniform"
-
-    def pdf(self, u):
-        u = np.asarray(u, dtype=float)
-        if self is Kernel.GAUSSIAN:
-            v = np.multiply(-0.5, u, out=np.empty_like(u))  # one new array, no temporaries
-            v *= u
-            return np.divide(np.exp(v, out=v), np.sqrt(2.0 * np.pi), out=v)
-        if self is Kernel.EPANECHNIKOV:
-            return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
-        return np.where(np.abs(u) <= 1.0, 0.5, 0.0)
 
     def integral(self, a, b):
         """Exact integral of the kernel over [a, b] (elementwise)."""
@@ -105,6 +99,18 @@ def boundary_weight(x: np.ndarray, h: float, kernel: Kernel = Kernel.GAUSSIAN) -
     return w
 
 
+def _kernel_sums(kernel: Kernel, z2: np.ndarray) -> np.ndarray:
+    """Row sums of the kernel at z, given z², without the kernel's constant
+    factor: exp(−z²/2), max(1 − z², 0) or [z² ≤ 1].  Overwrites ``z2``."""
+    if kernel is Kernel.GAUSSIAN:
+        z2 *= -0.5
+        return np.exp(z2, out=z2).sum(axis=1)
+    if kernel is Kernel.EPANECHNIKOV:
+        np.subtract(1.0, z2, out=z2)
+        return np.maximum(z2, 0.0, out=z2).sum(axis=1)
+    return np.count_nonzero(z2 <= 1.0, axis=1)
+
+
 def estimate_rows(samples, cfg: KdeConfig) -> np.ndarray:
     """Estimate one density from each row of an ``(n, k)`` array of draws.
 
@@ -112,9 +118,14 @@ def estimate_rows(samples, cfg: KdeConfig) -> np.ndarray:
     divided by its own trapezoidal integral, floored at ``cfg.floor`` and
     renormalized into a strictly positive density on ``cfg.grid``.  The
     checks, weights and normalization run once per array, the kernel sum
-    once per row.  Returns ``(n, m)`` values.  Rows fail with
-    ``TooFewSamplesError``, ``NonFiniteError``, ``OutOfSupportError`` or
-    ``BadBandwidthError``, and the first failing row's error is raised.
+    once per row, in place on one ``(m, k)`` buffer: z = (x − u)/h,
+    squared, then the kernel as a function of z² without its constant
+    factor.  That factor would scale a row and its integral alike, so the
+    division by the integral makes leaving it out exact up to rounding;
+    the Gaussian's exponent −z²/2 has the same bits as with it.  Returns
+    ``(n, m)`` values.  Rows fail with ``TooFewSamplesError``,
+    ``NonFiniteError``, ``OutOfSupportError`` or ``BadBandwidthError``,
+    and the first failing row's error is raised.
     """
     w = np.asarray(samples, dtype=float)
     if w.ndim != 2:
@@ -129,12 +140,13 @@ def estimate_rows(samples, cfg: KdeConfig) -> np.ndarray:
     u = (w[:stop] - grid.lo) / grid.width
     x = np.linspace(0.0, 1.0, grid.m)
     weights = boundary_weight(x, h, cfg.kernel)
-    raw, diff = np.empty((stop, grid.m)), np.empty((grid.m, w.shape[1]))
+    raw, z2 = np.empty((stop, grid.m)), np.empty((grid.m, w.shape[1]))
     with np.errstate(over="ignore"):  # a tiny bandwidth sends far draws to infinity, weight 0
         for row, draws in zip(raw, u):
-            np.subtract(x[:, None], draws, out=diff)
-            diff /= h
-            np.multiply(cfg.kernel.pdf(diff).sum(axis=1), weights, out=row)
+            np.subtract(x[:, None], draws, out=z2)
+            z2 /= h
+            z2 *= z2
+            np.multiply(_kernel_sums(cfg.kernel, z2), weights, out=row)
     mass = integrate_rows(raw, Grid(0.0, 1.0, grid.m))
     vanished = np.append(np.flatnonzero(mass <= 0.0), stop)[0]  # compact kernels can miss all nodes
     out = normalize_rows(raw[:vanished] / (mass[:vanished, None] * grid.width), grid, cfg.floor)

@@ -95,7 +95,9 @@ def cv_mse(
     Every fold refits the score basis on its training subjects only,
     regresses on that fit's scores and projects the held-out densities
     onto the basis.  Fold assignment is a seeded shuffle with one child
-    stream per repeat.  Raises ``ValueError`` unless 2 <= folds <= n.
+    stream per repeat; with ``folds == n`` every repeat would make the
+    same leave-one-out fits, so one is made.  Raises ``ValueError``
+    unless 2 <= folds <= n.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = len(densities)
@@ -111,6 +113,8 @@ def cv_mse(
     rows, grid = embedding(densities, method_named(method))
     if folds > n:  # a fold beyond n subjects would be empty
         raise ValueError(f"folds must be <= n = {n} subjects, got {folds}")
+    # leave-one-out folds do not depend on the shuffle: one repeat gives them all
+    repeats = 1 if folds == n else repeats
     children = np.random.SeedSequence(seed).spawn(repeats)
     total_sse = 0.0
     for child in children:

@@ -15,11 +15,14 @@ Replications draw their randomness from child streams spawned off the
 spec seed (one child per replication).  A replication's densities come
 out of the generator as one :class:`DensitySample`, which the methods
 and the means of that replication then share.  Sampled observation
-draws one ``(n, n_obs)`` array and estimates all its rows in one call.
+draws one ``(n, n_obs)`` array of uniforms, maps them through each
+truncated normal's closed-form inverse CDF and estimates all the rows in
+one call.
 
-Only :func:`truncated_normal_rows` uses SciPy, the normal CDF, and
-imports it on its first call; importing this module loads NumPy only.
-Every generator goes through it, so generating a setting loads SciPy.
+SciPy, for the normal CDF and its inverse, is imported on first use by
+:func:`truncated_normal_rows` and by the sampler; importing this module
+loads NumPy only.  Every generator goes through the former, so
+generating a setting loads SciPy.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .density import (
     DensitySample,
     Grid,
     Metric,
-    cdf_rows,
     normalize_rows,
     sq_dist_rows,
 )
@@ -47,7 +49,7 @@ from .frechet import (
     frechet_mean,
     fve_report,
 )
-from .kde import KdeConfig, Kernel, estimate_rows
+from .kde import KdeConfig, Kernel, _check_bandwidth, estimate_rows
 
 # truncated normals can run below 1e-40 near the support boundary, which
 # no fixed grid can represent through the quantile map; simulated
@@ -61,12 +63,14 @@ SIMULATION_BLEND = 0.5
 
 SETTING_SUPPORT = {1: (-3.0, 3.0), 2: (-5.0, 5.0), 3: (-5.0, 5.0)}
 
-_FINE_M = 4096  # inverse-CDF sampling grid
-
 
 @dataclass(frozen=True)
 class SettingSpec:
-    """One simulation design: which generator, sample sizes, observation mode."""
+    """One simulation design: which generator, sample sizes, observation mode.
+
+    Sampled observation raises ``BadBandwidthError`` unless the bandwidth,
+    mapped to the unit support, lies strictly between 0 and one half.
+    """
 
     setting: int
     n: int = 50
@@ -83,8 +87,10 @@ class SettingSpec:
             raise ValueError("n must be >= 2")
         if self.observed not in ("full", "sampled"):
             raise ValueError("observed must be 'full' or 'sampled'")
-        if self.observed == "sampled" and self.n_obs < 10:
-            raise ValueError("sampled observation needs n_obs >= 10")
+        if self.observed == "sampled":  # full observation ignores the bandwidth
+            if self.n_obs < 10:
+                raise ValueError("sampled observation needs n_obs >= 10")
+            _check_bandwidth(self.unit_bandwidth)
 
     @property
     def unit_bandwidth(self) -> float:
@@ -144,11 +150,18 @@ def _draw_parameters(spec: SettingSpec, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _inverse_cdf_samples(mus, sigmas, grid: Grid, n_obs: int, rng) -> np.ndarray:
-    """``(n, n_obs)`` draws, one row per truncated normal, via its CDF on a fine grid."""
-    fine = Grid(grid.lo, grid.hi, _FINE_M)
-    cdfs = cdf_rows(truncated_normal_rows(mus, sigmas, fine, 1e-300), fine)
-    draws, points = rng.random((len(cdfs), n_obs)), fine.points
-    return np.array([np.interp(row, cdf, points) for row, cdf in zip(draws, cdfs)])
+    """``(n, n_obs)`` draws, one row per truncated normal, by its exact inverse CDF.
+
+    A uniform u maps to ``mu + sigma * ndtri(Φ(α) + u (Φ(β) − Φ(α)))``,
+    α = (lo − mu)/sigma and β = (hi − mu)/sigma, clipped to the support.
+    This lower-tail form is accurate while Φ(α) ≤ ½, that is while mu lies
+    in the support, as it does in every setting.
+    """
+    from scipy.special import ndtr, ndtri
+    mus, sigmas = mus[:, None], sigmas[:, None]
+    below = ndtr((grid.lo - mus) / sigmas)
+    p = below + rng.random((len(mus), n_obs)) * (ndtr((grid.hi - mus) / sigmas) - below)
+    return np.clip(mus + sigmas * ndtri(p), grid.lo, grid.hi)
 
 
 def gen_setting(spec: SettingSpec, rng=None) -> GeneratedSetting:

@@ -437,6 +437,20 @@ class TestSimulate:
         assert not out.exists()
 
 
+    def test_sampled_bad_bandwidth_exits_1(self, tmp_path, capsys):
+        # 10 is the whole width of setting 2's support
+        out = tmp_path / "sim.json"
+        args = ["simulate", "--setting", "2", "--observed", "sampled", "--bandwidth", "10",
+                "--reps", "2", "--n", "10", "--grid-points", "64", "--out", str(out)]
+        assert main(args) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "BadBandwidthError", "message": "bandwidth must be in (0, 0.5), got 1.0",
+        }
+        assert not out.exists()
+
+
 class TestGridPoints:
     @pytest.mark.parametrize("command", ["transform", "analyze", "mean", "regress"])
     def test_rejected_where_unused(self, capsys, command):

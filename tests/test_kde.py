@@ -170,10 +170,9 @@ class TestEstimateDensity:
             assert integrate_rows(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
 
 
-def _reference_density(draws, cfg):
-    """The direct estimator on one sample of draws: the kernel at every
-    (grid point, draw) pair, summed, boundary-weighted, scaled to unit
-    trapezoidal mass, then floored and renormalized."""
+def _reference_raw(draws, cfg):
+    """The kernel density at every (grid point, draw) pair of one sample of
+    draws, summed and boundary-weighted."""
     grid = cfg.grid
     u = (np.asarray(draws, dtype=float) - grid.lo) / grid.width
     x = np.linspace(0.0, 1.0, grid.m)
@@ -181,11 +180,48 @@ def _reference_density(draws, cfg):
         z = (x[:, None] - u[None, :]) / cfg.bandwidth
         if cfg.kernel is Kernel.GAUSSIAN:
             k = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        elif cfg.kernel is Kernel.EPANECHNIKOV:
+            k = np.where(np.abs(z) <= 1.0, 0.75 * (1.0 - z * z), 0.0)
         else:
-            k = cfg.kernel.pdf(z)
-    raw = k.sum(axis=1) * boundary_weight(x, cfg.bandwidth, cfg.kernel)
+            k = np.where(np.abs(z) <= 1.0, 0.5, 0.0)
+    return k.sum(axis=1) * boundary_weight(x, cfg.bandwidth, cfg.kernel)
+
+
+def _reference_density(draws, cfg):
+    """The direct estimator: ``_reference_raw`` scaled to unit trapezoidal
+    mass, then floored and renormalized."""
+    grid = cfg.grid
+    raw = _reference_raw(draws, cfg)
     mass = integrate_rows(raw, Grid(0.0, 1.0, grid.m))
     return normalize_rows((raw / (mass * grid.width))[None], grid, cfg.floor)[0]
+
+
+# How far ``estimate_rows``, which sums the kernels without their constant
+# factors, may lie from ``_reference_density``, relative to each value.  The
+# rounding count, in units of u = 2**-53, to first order, both sides together.
+# NumPy's pairwise sum puts at most 26 additions on any term's path for every
+# length up to 512 (lanes of 8 up to 128 terms, halving above).
+# - raw sums, 56: the reference's constant and its division (2), the row sums
+#   (2 × 26) and the boundary weight (2);
+# - unit mass, 172: the value (56), its trapezoid mass (56 from the values and
+#   2 × 28 of its own) and the scaling by mass times width (4);
+# - renormalization, 491: the value (172) plus, when one side divides by its
+#   mass and the other keeps the row as it is, that mass's distance from 1:
+#   the mass difference (172 + 56), the 1e-14 keep-as-is band (90) and the
+#   division (1).
+# The count holds while the kernel values that set a row are normal numbers:
+# rows whose reference sums all lie below 2**-969 (the smallest normal over u)
+# are left out, since there subnormal Gaussian values (z² > 1416) carry more
+# than u of error, and the reference's division by √(2π) can zero a row.
+# Uniform kernel sums are counts, exactly twice the reference's: bit for bit.
+RTOL = 512 * 2.0**-53
+
+
+def _assert_matches_reference(row, draws, cfg):
+    if cfg.kernel is Kernel.UNIFORM:
+        assert np.array_equal(row, _reference_density(draws, cfg))
+    elif _reference_raw(draws, cfg).max() >= 2.0**-969:
+        np.testing.assert_allclose(row, _reference_density(draws, cfg), rtol=RTOL, atol=0.0)
 
 
 def _first_row_error(rows, cfg):
@@ -211,7 +247,7 @@ class TestEstimateRows:
         assert got.shape == (n, grid.m)
         for row, draw in zip(got, draws):
             assert np.array_equal(row, estimate_rows(draw[None], cfg)[0])
-            assert np.array_equal(row, _reference_density(draw, cfg))
+            _assert_matches_reference(row, draw, cfg)
 
     def test_matches_row_loop_on_random_shapes(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -238,7 +274,7 @@ class TestEstimateRows:
             got = estimate_rows(draws, cfg)
             for row, draw in zip(got, draws):
                 assert np.array_equal(row, estimate_rows(draw[None], cfg)[0])
-                assert np.array_equal(row, _reference_density(draw, cfg))
+                _assert_matches_reference(row, draw, cfg)
 
         check()
 

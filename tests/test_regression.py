@@ -210,6 +210,21 @@ class TestCvMse:
         with pytest.raises(ValueError, match="folds must be <= n = 12"):
             cv_mse(densities[:12], mus[:12], "fpca", 1, folds=13, repeats=1)
 
+    def test_leave_one_out_fits_each_subject_once(self, shift_family, monkeypatch):
+        # with folds == n every repeat would make the same n fits
+        densities, mus = shift_family[0][:12], shift_family[1][:12]
+        once = cv_mse(densities, mus, "lqd", 1, folds=12, repeats=1, seed=3)
+        fits = []
+        fit = fpca.fit
+
+        def counting(*args, **kwargs):
+            fits.append(1)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(fpca, "fit", counting)
+        value = cv_mse(densities, mus, "lqd", 1, folds=12, repeats=3, seed=3)
+        assert (value, len(fits)) == (once, 12)
+
     def test_lqd_no_leakage_training_basis_bit_identical(self, shift_family, monkeypatch):
         _assert_no_leakage(monkeypatch, *shift_family, "lqd", 2)
 

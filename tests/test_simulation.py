@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from densfda import (
+    BadBandwidthError,
     DegenerateSigmaError,
     Grid,
     Metric,
@@ -78,6 +80,13 @@ class TestGenSetting:
         # truncation barely moves the mean for |mu| <= 3 on [-5, 5]
         assert np.corrcoef(sample_means, gen.mus)[0, 1] > 0.99
 
+    @pytest.mark.parametrize("bandwidth", [10.0, 5.0, 0.0, -0.2, float("nan")])
+    def test_sampled_bandwidth_checked(self, bandwidth):
+        # setting 2 lives on [-5, 5]: a bandwidth of 5 is one half of the support
+        with pytest.raises(BadBandwidthError, match="bandwidth must be in"):
+            SettingSpec(setting=2, observed="sampled", bandwidth=bandwidth)
+        assert SettingSpec(setting=2, bandwidth=bandwidth).observed == "full"
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -90,6 +99,73 @@ class TestGenSetting:
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
             SettingSpec(**kwargs)
+
+
+class _RecordingRng:
+    """A seeded Generator that records the size and the result of every
+    ``random`` call and passes everything else through."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.random_calls = []
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size=None):
+        out = self._rng.random(size)
+        self.random_calls.append((size, out))
+        return out
+
+
+def _sampled(setting):
+    """A sampled setting, its uniforms and the parameters of its rows."""
+    spec = SettingSpec(setting=setting, n=50, observed="sampled", n_obs=200, seed=17, m=128)
+    rng = _RecordingRng(spec.seed)
+    gen = gen_setting(spec, rng)
+    [(size, u)] = rng.random_calls
+    assert size == (spec.n, spec.n_obs)
+    return spec, gen, u, gen.mus[:, None], gen.sigmas[:, None]
+
+
+class TestSampler:
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_one_uniform_per_draw_inside_the_support(self, setting):
+        spec, gen, u, _, _ = _sampled(setting)
+        lo, hi = spec.support
+        assert gen.raw_samples.shape == u.shape
+        assert lo <= gen.raw_samples.min() and gen.raw_samples.max() <= hi
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_inverts_the_truncated_cdf(self, setting):
+        # where the density is at least 1e-3 of its peak (at mu), the draw's
+        # normal CDF is the probability its uniform was mapped to
+        spec, gen, u, mu, sigma = _sampled(setting)
+        lo, hi = spec.support
+        below, above = ndtr((lo - mu) / sigma), ndtr((hi - mu) / sigma)
+        z = (gen.raw_samples - mu) / sigma
+        high = z * z <= 2.0 * np.log(1e3)
+        assert high.mean() > 0.9
+        np.testing.assert_allclose(ndtr(z)[high], (below + u * (above - below))[high], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("setting", [1, 2, 3])
+    def test_matches_a_tabulated_inverse_cdf(self, setting):
+        # the exact CDF on 4,096 nodes, inverted by linear interpolation: the
+        # tabulated and the exact draw share a cell of width d, where the
+        # chord misses the CDF by at most d²/8 max|f'|, so they differ by at
+        # most d²/8 max|f'| / min f.  On a cell |f'|/f = |x - mu|/sigma² <= L
+        # and max f / min f <= exp(d L), with L = max|x - mu| / sigma² over
+        # the support: the bound is d²/8 L exp(d L), per row
+        spec, gen, u, mu, sigma = _sampled(setting)
+        lo, hi = spec.support
+        nodes = np.linspace(lo, hi, 4096)
+        d = nodes[1] - nodes[0]
+        cdf = ndtr((nodes - mu) / sigma)
+        cdf = (cdf - cdf[:, :1]) / (cdf[:, -1:] - cdf[:, :1])
+        tabulated = np.array([np.interp(row, c, nodes) for row, c in zip(u, cdf)])
+        L = np.maximum(hi - mu, mu - lo) / sigma**2
+        bound = d * d / 8.0 * L * np.exp(d * L)
+        assert np.all(np.abs(gen.raw_samples - tabulated) <= bound)
 
 
 class TestRunComparison:
