@@ -9,12 +9,11 @@ representation explains, with a Hilbert-sphere baseline, a
 boundary-corrected kernel density estimator for raw samples, a
 simulation harness, and scalar-on-density regression.
 
-Importing densfda loads NumPy only.  Three functions load SciPy, on
-their first call: :func:`transforms.log_hazard_inverse_rows` (a cubic
-spline), the Gaussian :meth:`Kernel.integral` and
-:func:`truncated_normal_rows` (the normal CDF).  So the log-hazard
-inverse, Gaussian kernel estimates and the simulations need SciPy; LQD,
-ordinary FPCA, the Hilbert sphere, the Fréchet means and regression do not.
+Importing densfda loads NumPy only.  One function loads SciPy, on its
+first call: :func:`transforms.log_hazard_inverse_rows` (a cubic spline).
+So only the log-hazard inverse needs SciPy; the normal CDF and its
+inverse, which kernel estimates and the simulations use, come from
+:mod:`densfda.normal` on NumPy alone.
 """
 
 from .density import (

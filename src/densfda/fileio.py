@@ -20,6 +20,7 @@ ends).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import platform
@@ -149,6 +150,13 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """SciPy's version from the installed metadata, read once per process
+    (about 2 ms a read); importing SciPy would load it on every command."""
+    return metadata.version("scipy")
+
+
 @dataclass
 class RunManifest:
     """Reproducibility record written alongside every output file."""
@@ -161,8 +169,7 @@ class RunManifest:
     timestamp: str = ""
     python_version: str = field(init=False, default=platform.python_version())
     numpy_version: str = field(init=False, default=np.__version__)
-    # read from the installed metadata: importing SciPy here would load it on every command
-    scipy_version: str = field(init=False, default_factory=lambda: metadata.version("scipy"))
+    scipy_version: str = field(init=False, default_factory=_scipy_version)
 
     def write(self, out_path):
         self.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")

@@ -12,9 +12,9 @@ It sums each kernel without its constant factor (the Gaussian's
 sum's own integral cancels any constant, so the estimate is the same
 up to rounding.
 
-Only the Gaussian branch of :meth:`Kernel.integral` uses SciPy, the
-normal CDF, and imports it on its first call; importing this module
-loads NumPy only.
+The Gaussian branch of :meth:`Kernel.integral` takes the normal CDF from
+:mod:`densfda.normal`, on NumPy alone, so estimating loads no SciPy
+module.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from .density import DEFAULT_FLOOR, Grid, integrate_rows, normalize_rows
 from .errors import BadBandwidthError, NonFiniteError, OutOfSupportError, SampleShapeError, TooFewSamplesError
+from .normal import ndtr
 
 MAX_BANDWIDTH = 0.49
 
@@ -42,8 +43,6 @@ class Kernel(Enum):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if self is Kernel.GAUSSIAN:
-            # SciPy costs about 50 MB and 0.6 s at import, and only this path uses it
-            from scipy.special import ndtr
             return ndtr(b) - ndtr(a)
         lo = np.clip(a, -1.0, 1.0)
         hi = np.clip(b, -1.0, 1.0)
@@ -147,9 +146,11 @@ def estimate_rows(samples, cfg: KdeConfig) -> np.ndarray:
             z2 /= h
             z2 *= z2
             np.multiply(_kernel_sums(cfg.kernel, z2), weights, out=row)
-    mass = integrate_rows(raw, Grid(0.0, 1.0, grid.m))
-    vanished = np.append(np.flatnonzero(mass <= 0.0), stop)[0]  # compact kernels can miss all nodes
-    out = normalize_rows(raw[:vanished] / (mass[:vanished, None] * grid.width), grid, cfg.floor)
+    # a compact kernel can miss every node, and a sum of subnormal Gaussian
+    # values times the support width can underflow to 0
+    scale = integrate_rows(raw, Grid(0.0, 1.0, grid.m)) * grid.width
+    vanished = np.append(np.flatnonzero(scale <= 0.0), stop)[0]
+    out = normalize_rows(raw[:vanished] / scale[:vanished, None], grid, cfg.floor)
     if vanished < stop:
         raise BadBandwidthError("kernel sum vanished on the grid; increase bandwidth")
     if stop < len(w):

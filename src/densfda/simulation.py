@@ -19,10 +19,9 @@ draws one ``(n, n_obs)`` array of uniforms, maps them through each
 truncated normal's closed-form inverse CDF and estimates all the rows in
 one call.
 
-SciPy, for the normal CDF and its inverse, is imported on first use by
-:func:`truncated_normal_rows` and by the sampler; importing this module
-loads NumPy only.  Every generator goes through the former, so
-generating a setting loads SciPy.
+The normal CDF and its inverse come from :mod:`densfda.normal`, on NumPy
+alone, so generating a setting, fully observed or sampled, loads no SciPy
+module.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .density import (
     normalize_rows,
     sq_dist_rows,
 )
-from .errors import DegenerateSigmaError, EmptySampleError
+from .errors import BadBandwidthError, DegenerateSigmaError, EmptySampleError
 from .frechet import (
     FittedMethod,
     HilbertSphere,
@@ -49,7 +48,8 @@ from .frechet import (
     frechet_mean,
     fve_report,
 )
-from .kde import KdeConfig, Kernel, _check_bandwidth, estimate_rows
+from .kde import KdeConfig, Kernel, estimate_rows
+from .normal import ndtr, ndtri
 
 # truncated normals can run below 1e-40 near the support boundary, which
 # no fixed grid can represent through the quantile map; simulated
@@ -69,7 +69,8 @@ class SettingSpec:
     """One simulation design: which generator, sample sizes, observation mode.
 
     Sampled observation raises ``BadBandwidthError`` unless the bandwidth,
-    mapped to the unit support, lies strictly between 0 and one half.
+    mapped to the unit support, lies strictly between 0 and one half; the
+    message names the bandwidth given and that limit on the native support.
     """
 
     setting: int
@@ -90,7 +91,12 @@ class SettingSpec:
         if self.observed == "sampled":  # full observation ignores the bandwidth
             if self.n_obs < 10:
                 raise ValueError("sampled observation needs n_obs >= 10")
-            _check_bandwidth(self.unit_bandwidth)
+            if not 0.0 < self.unit_bandwidth < 0.5:  # the estimator's limit, on the native support
+                lo, hi = self.support
+                raise BadBandwidthError(
+                    f"bandwidth must be in (0, {0.5 * (hi - lo):g}) on support [{lo:g}, {hi:g}], "
+                    f"got {self.bandwidth!r}"
+                )
 
     @property
     def unit_bandwidth(self) -> float:
@@ -110,8 +116,6 @@ class SettingSpec:
 def truncated_normal_rows(mus, sigmas, grid: Grid, floor: float = SIMULATION_FLOOR) -> np.ndarray:
     """Normal(mu, sigma^2) truncated to the grid support, floored and
     renormalized to the grid quadrature: one row for each (mu, sigma) pair."""
-    # SciPy costs about 50 MB and 0.6 s at import, and only this path uses it
-    from scipy.special import ndtr
     mus, sigmas = np.asarray(mus, dtype=float), np.asarray(sigmas, dtype=float)
     bad = ~(sigmas > 0)
     if bad.any():
@@ -157,7 +161,6 @@ def _inverse_cdf_samples(mus, sigmas, grid: Grid, n_obs: int, rng) -> np.ndarray
     This lower-tail form is accurate while Φ(α) ≤ ½, that is while mu lies
     in the support, as it does in every setting.
     """
-    from scipy.special import ndtr, ndtri
     mus, sigmas = mus[:, None], sigmas[:, None]
     below = ndtr((grid.lo - mus) / sigmas)
     p = below + rng.random((len(mus), n_obs)) * (ndtr((grid.hi - mus) / sigmas) - below)

@@ -147,6 +147,16 @@ class TestFileIO:
         np.testing.assert_array_equal(groups["A"], [0.5, 0.25])
         np.testing.assert_array_equal(groups["B"], [0.75])
 
+    def test_manifest_reads_scipy_version_once(self, monkeypatch):
+        from densfda import fileio
+
+        reads, read = [], metadata.version
+        monkeypatch.setattr(metadata, "version", lambda name: reads.append(name) or read(name))
+        fileio._scipy_version.cache_clear()
+        manifests = [fileio.RunManifest("estimate", [], None) for _ in range(3)]
+        assert reads == ["scipy"]
+        assert [m.scipy_version for m in manifests] == [read("scipy")] * 3
+
 
 class TestEstimate:
     def test_end_to_end(self, tmp_path, rng):
@@ -446,7 +456,7 @@ class TestSimulate:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {
-            "error": "BadBandwidthError", "message": "bandwidth must be in (0, 0.5), got 1.0",
+            "error": "BadBandwidthError", "message": "bandwidth must be in (0, 5) on support [-5, 5], got 10.0",
         }
         assert not out.exists()
 

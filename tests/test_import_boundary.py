@@ -1,4 +1,4 @@
-"""Importing densfda loads NumPy only, and SciPy loads only where it is used.
+"""Importing densfda loads NumPy only, and SciPy loads only in the log-hazard inverse.
 
 Each check runs ``cli.main`` in a fresh interpreter, because this test
 process has loaded SciPy long before.
@@ -75,6 +75,11 @@ def test_numpy_only_commands(tables):
         ["transform", "--kind", "loghazard", "--in", f"{d}/d.csv", "--out", f"{d}/lh.csv"],
         ["regress", "--K", "1", "--folds", "3", "--repeats", "1",
          "--densities", f"{d}/d.csv", "--y", f"{d}/y.csv", "--out", f"{d}/reg.json"],
+        ["estimate", "--support", "0,1", "--in", f"{d}/s.csv", "--out", f"{d}/e.csv"],
+        ["simulate", "--setting", "3", "--n", "6", "--reps", "1", "--grid-points", "64",
+         "--out", f"{d}/sim.json"],
+        ["simulate", "--setting", "2", "--observed", "sampled", "--n", "6", "--reps", "1",
+         "--grid-points", "64", "--metric", "wasserstein", "--out", f"{d}/sim_sampled.json"],
     ]
     runs = _probe(commands)
     assert len(runs) == len(commands) + 1
@@ -84,8 +89,7 @@ def test_numpy_only_commands(tables):
 
 @pytest.mark.parametrize("argv", [
     ["transform", "--kind", "loghazard", "--inverse", "--in", "{d}/lh.csv", "--out", "{d}/lh_back.csv"],
-    ["estimate", "--support", "0,1", "--in", "{d}/s.csv", "--out", "{d}/e.csv"],
-], ids=["loghazard-inverse", "estimate"])
+], ids=["loghazard-inverse"])
 def test_scipy_paths_load_scipy(tables, argv):
     d = str(tables)
     lh = ["transform", "--kind", "loghazard", "--in", f"{d}/d.csv", "--out", f"{d}/lh.csv"]

@@ -305,6 +305,14 @@ class TestEstimateRows:
         with pytest.raises(TooFewSamplesError):
             estimate_rows(np.full((3, 1), 0.5), cfg)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowed_gaussian_sum_raises_bad_bandwidth(self):
+        # both draws sit z ≈ 38.5 bandwidths from every node, so each kernel
+        # value is subnormal and the sum's mass times the width 0.01 rounds to 0
+        cfg = KdeConfig(0.25 / 38.51, Kernel.GAUSSIAN, Grid(0.0, 0.01, 3))
+        with pytest.raises(BadBandwidthError, match="kernel sum vanished"):
+            estimate_rows(np.full((1, 2), 0.0025), cfg)
+
     def test_shape_checked(self):
         cfg = KdeConfig(0.2)
         with pytest.raises(SampleShapeError, match=r"\(\)"):
