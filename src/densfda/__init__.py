@@ -9,11 +9,8 @@ representation explains, with a Hilbert-sphere baseline, a
 boundary-corrected kernel density estimator for raw samples, a
 simulation harness, and scalar-on-density regression.
 
-Importing densfda loads NumPy only.  One function loads SciPy, on its
-first call: :func:`transforms.log_hazard_inverse_rows` (a cubic spline).
-So only the log-hazard inverse needs SciPy; the normal CDF and its
-inverse, which kernel estimates and the simulations use, come from
-:mod:`densfda.normal` on NumPy alone.
+densfda runs on NumPy alone; SciPy serves only as a reference in the
+tests.
 """
 
 from .density import (

@@ -8,9 +8,9 @@ min(selected K, 2, components).
 
 Every command writes its outputs plus a ``<output>.manifest.json``
 recording the argv, seed (null but for ``simulate`` and ``regress``),
-input digests, artifact version and the Python, NumPy and SciPy
-versions.  Exit codes: 0 on success, 2 on usage errors (argparse), 1 on
-computation errors, which are also reported as a JSON object on stderr.
+input digests, artifact version and the Python and NumPy versions.
+Exit codes: 0 on success, 2 on usage errors (argparse), 1 on computation
+errors, which are also reported as a JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import fileio, fpca
-from .density import DEFAULT_FLOOR, DensitySample, Grid
+from .density import DEFAULT_FLOOR, DEFAULT_GRID_SIZE, DensitySample, Grid
 from .errors import DensfdaError
 from .frechet import (
     FittedMethod,
@@ -36,7 +36,7 @@ from .frechet import (
 )
 from .kde import KdeConfig, Kernel, default_bandwidth, estimate_rows
 from .regression import cv_mse, fit_flr
-from .simulation import SettingSpec, default_methods, run_comparison
+from .simulation import SIMULATION_BLEND, SettingSpec, default_methods, run_comparison
 from .transforms import LQD, forward_rows, inverse_rows, log_hazard_spec
 
 
@@ -61,10 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("estimate", help="kernel density estimation")
-    p.add_argument("--grid-points", type=int, default=512)
+    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--in", dest="infile", required=True, help="subject_id,value CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--bandwidth", type=float, default=None, help="default n**(-1/3)")
+    p.add_argument("--bandwidth", type=float, default=None,
+                   help="kernel bandwidth on the support mapped to [0, 1], below 0.5; "
+                   "default n**(-1/3)")
     p.add_argument("--kernel", choices=[k.value for k in Kernel], default="gaussian")
     p.add_argument("--support", type=_support, required=True, metavar="a,b")
     p.add_argument("--floor", type=float, default=DEFAULT_FLOOR,
@@ -99,16 +101,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="replicated method comparison")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid-points", type=int, default=512)
+    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--setting", type=int, choices=[1, 2, 3], required=True)
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--observed", choices=["full", "sampled"], default="full")
     p.add_argument("--n-obs", type=int, default=100)
-    p.add_argument("--bandwidth", type=float, default=0.2)
+    p.add_argument("--bandwidth", type=float, default=0.2,
+                   help="kernel bandwidth of --observed sampled, in the units of the support")
     p.add_argument("--K", type=int, default=None, help="default: true dimension")
     p.add_argument("--metric", choices=["l2", "wasserstein"], default="l2")
-    p.add_argument("--blend", type=float, default=0.5,
+    p.add_argument("--blend", type=float, default=SIMULATION_BLEND,
                    help="uniform blend inside the transform method")
     p.add_argument("--out", required=True)
 

@@ -1,8 +1,9 @@
 """Grid-based densities, their equivalent forms, and metrics between them.
 
 A density sample lives on a uniform grid over a compact support [lo, hi].
-All integrals use the trapezoidal rule on that grid, so every quantity in
-the package is reproducible from the grid alone.  A sample, and a single
+All integrals use the trapezoidal rule on that grid (the log-hazard
+inverse adds the rule's end correction), so every quantity in the
+package is reproducible from the grid alone.  A sample, and a single
 density, is one :class:`DensitySample`: a read-only ``(n, m)`` array of
 finite, strictly positive, unit-mass rows on one grid.
 :func:`normalize_rows` makes such rows from raw ones and is the one map
@@ -283,45 +284,56 @@ def pchip_rows(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Monotone cubic interpolant of each row, evaluated at shared points.
 
     Row ``i`` interpolates the points ``(x[i], y[i])``; ``y`` may also be
-    one row shared by all.  Each row of ``x`` must be strictly increasing
-    and ``t`` nondecreasing; points beyond a row's knots take the end
-    cubics.  The knot derivatives are those of Fritsch & Carlson (SIAM
-    J. Numer. Anal. 17(2), 1980) as SciPy's ``PchipInterpolator`` sets
-    them: the weighted harmonic mean of the two neighbouring slopes, or 0
-    where those slopes differ in sign or one is 0; at each end the
-    one-sided three-point estimate, 0 if its sign differs from the end
-    slope's, and clamped to 3 times the end slope when the two end slopes
-    differ in sign.  Returns an ``(n, len(t))`` array.
+    one row shared by all.  The knot derivatives are those of Fritsch &
+    Carlson (SIAM J. Numer. Anal. 17(2), 1980) as SciPy's
+    ``PchipInterpolator`` sets them: the weighted harmonic mean of the two
+    neighbouring slopes, or 0 where those slopes differ in sign or one is
+    0; at each end the one-sided three-point estimate, 0 if its sign
+    differs from the end slope's, and clamped to 3 times the end slope
+    when the two end slopes differ in sign.  :func:`hermite_rows`
+    evaluates the cubics.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
+    if x.shape[1] < 3:
+        raise ValueError(f"monotone cubic interpolation needs >= 3 knots, got {x.shape[1]}")
+    h = np.diff(x, axis=1)
+    _check_knots(h)
+    return hermite_rows(x, y, _pchip_derivatives(h, np.diff(y, axis=1) / h), t)
+
+
+def hermite_rows(x: np.ndarray, y: np.ndarray, d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolant of each row, evaluated at shared points.
+
+    Row ``i`` passes through the points ``(x[i], y[i])`` with slopes
+    ``d[i]``; each of the three may also be one row shared by all.  Each
+    row of ``x`` must be strictly increasing and ``t`` nondecreasing;
+    points beyond a row's knots take the end cubics.  Each interval's
+    cubic is built in powers of (t - x[j]) and summed as SciPy's
+    ``CubicHermiteSpline`` does.  Returns an ``(n, len(t))`` array.
+    """
+    x, y, d = np.broadcast_arrays(*(np.atleast_2d(np.asarray(a, dtype=float)) for a in (x, y, d)))
     t = np.asarray(t, dtype=float)
     n, m = x.shape
-    if m < 3:
-        raise ValueError(f"monotone cubic interpolation needs >= 3 knots, got {m}")
-    if not np.all(np.diff(x, axis=1) > 0):
-        raise ValueError("knots must be strictly increasing in every row")
+    h = np.diff(x, axis=1)
+    _check_knots(h)
     if np.any(np.diff(t) < 0):
         raise ValueError("evaluation points must be nondecreasing")
-    c0, c1, c2, c3 = _pchip_coefficients(x, y)
+    slope = np.diff(y, axis=1) / h
+    c = (d[:, :-1] + d[:, 1:] - 2 * slope) / h
+    c0, c1, c2, c3 = y[:, :-1], d[:, :-1], (slope - d[:, :-1]) / h - c, c / h
     rows = np.arange(n)[:, None]
     j = _count_at_or_below(x, t)
     j -= 1
     np.clip(j, 0, m - 2, out=j)
-    # summed in SciPy's order of operations
     s = t - x[rows, j]
     s2 = s * s
     return c0[rows, j] + c1[rows, j] * s + c2[rows, j] * s2 + c3[rows, j] * (s2 * s)
 
 
-def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Coefficients of each interval's cubic in powers of (t - x[j]), as
-    SciPy's ``CubicHermiteSpline`` builds them from the knot derivatives."""
-    h = np.diff(x, axis=1)
-    slope = np.diff(y, axis=1) / h
-    d = _pchip_derivatives(h, slope)
-    c = (d[:, :-1] + d[:, 1:] - 2 * slope) / h
-    return y[:, :-1], d[:, :-1], (slope - d[:, :-1]) / h - c, c / h
+def _check_knots(h: np.ndarray):
+    if not np.all(h > 0):
+        raise ValueError("knots must be strictly increasing in every row")
 
 
 def _pchip_derivatives(h: np.ndarray, slope: np.ndarray) -> np.ndarray:

@@ -20,13 +20,11 @@ ends).
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import platform
 import time
 from dataclasses import asdict, dataclass, field
-from importlib import metadata
 
 import numpy as np
 
@@ -150,13 +148,6 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-@functools.cache
-def _scipy_version() -> str:
-    """SciPy's version from the installed metadata, read once per process
-    (about 2 ms a read); importing SciPy would load it on every command."""
-    return metadata.version("scipy")
-
-
 @dataclass
 class RunManifest:
     """Reproducibility record written alongside every output file."""
@@ -169,7 +160,6 @@ class RunManifest:
     timestamp: str = ""
     python_version: str = field(init=False, default=platform.python_version())
     numpy_version: str = field(init=False, default=np.__version__)
-    scipy_version: str = field(init=False, default_factory=_scipy_version)
 
     def write(self, out_path):
         self.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S%z")

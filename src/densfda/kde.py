@@ -10,11 +10,8 @@ array of draws; one sample of draws is the row of a ``(1, k)`` array.
 It sums each kernel without its constant factor (the Gaussian's
 1/√(2π), the Epanechnikov's 3/4, the uniform's 1/2): dividing by the
 sum's own integral cancels any constant, so the estimate is the same
-up to rounding.
-
-The Gaussian branch of :meth:`Kernel.integral` takes the normal CDF from
-:mod:`densfda.normal`, on NumPy alone, so estimating loads no SciPy
-module.
+up to rounding.  The Gaussian kernel's integral is the normal CDF of
+:mod:`densfda.normal`.
 """
 
 from __future__ import annotations
@@ -71,7 +68,7 @@ class KdeConfig:
 
 def _check_bandwidth(h: float):
     if not (0.0 < h < 0.5):
-        raise BadBandwidthError(f"bandwidth must be in (0, 0.5), got {h}")
+        raise BadBandwidthError(f"bandwidth must be in (0, 0.5) on the support mapped to [0, 1], got {h}")
 
 
 def default_bandwidth(n: int) -> float:

@@ -1,4 +1,4 @@
-"""The standard normal CDF and its inverse on NumPy arrays, without SciPy.
+"""The standard normal CDF and its inverse on NumPy arrays.
 
 :func:`ndtr` is Φ(x) = ½·erfc(−x/√2), through :func:`math.erfc` one
 element at a time: NumPy has no erfc, and every caller passes a few

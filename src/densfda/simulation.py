@@ -17,11 +17,7 @@ out of the generator as one :class:`DensitySample`, which the methods
 and the means of that replication then share.  Sampled observation
 draws one ``(n, n_obs)`` array of uniforms, maps them through each
 truncated normal's closed-form inverse CDF and estimates all the rows in
-one call.
-
-The normal CDF and its inverse come from :mod:`densfda.normal`, on NumPy
-alone, so generating a setting, fully observed or sampled, loads no SciPy
-module.
+one call.  The normal CDF and its inverse come from :mod:`densfda.normal`.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ import platform
 import subprocess
 import sys
 import tracemalloc
-from importlib import metadata
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ import pytest
 from densfda import (
     DEFAULT_FLOOR,
     LQD,
+    SIMULATION_BLEND,
     DensitySample,
     FittedMethod,
     Grid,
@@ -28,6 +28,7 @@ from densfda import (
     unit_grid,
 )
 from densfda.cli import main
+from densfda.density import DEFAULT_GRID_SIZE
 from densfda.fileio import (
     FLOAT_FMT,
     _read_table,
@@ -147,16 +148,6 @@ class TestFileIO:
         np.testing.assert_array_equal(groups["A"], [0.5, 0.25])
         np.testing.assert_array_equal(groups["B"], [0.75])
 
-    def test_manifest_reads_scipy_version_once(self, monkeypatch):
-        from densfda import fileio
-
-        reads, read = [], metadata.version
-        monkeypatch.setattr(metadata, "version", lambda name: reads.append(name) or read(name))
-        fileio._scipy_version.cache_clear()
-        manifests = [fileio.RunManifest("estimate", [], None) for _ in range(3)]
-        assert reads == ["scipy"]
-        assert [m.scipy_version for m in manifests] == [read("scipy")] * 3
-
 
 class TestEstimate:
     def test_end_to_end(self, tmp_path, rng):
@@ -178,7 +169,7 @@ class TestEstimate:
         manifest = json.loads((tmp_path / "dens.csv.manifest.json").read_text())
         assert manifest["python_version"] == platform.python_version()
         assert manifest["numpy_version"] == np.__version__
-        assert manifest["scipy_version"] == metadata.version("scipy")
+        assert "scipy_version" not in manifest  # no command runs SciPy
 
     def test_writes_the_row_kernel_per_subject(self, tmp_path, rng):
         # subjects with unequal draw counts get their own default bandwidth
@@ -197,6 +188,21 @@ class TestEstimate:
         ]
         write_density_csv(want, DensitySample(np.stack(rows), grid), list(draws))
         assert out.read_bytes() == want.read_bytes()
+
+    def test_bandwidth_is_read_on_the_unit_support(self, tmp_path, capsys):
+        # 3 is below half the width of [-5, 5], but --bandwidth is read on [0, 1]
+        samples = tmp_path / "samples.csv"
+        samples.write_text("subject_id,value\na,-1.0\na,0.5\na,2.0\n")
+        out = tmp_path / "dens.csv"
+        args = ["estimate", "--support=-5,5", "--bandwidth", "3", "--in", str(samples), "--out", str(out)]
+        assert main(args) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "BadBandwidthError",
+            "message": "bandwidth must be in (0, 0.5) on the support mapped to [0, 1], got 3.0",
+        }
+        assert not out.exists()
 
 
 class TestTransformCli:
@@ -478,6 +484,15 @@ class TestGridPoints:
             main([command, *inputs, "--out", "o.json", "--seed", "5"])
         assert err.value.code == 2
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+    def test_defaults_are_the_package_constants(self):
+        from densfda.cli import build_parser
+
+        parse = build_parser().parse_args
+        estimate = parse(["estimate", "--support", "0,1", "--in", "s.csv", "--out", "d.csv"])
+        simulate = parse(["simulate", "--setting", "1", "--out", "s.json"])
+        assert estimate.grid_points == simulate.grid_points == DEFAULT_GRID_SIZE
+        assert simulate.blend == SIMULATION_BLEND
 
     def test_simulate_uses_it(self, tmp_path, monkeypatch):
         from densfda import cli

@@ -1,7 +1,8 @@
-"""Importing densfda loads NumPy only, and SciPy loads only in the log-hazard inverse.
+"""Every command runs on NumPy alone.
 
 Each check runs ``cli.main`` in a fresh interpreter, because this test
-process has loaded SciPy long before.
+process has loaded SciPy long before, and blocks SciPy there first:
+with ``sys.modules["scipy"]`` set to None, any SciPy import raises.
 """
 
 import json
@@ -18,19 +19,14 @@ from densfda.fileio import write_density_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# runs the argv lists given as JSON and prints, after the import and after
-# each command, its exit code and the SciPy modules then loaded
+# blocks SciPy, then runs the argv lists given as JSON and prints the
+# exit code of each
 _PROBE = """
 import json, sys
-import densfda, densfda.cli
+sys.modules["scipy"] = None
+import densfda.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-out = [["import", 0, scipy_modules()]]
-for argv in json.loads(sys.argv[1]):
-    out.append([" ".join(argv), densfda.cli.main(argv), scipy_modules()])
-print(json.dumps(out))
+print(json.dumps([[" ".join(argv), densfda.cli.main(argv)] for argv in json.loads(sys.argv[1])]))
 """
 
 
@@ -63,7 +59,7 @@ def test_numpy_only_commands(tables):
     d = str(tables)
     commands = [
         ["analyze", "--method", method, "--metric", metric, "--in", f"{d}/d.csv", "--out", f"{d}/a.json"]
-        for method in ("lqd", "fpca", "hs") for metric in ("l2", "wasserstein")
+        for method in ("lqd", "fpca", "hs", "loghazard") for metric in ("l2", "wasserstein")
     ]
     commands += [
         ["mean", "--metric", metric, "--in", f"{d}/d.csv", "--out", f"{d}/mean.csv"]
@@ -73,6 +69,7 @@ def test_numpy_only_commands(tables):
         ["transform", "--kind", "lqd", "--in", f"{d}/d.csv", "--out", f"{d}/t.csv"],
         ["transform", "--kind", "lqd", "--inverse", "--in", f"{d}/t.csv", "--out", f"{d}/back.csv"],
         ["transform", "--kind", "loghazard", "--in", f"{d}/d.csv", "--out", f"{d}/lh.csv"],
+        ["transform", "--kind", "loghazard", "--inverse", "--in", f"{d}/lh.csv", "--out", f"{d}/lh_back.csv"],
         ["regress", "--K", "1", "--folds", "3", "--repeats", "1",
          "--densities", f"{d}/d.csv", "--y", f"{d}/y.csv", "--out", f"{d}/reg.json"],
         ["estimate", "--support", "0,1", "--in", f"{d}/s.csv", "--out", f"{d}/e.csv"],
@@ -81,19 +78,4 @@ def test_numpy_only_commands(tables):
         ["simulate", "--setting", "2", "--observed", "sampled", "--n", "6", "--reps", "1",
          "--grid-points", "64", "--metric", "wasserstein", "--out", f"{d}/sim_sampled.json"],
     ]
-    runs = _probe(commands)
-    assert len(runs) == len(commands) + 1
-    for command, code, scipy in runs:
-        assert (command, code, scipy) == (command, 0, [])
-
-
-@pytest.mark.parametrize("argv", [
-    ["transform", "--kind", "loghazard", "--inverse", "--in", "{d}/lh.csv", "--out", "{d}/lh_back.csv"],
-], ids=["loghazard-inverse"])
-def test_scipy_paths_load_scipy(tables, argv):
-    d = str(tables)
-    lh = ["transform", "--kind", "loghazard", "--in", f"{d}/d.csv", "--out", f"{d}/lh.csv"]
-    runs = _probe([lh, [a.format(d=d) for a in argv]])
-    assert [code for _, code, _ in runs] == [0, 0, 0]
-    assert runs[1][2] == []
-    assert "scipy" in runs[2][2]
+    assert _probe(commands) == [[" ".join(argv), 0] for argv in commands]

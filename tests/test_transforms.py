@@ -465,8 +465,37 @@ def _log_hazard_forward_loop(v01, delta):
 
 
 def _log_hazard_inverse_loop(x, delta):
-    """Reference: the per-function log hazard inverse map onto [0, 1]."""
+    """Reference: the per-function log hazard inverse map onto [0, 1], with
+    its cumulative hazard and cubic Hermite evaluation written out here."""
     _guard_exp(x)
+    m = len(x)
+    tgrid = Grid(0.0, 1.0 - delta, m)
+    t, h = tgrid.points, tgrid.spacing
+    hazard = np.exp(x)
+    g = np.gradient(hazard, edge_order=2)
+    cumhaz = np.zeros(m)
+    np.cumsum(h * (hazard[1:] + hazard[:-1]) / 2.0, out=cumhaz[1:])
+    cumhaz += h / 12.0 * (g[0] - g)
+    s = unit_grid(m).points
+    interior = s <= tgrid.hi
+    si = s[interior]
+    j = np.clip(np.searchsorted(t, si, side="right") - 1, 0, m - 2)
+    w = np.diff(t)
+    slope = np.diff(cumhaz) / w
+    c = (hazard[:-1] + hazard[1:] - 2 * slope) / w
+    c2, c3 = (slope - hazard[:-1]) / w - c, c / w
+    u = si - t[j]
+    u2 = u * u
+    hermite = cumhaz[j] + hazard[j] * u + c2[j] * u2 + c3[j] * (u2 * u)
+    values01 = np.empty(m)
+    values01[interior] = np.exp(np.interp(si, t, x) - hermite)
+    values01[~interior] = np.exp(-cumhaz[-1]) / delta
+    return normalize_rows(values01[None], unit_grid(m), floor=0.0)[0]
+
+
+def _scipy_log_hazard_inverse(x, delta):
+    """The log hazard inverse of one row with SciPy's cubic spline
+    antiderivative as the cumulative hazard."""
     m = len(x)
     t = Grid(0.0, 1.0 - delta, m).points
     cumhaz = CubicSpline(t, np.exp(x)).antiderivative()
@@ -480,7 +509,7 @@ def _log_hazard_inverse_loop(x, delta):
 
 class TestLogHazardKernelsProperty:
     """The batched log hazard kernels against the per-density loops above:
-    the same values, to the bit from four grid points on, or the same error."""
+    the same values, to the bit, or the same error."""
 
     def test_kernels_match_loop(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -512,15 +541,39 @@ class TestLogHazardKernelsProperty:
                     log_hazard_inverse_rows(ref_x, delta)
                 return
             got = log_hazard_inverse_rows(ref_x, delta)
-            if m > 3:
-                np.testing.assert_array_equal(got, ref_f)
-            else:
-                # SciPy fits a 3-knot spline by a dense solve, whose rounding
-                # differs between one right-hand side and several; the
-                # cumulative hazard stays below -log(1e-300), about 690
-                np.testing.assert_allclose(got, ref_f, rtol=1e3 * EPS, atol=0.0)
+            np.testing.assert_array_equal(got, ref_f)
+            for x, want in zip(ref_x, got):  # a row alone gets the bits it gets in the batch
+                np.testing.assert_array_equal(log_hazard_inverse_rows(x[None], delta)[0], want)
 
         check()
+
+    @pytest.mark.parametrize("delta", [0.1, 0.25])
+    @pytest.mark.parametrize("m", [64, 512, 2048])
+    def test_fourth_order_agreement_with_scipy_spline(self, rng, m, delta):
+        """Against SciPy's not-a-knot spline antiderivative, on hazards that
+        are positive cubics p.  The spline reproduces a cubic, so its H is
+        exact, and the two differ by the package's error alone, which is
+        fourth order in the knot spacing h.  The trapezoid rule with its
+        end correction is exact for a cubic given exact slopes, but the
+        difference quotients miss p' by h²·p‴/6 inside and by -h²·p‴/3 at
+        the ends, which moves H at a knot by at most h⁴·|p‴|/24.  The
+        cubic Hermite between knots adds at most h⁴·|p‴|/384, the
+        interpolation error of a quartic.  A density is exp(X - H)
+        renormalized, so a shift of H by at most b changes it by a factor
+        within exp(±2b).  Rounding adds (m + 4) eps·H(1 - delta) per side to
+        b: m - 1 summed trapezoid or spline pieces, and a few roundings in
+        the end correction or the evaluation; the exponentials and the
+        normalization add 4 eps to the factor."""
+        t = Grid(0.0, 1.0 - delta, m).points
+        h = t[1] - t[0]
+        for _ in range(5):
+            a, roots = rng.uniform(0.5, 5.0), rng.uniform(-3.0, -0.1, 3)
+            p = a * np.prod(t[:, None] - roots, axis=1)  # > 0 on t >= 0
+            got = log_hazard_inverse_rows(np.log(p)[None], delta)[0]
+            want = _scipy_log_hazard_inverse(np.log(p), delta)
+            cumhaz_end = float(CubicSpline(t, p).antiderivative()(t[-1]))
+            b = h**4 * 6.0 * a * (1.0 / 24.0 + 1.0 / 384.0) + 2.0 * (m + 4) * EPS * cumhaz_end
+            assert np.abs(got / want - 1.0).max() <= np.expm1(2.0 * b) + 4.0 * EPS
 
     @pytest.mark.parametrize("setting", [1, 2, 3])
     def test_fitted_method_outputs_are_densities(self, setting):
