@@ -13,6 +13,10 @@ densfda runs on NumPy alone; SciPy serves only as a reference in the
 tests.
 """
 
+# the one version literal, set before any submodule import reads it: the
+# run manifests of fileio record it as their artifact version
+__version__ = "0.1.0"
+
 from .density import (
     DEFAULT_FLOOR,
     DensityFn,
@@ -78,13 +82,4 @@ from .simulation import (
     truncated_normal_rows,
 )
 from .sphere import exp_map, karcher_mean, log_map, sqrt_embed
-from .transforms import (
-    LQD,
-    TransformKind,
-    TransformSpec,
-    forward_rows,
-    inverse_rows,
-    log_hazard_spec,
-)
-
-__version__ = "0.1.0"
+from .transforms import LQD, LogHazard, Lqd, forward_rows, inverse_rows

@@ -35,9 +35,9 @@ from .frechet import (
     method_named,
 )
 from .kde import KdeConfig, Kernel, default_bandwidth, estimate_rows
-from .regression import cv_mse, fit_flr
+from .regression import SCORE_METHODS, cv_mse, fit_flr
 from .simulation import SIMULATION_BLEND, SettingSpec, default_methods, run_comparison
-from .transforms import LQD, forward_rows, inverse_rows, log_hazard_spec
+from .transforms import forward_rows, inverse_rows
 
 
 def _support(text: str) -> tuple[float, float]:
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regress", help="scalar-on-density regression")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=["lqd", "fpca"], default="lqd")
+    p.add_argument("--method", choices=SCORE_METHODS, default="lqd")
     p.add_argument("--K", type=int, default=2)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--repeats", type=int, default=50)
@@ -153,14 +153,14 @@ def _cmd_estimate(args):
 
 
 def _cmd_transform(args):
-    spec = LQD if args.kind == "lqd" else log_hazard_spec(args.delta)  # only the log hazard reads delta
+    transform = method_named(args.kind, args.delta).transform
     if args.inverse:
         tgrid, x, ids = fileio.read_transformed_csv(args.infile)
-        values = inverse_rows(x, tgrid, spec, args.support)
+        values = inverse_rows(x, tgrid, transform, args.support)
         fileio.write_density_csv(args.out, DensitySample(values, Grid(*args.support, tgrid.m)), ids)
     else:
         sample, ids = fileio.read_density_csv(args.infile)
-        fileio.write_transformed_csv(args.out, *forward_rows(sample.values, sample.grid, spec), ids)
+        fileio.write_transformed_csv(args.out, *forward_rows(sample.values, sample.grid, transform), ids)
     _manifest(args, args.out, [args.infile])
 
 

@@ -28,10 +28,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .density import DensitySample, Grid, normalize_rows
 from .errors import CsvFormatError
 
-ARTIFACT_VERSION = "0.1.0"
 FLOAT_FMT = "%.17g"
 
 
@@ -102,12 +102,14 @@ def read_transformed_csv(path) -> tuple[Grid, np.ndarray, list]:
     return _uniform_grid_from(points), columns, header[1:]
 
 
-def _id_value_rows(path) -> tuple[list, list]:
-    """Header and (id, value) pairs of a ``subject_id,value`` CSV."""
+def _id_value_rows(path) -> list:
+    """(id, value) pairs of a CSV whose header is ``subject_id,value``."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise CsvFormatError(f"{path}: file is empty")
+    if [h.strip().lower() for h in rows[0][:2]] != ["subject_id", "value"]:
+        raise CsvFormatError(f"{path}: header must be 'subject_id,value', got {rows[0]!r}")
     pairs = []
     for line, row in enumerate(rows[1:], start=2):
         if not row:
@@ -115,23 +117,20 @@ def _id_value_rows(path) -> tuple[list, list]:
         if len(row) < 2:
             raise CsvFormatError(f"{path}: line {line} needs 'subject_id,value', got {row!r}")
         pairs.append((row[0], float(row[1])))
-    return rows[0], pairs
+    return pairs
 
 
 def read_samples_csv(path):
     """Two-column ``subject_id,value`` CSV -> ordered {id: samples array}."""
-    header, pairs = _id_value_rows(path)
-    if [h.strip().lower() for h in header[:2]] != ["subject_id", "value"]:
-        raise ValueError("sample CSV must have header 'subject_id,value'")
     groups: dict[str, list[float]] = {}
-    for sid, value in pairs:
+    for sid, value in _id_value_rows(path):
         groups.setdefault(sid, []).append(value)
     return {k: np.asarray(v) for k, v in groups.items()}
 
 
 def read_response_csv(path):
     """Two-column ``subject_id,value`` CSV of scalar responses."""
-    return dict(_id_value_rows(path)[1])
+    return dict(_id_value_rows(path))
 
 
 def write_json(path, payload: dict):
@@ -156,7 +155,7 @@ class RunManifest:
     argv: list
     seed: int | None
     inputs: dict = field(default_factory=dict)  # path -> sha256 of bytes
-    artifact_version: str = ARTIFACT_VERSION
+    artifact_version: str = __version__
     timestamp: str = ""
     python_version: str = field(init=False, default=platform.python_version())
     numpy_version: str = field(init=False, default=np.__version__)

@@ -7,8 +7,9 @@ K-component representation by the fraction of that variance it explains
 A representation method maps the sample into L2 and back, and each of
 the three is a small frozen type that owns both maps:
 :class:`OrdinaryFpca` takes the densities as they are;
-:class:`TransformMethod` (log quantile density or log hazard) maps each
-density through the transform and back through its inverse;
+:class:`TransformMethod` maps each density through its transform, a
+:class:`transforms.Lqd` or :class:`transforms.LogHazard`, and back
+through its inverse, and takes its label from it;
 :class:`HilbertSphere` log-maps the square-root densities at their
 Karcher mean and maps back by the exp map and squaring.  Whatever is
 left outside density space (negative values of ordinary FPCA, the
@@ -51,7 +52,7 @@ from .density import (
     unit_grid,
 )
 from .sphere import exp_map, karcher_mean, log_map, sqrt_embed
-from .transforms import LQD, TransformSpec, forward_rows, inverse_rows, log_hazard_spec
+from .transforms import LQD, LogHazard, Transform, forward_rows, inverse_rows
 
 K_MAX_CAP = 20
 EXPLAINED_TAIL = 1e-8  # eigenvalue mass allowed beyond the default K_max
@@ -193,7 +194,7 @@ class TransformMethod:
     amplifies errors exponentially) and leaves the method unchanged at 0.
     """
 
-    transform: TransformSpec = LQD
+    transform: Transform = LQD
     blend: float = 0.0
 
     def __post_init__(self):
@@ -202,7 +203,7 @@ class TransformMethod:
 
     @property
     def label(self) -> str:
-        return "LQD" if self.transform == LQD else f"LH({self.transform.delta:g})"
+        return self.transform.label
 
     def embed(self, sample: DensitySample) -> tuple[np.ndarray, Grid]:
         blended = (1.0 - self.blend) * sample.values + self.blend / sample.grid.width
@@ -238,7 +239,7 @@ def method_named(name: str, delta: float = 0.1) -> Method:
     """The method the command line calls ``name``; only ``"loghazard"``
     reads ``delta``.  Raises ``ValueError`` for any other name."""
     methods = {"lqd": TransformMethod, "fpca": OrdinaryFpca, "hs": HilbertSphere,
-               "loghazard": lambda: TransformMethod(log_hazard_spec(delta))}
+               "loghazard": lambda: TransformMethod(LogHazard(delta))}
     if name not in methods:
         raise ValueError(f"method must be one of {tuple(methods)}, got {name!r}")
     return methods[name]()

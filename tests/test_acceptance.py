@@ -17,6 +17,7 @@ from densfda import (
     KdeConfig,
     Kernel,
     LQD,
+    LogHazard,
     Metric,
     SettingSpec,
     TransformMethod,
@@ -30,7 +31,6 @@ from densfda import (
     fve_report,
     gen_setting,
     inverse_rows,
-    log_hazard_spec,
     run_comparison,
     scores,
     sqrt_embed,
@@ -209,7 +209,7 @@ def test_criterion_7_property_suites(rng):
 
     # transform round trips at m = 512
     worst_round = 0.0
-    hspec = log_hazard_spec(0.1)
+    hspec = LogHazard(0.1)
     for _ in range(10):
         f = smooth_density(rng, grid)
         worst_round = max(worst_round, sup_distance(f, roundtrip(f, LQD)))

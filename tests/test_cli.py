@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import densfda
 from densfda import (
     DEFAULT_FLOOR,
     LQD,
@@ -17,12 +18,12 @@ from densfda import (
     Grid,
     KdeConfig,
     Kernel,
+    LogHazard,
     TransformMethod,
     default_bandwidth,
     estimate_rows,
     forward_rows,
     inverse_rows,
-    log_hazard_spec,
     normalize_rows,
     truncated_normal_rows,
     unit_grid,
@@ -170,6 +171,7 @@ class TestEstimate:
         assert manifest["python_version"] == platform.python_version()
         assert manifest["numpy_version"] == np.__version__
         assert "scipy_version" not in manifest  # no command runs SciPy
+        assert manifest["artifact_version"] == densfda.__version__
 
     def test_writes_the_row_kernel_per_subject(self, tmp_path, rng):
         # subjects with unequal draw counts get their own default bandwidth
@@ -227,7 +229,7 @@ class TestTransformCli:
         densities = stack([smooth_density(rng, grid) for _ in range(5)])
         path, fwd, back = tmp_path / "d.csv", tmp_path / "x.csv", tmp_path / "back.csv"
         write_density_csv(path, densities)
-        spec = LQD if kind == "lqd" else log_hazard_spec(0.2)
+        spec = LQD if kind == "lqd" else LogHazard(0.2)
         tgrid, x = forward_rows(np.stack([f.values for f in densities]), grid, spec)
         args = ["transform", "--kind", kind, "--delta", "0.2"]
         assert main([*args, "--in", str(path), "--out", str(fwd)]) == 0
@@ -531,6 +533,31 @@ class TestRegress:
         payload = json.loads(out.read_text())
         assert payload["r_squared"] > 0.5
         assert payload["cv_mse"] > 0
+
+    def test_method_choices_are_the_score_methods(self):
+        from densfda.cli import build_parser
+        from densfda.regression import SCORE_METHODS
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        regress = next(a for a in sub.choices["regress"]._actions if a.dest == "method")
+        assert tuple(regress.choices) == SCORE_METHODS
+
+    def test_headerless_responses_exit_1(self, tmp_path, rng, capsys):
+        # without its header the first subject's response would be read as one
+        grid = Grid(0.0, 1.0, 64)
+        dpath, ypath, out = tmp_path / "d.csv", tmp_path / "y.csv", tmp_path / "reg.json"
+        ids = [f"s{i}" for i in range(12)]
+        write_density_csv(dpath, stack([smooth_density(rng, grid) for _ in ids]), ids)
+        ypath.write_text("".join(f"{sid},{i}\n" for i, sid in enumerate(ids)))
+        code = main([
+            "regress", "--method", "lqd", "--K", "1", "--folds", "3", "--repeats", "1",
+            "--densities", str(dpath), "--y", str(ypath), "--out", str(out),
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "CsvFormatError"
+        assert not out.exists()
 
     def test_transforms_the_sample_once(self, tmp_path, rng, monkeypatch):
         # the in-sample fit and the cross validation share one LQD transform

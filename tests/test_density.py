@@ -13,11 +13,11 @@ from densfda import (
     Grid,
     GridMismatchError,
     InvalidDensityError,
+    LogHazard,
     NonFiniteError,
     NotInvertibleError,
     SupportMismatchError,
     dist_wasserstein,
-    log_hazard_spec,
     unit_grid,
 )
 from densfda import frechet
@@ -354,7 +354,7 @@ class TestSupportMapping:
         g = Grid(-5.0, 5.0, 512)
         f = smooth_density(rng, g)
         unit = DensityFn(unit_grid(512), f.values * g.width)
-        for spec in (LQD, log_hazard_spec(0.1)):
+        for spec in (LQD, LogHazard(0.1)):
             tgrid, x = forward_rows(f.values[None], g, spec)
             np.testing.assert_array_equal(x, forward_rows(unit.values[None], unit.grid, spec)[1])
             back = inverse_rows(x, tgrid, spec, (g.lo, g.hi))

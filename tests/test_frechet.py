@@ -12,6 +12,7 @@ from densfda import (
     HilbertSphere,
     KTooLargeError,
     LQD,
+    LogHazard,
     Metric,
     NonFiniteError,
     OrdinaryFpca,
@@ -26,7 +27,6 @@ from densfda import (
     fve_report,
     gen_setting,
     karcher_mean,
-    log_hazard_spec,
     method_named,
     mode_of_variation,
     normalize_rows,
@@ -293,7 +293,7 @@ class TestTransformationModes:
         sample = gen_setting(SettingSpec(setting=setting, n=30, m=256, seed=setting)).densities
         ks, alphas = (1, 2, 3), (-2.0, -0.5, 0.0, 1.0, 2.0)
         for method in (TransformMethod(), TransformMethod(blend=0.5), OrdinaryFpca(),
-                       HilbertSphere(), TransformMethod(log_hazard_spec(0.1))):
+                       HilbertSphere(), TransformMethod(LogHazard(0.1))):
             fitted = FittedMethod(sample, method, floor=1e-3)
             modes = fitted.modes(ks, alphas)
             assert modes.grid == sample.grid
@@ -344,7 +344,7 @@ class TestRepresent:
         cases = (
             (TransformMethod(), 1.0),
             # the log hazard keeps [0, 1 - delta]; its inverse spreads the rest uniformly
-            (TransformMethod(log_hazard_spec(0.1)), 0.9),
+            (TransformMethod(LogHazard(0.1)), 0.9),
             (OrdinaryFpca(), 1.0),
             (HilbertSphere(), 1.0),
         )
@@ -357,7 +357,7 @@ class TestRepresent:
 
     def test_identical_sample_has_no_components(self, rng, unit512):
         f = smooth_density(rng, unit512)
-        for method in (TransformMethod(), TransformMethod(log_hazard_spec(0.1)),
+        for method in (TransformMethod(), TransformMethod(LogHazard(0.1)),
                        OrdinaryFpca(), HilbertSphere()):
             fitted = FittedMethod(stack([f] * 5), method)
             assert fitted.n_components == 0
@@ -448,15 +448,16 @@ class TestMethods:
         # methods key the sample cache, so equal ones must find the same entry
         pairs = (
             (TransformMethod(), method_named("lqd")),
+            (method_named("lqd", 0.3), TransformMethod()),
             (TransformMethod(LQD, 0.0), TransformMethod()),
-            (TransformMethod(log_hazard_spec(0.1)), method_named("loghazard")),
-            (TransformMethod(log_hazard_spec(0.2), 0.5), TransformMethod(log_hazard_spec(0.2), 0.5)),
+            (TransformMethod(LogHazard(0.1)), method_named("loghazard")),
+            (TransformMethod(LogHazard(0.2), 0.5), TransformMethod(LogHazard(0.2), 0.5)),
             (OrdinaryFpca(), method_named("fpca")),
             (HilbertSphere(), method_named("hs")),
         )
         for a, b in pairs:
             assert a == b and hash(a) == hash(b)
-        distinct = {TransformMethod(), TransformMethod(blend=0.5), TransformMethod(log_hazard_spec(0.1)),
+        distinct = {TransformMethod(), TransformMethod(blend=0.5), TransformMethod(LogHazard(0.1)),
                     OrdinaryFpca(), HilbertSphere(), *(pair[1] for pair in pairs)}
         assert len(distinct) == 6
 
@@ -464,9 +465,19 @@ class TestMethods:
         labels = {name: method_named(name).label for name in ("lqd", "fpca", "hs", "loghazard")}
         assert labels == {"lqd": "LQD", "fpca": "FPCA", "hs": "HS", "loghazard": "LH(0.1)"}
         assert method_named("loghazard", 0.25).label == "LH(0.25)"
+        assert method_named("lqd", 0.3).label == "LQD"
         assert TransformMethod(blend=0.5).label == "LQD"
         with pytest.raises(ValueError, match="method must be one of"):
             method_named("pca")
+
+    @pytest.mark.parametrize("first, second", [
+        (method_named("lqd", 0.3), TransformMethod()),
+        (method_named("loghazard", 0.2), TransformMethod(LogHazard(0.2))),
+    ], ids=["lqd", "loghazard"])
+    def test_equal_methods_share_the_embedding(self, rng, unit512, first, second):
+        sample = stack([smooth_density(rng, unit512) for _ in range(4)])
+        rows, _ = frechet.embedding(sample, first)
+        assert frechet.embedding(sample, second)[0] is rows
 
 
 class TestBlend:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,27 +10,20 @@ from densfda import (
     Grid,
     GridMismatchError,
     LQD,
+    LogHazard,
     NonFiniteError,
     SettingSpec,
     TransformMethod,
     TransformOverflowError,
-    TransformSpec,
     gen_setting,
     inverse_rows,
-    log_hazard_spec,
     normalize_rows,
     truncated_normal_rows,
     unit_grid,
 )
 from densfda.density import integrate_rows, sq_dist_rows
 from densfda.errors import DensfdaError
-from densfda.transforms import (
-    _guard_exp,
-    log_hazard_forward_rows,
-    log_hazard_inverse_rows,
-    lqd_forward_rows,
-    lqd_inverse_rows,
-)
+from densfda.transforms import Lqd, _guard_exp
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
@@ -114,7 +109,7 @@ class TestLqdInverse:
 class TestLogHazardForward:
     def test_uniform_hazard(self, uniform):
         # X(t) = -log(1 - t)
-        tgrid, x = to_transform(uniform, log_hazard_spec(0.1))
+        tgrid, x = to_transform(uniform, LogHazard(0.1))
         assert tgrid.hi == pytest.approx(0.9)
         assert x[0] == pytest.approx(0.0, abs=1e-4)
         assert np.interp(0.5, tgrid.points, x) == pytest.approx(np.log(2.0), abs=1e-4)
@@ -122,17 +117,17 @@ class TestLogHazardForward:
     def test_truncated_normal_hazard_increasing_at_right(self):
         grid = Grid(-3.0, 3.0, M)
         f = DensityFn(grid, truncated_normal_rows([0.0], [1.0], grid, floor=1e-6)[0])
-        _, x = to_transform(f, log_hazard_spec(0.1))
+        _, x = to_transform(f, LogHazard(0.1))
         assert np.all(np.isfinite(x))
         assert np.all(np.diff(x[int(0.8 * M):]) > 0)  # monotone hazard near the right end
 
     def test_deterministic(self, uniform):
-        spec = log_hazard_spec(0.2)
+        spec = LogHazard(0.2)
         np.testing.assert_array_equal(to_transform(uniform, spec)[1], to_transform(uniform, spec)[1])
 
     def test_requires_hazard_spec(self, uniform):
         # the hazard grid [0, 1 - delta] is only inverted under its own spec
-        tgrid, x = to_transform(uniform, log_hazard_spec(0.1))
+        tgrid, x = to_transform(uniform, LogHazard(0.1))
         with pytest.raises(GridMismatchError):
             from_transform(tgrid, x, LQD)
 
@@ -144,7 +139,7 @@ class TestLogHazardInverse:
         # O(spacing * jump) straddle-cell error; 4096 points keep it under
         # the example tolerance.
         m = 4096
-        f = from_transform(Grid(0.0, 0.9, m), np.zeros(m), log_hazard_spec(0.1))
+        f = from_transform(Grid(0.0, 0.9, m), np.zeros(m), LogHazard(0.1))
         pts = f.grid.points
         interior = pts <= 0.9
         np.testing.assert_allclose(f.values[interior], np.exp(-pts[interior]), atol=1e-3)
@@ -153,7 +148,7 @@ class TestLogHazardInverse:
         assert tail[0] == pytest.approx(10.0 * np.exp(-0.9), abs=1e-3)
 
     def test_uniform_roundtrip_and_tail_mass(self, uniform):
-        back = roundtrip(uniform, log_hazard_spec(0.1))
+        back = roundtrip(uniform, LogHazard(0.1))
         pts = back.grid.points
         assert np.abs(back.values[pts <= 0.9] - 1.0).max() <= 1e-3
         tail_value = back.values[pts > 0.9][0]
@@ -162,16 +157,16 @@ class TestLogHazardInverse:
     def test_spike_still_integrates_to_one(self):
         vals = np.zeros(M)
         vals[0] = 5.0
-        f = from_transform(Grid(0.0, 0.9, M), vals, log_hazard_spec(0.1))
+        f = from_transform(Grid(0.0, 0.9, M), vals, LogHazard(0.1))
         assert integrate_rows(f.values, f.grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_spec_mismatch_rejected(self):
         with pytest.raises(GridMismatchError):
-            from_transform(Grid(0.0, 0.9, M), np.zeros(M), log_hazard_spec(0.2))
+            from_transform(Grid(0.0, 0.9, M), np.zeros(M), LogHazard(0.2))
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("spec", [LQD, log_hazard_spec(0.1)])
+    @pytest.mark.parametrize("spec", [LQD, LogHazard(0.1)])
     def test_smooth_roundtrips(self, spec, rng, unit512):
         for _ in range(5):
             f = smooth_density(rng, unit512)
@@ -192,7 +187,7 @@ class TestRoundTrips:
 
     def test_hazard_tail_mass_matches_delta(self, rng, unit512):
         f = smooth_density(rng, unit512)
-        back = roundtrip(f, log_hazard_spec(0.2))
+        back = roundtrip(f, LogHazard(0.2))
         pts = back.grid.points
         truth_tail = integrate_rows(np.where(pts >= 0.8, f.values, 0.0), back.grid)
         got_tail = back.values[pts > 0.8][0] * 0.2
@@ -204,7 +199,7 @@ class TestStructuralProperties:
         # nearby density pairs (floored at 0.1, capped near 10) keep a stable
         # ratio d2(psi f, psi g) / d2(f, g) for both transforms
         ratios = {"lqd": [], "hazard": []}
-        specs = {"lqd": LQD, "hazard": log_hazard_spec(0.1)}
+        specs = {"lqd": LQD, "hazard": LogHazard(0.1)}
         for _ in range(100):
             f = smooth_density(rng, unit512)
             bump = np.zeros(M)
@@ -229,7 +224,7 @@ class TestStructuralProperties:
     def test_transformed_fn_bounded_by_density_box(self, rng, unit512):
         # |X| <= log(sup f * sup 1/f) for the LQD map, plus |log delta| for
         # the hazard map
-        spec = log_hazard_spec(0.1)
+        spec = LogHazard(0.1)
         for _ in range(20):
             f = smooth_density(rng, unit512)
             box = np.log(f.values.max() * (1.0 / f.values.min()))
@@ -243,7 +238,7 @@ class TestTransformedFnValidation:
 
     def test_grid_domain_checked(self):
         x = np.zeros((2, M))
-        for spec, hi, other in ((LQD, 1.0, 0.9), (log_hazard_spec(0.1), 0.9, 1.0)):
+        for spec, hi, other in ((LQD, 1.0, 0.9), (LogHazard(0.1), 0.9, 1.0)):
             # a t column read back from CSV may be off by round-off
             assert inverse_rows(x, Grid(0.0, hi + 1e-13, M), spec, (0.0, 1.0)).shape == x.shape
             for tgrid in (Grid(0.0, other, M), Grid(0.1, hi, M), Grid(-1e-9, hi, M),
@@ -257,21 +252,29 @@ class TestTransformedFnValidation:
         ids=["reversed", "empty", "infinite"],
     )
     def test_support_checked(self, support, error):
-        for spec, tgrid in ((LQD, unit_grid(M)), (log_hazard_spec(0.1), Grid(0.0, 0.9, M))):
+        for spec, tgrid in ((LQD, unit_grid(M)), (LogHazard(0.1), Grid(0.0, 0.9, M))):
             with pytest.raises(error):
                 inverse_rows(np.zeros((1, M)), tgrid, spec, support)
 
+    def test_mismatch_names_the_label(self):
+        x = np.zeros((1, M))
+        for transform, other in ((LQD, LogHazard(0.1)), (LogHazard(0.1), LQD), (LogHazard(0.2), LogHazard(0.1))):
+            with pytest.raises(GridMismatchError, match=re.escape(f"the {transform.label} domain")):
+                inverse_rows(x, other.domain(M), transform, (0.0, 1.0))
+
     def test_delta_range(self):
         with pytest.raises(ValueError):
-            TransformSpec(LQD.kind, 0.0)
+            LogHazard(0.0)
         with pytest.raises(ValueError):
-            log_hazard_spec(0.6)
+            LogHazard(0.6)
+        with pytest.raises(TypeError):  # LQD is not truncated, so it takes no delta
+            Lqd(0.3)
 
     def test_non_finite_rejected(self):
         for bad in (np.inf, -np.inf, np.nan):
             vals = np.zeros((1, M))
             vals[0, 3] = bad
-            for spec, tgrid in ((LQD, unit_grid(M)), (log_hazard_spec(0.1), Grid(0.0, 0.9, M))):
+            for spec, tgrid in ((LQD, unit_grid(M)), (LogHazard(0.1), Grid(0.0, 0.9, M))):
                 with pytest.raises(NonFiniteError):
                     inverse_rows(vals, tgrid, spec, (0.0, 1.0))
 
@@ -330,14 +333,14 @@ class TestBatchedLqdAgainstLoop:
         mid = 0.5 * (grid.lo + grid.hi)
         densities.append(DensityFn(grid, truncated_normal_rows([mid], [0.1 * grid.width], grid, 1e-3)[0]))
         ref_x = np.stack([_lqd_forward_loop(f) for f in densities])
-        x = lqd_forward_rows(np.stack([f.values for f in densities]) * grid.width)
+        x = LQD.forward(np.stack([f.values for f in densities]) * grid.width)
         np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=1e-12)
         for f, row in zip(densities, ref_x):
             np.testing.assert_allclose(to_transform(f, LQD)[1], row, rtol=0.0, atol=1e-12)
 
         support = (grid.lo, grid.hi)
         ref_f = np.stack([_lqd_inverse_loop(row, support) for row in ref_x])
-        back = lqd_inverse_rows(ref_x) / grid.width
+        back = LQD.inverse(ref_x) / grid.width
         np.testing.assert_allclose(back, ref_f, rtol=1e-12, atol=1e-12)
         for row, want in zip(ref_x, ref_f):
             f = from_transform(unit_grid(grid.m), row, LQD, support)
@@ -398,7 +401,7 @@ class TestLqdKernelsProperty:
         def check(n, m, seed, floor, spikes):
             rows = _density_rows(seed, n, m, floor, spikes)
             try:
-                got = lqd_forward_rows(rows)
+                got = LQD.forward(rows)
             except DensfdaError:
                 return
             grid = unit_grid(m)
@@ -420,7 +423,7 @@ class TestLqdKernelsProperty:
         row[tiny] = 1e-300
         row /= integrate_rows(row, unit_grid(m))
         ref = _lqd_forward_loop(DensityFn(unit_grid(m), row))
-        np.testing.assert_allclose(lqd_forward_rows(row[None])[0], ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(LQD.forward(row[None])[0], ref, rtol=0.0, atol=1e-12)
 
     def test_inverse_matches_loop(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -441,7 +444,7 @@ class TestLqdKernelsProperty:
                 refs = [_lqd_inverse_loop(row, (0.0, 1.0)) for row in x]
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got = lqd_inverse_rows(x)
+                    got = LQD.inverse(x)
             except DensfdaError:
                 assert any(not np.all(np.isfinite(r) & (r > 0)) for r in refs)
                 return
@@ -530,20 +533,20 @@ class TestLogHazardKernelsProperty:
                 ref_x = np.stack([_log_hazard_forward_loop(row, delta) for row in rows])
             except TransformOverflowError:
                 with pytest.raises(TransformOverflowError):
-                    log_hazard_forward_rows(rows, delta)
+                    LogHazard(delta).forward(rows)
                 return
-            np.testing.assert_array_equal(log_hazard_forward_rows(rows, delta), ref_x)
+            np.testing.assert_array_equal(LogHazard(delta).forward(rows), ref_x)
             try:
                 with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                     ref_f = np.stack([_log_hazard_inverse_loop(x, delta) for x in ref_x])
             except DensfdaError as exc:
                 with pytest.raises(type(exc)):
-                    log_hazard_inverse_rows(ref_x, delta)
+                    LogHazard(delta).inverse(ref_x)
                 return
-            got = log_hazard_inverse_rows(ref_x, delta)
+            got = LogHazard(delta).inverse(ref_x)
             np.testing.assert_array_equal(got, ref_f)
             for x, want in zip(ref_x, got):  # a row alone gets the bits it gets in the batch
-                np.testing.assert_array_equal(log_hazard_inverse_rows(x[None], delta)[0], want)
+                np.testing.assert_array_equal(LogHazard(delta).inverse(x[None])[0], want)
 
         check()
 
@@ -569,7 +572,7 @@ class TestLogHazardKernelsProperty:
         for _ in range(5):
             a, roots = rng.uniform(0.5, 5.0), rng.uniform(-3.0, -0.1, 3)
             p = a * np.prod(t[:, None] - roots, axis=1)  # > 0 on t >= 0
-            got = log_hazard_inverse_rows(np.log(p)[None], delta)[0]
+            got = LogHazard(delta).inverse(np.log(p)[None])[0]
             want = _scipy_log_hazard_inverse(np.log(p), delta)
             cumhaz_end = float(CubicSpline(t, p).antiderivative()(t[-1]))
             b = h**4 * 6.0 * a * (1.0 / 24.0 + 1.0 / 384.0) + 2.0 * (m + 4) * EPS * cumhaz_end
@@ -579,7 +582,7 @@ class TestLogHazardKernelsProperty:
     def test_fitted_method_outputs_are_densities(self, setting):
         # DensityFn checks finiteness, strict positivity and unit mass
         sample = gen_setting(SettingSpec(setting=setting, n=20, m=256, seed=setting)).densities
-        fitted = FittedMethod(sample, TransformMethod(log_hazard_spec(0.1)))
+        fitted = FittedMethod(sample, TransformMethod(LogHazard(0.1)))
         for k in range(min(fitted.n_components, 3) + 1):
             recon = fitted.reconstruct(k)
             assert recon.shape == (len(sample), fitted.grid.m)
