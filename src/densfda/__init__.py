@@ -28,6 +28,7 @@ from .density import (
 )
 from .errors import (
     AllZeroError,
+    BadArgumentError,
     BadBandwidthError,
     CsvFormatError,
     DegenerateSigmaError,

@@ -9,8 +9,10 @@ min(selected K, 2, components).
 Every command writes its outputs plus a ``<output>.manifest.json``
 recording the argv, seed (null but for ``simulate`` and ``regress``),
 input digests, artifact version and the Python and NumPy versions.
-Exit codes: 0 on success, 2 on usage errors (argparse), 1 on computation
-errors, which are also reported as a JSON object on stderr.
+Exit codes: 0 on success, 2 on usage errors (argparse), 1 on a fault of
+the input, a ``DensfdaError``, or a file that cannot be opened, an
+``OSError``; either is reported as one JSON object on stderr.  Any other
+exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -25,15 +27,7 @@ import numpy as np
 from . import fileio, fpca
 from .density import DEFAULT_FLOOR, DEFAULT_GRID_SIZE, DensitySample, Grid
 from .errors import DensfdaError
-from .frechet import (
-    FittedMethod,
-    Metric,
-    embedding,
-    fisher_rao_mean,
-    frechet_mean,
-    fve_report,
-    method_named,
-)
+from .frechet import MEANS, FittedMethod, Metric, embedding, fve_report, method_named
 from .kde import KdeConfig, Kernel, default_bandwidth, estimate_rows
 from .regression import SCORE_METHODS, cv_mse, fit_flr
 from .simulation import SIMULATION_BLEND, SettingSpec, default_methods, run_comparison
@@ -95,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("mean", help="Fréchet mean density")
-    p.add_argument("--metric", choices=["l2", "wasserstein", "fisherrao"], default="wasserstein")
+    p.add_argument("--metric", choices=list(MEANS), default="wasserstein")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
@@ -199,11 +193,7 @@ def _write_modes(path, fitted, ks, alphas):
 
 def _cmd_mean(args):
     sample, _ = fileio.read_density_csv(args.infile)
-    if args.metric == "fisherrao":
-        mean = fisher_rao_mean(sample)
-    else:
-        mean = frechet_mean(sample, Metric(args.metric))
-    fileio.write_density_csv(args.out, mean, [f"{args.metric}_mean"])
+    fileio.write_density_csv(args.out, MEANS[args.metric](sample, DEFAULT_FLOOR), [f"{args.metric}_mean"])
     _manifest(args, args.out, [args.infile])
 
 
@@ -264,7 +254,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _HANDLERS[args.command](args)
-    except (DensfdaError, OSError, ValueError, KeyError) as exc:
+    except (DensfdaError, OSError) as exc:
         json.dump(
             {"error": type(exc).__name__, "message": str(exc)},
             sys.stderr,

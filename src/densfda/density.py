@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     AllZeroError,
+    BadArgumentError,
     EmptySampleError,
     GridMismatchError,
     InvalidDensityError,
@@ -53,9 +54,9 @@ class Grid:
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise NonFiniteError("grid endpoints must be finite")
         if self.hi <= self.lo:
-            raise ValueError(f"grid needs hi > lo, got [{self.lo}, {self.hi}]")
+            raise BadArgumentError(f"grid needs hi > lo, got [{self.lo}, {self.hi}]")
         if self.m < 3:
-            raise ValueError(f"grid needs m >= 3 points, got {self.m}")
+            raise BadArgumentError(f"grid needs m >= 3 points, got {self.m}")
 
     @property
     def width(self) -> float:
@@ -196,11 +197,11 @@ def normalize_rows(values, grid: Grid, floor: float = DEFAULT_FLOOR) -> np.ndarr
 
     Negative values clamp to the floor as zeros do, so a signed row maps
     as its positive part would.  Idempotent: a density row comes back
-    unchanged.  A row that is not finite (NaN or either infinity) raises
-    ``NonFiniteError``, one with no positive value ``AllZeroError``; the
-    error is that of the first failing row.  The floor is in absolute
-    density units, not relative to a row's values, so on a wide support,
-    where densities are small, it flattens them: a setting-3 sample
+    unchanged.  A row that is not finite (NaN or either infinity), or
+    whose mass overflows, raises ``NonFiniteError``, one with no positive
+    value ``AllZeroError``; the error is that of the first failing row.
+    The floor is in absolute density units, so on a wide support, where
+    densities are small, it flattens them: a setting-3 sample
     (``simulation``) moved to a support of width 1e5 changes by up to 6%
     of a row's peak at the default floor, and by 90% at width 1e7.
     """
@@ -208,16 +209,17 @@ def normalize_rows(values, grid: Grid, floor: float = DEFAULT_FLOOR) -> np.ndarr
     if raw.ndim != 2 or raw.shape[1] != grid.m:
         raise GridMismatchError("raw values must match the grid size")
     if floor < 0:
-        raise ValueError("floor must be >= 0")
+        raise BadArgumentError("floor must be >= 0")
     finite = np.isfinite(raw).all(axis=1)
     positive = raw.max(axis=1) > 0.0
     valid = finite & positive
     # failing rows are replaced by ones so the arithmetic below stays quiet
     clamped = np.maximum(raw if valid.all() else np.where(valid[:, None], raw, 1.0), floor)
-    mass = integrate_rows(clamped, grid)
+    with np.errstate(over="ignore"):  # an overflowed mass is reported below
+        mass = integrate_rows(clamped, grid)
     # rows already of unit mass are kept as they are, so the map is idempotent
     out = clamped / np.where(np.abs(mass - 1.0) < 1e-14, 1.0, mass)[:, None]
-    failure = np.select([~finite, ~positive, out.min(axis=1) <= 0.0], [1, 2, 3], 0)
+    failure = np.select([~finite, ~positive, np.isinf(mass), out.min(axis=1) <= 0.0], [1, 2, 3, 4], 0)
     first = np.flatnonzero(failure)
     if first.size:
         code = failure[first[0]]
@@ -225,6 +227,8 @@ def normalize_rows(values, grid: Grid, floor: float = DEFAULT_FLOOR) -> np.ndarr
             raise NonFiniteError("raw values contain NaN or infinities")
         if code == 2:
             raise AllZeroError("raw function has no positive mass")
+        if code == 3:
+            raise NonFiniteError("the mass of a row overflows: its values are too large to integrate")
         raise InvalidDensityError(
             "density values must be strictly positive; "
             "use normalize_rows() with a positive floor"
@@ -251,7 +255,7 @@ def quantile_rows(cdf: np.ndarray, grid: Grid, tgrid: Grid) -> np.ndarray:
     ``NotInvertibleError``.
     """
     if (tgrid.lo, tgrid.hi) != (0.0, 1.0):
-        raise ValueError("quantiles are evaluated on a probability grid over [0, 1]")
+        raise BadArgumentError("quantiles are evaluated on a probability grid over [0, 1]")
     first = _first_knots(cdf)
     t, x = tgrid.points, grid.points
     q = np.empty((cdf.shape[0], tgrid.m))
@@ -266,12 +270,12 @@ def _first_knots(cdf: np.ndarray) -> np.ndarray:
     """Mask of the first knot of each level in every row of CDF values.
 
     A repeated level resolves to its left end, which is how a flat step
-    inverts.  Raises ``ValueError`` for a decreasing row and
+    inverts.  Raises ``BadArgumentError`` for a decreasing row and
     ``NotInvertibleError`` for a flat span wider than one grid cell.
     """
     step = np.diff(cdf, axis=1)
     if np.any(step < 0):
-        raise ValueError("CDF values must be nondecreasing")
+        raise BadArgumentError("CDF values must be nondecreasing")
     flat = step == 0.0
     if np.any(flat[:, :-1] & flat[:, 1:]):
         raise NotInvertibleError("CDF has a flat span wider than one grid cell")
@@ -296,7 +300,7 @@ def pchip_rows(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.broadcast_to(np.asarray(y, dtype=float), x.shape)
     if x.shape[1] < 3:
-        raise ValueError(f"monotone cubic interpolation needs >= 3 knots, got {x.shape[1]}")
+        raise BadArgumentError(f"monotone cubic interpolation needs >= 3 knots, got {x.shape[1]}")
     h = np.diff(x, axis=1)
     _check_knots(h)
     return hermite_rows(x, y, _pchip_derivatives(h, np.diff(y, axis=1) / h), t)
@@ -318,7 +322,7 @@ def hermite_rows(x: np.ndarray, y: np.ndarray, d: np.ndarray, t: np.ndarray) -> 
     h = np.diff(x, axis=1)
     _check_knots(h)
     if np.any(np.diff(t) < 0):
-        raise ValueError("evaluation points must be nondecreasing")
+        raise BadArgumentError("evaluation points must be nondecreasing")
     slope = np.diff(y, axis=1) / h
     c = (d[:, :-1] + d[:, 1:] - 2 * slope) / h
     c0, c1, c2, c3 = y[:, :-1], d[:, :-1], (slope - d[:, :-1]) / h - c, c / h
@@ -333,7 +337,7 @@ def hermite_rows(x: np.ndarray, y: np.ndarray, d: np.ndarray, t: np.ndarray) -> 
 
 def _check_knots(h: np.ndarray):
     if not np.all(h > 0):
-        raise ValueError("knots must be strictly increasing in every row")
+        raise BadArgumentError("knots must be strictly increasing in every row")
 
 
 def _pchip_derivatives(h: np.ndarray, slope: np.ndarray) -> np.ndarray:

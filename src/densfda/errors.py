@@ -1,8 +1,22 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the one rule for them.
+
+Every fault of the input, whether an argument, a file or the data in
+it, raises a subclass of :class:`DensfdaError`.  ``cli.main`` reports
+that class, and an ``OSError`` of a file it cannot open, as exit 1;
+``simulation.run_comparison`` records it as a failed replication.
+Neither catches anything else: any other exception is a bug and
+propagates with its traceback.  ``BadArgumentError``,
+``SampleShapeError`` and ``InvalidDensityError`` also subclass
+``ValueError``, so code that catches ``ValueError`` still catches them.
+"""
 
 
 class DensfdaError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors: a fault of the input."""
+
+
+class BadArgumentError(DensfdaError, ValueError):
+    """An argument lies outside the values the function accepts."""
 
 
 class AllZeroError(DensfdaError):

@@ -8,19 +8,22 @@ domain is checked by ``transforms.inverse_rows``.
 All floats are written with 17 significant digits so a write/read round
 trip reproduces binary64 values exactly.
 
-Tables move as arrays.  A read checks the shape line by line (an empty
-file, no data rows, fewer than two columns or a row of the wrong field
-count raise ``CsvFormatError``), skipping blank lines, then parses the
-body with one ``np.loadtxt``; a field that is no number raises
-``ValueError``.  A write formats and writes the body one row at a time
-with one format string, the same bytes as ``csv.writer`` (CRLF line
-ends).
+Tables move as arrays.  A read checks the shape line by line, skipping
+blank lines, then parses the body with one ``np.loadtxt``.  Every fault
+of a file raises ``CsvFormatError`` naming it: text that does not
+decode, an empty file, no data rows, fewer than two columns, a row of
+the wrong field count, a field that is no number (with its line), a
+first column that is not a uniform grid of at least 3 points, and a
+subject id that repeats in a density table or a response file.  A write
+formats and writes the body one row at a time with one format string,
+the same bytes as ``csv.writer`` (CRLF line ends).
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import platform
 import time
@@ -35,12 +38,26 @@ from .errors import CsvFormatError
 FLOAT_FMT = "%.17g"
 
 
-def _uniform_grid_from(points: np.ndarray) -> Grid:
+def _uniform_grid_from(path, points: np.ndarray) -> Grid:
     lo, hi, m = float(points[0]), float(points[-1]), len(points)
+    if m < 3:
+        raise CsvFormatError(f"{path}: the first column needs at least 3 rows, got {m}")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise CsvFormatError(f"{path}: the first column must rise between finite ends, got {lo!r} to {hi!r}")
     grid = Grid(lo, hi, m)
-    if np.abs(points - grid.points).max() > 1e-9 * max(abs(lo), abs(hi), 1.0):
-        raise ValueError("first CSV column is not a uniform grid")
+    if not np.all(np.abs(points - grid.points) <= 1e-9 * max(abs(lo), abs(hi), 1.0)):
+        raise CsvFormatError(f"{path}: the first column is not a uniform grid")
     return grid
+
+
+def _unique(path, ids: list) -> list:
+    """``ids``, unless one of them repeats."""
+    seen = set()
+    for sid in ids:
+        if sid in seen:
+            raise CsvFormatError(f"{path}: subject id {sid!r} appears more than once")
+        seen.add(sid)
+    return ids
 
 
 def _write_table(path, first_name: str, points: np.ndarray, columns, ids):
@@ -52,23 +69,44 @@ def _write_table(path, first_name: str, points: np.ndarray, columns, ids):
             fh.write(line % tuple(row.tolist()))
 
 
+def _read_text(path) -> str:
+    """The text of a file, line ends as they are."""
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: byte {exc.start} is not {exc.encoding} text") from None
+
+
+def _first_non_number(body) -> str | None:
+    """Where the first field of the ``(line number, line)`` pairs ``body``
+    that is no number lies, if ``float`` finds one."""
+    for n, line in body:
+        for j, text in enumerate(line.split(","), start=1):
+            try:
+                float(text.strip('"'))
+            except ValueError:
+                return f"line {n}, field {j} is not a number: {text!r}"
+    return None
+
+
 def _read_table(path):
-    with open(path, newline="") as fh:
-        lines = [line for line in fh.read().splitlines() if line]
+    lines = [(n, line) for n, line in enumerate(_read_text(path).splitlines(), start=1) if line]
     if not lines:
         raise CsvFormatError(f"{path}: file is empty")
-    header, body = next(csv.reader(lines[:1])), lines[1:]
+    header, body = next(csv.reader([lines[0][1]])), lines[1:]
     if not body:
         raise CsvFormatError(f"{path}: header but no data rows")
     if len(header) < 2:
         raise CsvFormatError(f"{path}: needs a grid column and at least one function column")
-    for i, line in enumerate(body, start=1):
+    for n, line in body:
         fields = line.count(",") + 1
         if fields != len(header):
-            raise CsvFormatError(
-                f"{path}: data row {i} has {fields} fields, the header has {len(header)}"
-            )
-    data = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            raise CsvFormatError(f"{path}: line {n} has {fields} fields, the header has {len(header)}")
+    try:
+        data = np.loadtxt([line for _, line in body], delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError as exc:  # its row index counts data rows, not file lines
+        raise CsvFormatError(f"{path}: {_first_non_number(body) or exc}") from None
     # contiguous rows sum in the same order as one column at a time
     return header, data[:, 0], np.ascontiguousarray(data[:, 1:].T)
 
@@ -86,8 +124,9 @@ def read_density_csv(path) -> tuple[DensitySample, list]:
     table on a wide support, whose values are small, does not read back
     as written (see :func:`density.normalize_rows`)."""
     header, points, columns = _read_table(path)
-    grid = _uniform_grid_from(points)
-    return DensitySample(normalize_rows(columns, grid), grid), header[1:]
+    ids = _unique(path, header[1:])
+    grid = _uniform_grid_from(path, points)
+    return DensitySample(normalize_rows(columns, grid), grid), ids
 
 
 def write_transformed_csv(path, tgrid: Grid, x: np.ndarray, ids=None):
@@ -99,13 +138,12 @@ def write_transformed_csv(path, tgrid: Grid, x: np.ndarray, ids=None):
 def read_transformed_csv(path) -> tuple[Grid, np.ndarray, list]:
     """The t grid, the ``(n, m)`` transformed values and the column ids."""
     header, points, columns = _read_table(path)
-    return _uniform_grid_from(points), columns, header[1:]
+    return _uniform_grid_from(path, points), columns, header[1:]
 
 
 def _id_value_rows(path) -> list:
     """(id, value) pairs of a CSV whose header is ``subject_id,value``."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
     if not rows:
         raise CsvFormatError(f"{path}: file is empty")
     if [h.strip().lower() for h in rows[0][:2]] != ["subject_id", "value"]:
@@ -116,7 +154,10 @@ def _id_value_rows(path) -> list:
             continue
         if len(row) < 2:
             raise CsvFormatError(f"{path}: line {line} needs 'subject_id,value', got {row!r}")
-        pairs.append((row[0], float(row[1])))
+        try:
+            pairs.append((row[0], float(row[1])))
+        except ValueError:
+            raise CsvFormatError(f"{path}: line {line}: {row[1]!r} is not a number") from None
     return pairs
 
 
@@ -129,8 +170,10 @@ def read_samples_csv(path):
 
 
 def read_response_csv(path):
-    """Two-column ``subject_id,value`` CSV of scalar responses."""
-    return dict(_id_value_rows(path))
+    """Two-column ``subject_id,value`` CSV of scalar responses, one per subject."""
+    pairs = _id_value_rows(path)
+    _unique(path, [sid for sid, _ in pairs])
+    return dict(pairs)
 
 
 def write_json(path, payload: dict):

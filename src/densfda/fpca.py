@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import DensitySample, Grid
-from .errors import EmptySampleError, GridMismatchError, KTooLargeError, NonFiniteError
+from .errors import BadArgumentError, EmptySampleError, GridMismatchError, KTooLargeError, NonFiniteError
 
 EIGENVALUE_DROP = 1e-12  # relative to the leading eigenvalue
 
@@ -99,12 +99,12 @@ def fit(sample, grid: Grid | None = None, k: int | None = None) -> EigenSystem:
     0; components below ``EIGENVALUE_DROP`` times the leading eigenvalue,
     or below the round-off bound (m eps)^2 times the mean squared L2 norm
     of the uncentered rows, are dropped, then at most ``k`` are kept
-    (``ValueError`` for a negative ``k``).  Each eigenfunction has unit L2
-    norm and its largest-magnitude value positive.  A single function, or
-    a sample of identical ones, gives its own mean and no components.
+    (a negative ``k`` raises ``BadArgumentError``).  Each eigenfunction
+    has unit L2 norm and its largest-magnitude value positive.  A single
+    function, or identical ones, gives its own mean and no components.
     """
     if k is not None and k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise BadArgumentError(f"k must be >= 0, got {k}")
     if grid is None:
         sample, grid = sample.values, sample.grid
     data = np.asarray(sample, dtype=float)
@@ -158,7 +158,7 @@ def truncate(system: EigenSystem, k: int) -> np.ndarray:
 def mode_of_variation(system: EigenSystem, k: int, alpha: float) -> np.ndarray:
     """Mean plus alpha standard deviations along component k (1-based)."""
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise BadArgumentError(f"k must be >= 1, got {k}")
     if k > system.n_components:
         raise KTooLargeError(f"component {k} of {system.n_components} requested")
     return system.mean + alpha * np.sqrt(system.eigenvalues[k - 1]) * system.eigenfunctions[k - 1]

@@ -18,7 +18,8 @@ points) goes back through the one map :func:`density.normalize_rows`.
 :class:`FittedMethod` runs FPCA in between; ``reconstruct(K)`` returns
 the K-component representations of the whole sample as one ``(n, m)``
 array, and they and the modes are valid densities for every K and mode
-parameter.  :func:`method_named` is the one table of method names.
+parameter.  :func:`method_named` is the one table of method names, and
+``MEANS`` the one table of Fréchet means.
 
 Every function takes a sample as one :class:`density.DensitySample`; the
 three Fréchet means are one-row samples.  The sample's cache
@@ -51,6 +52,7 @@ from .density import (
     sq_dist_rows,
     unit_grid,
 )
+from .errors import BadArgumentError
 from .sphere import exp_map, karcher_mean, log_map, sqrt_embed
 from .transforms import LQD, LogHazard, Transform, forward_rows, inverse_rows
 
@@ -152,6 +154,13 @@ def fisher_rao_mean(sample: DensitySample, floor: float = DEFAULT_FLOOR) -> Dens
     return DensitySample(normalize_rows(_karcher_mean(sample)[None] ** 2, sample.grid, floor), sample.grid)
 
 
+MEANS = {  # the one table of Fréchet means by name: (sample, floor) -> one-row sample
+    "l2": lambda sample, floor: frechet_mean(sample, Metric.L2, floor),
+    "wasserstein": lambda sample, floor: frechet_mean(sample, Metric.WASSERSTEIN, floor),
+    "fisher_rao": lambda sample, floor: fisher_rao_mean(sample, floor),
+}
+
+
 def frechet_variance(sample: DensitySample, metric: Metric, floor: float = DEFAULT_FLOOR) -> float:
     """V_inf: the average squared metric distance to the sample's Fréchet
     mean (:func:`frechet_mean`), computed once per sample and kept."""
@@ -199,7 +208,7 @@ class TransformMethod:
 
     def __post_init__(self):
         if not (0.0 <= self.blend < 1.0):
-            raise ValueError(f"blend must be in [0, 1), got {self.blend}")
+            raise BadArgumentError(f"blend must be in [0, 1), got {self.blend}")
 
     @property
     def label(self) -> str:
@@ -237,11 +246,11 @@ Method = OrdinaryFpca | TransformMethod | HilbertSphere
 
 def method_named(name: str, delta: float = 0.1) -> Method:
     """The method the command line calls ``name``; only ``"loghazard"``
-    reads ``delta``.  Raises ``ValueError`` for any other name."""
+    reads ``delta``.  Raises ``BadArgumentError`` for any other name."""
     methods = {"lqd": TransformMethod, "fpca": OrdinaryFpca, "hs": HilbertSphere,
                "loghazard": lambda: TransformMethod(LogHazard(delta))}
     if name not in methods:
-        raise ValueError(f"method must be one of {tuple(methods)}, got {name!r}")
+        raise BadArgumentError(f"method must be one of {tuple(methods)}, got {name!r}")
     return methods[name]()
 
 
@@ -268,7 +277,7 @@ class FittedMethod:
     def reconstruct(self, k: int) -> np.ndarray:
         """``(n, m)`` density values of the k-component representations."""
         if k < 0:
-            raise ValueError("k must be >= 0")
+            raise BadArgumentError("k must be >= 0")
         return self._to_density(fpca.truncate(self.system, min(k, self.n_components)))
 
     def modes(self, ks, alphas) -> DensitySample:
@@ -310,12 +319,12 @@ def fve_report(
     rows (:meth:`Metric.embed_rows`), so each metric distance is an L2
     distance between two rows.  The selected K is the smallest whose FVE
     exceeds p, or k_max with ``threshold_reached`` False when none does.
-    Raises ``ValueError`` unless 0 < p < 1 and k_max >= 1.
+    Raises ``BadArgumentError`` unless 0 < p < 1 and k_max >= 1.
     """
     if not (0.0 < p < 1.0):
-        raise ValueError("p must be in (0, 1)")
+        raise BadArgumentError("p must be in (0, 1)")
     if k_max is not None and k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+        raise BadArgumentError(f"k_max must be >= 1, got {k_max}")
     sample = fitted.sample
     v_inf = frechet_variance(sample, metric, fitted.floor)
     target, egrid = embedding(sample, metric)

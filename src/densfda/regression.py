@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fpca
 from .density import DensitySample
-from .errors import NonFiniteError, RankDeficientWarning
+from .errors import BadArgumentError, NonFiniteError, RankDeficientWarning
 from .frechet import embedding, method_named
 
 SCORE_METHODS = ("fpca", "lqd")
@@ -51,7 +51,7 @@ def fit_flr(scores: np.ndarray, y: np.ndarray) -> FlrModel:
         raise NonFiniteError("responses and scores must be finite")
     n, k = scores.shape
     if n <= k + 1:
-        raise ValueError(f"need n > K + 1 subjects, got n={n}, K={k}")
+        raise BadArgumentError(f"need n > K + 1 subjects, got n={n}, K={k}")
     while True:
         design = np.column_stack([np.ones(n), scores[:, : k]])
         beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -90,29 +90,29 @@ def cv_mse(
 ) -> float:
     """Repeated K-fold cross-validated mean squared prediction error.
 
-    ``method`` is ``"fpca"`` or ``"lqd"`` (``ValueError`` otherwise: the
-    Hilbert-sphere embedding depends on the whole sample's Karcher mean).
+    ``method`` is ``"fpca"`` or ``"lqd"`` (``BadArgumentError`` otherwise:
+    the Hilbert-sphere embedding depends on the whole sample's Karcher mean).
     Every fold refits the score basis on its training subjects only,
     regresses on that fit's scores and projects the held-out densities
     onto the basis.  Fold assignment is a seeded shuffle with one child
     stream per repeat; with ``folds == n`` every repeat would make the
-    same leave-one-out fits, so one is made.  Raises ``ValueError``
+    same leave-one-out fits, so one is made.  Raises ``BadArgumentError``
     unless 2 <= folds <= n.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = len(densities)
     if n != y.size:
-        raise ValueError("densities and responses differ in length")
+        raise BadArgumentError("densities and responses differ in length")
     if folds < 2:
-        raise ValueError("folds must be >= 2")
+        raise BadArgumentError("folds must be >= 2")
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise BadArgumentError("repeats must be >= 1")
     if method not in SCORE_METHODS:
-        raise ValueError(f"method must be one of {SCORE_METHODS}, got {method!r}")
+        raise BadArgumentError(f"method must be one of {SCORE_METHODS}, got {method!r}")
     # each density is embedded on its own, once; folds index the rows
     rows, grid = embedding(densities, method_named(method))
     if folds > n:  # a fold beyond n subjects would be empty
-        raise ValueError(f"folds must be <= n = {n} subjects, got {folds}")
+        raise BadArgumentError(f"folds must be <= n = {n} subjects, got {folds}")
     # leave-one-out folds do not depend on the shuffle: one repeat gives them all
     repeats = 1 if folds == n else repeats
     children = np.random.SeedSequence(seed).spawn(repeats)

@@ -7,8 +7,8 @@ variation (random location on [-5, 5]) and the combination of both.
 (mu, sigma) pair; its standard normal row is the target of the means.
 The harness runs seeded replications, computes FVE per method at a fixed
 truncation K, and collects the Fréchet means of every replication under
-the L2, Wasserstein and sphere-geodesic metrics (``MEAN_METRICS``, each a
-one-row sample whose row the result keeps), aggregated across
+the L2, Wasserstein and sphere-geodesic metrics (``frechet.MEANS``, each
+a one-row sample whose row the result keeps), aggregated across
 replications by another Fréchet mean under the same metric.
 
 Replications draw their randomness from child streams spawned off the
@@ -34,14 +34,13 @@ from .density import (
     normalize_rows,
     sq_dist_rows,
 )
-from .errors import BadBandwidthError, DegenerateSigmaError, EmptySampleError
+from .errors import BadArgumentError, BadBandwidthError, DegenerateSigmaError, DensfdaError, EmptySampleError
 from .frechet import (
+    MEANS,
     FittedMethod,
     HilbertSphere,
     OrdinaryFpca,
     TransformMethod,
-    fisher_rao_mean,
-    frechet_mean,
     fve_report,
 )
 from .kde import KdeConfig, Kernel, estimate_rows
@@ -79,14 +78,14 @@ class SettingSpec:
 
     def __post_init__(self):
         if self.setting not in SETTING_SUPPORT:
-            raise ValueError(f"setting must be 1, 2 or 3, got {self.setting}")
+            raise BadArgumentError(f"setting must be 1, 2 or 3, got {self.setting}")
         if self.n < 2:
-            raise ValueError("n must be >= 2")
+            raise BadArgumentError("n must be >= 2")
         if self.observed not in ("full", "sampled"):
-            raise ValueError("observed must be 'full' or 'sampled'")
+            raise BadArgumentError("observed must be 'full' or 'sampled'")
         if self.observed == "sampled":  # full observation ignores the bandwidth
             if self.n_obs < 10:
-                raise ValueError("sampled observation needs n_obs >= 10")
+                raise BadArgumentError("sampled observation needs n_obs >= 10")
             if not 0.0 < self.unit_bandwidth < 0.5:  # the estimator's limit, on the native support
                 lo, hi = self.support
                 raise BadBandwidthError(
@@ -182,7 +181,7 @@ def gen_setting(spec: SettingSpec, rng=None) -> GeneratedSetting:
 # Replication harness
 # ---------------------------------------------------------------------------
 
-MEAN_METRICS = ("l2", "wasserstein", "fisher_rao")
+MEAN_METRICS = tuple(MEANS)
 
 
 def default_methods(blend: float = SIMULATION_BLEND) -> list:
@@ -211,7 +210,8 @@ class SimulationResult:
         means = [m for m in self.mean_densities[name] if m is not None]
         if not means:
             raise EmptySampleError("no successful replications to aggregate")
-        return _mean(name, DensitySample(np.stack([m.values for m in means]), self.spec.grid))[0]
+        sample = DensitySample(np.stack([m.values for m in means]), self.spec.grid)
+        return MEANS[name](sample, SIMULATION_FLOOR)[0]
 
     def distances_to_target(self, name: str) -> np.ndarray:
         """Wasserstein distance of each replication's mean to the target,
@@ -274,13 +274,6 @@ class SimulationResult:
         return out
 
 
-def _mean(name: str, sample: DensitySample) -> DensitySample:
-    """The Fréchet mean named in ``MEAN_METRICS``, as a one-row sample."""
-    if name == "fisher_rao":
-        return fisher_rao_mean(sample, SIMULATION_FLOOR)
-    return frechet_mean(sample, Metric(name), SIMULATION_FLOOR)
-
-
 def _run_one(spec: SettingSpec, child_seed, methods, k, metric):
     rng = np.random.default_rng(child_seed)
     # the methods and the means share one sample and its statistics
@@ -289,7 +282,7 @@ def _run_one(spec: SettingSpec, child_seed, methods, k, metric):
     for method in methods:
         report = fve_report(FittedMethod(sample, method, SIMULATION_FLOOR), metric, k_max=k)
         fve[method.label] = report.fve
-    return fve, {name: _mean(name, sample)[0] for name in MEAN_METRICS}
+    return fve, {name: mean(sample, SIMULATION_FLOOR)[0] for name, mean in MEANS.items()}
 
 
 def run_comparison(
@@ -301,15 +294,16 @@ def run_comparison(
 ) -> SimulationResult:
     """Run seeded replications of one setting and collect FVE and means.
 
-    Failed replications are recorded in ``result.failures`` and left as
-    gaps (None / NaN) rather than dropped.  The target is the standard
-    normal truncated to the support.  Raises ``ValueError`` unless
-    k >= 1 and reps >= 1.
+    A replication that raises a ``DensfdaError`` is recorded in
+    ``result.failures`` and left as a gap (None / NaN) rather than
+    dropped; any other exception is a bug and propagates.  The target is
+    the standard normal truncated to the support.  Raises
+    ``BadArgumentError`` unless k >= 1 and reps >= 1.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise BadArgumentError(f"k must be >= 1, got {k}")
     if reps < 1:
-        raise ValueError("reps must be >= 1")
+        raise BadArgumentError("reps must be >= 1")
     methods = list(methods)
     children = np.random.SeedSequence(spec.seed).spawn(reps)
     fve_curves = {m.label: [None] * reps for m in methods}
@@ -318,7 +312,7 @@ def run_comparison(
     for r, child in enumerate(children):
         try:
             fve, means = _run_one(spec, child, methods, k, metric)
-        except Exception as exc:  # noqa: BLE001 - recorded, not dropped
+        except DensfdaError as exc:
             failures.append((r, repr(exc)))
             continue
         for label, curve in fve.items():

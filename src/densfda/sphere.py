@@ -16,9 +16,9 @@ Points on the sphere are plain arrays on one grid: a sample is the
 Every function maps all rows at once, and :func:`karcher_mean` runs one
 :func:`log_map` and one :func:`exp_map` per iteration.  The unit-norm
 check runs where points enter: :func:`log_map` and :func:`exp_map` check
-their base and :func:`karcher_mean` its rows, raising ``ValueError`` for
-a squared norm off 1 by more than 1e-9 and ``GridMismatchError`` for a
-column count other than the grid's.
+their base and :func:`karcher_mean` its rows, raising
+``BadArgumentError`` for a squared norm off 1 by more than 1e-9 and
+``GridMismatchError`` for a column count other than the grid's.
 
 The Hilbert-sphere method (``frechet.HilbertSphere``) embeds a sample
 in L2 by the log map at its Karcher mean and maps FPCA output back by
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .density import Grid, integrate_rows
-from .errors import GridMismatchError, NoConvergenceError
+from .errors import BadArgumentError, GridMismatchError, NoConvergenceError
 
 KARCHER_TOL = 1e-9
 KARCHER_MAX_ITER = 200
@@ -48,7 +48,7 @@ def _check_unit(points: np.ndarray, grid: Grid):
     """Raise unless every row of ``points`` lies on ``grid`` with unit L2 norm."""
     _check_grid(points, grid)
     if np.any(np.abs(integrate_rows(points * points, grid) - 1.0) > 1e-9):
-        raise ValueError("sphere points must have unit L2 norm")
+        raise BadArgumentError("sphere points must have unit L2 norm")
 
 
 def sqrt_embed(values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -40,7 +40,7 @@ from .density import (
     normalize_rows,
     unit_grid,
 )
-from .errors import GridMismatchError, NonFiniteError, TransformOverflowError
+from .errors import BadArgumentError, GridMismatchError, NonFiniteError, TransformOverflowError
 
 _EXP_GUARD = 700.0  # exp overflows binary64 just above this
 # inverse kernels let overflow run into the finiteness and positivity
@@ -112,7 +112,7 @@ class LogHazard:
 
     def __post_init__(self):
         if not (0.0 < self.delta <= 0.5):
-            raise ValueError(f"delta must be in (0, 0.5], got {self.delta}")
+            raise BadArgumentError(f"delta must be in (0, 0.5], got {self.delta}")
 
     @property
     def label(self) -> str:

@@ -249,7 +249,7 @@ class TestTransformCli:
         assert main(args) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "ValueError"
+        assert json.loads(lines[0])["error"] == "BadArgumentError"
         assert not out.exists()
 
     def test_lqd_ignores_delta(self, tmp_path, density_csv):
@@ -327,7 +327,7 @@ class TestAnalyze:
         path, _ = density_csv
         out = tmp_path / "r.json"
         assert main([command, "--p", p, "--in", str(path), "--out", str(out)]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert json.loads(capsys.readouterr().err)["error"] == "BadArgumentError"
         assert not out.exists()
 
     def test_modes_beyond_components_exit_1(self, tmp_path, rng, capsys):
@@ -347,7 +347,7 @@ class TestAnalyze:
         out = tmp_path / "r.json"
         assert main(["analyze", "--modes-k", "0", "--in", str(path), "--out", str(out)]) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert json.loads(lines[0]) == {"error": "ValueError", "message": "k must be >= 1, got 0"}
+        assert json.loads(lines[0]) == {"error": "BadArgumentError", "message": "k must be >= 1, got 0"}
         assert len(lines) == 1 and not out.exists()
 
     def test_modes_k_selects_the_components(self, tmp_path, density_csv):
@@ -368,7 +368,7 @@ class TestAnalyze:
         assert main(["analyze", f"--kmax={kmax}", "--in", str(path), "--out", str(out)]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0]) == {"error": "ValueError", "message": f"k_max must be >= 1, got {kmax}"}
+        assert json.loads(lines[0]) == {"error": "BadArgumentError", "message": f"k_max must be >= 1, got {kmax}"}
         assert not out.exists()
 
     def test_delta_read_only_by_log_hazard(self, tmp_path, density_csv, capsys):
@@ -401,6 +401,21 @@ class TestAnalyze:
         write_density_csv(path, stack([smooth_density(rng, grid)]))
         assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 0
         assert (tmp_path / "r_modes.csv").read_text().splitlines()[0] == "x"
+
+    def test_mean_metrics_are_the_means_table(self, tmp_path, density_csv):
+        # one spelling per mean: the choice, the column id and frechet.MEANS
+        from densfda.cli import build_parser
+        from densfda.frechet import MEANS
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        mean = next(a for a in sub.choices["mean"]._actions if a.dest == "metric")
+        assert tuple(mean.choices) == tuple(MEANS) == ("l2", "wasserstein", "fisher_rao")
+        path, _ = density_csv
+        out, want = tmp_path / "m.csv", tmp_path / "want.csv"
+        assert main(["mean", "--metric", "fisher_rao", "--in", str(path), "--out", str(out)]) == 0
+        sample, _ = read_density_csv(path)
+        write_density_csv(want, MEANS["fisher_rao"](sample, DEFAULT_FLOOR), ["fisher_rao_mean"])
+        assert out.read_bytes() == want.read_bytes()
 
     def test_modes_and_mean_and_fve(self, tmp_path, density_csv):
         path, _ = density_csv
@@ -451,7 +466,7 @@ class TestSimulate:
         assert main([*args, f"--K={k}", "--out", str(out)]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0]) == {"error": "ValueError", "message": f"k must be >= 1, got {k}"}
+        assert json.loads(lines[0]) == {"error": "BadArgumentError", "message": f"k must be >= 1, got {k}"}
         assert not out.exists()
 
 
@@ -612,7 +627,47 @@ class TestRegress:
         assert code == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0]) == {"error": "ValueError", "message": "k must be >= 0, got -1"}
+        assert json.loads(lines[0]) == {"error": "BadArgumentError", "message": "k must be >= 0, got -1"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("repeated", ["densities", "responses"])
+    def test_repeated_subject_id_exits_1(self, tmp_path, rng, capsys, repeated):
+        # one of two columns or responses named s1 would silently stand for both
+        grid = Grid(0.0, 1.0, 64)
+        dpath, ypath, out = tmp_path / "d.csv", tmp_path / "y.csv", tmp_path / "reg.json"
+        ids = [f"s{i}" for i in range(12)]
+        columns = ["s1", *ids[1:]] if repeated == "densities" else ids
+        write_density_csv(dpath, stack([smooth_density(rng, grid) for _ in columns]), columns)
+        responses = [*ids, "s1"] if repeated == "responses" else ids
+        ypath.write_text("subject_id,value\n" + "".join(f"{sid},{i}\n" for i, sid in enumerate(responses)))
+        code = main([
+            "regress", "--method", "lqd", "--K", "1", "--folds", "3", "--repeats", "1",
+            "--densities", str(dpath), "--y", str(ypath), "--out", str(out),
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        faulty = dpath if repeated == "densities" else ypath
+        assert json.loads(lines[0]) == {
+            "error": "CsvFormatError", "message": f"{faulty}: subject id 's1' appears more than once",
+        }
+        assert not out.exists()
+
+    def test_response_that_is_no_number_exits_1(self, tmp_path, rng, capsys):
+        grid = Grid(0.0, 1.0, 64)
+        dpath, ypath, out = tmp_path / "d.csv", tmp_path / "y.csv", tmp_path / "reg.json"
+        ids = [f"s{i}" for i in range(12)]
+        write_density_csv(dpath, stack([smooth_density(rng, grid) for _ in ids]), ids)
+        values = ["1", "abc"] + [str(i) for i in range(2, 12)]
+        ypath.write_text("subject_id,value\n" + "".join(f"{sid},{v}\n" for sid, v in zip(ids, values)))
+        code = main([
+            "regress", "--method", "lqd", "--K", "1", "--folds", "3", "--repeats", "1",
+            "--densities", str(dpath), "--y", str(ypath), "--out", str(out),
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "CsvFormatError", "message": f"{ypath}: line 3: 'abc' is not a number"}
         assert not out.exists()
 
     def test_more_folds_than_subjects_exits_1(self, tmp_path, rng, capsys):
@@ -629,7 +684,7 @@ class TestRegress:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {
-            "error": "ValueError", "message": "folds must be <= n = 12 subjects, got 13",
+            "error": "BadArgumentError", "message": "folds must be <= n = 12 subjects, got 13",
         }
         assert not out.exists()
 
@@ -669,7 +724,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "row, error",
         [("0.5,1.0", "CsvFormatError"), ("0.5,1.0,1.0,1.0", "CsvFormatError"),
-         ("0.5,1.0,abc", "ValueError")],
+         ("0.5,1.0,abc", "CsvFormatError")],
         ids=["short-row", "long-row", "non-numeric"],
     )
     def test_bad_density_table_exits_1(self, tmp_path, capsys, row, error):
@@ -682,6 +737,52 @@ class TestErrorPaths:
         captured = capsys.readouterr().err
         assert "Traceback" not in captured
         assert json.loads(captured)["error"] == error
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"x,s\xe91\n0,1\n0.5,1\n1,1\n", "byte 3 is not "),
+            (b"x,s1,s2\n0,1,1\n\n0.5,1,abc\n1,1,1\n", "line 4, field 3 is not a number: 'abc'"),
+            (b"x,s1\n0,1\n1,1\n", "the first column needs at least 3 rows, got 2"),
+            (b"x,s1\n1,1\n0.5,1\n0,1\n", "the first column must rise between finite ends, got 1.0 to 0.0"),
+            (b"x,s1\n1,1\n1,1\n1,1\n", "the first column must rise between finite ends, got 1.0 to 1.0"),
+            (b"x,s1\n0,1\n0.75,1\n1,1\n", "the first column is not a uniform grid"),
+        ],
+        ids=["not-utf8", "non-numeric", "two-rows", "descending", "zero-width", "non-uniform"],
+    )
+    def test_table_fault_names_the_file(self, tmp_path, capsys, text, message):
+        # the line counts blank lines, as an editor does
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "CsvFormatError"
+        assert error["message"].startswith(f"{path}: {message}")
+
+    def test_overflowing_mass_exits_1(self, tmp_path, capsys):
+        # positive values whose trapezoid sum overflows: one line, and no
+        # RuntimeWarning (pyproject fails on one)
+        path = tmp_path / "d.csv"
+        path.write_text("x,s1\n" + "".join(f"{x},1e308\n" for x in (0.0, 0.25, 0.5, 0.75, 1.0)))
+        assert main(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NonFiniteError"
+
+    @pytest.mark.parametrize("bug", [ValueError("bug"), KeyError("bug")], ids=["ValueError", "KeyError"])
+    def test_a_bug_is_a_traceback(self, tmp_path, density_csv, monkeypatch, bug):
+        # only a DensfdaError or an OSError exits 1; anything else is a bug
+        from densfda import cli
+
+        def broken(*args, **kwargs):
+            raise bug
+
+        monkeypatch.setattr(cli, "fve_report", broken)
+        path, _ = density_csv
+        with pytest.raises(type(bug)):
+            main(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json")])
 
     @pytest.mark.parametrize("command", ["analyze"])
     def test_header_without_rows_exits_1(self, tmp_path, capsys, command):

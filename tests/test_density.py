@@ -105,6 +105,12 @@ class TestNormalize:
                 np.testing.assert_array_equal(got, want)
         assert outcome(blocks[-1]) is AllZeroError
 
+    def test_overflowing_mass_is_non_finite(self, unit512):
+        # every value is finite and positive; their trapezoid sum is not,
+        # and it is reported without a RuntimeWarning (pyproject fails on one)
+        with pytest.raises(NonFiniteError, match="mass of a row overflows"):
+            normalize_rows(np.full((1, 512), 1e308), unit512)
+
     def test_rows_raise_first_failing_row(self, unit512):
         # each row fails a different check; the batch fails as the rows
         # one at a time would, on the first failing row

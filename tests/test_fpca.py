@@ -3,6 +3,7 @@ import pytest
 
 from densfda import (
     AllZeroError,
+    BadArgumentError,
     DensitySample,
     EmptySampleError,
     Grid,
@@ -247,7 +248,7 @@ class TestTruncateAndModes:
         fitted, _ = system
         with pytest.raises(ValueError, match=f"k must be >= 1, got {k}") as info:
             mode_of_variation(fitted, k, 1.0)
-        assert type(info.value) is ValueError
+        assert type(info.value) is BadArgumentError
 
     def test_mode_alpha_zero_is_mean(self, system):
         fitted, _ = system

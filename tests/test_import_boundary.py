@@ -63,7 +63,7 @@ def test_numpy_only_commands(tables):
     ]
     commands += [
         ["mean", "--metric", metric, "--in", f"{d}/d.csv", "--out", f"{d}/mean.csv"]
-        for metric in ("l2", "wasserstein", "fisherrao")
+        for metric in ("l2", "wasserstein", "fisher_rao")
     ]
     commands += [
         ["transform", "--kind", "lqd", "--in", f"{d}/d.csv", "--out", f"{d}/t.csv"],

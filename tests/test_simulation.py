@@ -6,6 +6,7 @@ from scipy.stats import norm
 from densfda import (
     BadBandwidthError,
     DegenerateSigmaError,
+    DensfdaError,
     Grid,
     Metric,
     SettingSpec,
@@ -238,7 +239,7 @@ class TestRunComparison:
         def flaky(spec, rng=None):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise RuntimeError("boom")
+                raise DensfdaError("boom")
             return original(spec, rng)
 
         monkeypatch.setattr(sim, "gen_setting", flaky)
@@ -249,11 +250,23 @@ class TestRunComparison:
         values = res.fve_at_k("LQD")
         assert np.isnan(values[1]) and not np.isnan(values[0])
 
+    def test_a_bug_propagates(self, monkeypatch):
+        # only a DensfdaError is a failed replication; anything else is a bug
+        import densfda.simulation as sim
+
+        def broken(spec, rng=None):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(sim, "gen_setting", broken)
+        spec = SettingSpec(setting=1, n=10, seed=5, m=128)
+        with pytest.raises(TypeError, match="bug"):
+            sim.run_comparison(spec, default_methods(), 1, Metric.L2, reps=2)
+
     def test_summary_when_every_replication_fails(self, monkeypatch):
         import densfda.simulation as sim
 
         def broken(spec, rng=None):
-            raise RuntimeError("boom")
+            raise DensfdaError("boom")
 
         monkeypatch.setattr(sim, "gen_setting", broken)
         spec = SettingSpec(setting=1, n=10, seed=5, m=128)
