@@ -44,7 +44,8 @@ _UNIT_MASS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid of ``m`` points on [lo, hi]."""
+    """Uniform grid of ``m`` points on [lo, hi]: finite ends a finite width
+    apart, and ``m >= 3``."""
 
     lo: float
     hi: float
@@ -55,6 +56,8 @@ class Grid:
             raise NonFiniteError("grid endpoints must be finite")
         if self.hi <= self.lo:
             raise BadArgumentError(f"grid needs hi > lo, got [{self.lo}, {self.hi}]")
+        if not np.isfinite(float(self.hi) - float(self.lo)):
+            raise NonFiniteError(f"grid width overflows: [{self.lo}, {self.hi}]")
         if self.m < 3:
             raise BadArgumentError(f"grid needs m >= 3 points, got {self.m}")
 

@@ -8,15 +8,18 @@ domain is checked by ``transforms.inverse_rows``.
 All floats are written with 17 significant digits so a write/read round
 trip reproduces binary64 values exactly.
 
-Tables move as arrays.  A read checks the shape line by line, skipping
-blank lines, then parses the body with one ``np.loadtxt``.  Every fault
-of a file raises ``CsvFormatError`` naming it: text that does not
-decode, an empty file, no data rows, fewer than two columns, a row of
-the wrong field count, a field that is no number (with its line), a
-first column that is not a uniform grid of at least 3 points, and a
-subject id that repeats in a density table or a response file.  A write
-formats and writes the body one row at a time with one format string,
-the same bytes as ``csv.writer`` (CRLF line ends).
+Tables move as arrays.  A read streams the file: it decodes one line
+at a time, skips blank lines, and hands the body to one ``np.loadtxt``
+through a generator that checks each line's field count as it passes,
+so the text is never held whole.  Every fault of a file raises
+``CsvFormatError`` naming it, the first in file order when there are
+several: text that does not decode (with its byte offset in the file),
+an empty file, no data rows, fewer than two columns, a row of the wrong
+field count, a field that is no number (with its line), a first column
+that is not a uniform grid of at least 3 points over a finite width, and
+a subject id that repeats in a density table or a response file.  A
+write formats and writes the body one row at a time with one format
+string, the same bytes as ``csv.writer`` (CRLF line ends).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import platform
 import time
@@ -44,6 +48,8 @@ def _uniform_grid_from(path, points: np.ndarray) -> Grid:
         raise CsvFormatError(f"{path}: the first column needs at least 3 rows, got {m}")
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise CsvFormatError(f"{path}: the first column must rise between finite ends, got {lo!r} to {hi!r}")
+    if not np.isfinite(hi - lo):
+        raise CsvFormatError(f"{path}: the first column spans {lo!r} to {hi!r}, a width that overflows")
     grid = Grid(lo, hi, m)
     if not np.all(np.abs(points - grid.points) <= 1e-9 * max(abs(lo), abs(hi), 1.0)):
         raise CsvFormatError(f"{path}: the first column is not a uniform grid")
@@ -69,13 +75,35 @@ def _write_table(path, first_name: str, points: np.ndarray, columns, ids):
             fh.write(line % tuple(row.tolist()))
 
 
+def _not_text(path, exc: UnicodeDecodeError, offset: int = 0) -> CsvFormatError:
+    return CsvFormatError(f"{path}: byte {offset + exc.start} is not {exc.encoding} text")
+
+
 def _read_text(path) -> str:
     """The text of a file, line ends as they are."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"{path}: byte {exc.start} is not {exc.encoding} text") from None
+        raise _not_text(path, exc) from None
+
+
+def _lines(path):
+    """``(line number, line)`` of each line of a file that is not blank,
+    decoded one line at a time and numbered as ``str.splitlines`` numbers
+    the whole text."""
+    n = offset = 0
+    with open(path, "rb") as fh:
+        for raw in fh:  # split at b"\n", which no multi-byte UTF-8 character holds
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _not_text(path, exc, offset) from None
+            offset += len(raw)
+            for line in text.splitlines():
+                n += 1
+                if line:
+                    yield n, line
 
 
 def _first_non_number(body) -> str | None:
@@ -91,22 +119,28 @@ def _first_non_number(body) -> str | None:
 
 
 def _read_table(path):
-    lines = [(n, line) for n, line in enumerate(_read_text(path).splitlines(), start=1) if line]
-    if not lines:
+    lines = _lines(path)
+    first = next(lines, None)
+    if first is None:
         raise CsvFormatError(f"{path}: file is empty")
-    header, body = next(csv.reader([lines[0][1]])), lines[1:]
-    if not body:
+    header, row = next(csv.reader([first[1]])), next(lines, None)
+    if row is None:
         raise CsvFormatError(f"{path}: header but no data rows")
     if len(header) < 2:
         raise CsvFormatError(f"{path}: needs a grid column and at least one function column")
-    for n, line in body:
-        fields = line.count(",") + 1
-        if fields != len(header):
-            raise CsvFormatError(f"{path}: line {n} has {fields} fields, the header has {len(header)}")
+
+    def body():
+        for n, line in itertools.chain([row], lines):
+            fields = line.count(",") + 1
+            if fields != len(header):
+                raise CsvFormatError(f"{path}: line {n} has {fields} fields, the header has {len(header)}")
+            yield line
+
     try:
-        data = np.loadtxt([line for _, line in body], delimiter=",", comments=None, quotechar='"', ndmin=2)
+        data = np.loadtxt(body(), delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError as exc:  # its row index counts data rows, not file lines
-        raise CsvFormatError(f"{path}: {_first_non_number(body) or exc}") from None
+        where = _first_non_number(itertools.islice(_lines(path), 1, None))
+        raise CsvFormatError(f"{path}: {where or exc}") from None
     # contiguous rows sum in the same order as one column at a time
     return header, data[:, 0], np.ascontiguousarray(data[:, 1:].T)
 

@@ -58,6 +58,10 @@ from .transforms import LQD, LogHazard, Transform, forward_rows, inverse_rows
 
 K_MAX_CAP = 20
 EXPLAINED_TAIL = 1e-8  # eigenvalue mass allowed beyond the default K_max
+# fve_report maps back max(1, BLOCK_ELEMENTS // m) rows at a time, 64 rows of
+# 1,024 points: smaller blocks pay more per-call overhead, and blocks of 1 MiB
+# had glibc map fresh pages, and fault them in, on every allocation
+BLOCK_ELEMENTS = 2**16
 
 
 @dataclass
@@ -287,6 +291,7 @@ class FittedMethod:
         return DensitySample(self._to_density(np.stack(rows)), self.grid)
 
     def _to_density(self, rows: np.ndarray) -> np.ndarray:
+        """Density values of rows in the method's space, each row on its own."""
         return self.method.to_density(rows, self.system.grid, self.sample, self.floor)
 
 
@@ -301,6 +306,20 @@ def default_k_max(eigenvalues: np.ndarray, n: int) -> int:
     enough = np.nonzero(cum >= (1.0 - EXPLAINED_TAIL) * total)[0]
     k = int(enough[0]) + 1 if enough.size else len(eigenvalues)
     return max(1, min(k, cap))
+
+
+def _sq_distances(fitted: FittedMethod, k: int, metric: Metric, target: np.ndarray, egrid: Grid) -> np.ndarray:
+    """Squared metric distances from the rows of ``target``, the sample's
+    embedding, to their k-component representations, mapped back and
+    embedded in row blocks (see :func:`fve_report`)."""
+    truncation = fpca.truncate(fitted.system, min(k, fitted.n_components))
+    n, m = truncation.shape
+    dist, rows = np.empty(n), max(1, BLOCK_ELEMENTS // m)
+    for lo in range(0, n, rows):
+        block = slice(lo, lo + rows)
+        recon, _ = metric.embed_rows(fitted._to_density(truncation[block]), fitted.grid)
+        dist[block] = sq_dist_rows(target[block], recon, egrid)
+    return dist
 
 
 def fve_report(
@@ -320,6 +339,16 @@ def fve_report(
     distance between two rows.  The selected K is the smallest whose FVE
     exceeds p, or k_max with ``threshold_reached`` False when none does.
     Raises ``BadArgumentError`` unless 0 < p < 1 and k_max >= 1.
+
+    Memory is bounded by blocks of rows.  Each K's truncation is formed
+    for all rows as one matmul, since a row block of the product can
+    round differently in its last bit.  It is then mapped back to
+    densities, embedded and measured against the sample
+    ``max(1, BLOCK_ELEMENTS // m)`` rows at a time.  Each of those steps
+    treats every row on its own and the distances fill one ``(n,)``
+    array, so the curve is the one the whole array gives, and a sample
+    fails here exactly when it fails there.  A sample of at most
+    ``BLOCK_ELEMENTS`` values is one block.
     """
     if not (0.0 < p < 1.0):
         raise BadArgumentError("p must be in (0, 1)")
@@ -332,8 +361,7 @@ def fve_report(
         k_max = default_k_max(fitted.system.eigenvalues, len(sample))
     v_k = np.empty(k_max)
     for k in range(1, k_max + 1):
-        recon, _ = metric.embed_rows(fitted.reconstruct(k), fitted.grid)
-        v_k[k - 1] = v_inf - float(np.mean(sq_dist_rows(target, recon, egrid)))
+        v_k[k - 1] = v_inf - float(np.mean(_sq_distances(fitted, k, metric, target, egrid)))
     fve = v_k / v_inf if v_inf > 0 else np.ones(k_max)
     hit = np.nonzero(fve > p)[0]
     selected, reached = (int(hit[0]) + 1, True) if hit.size else (k_max, False)

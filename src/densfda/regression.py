@@ -43,7 +43,8 @@ def fit_flr(scores: np.ndarray, y: np.ndarray) -> FlrModel:
 
     A singular design triggers a ``RankDeficientWarning`` and trailing
     score columns are dropped until the fit is full rank.  A NaN or
-    infinite response or score raises ``NonFiniteError``.
+    infinite response or score, or a sum of squares that overflows,
+    raises ``NonFiniteError``.
     """
     scores = np.asarray(scores, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -63,9 +64,12 @@ def fit_flr(scores: np.ndarray, y: np.ndarray) -> FlrModel:
             RankDeficientWarning,
             stacklevel=2,
         )
-    residuals = y - design @ beta
-    tss = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - float((residuals**2).sum()) / tss if tss > 0 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        sse = float(((y - design @ beta) ** 2).sum())
+        tss = float(((y - y.mean()) ** 2).sum())
+    if not (np.isfinite(sse) and np.isfinite(tss)):
+        raise NonFiniteError("the sums of squares overflow: the responses are too large")
+    r2 = 1.0 - sse / tss if tss > 0 else 0.0
     return FlrModel(float(beta[0]), beta[1:], r2)
 
 
@@ -97,7 +101,8 @@ def cv_mse(
     onto the basis.  Fold assignment is a seeded shuffle with one child
     stream per repeat; with ``folds == n`` every repeat would make the
     same leave-one-out fits, so one is made.  Raises ``BadArgumentError``
-    unless 2 <= folds <= n.
+    unless 2 <= folds <= n, and ``NonFiniteError`` when a sum of squares
+    overflows.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = len(densities)
@@ -124,6 +129,9 @@ def cv_mse(
             system = fpca.fit(rows[train_idx], grid, k=k)
             # the fit's own scores are the training rows' projections
             model = fit_flr(system.scores, y[train_idx])
-            pred = predict(model, fpca.scores(rows[test_idx], system.mean, system.eigenfunctions, grid))
-            total_sse += float(((y[test_idx] - pred) ** 2).sum())
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+                pred = predict(model, fpca.scores(rows[test_idx], system.mean, system.eigenfunctions, grid))
+                total_sse += float(((y[test_idx] - pred) ** 2).sum())
+    if not np.isfinite(total_sse):
+        raise NonFiniteError("the sum of squared prediction errors overflows")
     return total_sse / (n * repeats)

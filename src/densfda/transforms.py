@@ -197,7 +197,8 @@ def inverse_rows(x: np.ndarray, tgrid: Grid, transform: Transform, support) -> n
     ``tgrid`` must be the transform's domain, [0, 1] for LQD and
     [0, 1 - delta] for log hazard, with one point per column of ``x``;
     otherwise ``GridMismatchError`` is raised.  ``support`` must be a
-    finite interval (the checks of :class:`Grid`).
+    finite interval (the checks of :class:`Grid`), wide enough that the
+    densities on it do not overflow (``NonFiniteError``).
     """
     domain = transform.domain(tgrid.m)
     if tgrid.lo != domain.lo or abs(tgrid.hi - domain.hi) > 1e-12 or x.shape[1] != tgrid.m:
@@ -205,13 +206,23 @@ def inverse_rows(x: np.ndarray, tgrid: Grid, transform: Transform, support) -> n
             f"{x.shape[1]} values on a grid of {tgrid.m} points over [{tgrid.lo}, "
             f"{tgrid.hi}] do not fit the {transform.label} domain [0, {domain.hi}]"
         )
-    return transform.inverse(x) / Grid(*support, tgrid.m).width
+    width = Grid(*support, tgrid.m).width
+    with np.errstate(over="ignore"):  # reported below
+        values = transform.inverse(x) / width
+    if not np.isfinite(values.max()):
+        lo, hi = support
+        raise NonFiniteError(f"the densities overflow on the support [{lo}, {hi}]: it is too narrow")
+    return values
 
 
 def _guard_exp(values: np.ndarray):
-    if not np.all(np.isfinite(values)):
+    """Raise the error of the first row with a value that is not finite or
+    above the exp guard, so a block of rows fails as the whole array does."""
+    if np.all(np.isfinite(values)) and values.max() <= _EXP_GUARD:
+        return
+    finite = np.isfinite(values).all(axis=1)
+    peak = values.max(axis=1)
+    i = (~finite | (peak > _EXP_GUARD)).argmax()
+    if not finite[i]:
         raise NonFiniteError("transformed values must be finite")
-    if values.max() > _EXP_GUARD:
-        raise TransformOverflowError(
-            f"max transformed value {values.max():.3g} exceeds the exp guard"
-        )
+    raise TransformOverflowError(f"max transformed value {peak[i]:.3g} exceeds the exp guard")

@@ -11,6 +11,7 @@ import pytest
 import densfda
 from densfda import (
     DEFAULT_FLOOR,
+    CsvFormatError,
     LQD,
     SIMULATION_BLEND,
     DensitySample,
@@ -122,6 +123,32 @@ class TestFileIO:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size
+
+    @pytest.mark.parametrize("fault", ["short-row", "non-numeric", "not-utf8"])
+    def test_fault_deep_in_a_large_table_is_placed(self, tmp_path, rng, fault):
+        # the read streams the file, so a fault past its first 64 KiB must
+        # still be named by its line, or by its byte offset in the file
+        grid, n, line = Grid(0.0, 1.0, 400), 40, 300
+        path = tmp_path / "big.csv"
+        _write_table(path, "x", grid.points, rng.uniform(0.5, 1.5, (n, grid.m)), [f"s{i}" for i in range(n)])
+        lines = path.read_bytes().splitlines(keepends=True)
+        start = sum(map(len, lines[: line - 1]))
+        assert start > 64 * 1024
+        fields = lines[line - 1].rstrip(b"\r\n").split(b",")
+        if fault == "short-row":
+            fields.pop()
+            want = f"line {line} has {n} fields, the header has {n + 1}"
+        elif fault == "non-numeric":
+            fields[6] = b"abc"
+            want = f"line {line}, field 7 is not a number: 'abc'"
+        else:
+            fields[6] = b"\xe9" + fields[6]
+            want = f"byte {start + len(b','.join(fields[:6])) + 1} is not utf-8 text"
+        lines[line - 1] = b",".join(fields) + b"\r\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(CsvFormatError) as err:
+            read_density_csv(path)
+        assert str(err.value) == f"{path}: {want}"
 
     def test_density_csv_roundtrip(self, tmp_path, rng):
         grid = Grid(-3.0, 3.0, 257)
@@ -250,6 +277,20 @@ class TestTransformCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "BadArgumentError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("support", ["0,1e-320", "-1e308,1e308"], ids=["too-narrow", "too-wide"])
+    def test_support_that_overflows_reports_one_json_line(self, tmp_path, capsys, density_csv, support):
+        # densities over a width of 1e-320 overflow, and so does the width 2e308;
+        # neither may print a RuntimeWarning (pyproject fails on one)
+        path, _ = density_csv
+        fwd, out = tmp_path / "x.csv", tmp_path / "back.csv"
+        assert main(["transform", "--in", str(path), "--out", str(fwd)]) == 0
+        args = ["transform", "--inverse", f"--support={support}", "--in", str(fwd), "--out", str(out)]
+        assert main(args) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NonFiniteError"
         assert not out.exists()
 
     def test_lqd_ignores_delta(self, tmp_path, density_csv):
@@ -614,6 +655,24 @@ class TestRegress:
         assert json.loads(lines[0])["error"] == "NonFiniteError"
         assert not out.exists()
 
+    def test_responses_whose_squares_overflow_exit_1(self, tmp_path, rng, capsys):
+        # finite responses of 1e308: their sum of squares overflows, which
+        # ends in one JSON line and no RuntimeWarning (pyproject fails on one)
+        grid = Grid(0.0, 1.0, 64)
+        dpath, ypath, out = tmp_path / "d.csv", tmp_path / "y.csv", tmp_path / "reg.json"
+        ids = [f"s{i}" for i in range(6)]
+        write_density_csv(dpath, stack([smooth_density(rng, grid) for _ in ids]), ids)
+        ypath.write_text("subject_id,value\n" + "".join(f"{sid},1e308\n" for sid in ids))
+        code = main([
+            "regress", "--K", "1", "--folds", "2", "--repeats", "1",
+            "--densities", str(dpath), "--y", str(ypath), "--out", str(out),
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NonFiniteError"
+        assert not out.exists()
+
     def test_negative_k_exits_1(self, tmp_path, rng, capsys):
         grid = Grid(0.0, 1.0, 64)
         dpath, ypath, out = tmp_path / "d.csv", tmp_path / "y.csv", tmp_path / "reg.json"
@@ -747,8 +806,9 @@ class TestErrorPaths:
             (b"x,s1\n1,1\n0.5,1\n0,1\n", "the first column must rise between finite ends, got 1.0 to 0.0"),
             (b"x,s1\n1,1\n1,1\n1,1\n", "the first column must rise between finite ends, got 1.0 to 1.0"),
             (b"x,s1\n0,1\n0.75,1\n1,1\n", "the first column is not a uniform grid"),
+            (b"x,s1\n-1e308,1\n0,1\n1e308,1\n", "the first column spans -1e+308 to 1e+308, a width that overflows"),
         ],
-        ids=["not-utf8", "non-numeric", "two-rows", "descending", "zero-width", "non-uniform"],
+        ids=["not-utf8", "non-numeric", "two-rows", "descending", "zero-width", "non-uniform", "too-wide"],
     )
     def test_table_fault_names_the_file(self, tmp_path, capsys, text, message):
         # the line counts blank lines, as an editor does
@@ -790,6 +850,21 @@ class TestErrorPaths:
         path.write_text("x,subject_1,subject_2\n")
         code = main([command, "--in", str(path), "--out", str(tmp_path / "r.json")])
         self._assert_csv_error(code, capsys)
+
+    def test_header_only_table_warns_nothing(self, tmp_path):
+        # under -W error a warning on the way, such as np.loadtxt's
+        # "input contained no data", would end in a traceback
+        path = tmp_path / "d.csv"
+        path.write_text("x,subject_1,subject_2\n")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "densfda.cli", "analyze",
+             "--in", str(path), "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "CsvFormatError", "message": f"{path}: header but no data rows"}
 
     @pytest.mark.parametrize("command", ["analyze"])
     def test_empty_file_exits_1(self, tmp_path, capsys, command):

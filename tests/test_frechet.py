@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
@@ -36,7 +38,7 @@ from densfda import (
     wasserstein_frechet_mean,
 )
 from densfda import fileio, frechet
-from densfda.density import cdf_rows, integrate_rows, quantile_rows
+from densfda.density import cdf_rows, integrate_rows, quantile_rows, sq_dist_rows
 
 from conftest import (
     from_transform,
@@ -412,6 +414,65 @@ class TestFveCurve:
         sample = stack([smooth_density(rng, unit512) for _ in range(5)])
         report = fve_report(FittedMethod(sample, TransformMethod()), Metric.L2)
         assert len(report.fve) <= min(len(sample) - 1, 20)
+
+
+class TestFveReportBlocks:
+    """``fve_report`` maps reconstructions back ``BLOCK_ELEMENTS // m`` rows
+    at a time; its curve is the one the whole array gives."""
+
+    M = 1024
+    ROWS = frechet.BLOCK_ELEMENTS // M  # rows in one block
+
+    @pytest.fixture(scope="class")
+    def densities(self):
+        return gen_setting(SettingSpec(setting=3, n=5 * self.ROWS // 2, m=self.M, seed=11)).densities
+
+    @staticmethod
+    def whole_array_v_k(fitted, metric, k_max=None):
+        """Reference: every reconstruction mapped back, embedded and measured at once."""
+        sample = fitted.sample
+        v_inf = frechet_variance(sample, metric, fitted.floor)
+        target, egrid = frechet.embedding(sample, metric)
+        k_max = k_max or frechet.default_k_max(fitted.system.eigenvalues, len(sample))
+        v_k = np.empty(k_max)
+        for k in range(1, k_max + 1):
+            recon, _ = metric.embed_rows(fitted.reconstruct(k), fitted.grid)
+            v_k[k - 1] = v_inf - float(np.mean(sq_dist_rows(target, recon, egrid)))
+        return v_k
+
+    @pytest.mark.parametrize("n", ["one", "below-one-block", "two-and-a-half-blocks"])
+    @pytest.mark.parametrize("metric", [Metric.L2, Metric.WASSERSTEIN], ids=["l2", "wasserstein"])
+    @pytest.mark.parametrize("method", ["lqd", "fpca", "hs", "loghazard"])
+    def test_bitwise_equal_to_whole_array(self, densities, method, metric, n):
+        rows = {"one": 1, "below-one-block": self.ROWS // 2, "two-and-a-half-blocks": 5 * self.ROWS // 2}[n]
+        sample = densities[:rows]  # a new sample: nothing cached from another case
+        fitted = FittedMethod(sample, method_named(method))
+        report = fve_report(fitted, metric)
+        assert np.array_equal(report.v_k, self.whole_array_v_k(fitted, metric))  # the FVE is v_k / v_infinity
+
+    def test_truncation_is_one_matmul(self):
+        # 218-row blocks of the truncation's matmul, in place of the whole
+        # product, changed the last bit of V_K at K = 12 and 15 on this
+        # sample with OpenBLAS
+        sample = gen_setting(SettingSpec(setting=3, n=300, m=300, seed=11)).densities
+        fitted = FittedMethod(sample, TransformMethod())
+        report = fve_report(fitted, Metric.L2, k_max=15)
+        assert np.array_equal(report.v_k, self.whole_array_v_k(fitted, Metric.L2, k_max=15))
+
+    def test_peak_memory_below_four_sample_arrays(self):
+        # Alive at once: one K's truncation and the matmul product it is
+        # summed from (2 arrays), or the truncation and the temporaries of one
+        # row block, about 6 arrays of 64 rows for LQD, so under 1 + 1 arrays
+        # of 400 rows.  Mapping back all rows at once held about 8 arrays.
+        sample = gen_setting(SettingSpec(setting=3, n=400, m=self.M, seed=2)).densities
+        fitted = FittedMethod(sample, TransformMethod())
+        tracemalloc.start()
+        try:
+            fve_report(fitted, Metric.L2, k_max=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * sample.values.nbytes
 
 
 class TestSelectK:

@@ -100,6 +100,18 @@ class TestLqdInverse:
         with pytest.raises(TransformOverflowError):
             from_transform(unit_grid(M), vals, LQD)
 
+    def test_overflow_guard_reports_the_first_failing_row(self):
+        # row 1 trips the guard and row 2 is not finite: the whole array and
+        # every block of rows from the first on fail on row 1, as they would
+        # if the rows were mapped back one block at a time
+        x = np.zeros((3, 8))
+        x[1, 2], x[2, 0] = 800.0, np.nan
+        for stop in (2, 3):
+            with pytest.raises(TransformOverflowError, match="max transformed value 800 exceeds"):
+                _guard_exp(x[:stop])
+        with pytest.raises(NonFiniteError):
+            _guard_exp(x[2:])
+
     def test_wrong_kind_rejected(self):
         # log hazard values live on [0, 1 - delta], not on the LQD domain
         with pytest.raises(GridMismatchError):
